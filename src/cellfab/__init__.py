@@ -52,4 +52,4 @@ from .engine import (  # noqa: F401
 )
 from .report import HealingMetrics, from_csv, metrics, to_csv, to_vcd  # noqa: F401
 from .scenarios import BUNDLED_SCENARIOS, load_scenario, save_scenario  # noqa: F401
-from .sim import golden_trace, run, run_raw  # noqa: F401
+from .sim import run, run_raw  # noqa: F401

@@ -12,6 +12,7 @@ classifier.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -306,10 +307,10 @@ class CellId:
 
     @staticmethod
     def parse(text: str) -> "CellId":
-        layer_part, cell_part = text.split(".")
-        if not layer_part.startswith("L") or cell_part[0] not in ("F", "R"):
+        m = re.fullmatch(r"L([0-9]+)\.([FR])([0-9]+)", text) if isinstance(text, str) else None
+        if m is None:
             raise ValueError(f"bad cell id {text!r}")
-        return CellId(int(layer_part[1:]), int(cell_part[1:]), cell_part[0])
+        return CellId(int(m[1]), int(m[3]), m[2])
 
 
 @dataclass
@@ -354,10 +355,6 @@ class FunctionalCell:
                 self.registers.write(port, Value(config.width_mode, config.immediate), 0)
         self.pipeline = (0,) * config.delay_cycles
         self.history = FaultHistory()
-
-    def reset_state(self) -> None:
-        """Restart the delay pipeline from zeros (used when a spare takes over)."""
-        self.pipeline = (0,) * self.config.delay_cycles
 
     def voted_inputs(self) -> tuple[dict[Port, Value], dict[Port, int]]:
         voted: dict[Port, Value] = {}

@@ -26,6 +26,7 @@ from .netlist import NetlistError, depth, parse_netlist
 from .place import PlacementError, place
 from .report import format_metrics, from_csv, metrics, to_csv, to_vcd
 from .scenarios import BUNDLED_SCENARIOS, load_scenario
+from .sim import run
 
 
 def _add_timing_overrides(parser: argparse.ArgumentParser) -> None:
@@ -47,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenarios", nargs="+", help="scenario file or bundled name")
     p_run.add_argument("--out", default=".", metavar="DIR", help="output directory")
     p_run.add_argument("--format", choices=("csv", "vcd", "both"), default="both")
-    p_run.add_argument("--seed", type=int, default=None, metavar="U64")
     _add_timing_overrides(p_run)
 
     p_val = sub.add_parser("validate", help="validate a netlist file")
@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    from .sim import run_raw
-
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -100,20 +98,17 @@ def cmd_run(args) -> int:
             scenario = dataclasses.replace(
                 scenario, timing=dataclasses.replace(scenario.timing, **overrides)
             )
-        if args.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
         try:
-            result = run_raw(scenario)
-        except (ValueError, PlacementError, NetlistError) as exc:
+            trace, m = run(scenario)
+        except ValueError as exc:  # also NetlistError and PlacementError
             print(f"error: {scenario.name}: {exc}", file=sys.stderr)
             status = 2
             continue
-        m = metrics(result.trace, scenario)
         base = out_dir / scenario.name
         if args.format in ("csv", "both"):
-            Path(f"{base}.csv").write_text(to_csv(result.trace))
+            Path(f"{base}.csv").write_text(to_csv(trace))
         if args.format in ("vcd", "both"):
-            Path(f"{base}.vcd").write_text(to_vcd(result.trace))
+            Path(f"{base}.vcd").write_text(to_vcd(trace))
         report_text = format_metrics(m, scenario.timing)
         Path(f"{base}.metrics.txt").write_text(report_text)
         print(f"== {scenario.name}")

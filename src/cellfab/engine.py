@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import Optional
 
 from . import __version__
@@ -34,7 +35,7 @@ from .cell import (
     qmul,
     wrap16,
 )
-from .fabric import Alarm, Fabric, FaultKind, HealAction, HealthSyndrome
+from .fabric import Alarm, Fabric, HealAction, HealthSyndrome
 from .place import FabricProgram
 
 
@@ -70,7 +71,9 @@ class TimingParams:
         )
 
 
-class FaultKindSpec:
+class FaultKind(str, Enum):
+    """Injectable fault kinds; each member equals its scenario-file string."""
+
     TRANSIENT_REGISTER = "transient_register"
     PERMANENT_GFB = "permanent_gfb"
     INTERMITTENT_BURST = "intermittent_burst"
@@ -106,20 +109,16 @@ class FaultSpec:
     count: Optional[int] = None
 
     def validate(self) -> None:
-        if self.kind not in (
-            FaultKindSpec.TRANSIENT_REGISTER,
-            FaultKindSpec.PERMANENT_GFB,
-            FaultKindSpec.INTERMITTENT_BURST,
-        ):
+        if self.kind not in tuple(FaultKind):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.time < 0:
             raise ValueError("fault time must be >= 0")
         if (self.flip is None) == (self.stuck is None):
             raise ValueError("exactly one of flip/stuck must be set")
-        if self.kind != FaultKindSpec.PERMANENT_GFB:
+        if self.kind != FaultKind.PERMANENT_GFB:
             if self.port is None or self.replica not in (0, 1, 2):
                 raise ValueError("register faults need a port and replica 0..2")
-        if self.kind == FaultKindSpec.INTERMITTENT_BURST:
+        if self.kind == FaultKind.INTERMITTENT_BURST:
             if not self.period or not self.count or self.period <= 0 or self.count < 1:
                 raise ValueError("burst needs period > 0 and count >= 1")
 
@@ -133,7 +132,7 @@ def inject(fault: FaultSpec, fabric: Fabric, t: int) -> bool:
     cell = fabric.cells[str(fault.cell)]
     if cell.health is CellHealth.FAULTY_DEACTIVATED:
         return False
-    if fault.kind == FaultKindSpec.PERMANENT_GFB:
+    if fault.kind == FaultKind.PERMANENT_GFB:
         cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
         return True
     if cell.registers is None:
@@ -147,12 +146,12 @@ def expand_faults(faults: list[FaultSpec]) -> list[FaultSpec]:
     out: list[FaultSpec] = []
     for f in faults:
         f.validate()
-        if f.kind == FaultKindSpec.INTERMITTENT_BURST:
+        if f.kind == FaultKind.INTERMITTENT_BURST:
             for i in range(f.count):
                 out.append(
                     replace(
                         f,
-                        kind=FaultKindSpec.TRANSIENT_REGISTER,
+                        kind=FaultKind.TRANSIENT_REGISTER,
                         time=f.time + i * f.period,
                         period=None,
                         count=None,
@@ -187,13 +186,18 @@ class Scenario:
     faults: list[FaultSpec] = field(default_factory=list)
     timing: TimingParams = field(default_factory=TimingParams)
     run_until: int = 1000
-    seed: int = 0
+    seed: int = 0  # recorded in the trace header; nothing random consumes it
     plant: Optional[PlantFeedback] = None
 
     def validate(self, input_names: list[str]) -> None:
         self.timing.validate()
         if self.run_until <= 0:
             raise ValueError("run_until must be > 0")
+        for fault in self.faults:
+            if fault.time > self.run_until:
+                raise ValueError(
+                    f"fault on {fault.cell} at t={fault.time} is after run_until={self.run_until}"
+                )
         at_zero = {name for t, name, _ in self.stimulus if t == 0}
         missing = [n for n in input_names if n not in at_zero]
         if missing:
@@ -240,13 +244,6 @@ class Trace:
             if r.annotation == "data" and r.signal in output_names
         ]
 
-    def signals(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            if r.annotation == "data":
-                seen.setdefault(r.signal, None)
-        return list(seen)
-
 
 # event kinds, processed in (time, seq) order
 _CLOCK = 0
@@ -256,6 +253,16 @@ _HEAL = 3
 _STOP = 4
 
 _STOP_SEQ = 1 << 62
+
+
+def _fn_signals(program: FabricProgram) -> dict[int, list[str]]:
+    """Trace signal names per placed function: its outputs, else ``fn.<node>``."""
+    signals: dict[int, list[str]] = {}
+    for name, fn_idx in program.output_binding.items():
+        signals.setdefault(fn_idx, []).append(name)
+    for node in program.placement.slots:
+        signals.setdefault(program.placement.function_index(node), [f"fn.{node}"])
+    return signals
 
 
 @dataclass
@@ -271,6 +278,7 @@ class Engine:
 
     def __init__(self, program: FabricProgram, scenario: Scenario):
         self.fabric = Fabric(program)
+        self._signals = _fn_signals(program)
         self.scenario = scenario
         self.timing = scenario.timing
         self.trace = Trace(
@@ -402,7 +410,7 @@ class Engine:
         if fn is None:
             return
         if (
-            fault.kind == FaultKindSpec.TRANSIENT_REGISTER
+            fault.kind == FaultKind.TRANSIENT_REGISTER
             and t < self._last_clock + fn.level * self.timing.cell_delay
         ):
             return  # this period's wave evaluation is still pending and votes it
@@ -457,7 +465,6 @@ class Engine:
         self._syndromed.add(str(cid))
         syndrome = HealthSyndrome(
             cell_id=cid,
-            fault_kind=FaultKind.PERMANENT,
             detect_time=t,
             function_index=fn.index,
         )
@@ -501,25 +508,20 @@ class Engine:
         if not fabric.enter_fail_safe():
             return
         self.trace.add(t, "alarm", 2, "alarm")
-        for fn_idx in sorted(fabric.outputs_of_fn):
+        for fn_idx in sorted(set(fabric.output_binding.values())):
             self._publish(fn_idx, Value(fabric.functions[fn_idx].width, 0), t, cascade=False)
 
     # ---- value propagation ----------------------------------------------
 
     def _publish(self, fn_idx: int, value: Value, t: int, cascade: bool) -> None:
         fabric = self.fabric
-        if fabric.alarm is Alarm.FAIL_SAFE and fn_idx in fabric.outputs_of_fn:
+        if fabric.alarm is Alarm.FAIL_SAFE and fn_idx in fabric.output_binding.values():
             value = Value(value.width_mode, 0)
         previous = fabric.published.get(fn_idx)
         changed = previous != value.payload
         fabric.published[fn_idx] = value.payload
-        fn = fabric.functions[fn_idx]
-        out_names = fabric.outputs_of_fn.get(fn_idx)
-        if out_names:
-            for name in out_names:
-                self.trace.add(t, name, value.payload, "data")
-        else:
-            self.trace.add(t, f"fn.{fn.node.name}", value.payload, "data")
+        for name in self._signals[fn_idx]:
+            self.trace.add(t, name, value.payload, "data")
         consumers = fabric.consumers_of_fn(fn_idx)
         for cell, port in consumers:
             cell.registers.write(port, value, t)

@@ -38,17 +38,11 @@ class HealAction(Enum):
     RESTORE = "restore"
 
 
-class FaultKind(Enum):
-    TRANSIENT = "transient"
-    PERMANENT = "permanent"
-
-
 @dataclass
 class HealthSyndrome:
-    """Record of one detected fault and its healing action sequence."""
+    """Record of one detected permanent fault and its healing action sequence."""
 
     cell_id: CellId
-    fault_kind: FaultKind
     detect_time: int
     function_index: Optional[int] = None
     chosen_spare: Optional[CellId] = None
@@ -144,15 +138,11 @@ class Fabric:
                 self.functions[fn.index] = fn
                 self.binding[fn.index] = f_cells[slot]
 
-        self.fn_by_node = {f.node.name: f for f in self.functions.values()}
         self.input_index = dict(program.placement.input_binding)
         self.input_widths = dict(self.netlist.inputs)
         self.input_values: dict[str, int] = {}
         self.published: dict[int, Optional[int]] = {f: None for f in self.functions}
         self.output_binding = dict(program.output_binding)
-        self.outputs_of_fn: dict[int, list[str]] = {}
-        for name, fn_idx in self.output_binding.items():
-            self.outputs_of_fn.setdefault(fn_idx, []).append(name)
         self._consumers: Optional[dict] = None
 
     # ---- wiring ------------------------------------------------------

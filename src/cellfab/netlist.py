@@ -52,12 +52,6 @@ class Netlist:
     def input_names(self) -> list[str]:
         return [n for n, _ in self.inputs]
 
-    def input_width(self, name: str) -> WidthMode:
-        for n, w in self.inputs:
-            if n == name:
-                return w
-        raise KeyError(name)
-
     def node(self, name: str) -> NetNode:
         for n in self.nodes:
             if n.name == name:

@@ -9,10 +9,23 @@ the healing of every syndrome.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
-from .engine import ANNOTATIONS, Scenario, TimingParams, Trace, TraceRecord
+from .apps import resolve_application
+from .engine import (
+    ANNOTATIONS,
+    Engine,
+    FaultKind,
+    Scenario,
+    TimingParams,
+    Trace,
+    TraceRecord,
+    _fn_signals,
+    expand_faults,
+)
 from .fabric import HealAction
 
 _META_PREFIXES = ("in.", "fn.", "cell.", "heal.", "fault.")
@@ -22,7 +35,7 @@ def output_signals(trace: Trace) -> list[str]:
     """Primary output signal names (bare names by construction)."""
     seen: dict[str, None] = {}
     for r in trace.records:
-        if r.annotation == "data" and not r.signal.startswith(_META_PREFIXES) and r.signal != "alarm":
+        if r.annotation == "data" and not r.signal.startswith(_META_PREFIXES):
             seen.setdefault(r.signal, None)
     return list(seen)
 
@@ -105,12 +118,11 @@ def to_vcd(trace: Trace, widths: Optional[dict[str, int]] = None) -> str:
     signals not yet driven), then changes only.  Signal widths default to
     1 bit unless any sample leaves {0,1}.
     """
+    outputs = set(output_signals(trace))
     data = [
         r
         for r in trace.records
-        if r.annotation == "data"
-        and (r.signal.startswith("in.") or not r.signal.startswith(_META_PREFIXES))
-        and r.signal != "alarm"
+        if r.annotation == "data" and (r.signal.startswith("in.") or r.signal in outputs)
     ]
     signals: dict[str, None] = {}
     for r in data:
@@ -198,13 +210,19 @@ class HealingMetrics:
     heal_ratio: Optional[float] = None
 
 
+def _data_samples(trace: Trace) -> dict[str, list[tuple[int, int]]]:
+    """(time, value) data samples per signal, in trace (time) order."""
+    samples: dict[str, list[tuple[int, int]]] = {}
+    for r in trace.records:
+        if r.annotation == "data":
+            samples.setdefault(r.signal, []).append((r.time, r.value))
+    return samples
+
+
 def _held_value(samples: list[tuple[int, int]], t: int) -> Optional[int]:
-    held = None
-    for st, sv in samples:
-        if st > t:
-            break
-        held = sv
-    return held
+    """Value of the last sample at or before ``t`` (None before the first)."""
+    i = bisect_right(samples, t, key=itemgetter(0))
+    return samples[i - 1][1] if i else None
 
 
 def _syndromes_from_trace(trace: Trace) -> list[SyndromeMetrics]:
@@ -239,20 +257,16 @@ def metrics(
 ) -> HealingMetrics:
     """Compute healing metrics for a completed run.
 
-    With the scenario at hand the fault-free golden twin is simulated to
-    diff output samples and verify heal completion; without it those
+    With the scenario at hand the output samples are diffed against the
+    golden twin (simulated here unless ``golden`` is given) to count
+    erroneous samples and verify heal completion; without it those
     fields stay unavailable (None) rather than failing.
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
+    samples = _data_samples(trace)
     outputs = output_signals(trace)
-    firsts = {}
-    for r in trace.records:
-        if r.annotation == "data" and r.signal in outputs and r.signal not in firsts:
-            firsts[r.signal] = r.time
-    fault_free_latency = (
-        max(firsts[o] for o in outputs) if outputs and len(firsts) == len(outputs) else None
-    )
+    fault_free_latency = max((samples[o][0][0] for o in outputs), default=None)
 
     alarm = "none"
     if any(r.annotation == "alarm" for r in trace.records):
@@ -266,58 +280,41 @@ def metrics(
         fault_free_latency=fault_free_latency,
         syndromes=_syndromes_from_trace(trace),
     )
-
     if scenario is None:
         for s in m.syndromes:
             s.heal_complete = s.restore_time
-        m.heal_complete = max(
-            (s.heal_complete for s in m.syndromes if s.heal_complete is not None),
-            default=None,
-        )
-        if m.heal_complete is not None and fault_free_latency:
-            m.heal_ratio = m.heal_complete / fault_free_latency
-        return m
+    else:
+        _compare_with_golden(m, trace, samples, outputs, scenario, golden)
+    m.heal_complete = max(
+        (s.heal_complete for s in m.syndromes if s.heal_complete is not None),
+        default=None,
+    )
+    if m.heal_complete is not None and fault_free_latency:
+        m.heal_ratio = m.heal_complete / fault_free_latency
+    return m
 
-    from .engine import expand_faults
-    from .sim import run_raw
 
-    faults = expand_faults(scenario.faults)
-    m.faults_injected = len(faults)
-
-    if golden is None:
-        golden = run_raw(scenario.without_faults()).trace
-
-    golden_samples: dict[str, list[tuple[int, int]]] = {}
-    for r in golden.records:
-        if r.annotation == "data":
-            golden_samples.setdefault(r.signal, []).append((r.time, r.value))
-
-    erroneous = 0
-    for r in trace.records:
-        if r.annotation == "data" and r.signal in outputs:
-            if _held_value(golden_samples.get(r.signal, []), r.time) != r.value:
-                erroneous += 1
-    m.erroneous_output_samples = erroneous
-
-    # map each syndrome to the function signal it serves
-    from .apps import resolve_application
-
+def _compare_with_golden(
+    m: HealingMetrics,
+    trace: Trace,
+    samples: dict[str, list[tuple[int, int]]],
+    outputs: list[str],
+    scenario: Scenario,
+    golden: Optional[Trace],
+) -> None:
+    """Fill the fault counts, erroneous samples and per-syndrome heal times."""
+    m.faults_injected = sum(
+        1
+        for r in trace.records
+        if r.annotation == "data" and r.signal.startswith("fault.") and r.value == 1
+    )
     program = resolve_application(scenario.application)
-    fn_signal: dict[int, str] = {}
-    out_names = {idx: [] for idx in program.output_binding.values()}
-    for name, idx in program.output_binding.items():
-        out_names[idx].append(name)
-    for layer in program.layers:
-        for slot, node in enumerate(layer.worker_nodes):
-            if node is None:
-                continue
-            idx = layer.index * 4 + slot
-            fn_signal[idx] = out_names[idx][0] if idx in out_names else f"fn.{node}"
-
-    trace_samples: dict[str, list[tuple[int, int]]] = {}
-    for r in trace.records:
-        if r.annotation == "data":
-            trace_samples.setdefault(r.signal, []).append((r.time, r.value))
+    if golden is None:
+        golden = Engine(program, scenario.without_faults()).run().trace
+    golden_samples = _data_samples(golden)
+    m.erroneous_output_samples = sum(
+        _held_value(golden_samples.get(o, []), t) != v for o in outputs for t, v in samples[o]
+    )
 
     detected = 0
     healed = 0
@@ -330,9 +327,9 @@ def metrics(
             masked_times.setdefault(r.signal[5:], []).append(r.time)
 
     syndrome_by_cell = {s.cell: s for s in m.syndromes}
-    for f in faults:
+    for f in expand_faults(scenario.faults):
         cid = str(f.cell)
-        if f.kind == "transient_register":
+        if f.kind == FaultKind.TRANSIENT_REGISTER:
             key = f"{cid}.{f.port.value}"
             if any(t >= f.time for t in masked_times.get(key, [])):
                 detected += 1
@@ -344,25 +341,20 @@ def metrics(
             if s is not None and s.detect_latency is None:
                 s.detect_latency = s.detect_time - f.time
 
+    # a syndrome is healed at the first post-restore sample of the function
+    # it serves that matches the golden twin
+    fn_signals = _fn_signals(program)
     for s in m.syndromes:
-        if s.restore_time is None:
+        if s.restore_time is None or s.function_index not in fn_signals:
             continue
-        signal = fn_signal.get(s.function_index if s.function_index is not None else -1)
-        samples = trace_samples.get(signal, []) if signal else []
-        for t, v in samples:
+        signal = fn_signals[s.function_index][0]
+        for t, v in samples.get(signal, []):
             if t >= s.restore_time and _held_value(golden_samples.get(signal, []), t) == v:
                 s.heal_complete = t
                 healed += 1
                 break
     m.faults_detected = detected
     m.faults_healed = healed
-    m.heal_complete = max(
-        (s.heal_complete for s in m.syndromes if s.heal_complete is not None),
-        default=None,
-    )
-    if m.heal_complete is not None and fault_free_latency:
-        m.heal_ratio = m.heal_complete / fault_free_latency
-    return m
 
 
 def format_metrics(m: HealingMetrics, timing: Optional[TimingParams] = None) -> str:

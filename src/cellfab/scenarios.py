@@ -10,6 +10,7 @@ demo vehicle model.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -28,12 +29,26 @@ BUNDLED_SCENARIOS = (
 _PORTS = {p.value: p for p in Port}
 
 
+def _port(name) -> Port:
+    if name not in _PORTS:
+        raise ValueError(f"unknown port {name!r}")
+    return _PORTS[name]
+
+
+def _section(cls, data: dict, section: str):
+    """Build a dataclass from one scenario section, rejecting unknown keys."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} key {unknown[0]!r}")
+    return cls(**data)
+
+
 def _fault_from_dict(d: dict) -> FaultSpec:
     return FaultSpec(
         kind=d["kind"],
         cell=CellId.parse(d["cell"]),
         time=d["t"],
-        port=_PORTS[d["port"]] if "port" in d else None,
+        port=_port(d["port"]) if "port" in d else None,
         replica=d.get("replica"),
         flip=d.get("flip"),
         stuck=d.get("stuck"),
@@ -60,10 +75,10 @@ def _fault_to_dict(f: FaultSpec) -> dict:
 
 
 def scenario_from_dict(data: dict, name: str) -> Scenario:
-    timing = TimingParams(**data.get("timing", {}))
+    timing = _section(TimingParams, data.get("timing", {}), "timing")
     stimulus = [(s["t"], s["name"], s["value"]) for s in data.get("stimulus", [])]
     faults = [_fault_from_dict(f) for f in data.get("faults", [])]
-    plant = PlantFeedback(**data["plant"]) if "plant" in data else None
+    plant = _section(PlantFeedback, data["plant"], "plant") if "plant" in data else None
     return Scenario(
         name=name,
         application=data["application"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .apps import resolve_application
 from .engine import Engine, RunResult, Scenario, Trace
+from .report import HealingMetrics, metrics
 
 
 def run_raw(scenario: Scenario) -> RunResult:
@@ -12,14 +13,10 @@ def run_raw(scenario: Scenario) -> RunResult:
     return Engine(program, scenario).run()
 
 
-def run(scenario: Scenario):
-    """Run a scenario; returns (trace, healing metrics) per the library contract."""
-    from .report import metrics  # local import: report runs golden scenarios
+def run(scenario: Scenario) -> tuple[Trace, HealingMetrics]:
+    """Run a scenario; returns (trace, healing metrics) per the library contract.
 
-    result = run_raw(scenario)
-    return result.trace, metrics(result.trace, scenario)
-
-
-def golden_trace(scenario: Scenario) -> Trace:
-    """The fault-free twin of a scenario (same stimulus, faults stripped)."""
-    return run_raw(scenario.without_faults()).trace
+    A fault-free scenario is its own golden twin, so it is simulated once.
+    """
+    trace = run_raw(scenario).trace
+    return trace, metrics(trace, scenario, golden=None if scenario.faults else trace)

@@ -173,17 +173,64 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
     assert "alarm fail_safe" in capsys.readouterr().out
 
 
-def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"kind": "permanent_gfb", "cell": "L9.F0", "t": 400, "flip": 1}, "L9.F0"),
+        ({"kind": "permanent_gfb", "cell": "garbage", "t": 400, "flip": 1},
+         "bad cell id 'garbage'"),
+        ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": "Q",
+          "replica": 0, "flip": 1}, "unknown port 'Q'"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 5000, "flip": 1},
+         "after run_until=600"),
+    ],
+    ids=["unknown_cell", "bad_cell_id", "unknown_port", "after_run_until"],
+)
+def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, message):
     import json
 
     from cellfab.scenarios import load_scenario, scenario_to_dict
 
     data = scenario_to_dict(load_scenario("edg_faultfree"))
-    data["faults"] = [{"kind": "permanent_gfb", "cell": "L9.F0", "t": 400, "flip": 1}]
+    data["faults"] = [fault]
     scn = tmp_path / "ghost.scn"
     scn.write_text(json.dumps(data))
     rc = main(["run", str(scn), "--out", str(tmp_path), "--format", "csv"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "L9.F0" in err
+    assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "ghost.csv").exists()
+
+
+def test_unknown_timing_key_is_one_line_error(tmp_path, capsys):
+    import json
+
+    from cellfab.scenarios import load_scenario, scenario_to_dict
+
+    data = scenario_to_dict(load_scenario("edg_faultfree"))
+    data["timing"] = {"cell_dly": 3}
+    scn = tmp_path / "typo.scn"
+    scn.write_text(json.dumps(data))
+    rc = main(["run", str(scn), "--out", str(tmp_path), "--format", "csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown timing key 'cell_dly'" in err
+
+
+@pytest.mark.parametrize("name, kernel_runs", [("edg_faultfree", 1), ("edg_permanent_bt", 2)])
+def test_run_simulates_golden_twin_only_for_faulted_scenarios(
+    tmp_path, monkeypatch, name, kernel_runs
+):
+    # a fault-free scenario is its own golden twin
+    from cellfab.engine import Engine
+
+    calls = []
+    engine_run = Engine.run
+
+    def counting_run(self):
+        calls.append(self.scenario.name)
+        return engine_run(self)
+
+    monkeypatch.setattr(Engine, "run", counting_run)
+    assert main(["run", name, "--out", str(tmp_path), "--format", "csv"]) == 0
+    assert len(calls) == kernel_runs

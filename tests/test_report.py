@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from cellfab.engine import TimingParams, Trace
+from cellfab.cell import CellId
+from cellfab.engine import FaultSpec, Scenario, TimingParams, Trace
 from cellfab.report import (
     format_metrics,
     from_csv,
@@ -190,6 +191,38 @@ class TestMetrics:
         m = metrics(res.trace, sc)
         assert m.erroneous_output_samples > 0
         assert m.heal_complete == 570
+
+    def test_faults_injected_counts_applied_faults_only(self):
+        # the second fault lands on a cell already deactivated: a no-op
+        sc = load_scenario("edg_faultfree")
+        sc.run_until = 1200
+        sc.faults = [
+            FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=t, flip=1)
+            for t in (400, 500)
+        ]
+        res = run_raw(sc)
+        applied = [(r.time, r.value) for r in res.trace.records if r.signal == "fault.L0.F0"]
+        assert applied == [(400, 1), (500, 0)]
+        assert metrics(res.trace, sc).faults_injected == 1
+
+    def test_output_named_alarm_is_compared_and_dumped(self, tmp_path):
+        nl = tmp_path / "alarm.nl"
+        nl.write_text("input a : bit\ninput b : bit\nnode n1 = AND(a, b)\noutput alarm = n1\n")
+        sc = Scenario(
+            name="alarm_out",
+            application=str(nl),
+            stimulus=[(0, "a", 0), (0, "b", 1)],
+            faults=[FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=300, flip=1)],
+            run_until=600,
+        )
+        res = run_raw(sc)
+        assert any(
+            r.signal == "alarm" and r.value == 1 and r.annotation == "data"
+            for r in res.trace.records
+        )
+        assert metrics(res.trace, sc).erroneous_output_samples >= 1
+        vars_, _ = parse_vcd(to_vcd(res.trace))
+        assert "alarm" in {n for n, _ in vars_.values()}
 
     def test_output_signals_excludes_internals(self, faultfree):
         assert set(output_signals(faultfree.trace)) == {
