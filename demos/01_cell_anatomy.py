@@ -11,7 +11,6 @@ from cellfab import (
     FunctionalCell,
     Opcode,
     Port,
-    Value,
     WidthMode,
     classify,
     gfb_eval,
@@ -22,25 +21,21 @@ from cellfab.genetic import CellConfig, InputSelector, SelectorKind, UNUSED
 
 # --- the ten operations ----------------------------------------------------
 
-inputs = {
-    Port.NORTH: Value.int16(6),
-    Port.WEST: Value.int16(4),
-    Port.EAST: Value.int16(9),
-    Port.SOUTH: Value.int16(0),
-}
+# signal values are plain ints; the port inputs come in N, W, E, S order
+inputs = (6, 4, 9, 0)
 for op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP, Opcode.MUX):
-    out, _ = gfb_eval(op, inputs, Value.int16(0), ())
-    print(f"{op.name:5s} N=6 W=4 E=9 -> {out.payload}")
+    out, _ = gfb_eval(op, WidthMode.INT16, inputs, ())
+    print(f"{op.name:5s} N=6 W=4 E=9 -> {out}")
 # MUL is a Q8.8 product: 6 * 4/256 truncates to 0; scale one side by 1.0=256
-out, _ = gfb_eval(Opcode.MUL, {**inputs, Port.WEST: Value.int16(256)}, Value.int16(0), ())
-print(f"MUL   N=6 W=1.0(q8.8) -> {out.payload}")
+out, _ = gfb_eval(Opcode.MUL, WidthMode.INT16, (6, 256, 9, 0), ())
+print(f"MUL   N=6 W=1.0(q8.8) -> {out}")
 
 # --- triplicated storage masks register hits --------------------------------
 
-value, mask = vote((Value.int16(5), Value.int16(5), Value.int16(5)))
-print(f"\nvote(5,5,5)  -> {value.payload}, dissent mask {mask:03b}")
-value, mask = vote((Value.int16(5), Value.int16(-77), Value.int16(5)))
-print(f"vote(5,-77,5) -> {value.payload}, dissent mask {mask:03b}  (hit masked)")
+value, mask = vote(5, 5, 5)
+print(f"\nvote(5,5,5)  -> {value}, dissent mask {mask:03b}")
+value, mask = vote(5, -77, 5)
+print(f"vote(5,-77,5) -> {value}, dissent mask {mask:03b}  (hit masked)")
 
 # --- a live cell with a self-checking evaluation path -----------------------
 
@@ -57,22 +52,22 @@ cell.configure(
         width_mode=WidthMode.BIT,
     )
 )
-cell.registers.write(Port.NORTH, Value.bit(1), t=0)
-cell.registers.write(Port.WEST, Value.bit(1), t=0)
+cell.registers.write(Port.NORTH, 1)
+cell.registers.write(Port.WEST, 1)
 
-out, check, masks = cell.step(t=35)
-print(f"\nhealthy AND cell: output {out.payload}, check {check.value}")
+out, check, masks = cell.step()
+print(f"\nhealthy AND cell: output {out}, check {check.value}")
 
 # corrupt one replica: the voter hides it and reports which copy lied
 cell.registers.ports[Port.NORTH].corrupt(1, flip=1, stuck=None)
-out, check, masks = cell.step(t=70)
-print(f"after a register hit: output {out.payload}, check {check.value}, "
-      f"north dissent {masks[Port.NORTH]:03b}")
+out, check, masks = cell.step()  # one dissent mask per port, N, W, E, S
+print(f"after a register hit: output {out}, check {check.value}, "
+      f"north dissent {masks[0]:03b}")
 
 # break the logic itself: the checker path disagrees immediately
 cell.injected_permanent = StuckBehavior(stuck=0)
-out, check, _ = cell.step(t=105)
-print(f"stuck-at-0 logic:    output {out.payload}, check {check.value}")
-out, check, _ = cell.step(t=140)
-print(f"second strike:       output {out.payload}, check {check.value}, "
+out, check, _ = cell.step()
+print(f"stuck-at-0 logic:    output {out}, check {check.value}")
+out, check, _ = cell.step()
+print(f"second strike:       output {out}, check {check.value}, "
       f"classified {classify(cell.history, 2).value}")

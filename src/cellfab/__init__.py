@@ -18,12 +18,10 @@ from .cell import (  # noqa: F401
     InputRegisterBank,
     Opcode,
     Port,
-    Value,
     WidthMode,
     classify,
     gfb_eval,
     vote,
-    write_port,
 )
 from .genetic import (  # noqa: F401
     CellConfig,

@@ -85,40 +85,12 @@ def qmul(a: int, b: int) -> int:
     return wrap16(-q if p < 0 else q)
 
 
-def check_value(width_mode: WidthMode, payload: int) -> int:
-    if width_mode is WidthMode.BIT:
-        if payload not in (0, 1):
-            raise ValueError(f"BIT payload out of range: {payload}")
-    else:
-        if not (INT16_MIN <= payload <= INT16_MAX):
-            raise ValueError(f"INT16 payload out of range: {payload}")
-    return payload
+def fit(width_mode: WidthMode, raw: int) -> int:
+    """Reduce a raw integer to a width: the low bit, or a wrapped INT16 word.
 
-
-@dataclass(frozen=True)
-class Value:
-    """A digital signal value: a single bit or a 16-bit two's-complement word."""
-
-    width_mode: WidthMode
-    payload: int
-
-    def __post_init__(self):
-        check_value(self.width_mode, self.payload)
-
-    @staticmethod
-    def bit(payload: int) -> "Value":
-        return Value(WidthMode.BIT, payload)
-
-    @staticmethod
-    def int16(payload: int) -> "Value":
-        return Value(WidthMode.INT16, wrap16(payload))
-
-
-def zero(width_mode: WidthMode) -> Value:
-    return Value(width_mode, 0)
-
-
-def _bitwise(width_mode: WidthMode, raw: int) -> int:
+    Signal values are plain ints: 0 or 1 for a BIT, a two's-complement
+    word in [INT16_MIN, INT16_MAX] for an INT16.
+    """
     if width_mode is WidthMode.BIT:
         return raw & 1
     return wrap16(raw)
@@ -126,82 +98,73 @@ def _bitwise(width_mode: WidthMode, raw: int) -> int:
 
 def gfb_eval(
     op: Opcode,
-    inputs: dict[Port, Value],
-    immediate: Value,
+    width_mode: WidthMode,
+    inputs: tuple[int, int, int, int],
     state: tuple[int, ...],
-) -> tuple[Value, tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...]]:
     """Evaluate one generic function block operation.
 
-    Pure function: identical (op, inputs, immediate, state) always yields
-    the identical (output, state').  ``state`` is the delay pipeline and is
-    only advanced by DELAY; every other opcode passes it through.
+    Pure function: identical (op, width_mode, inputs, state) always yields
+    the identical (output, state').  ``inputs`` are the voted port values
+    in N, W, E, S order.  ``state`` is the delay pipeline and is only
+    advanced by DELAY; every other opcode passes it through.
 
     DELAY shifts the North sample through a k-stage pipeline.  Because the
     input register itself adds one cycle of capture latency, the pipeline
     output is the element shifted in k-1 clocks ago, so the end-to-end
     delay seen at the output is exactly k stimulus periods.
     """
-    wm = immediate.width_mode
-    n = inputs[Port.NORTH].payload
-    w = inputs[Port.WEST].payload
-    e = inputs[Port.EAST].payload
-
+    n, w, e, _ = inputs
     if op is Opcode.NOP:
-        return zero(wm), state
+        return 0, state
     if op is Opcode.AND:
-        return Value(wm, _bitwise(wm, n & w)), state
+        return fit(width_mode, n & w), state
     if op is Opcode.OR:
-        return Value(wm, _bitwise(wm, n | w)), state
+        return fit(width_mode, n | w), state
     if op is Opcode.NOT:
-        return Value(wm, _bitwise(wm, ~n)), state
+        return fit(width_mode, ~n), state
     if op is Opcode.ADD:
-        return Value(wm, wrap16(n + w)), state
+        return wrap16(n + w), state
     if op is Opcode.SUB:
-        return Value(wm, wrap16(n - w)), state
+        return wrap16(n - w), state
     if op is Opcode.MUL:
-        return Value(wm, qmul(n, w)), state
+        return qmul(n, w), state
     if op is Opcode.CMP:
-        return Value(wm, 1 if n >= w else 0), state
+        return (1 if n >= w else 0), state
     if op is Opcode.MUX:
-        return Value(wm, w if n == 0 else e), state
+        return (w if n == 0 else e), state
     if op is Opcode.DELAY:
         new_state = state[1:] + (n,)
-        return Value(wm, new_state[0]), new_state
+        return new_state[0], new_state
     raise ValueError(f"unknown opcode {op}")
 
 
-def vote(replicas: tuple[Value, Value, Value]) -> tuple[Value, int]:
+def vote(a: int, b: int, c: int) -> tuple[int, int]:
     """Majority vote over three replica values.
 
     Returns the majority value and a 3-bit mask with bit i set when
     replica i dissents.  If all three disagree the fallback is replica 0
     with mask 0b111; the caller escalates, this is not an error.
     """
-    a, b, c = replicas
-    if a.payload == b.payload:
-        if c.payload == a.payload:
+    if a == b:
+        if c == a:
             return a, 0b000
         return a, 0b100
-    if a.payload == c.payload:
+    if a == c:
         return a, 0b010
-    if b.payload == c.payload:
+    if b == c:
         return b, 0b001
     return a, 0b111
 
 
 @dataclass
 class RegisterPort:
-    replicas: list[Value]
-    last_write: int = -1
+    width_mode: WidthMode
+    replicas: list[int] = field(default_factory=lambda: [0, 0, 0])
 
     def corrupt(self, replica: int, flip: Optional[int], stuck: Optional[int]) -> None:
-        v = self.replicas[replica]
-        if flip is not None:
-            raw = v.payload ^ flip
-            payload = raw & 1 if v.width_mode is WidthMode.BIT else wrap16(raw)
-        else:
-            payload = stuck & 1 if v.width_mode is WidthMode.BIT else wrap16(stuck)
-        self.replicas[replica] = Value(v.width_mode, payload)
+        raw = self.replicas[replica] ^ flip if flip is not None else stuck
+        self.replicas[replica] = fit(self.width_mode, raw)
 
 
 @dataclass
@@ -214,23 +177,11 @@ class InputRegisterBank:
     def __post_init__(self):
         if not self.ports:
             for p in PORT_ORDER:
-                self.ports[p] = RegisterPort([zero(self.width_mode)] * 3)
+                self.ports[p] = RegisterPort(self.width_mode)
 
-    def write(self, port: Port, v: Value, t: int) -> None:
+    def write(self, port: Port, v: int) -> None:
         """Set all three replicas of a port; clears any injected transient."""
-        if port not in self.ports:
-            raise KeyError(f"unknown port {port}")
         self.ports[port].replicas = [v, v, v]
-        self.ports[port].last_write = t
-
-    def voted(self, port: Port) -> tuple[Value, int]:
-        r = self.ports[port].replicas
-        return vote((r[0], r[1], r[2]))
-
-
-def write_port(bank: InputRegisterBank, port: Port, v: Value, t: int) -> InputRegisterBank:
-    bank.write(port, v, t)
-    return bank
 
 
 class CheckResult(Enum):
@@ -255,11 +206,9 @@ class FaultHistory:
 
     mismatch_streak: int = 0
     broken_streak: int = 0
-    last_check_time: int = -1
     last_check: Optional[CheckResult] = None
 
-    def record(self, result: CheckResult, t: int) -> None:
-        self.last_check_time = t
+    def record(self, result: CheckResult) -> None:
         self.last_check = result
         if result is CheckResult.MISMATCH:
             self.mismatch_streak += 1
@@ -324,13 +273,8 @@ class StuckBehavior:
     flip: Optional[int] = None
     stuck: Optional[int] = None
 
-    def apply(self, v: Value) -> Value:
-        if self.flip is not None:
-            raw = v.payload ^ self.flip
-        else:
-            raw = self.stuck
-        payload = raw & 1 if v.width_mode is WidthMode.BIT else wrap16(raw)
-        return Value(v.width_mode, payload)
+    def apply(self, width_mode: WidthMode, v: int) -> int:
+        return fit(width_mode, v ^ self.flip if self.flip is not None else self.stuck)
 
 
 @dataclass
@@ -352,51 +296,35 @@ class FunctionalCell:
         # kind checked by name to keep cell free of the genetic-code module
         for port, sel in zip(PORT_ORDER, config.selectors):
             if sel.kind.name == "CONSTANT":
-                self.registers.write(port, Value(config.width_mode, config.immediate), 0)
+                if fit(config.width_mode, config.immediate) != config.immediate:
+                    raise ValueError(
+                        f"immediate {config.immediate} does not fit "
+                        f"{config.width_mode.name.lower()}"
+                    )
+                self.registers.write(port, config.immediate)
         self.pipeline = (0,) * config.delay_cycles
         self.history = FaultHistory()
 
-    def voted_inputs(self) -> tuple[dict[Port, Value], dict[Port, int]]:
-        voted: dict[Port, Value] = {}
-        masks: dict[Port, int] = {}
-        for p in PORT_ORDER:
-            v, mask = self.registers.voted(p)
-            voted[p] = v
-            masks[p] = mask
-        return voted, masks
-
-    def self_check(self, voted: dict[Port, Value]) -> tuple[Value, Value, CheckResult]:
-        """Evaluate primary and golden checker paths and compare their outputs.
-
-        Returns (primary output, golden output, result).  The pipeline is
-        advanced from the golden evaluation; an injected fault corrupts
-        only the primary output value.
-        """
-        imm = Value(self.config.width_mode, self.config.immediate)
-        golden, new_state = gfb_eval(self.config.opcode, voted, imm, self.pipeline)
-        self.pipeline = new_state
-        primary = golden
-        if self.injected_permanent is not None:
-            primary = self.injected_permanent.apply(golden)
-        result = (
-            CheckResult.CLEAN
-            if primary.payload == golden.payload
-            else CheckResult.MISMATCH
-        )
-        return primary, golden, result
-
-    def step(self, t: int) -> tuple[Value, CheckResult, dict[Port, int]]:
+    def step(self) -> tuple[int, CheckResult, tuple[int, int, int, int]]:
         """One monitored evaluation: vote ports, evaluate, self-check.
 
+        The block is evaluated once on the voted inputs (the golden checker
+        path, which also advances the pipeline); an injected fault corrupts
+        only the primary copy of that output, and the two are compared.
         Returns the (possibly corrupted) primary output, the check result
-        and the per-port dissent masks.  Must not be called on a
+        and the dissent masks in PORT_ORDER.  Must not be called on a
         deactivated cell; the fabric drives safe 0 for those.
         """
         if self.health is CellHealth.FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
-        voted, masks = self.voted_inputs()
-        primary, _, result = self.self_check(voted)
-        self.history.record(result, t)
-        if not self.config.output_enable:
-            primary = zero(self.config.width_mode)
+        config = self.config
+        inputs, masks = zip(*(vote(*p.replicas) for p in self.registers.ports.values()))
+        golden, self.pipeline = gfb_eval(config.opcode, config.width_mode, inputs, self.pipeline)
+        primary = golden
+        if self.injected_permanent is not None:
+            primary = self.injected_permanent.apply(config.width_mode, golden)
+        result = CheckResult.CLEAN if primary == golden else CheckResult.MISMATCH
+        self.history.record(result)
+        if not config.output_enable:
+            primary = 0
         return primary, result, masks

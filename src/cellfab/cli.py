@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
             )
         try:
             trace, m = run(scenario)
-        except ValueError as exc:  # also NetlistError and PlacementError
+        except (OSError, ValueError) as exc:  # also NetlistError and PlacementError
             print(f"error: {scenario.name}: {exc}", file=sys.stderr)
             status = 2
             continue
@@ -157,9 +157,13 @@ def cmd_report(args) -> int:
     if not path.exists():
         print(f"error: trace file not found: {path}", file=sys.stderr)
         return 2
-    trace = from_csv(path.read_text())
-    scenario = load_scenario(args.scenario) if args.scenario else None
-    m = metrics(trace, scenario)
+    try:
+        trace = from_csv(path.read_text())
+        scenario = load_scenario(args.scenario) if args.scenario else None
+        m = metrics(trace, scenario)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_metrics(m, trace.timing), end="")
     return 0
 

@@ -27,11 +27,12 @@ from .cell import (
     FaultClass,
     FunctionalCell,
     Opcode,
+    PORT_ORDER,
     Port,
     StuckBehavior,
-    Value,
     WidthMode,
     classify,
+    fit,
     qmul,
     wrap16,
 )
@@ -189,7 +190,8 @@ class Scenario:
     seed: int = 0  # recorded in the trace header; nothing random consumes it
     plant: Optional[PlantFeedback] = None
 
-    def validate(self, input_names: list[str]) -> None:
+    def validate(self, inputs: list[tuple[str, WidthMode]]) -> None:
+        """Check the scenario against the application's (name, width) inputs."""
         self.timing.validate()
         if self.run_until <= 0:
             raise ValueError("run_until must be > 0")
@@ -198,15 +200,22 @@ class Scenario:
                 raise ValueError(
                     f"fault on {fault.cell} at t={fault.time} is after run_until={self.run_until}"
                 )
+        widths = dict(inputs)
         at_zero = {name for t, name, _ in self.stimulus if t == 0}
-        missing = [n for n in input_names if n not in at_zero]
+        missing = [n for n in widths if n not in at_zero]
         if missing:
             raise ValueError(f"stimulus must cover all primary inputs at t=0: {missing}")
-        for t, name, _ in self.stimulus:
+        for t, name, value in self.stimulus:
             if t < 0:
                 raise ValueError("stimulus time must be >= 0")
-            if name not in input_names:
+            if name not in widths:
                 raise ValueError(f"unknown input {name!r} in stimulus")
+            if not isinstance(value, int) or fit(widths[name], value) != value:
+                raise ValueError(
+                    f"stimulus {name}={value!r} at t={t} does not fit {widths[name].name.lower()}"
+                )
+        if self.plant is not None and widths.get(self.plant.input_name) is not WidthMode.INT16:
+            raise ValueError(f"plant input {self.plant.input_name!r} is not an int16 input")
 
     def without_faults(self) -> "Scenario":
         return replace(self, faults=[], name=self.name + "+golden")
@@ -320,7 +329,7 @@ class Engine:
 
     def run(self) -> RunResult:
         scenario = self.scenario
-        scenario.validate(self.fabric.netlist.input_names())
+        scenario.validate(self.fabric.netlist.inputs)
         for fault in self.faults:
             if str(fault.cell) not in self.fabric.cells:
                 raise ValueError(f"fault on unknown cell {fault.cell}")
@@ -370,7 +379,7 @@ class Engine:
             assignments.append((plant.input_name, self.plant_speed))
 
         # phase 1: clock every delay register off last period's port values
-        shifted: list[tuple[int, Value]] = []
+        shifted: list[tuple[int, int]] = []
         for fn_idx in sorted(fabric.functions):
             fn = fabric.functions[fn_idx]
             if fn.node.opcode is not Opcode.DELAY:
@@ -387,10 +396,8 @@ class Engine:
         for name, value in assignments:
             fabric.input_values[name] = value
             self.trace.add(t, f"in.{name}", value, "data")
-            width = fabric.input_widths[name]
-            v = Value(width, value & 1 if width is WidthMode.BIT else wrap16(value))
             for cell, port in fabric.consumers_of_input(name):
-                cell.registers.write(port, v, t)
+                cell.registers.write(port, value)
 
         # phase 3: one wave, each combinational cell at its level
         delta = self.timing.cell_delay
@@ -426,17 +433,15 @@ class Engine:
         value = self._evaluate_cell(fn, cell, t)
         self._publish(fn_idx, value, t, cascade=not wave)
 
-    def _evaluate_cell(self, fn, cell: FunctionalCell, t: int) -> Value:
+    def _evaluate_cell(self, fn, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check, classify."""
-        primary, result, masks = cell.step(t)
+        primary, result, masks = cell.step()
         cid = cell.cell_id
         three_way = False
-        for port in (Port.NORTH, Port.WEST, Port.EAST, Port.SOUTH):
-            if masks[port]:
-                self.trace.add(
-                    t, f"cell.{cid}.{port.value}", masks[port], "masked_transient"
-                )
-                three_way = three_way or masks[port] == 0b111
+        for port, mask in zip(PORT_ORDER, masks):
+            if mask:
+                self.trace.add(t, f"cell.{cid}.{port.value}", mask, "masked_transient")
+                three_way = three_way or mask == 0b111
         if result is CheckResult.MISMATCH:
             self.trace.add(t, f"cell.{cid}", 1, "mismatch")
             verdict = classify(cell.history, self.timing.check_threshold)
@@ -495,7 +500,7 @@ class Engine:
         )
         if action is HealAction.DEACTIVATE:
             fabric.deactivate(syndrome, t)
-            self._publish(fn_idx, Value(fabric.functions[fn_idx].width, 0), t, cascade=True)
+            self._publish(fn_idx, 0, t, cascade=True)
         elif action is HealAction.REROUTE:
             fabric.reroute(syndrome, t)
         elif action is HealAction.RESTORE:
@@ -509,22 +514,22 @@ class Engine:
             return
         self.trace.add(t, "alarm", 2, "alarm")
         for fn_idx in sorted(set(fabric.output_binding.values())):
-            self._publish(fn_idx, Value(fabric.functions[fn_idx].width, 0), t, cascade=False)
+            self._publish(fn_idx, 0, t, cascade=False)
 
     # ---- value propagation ----------------------------------------------
 
-    def _publish(self, fn_idx: int, value: Value, t: int, cascade: bool) -> None:
+    def _publish(self, fn_idx: int, value: int, t: int, cascade: bool) -> None:
         fabric = self.fabric
         if fabric.alarm is Alarm.FAIL_SAFE and fn_idx in fabric.output_binding.values():
-            value = Value(value.width_mode, 0)
+            value = 0
         previous = fabric.published.get(fn_idx)
-        changed = previous != value.payload
-        fabric.published[fn_idx] = value.payload
+        changed = previous != value
+        fabric.published[fn_idx] = value
         for name in self._signals[fn_idx]:
-            self.trace.add(t, name, value.payload, "data")
+            self.trace.add(t, name, value, "data")
         consumers = fabric.consumers_of_fn(fn_idx)
         for cell, port in consumers:
-            cell.registers.write(port, value, t)
+            cell.registers.write(port, value)
         if cascade and changed:
             delta = self.timing.cell_delay
             seen = set()

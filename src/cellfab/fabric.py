@@ -24,7 +24,6 @@ from .cell import (
     Opcode,
     Port,
     PORT_ORDER,
-    Value,
     WidthMode,
 )
 from .genetic import CellConfig, SelectorKind, encode_genetic
@@ -139,7 +138,6 @@ class Fabric:
                 self.binding[fn.index] = f_cells[slot]
 
         self.input_index = dict(program.placement.input_binding)
-        self.input_widths = dict(self.netlist.inputs)
         self.input_values: dict[str, int] = {}
         self.published: dict[int, Optional[int]] = {f: None for f in self.functions}
         self.output_binding = dict(program.output_binding)
@@ -259,7 +257,7 @@ class Fabric:
         if spare.registers is None or spare.registers.width_mode is not fn.width:
             spare.registers = InputRegisterBank(fn.width)
         for port in PORT_ORDER:
-            spare.registers.write(port, Value(fn.width, self.source_value(fn, port)), t)
+            spare.registers.write(port, self.source_value(fn, port))
         self.listeners[fn.index] = spare
         syndrome.actions.append((HealAction.REROUTE, t))
         self.rebuild_consumers()

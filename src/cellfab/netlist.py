@@ -214,8 +214,10 @@ def _resolve_widths(nl: Netlist) -> None:
             raise NetlistError(
                 f"{node.opcode.name} requires int16 operands", node.line
             )
-        if IMM_REF in node.operands and width is WidthMode.BIT and node.immediate not in (0, 1):
-            raise NetlistError("bit-wide constant operand must be 0 or 1", node.line)
+        if width is WidthMode.BIT and node.immediate not in (0, 1):
+            raise NetlistError(
+                f"bit-wide constant imm={node.immediate} must be 0 or 1", node.line
+            )
     nl.widths = widths
 
 

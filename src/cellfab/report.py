@@ -27,6 +27,7 @@ from .engine import (
     expand_faults,
 )
 from .fabric import HealAction
+from .scenarios import _section
 
 _META_PREFIXES = ("in.", "fn.", "cell.", "heal.", "fault.")
 
@@ -58,36 +59,48 @@ def to_csv(trace: Trace, records: Optional[list[TraceRecord]] = None) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _header_value(key: str, value: str):
+    """One header comment's value, typed where the trace needs it."""
+    if key == "seed":
+        return int(value)
+    if key == "timing":
+        pairs = (part.split("=") for part in value.split())
+        return _section(TimingParams, {k: int(v) for k, v in pairs}, "timing")
+    return value
+
+
 def from_csv(text: str) -> Trace:
-    """Parse a CSV export back into a trace (header metadata included)."""
+    """Parse a CSV export back into a trace (header metadata included).
+
+    A malformed line raises ValueError naming its line number.
+    """
     meta = {}
     records = []
     header_seen = False
-    for line in text.splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        if not line.strip():
-            continue
-        if not header_seen:
-            if line != "time_ns,signal,value,annotation":
-                raise ValueError(f"unexpected CSV header {line!r}")
-            header_seen = True
-            continue
-        t, signal, value, annotation = line.split(",")
-        if annotation not in ANNOTATIONS:
-            raise ValueError(f"unknown annotation {annotation!r}")
-        records.append(TraceRecord(int(t), signal, int(value), annotation))
-    timing = TimingParams()
-    if "timing" in meta:
-        kv = dict(part.split("=") for part in meta["timing"].split())
-        timing = TimingParams(**{k: int(v) for k, v in kv.items()})
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition(":")
+                meta[key.strip()] = _header_value(key.strip(), value.strip())
+                continue
+            if not line.strip():
+                continue
+            if not header_seen:
+                if line != "time_ns,signal,value,annotation":
+                    raise ValueError(f"unexpected CSV header {line!r}")
+                header_seen = True
+                continue
+            t, signal, value, annotation = line.split(",")
+            if annotation not in ANNOTATIONS:
+                raise ValueError(f"unknown annotation {annotation!r}")
+            records.append(TraceRecord(int(t), signal, int(value), annotation))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     trace = Trace(
         scenario_name=meta.get("scenario", "unknown"),
         application=meta.get("application", "unknown"),
-        timing=timing,
-        seed=int(meta.get("seed", 0)),
+        timing=meta.get("timing", TimingParams()),
+        seed=meta.get("seed", 0),
         records=records,
     )
     trace.complete = True

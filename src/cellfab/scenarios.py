@@ -43,11 +43,18 @@ def _section(cls, data: dict, section: str):
     return cls(**data)
 
 
+def _key(data: dict, key: str, section: str):
+    """One required key of a scenario section."""
+    if key not in data:
+        raise ValueError(f"missing {section} key {key!r}")
+    return data[key]
+
+
 def _fault_from_dict(d: dict) -> FaultSpec:
     return FaultSpec(
-        kind=d["kind"],
-        cell=CellId.parse(d["cell"]),
-        time=d["t"],
+        kind=_key(d, "kind", "fault"),
+        cell=CellId.parse(_key(d, "cell", "fault")),
+        time=_key(d, "t", "fault"),
         port=_port(d["port"]) if "port" in d else None,
         replica=d.get("replica"),
         flip=d.get("flip"),
@@ -76,16 +83,19 @@ def _fault_to_dict(f: FaultSpec) -> dict:
 
 def scenario_from_dict(data: dict, name: str) -> Scenario:
     timing = _section(TimingParams, data.get("timing", {}), "timing")
-    stimulus = [(s["t"], s["name"], s["value"]) for s in data.get("stimulus", [])]
+    stimulus = [
+        tuple(_key(s, key, "stimulus") for key in ("t", "name", "value"))
+        for s in data.get("stimulus", [])
+    ]
     faults = [_fault_from_dict(f) for f in data.get("faults", [])]
     plant = _section(PlantFeedback, data["plant"], "plant") if "plant" in data else None
     return Scenario(
         name=name,
-        application=data["application"],
+        application=_key(data, "application", "scenario"),
         stimulus=stimulus,
         faults=faults,
         timing=timing,
-        run_until=data["run_until"],
+        run_until=_key(data, "run_until", "scenario"),
         seed=data.get("seed", 0),
         plant=plant,
     )

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from cellfab.apps import resolve_application
-from cellfab.cell import CellId, Opcode, Value, WidthMode, vote, wrap16
+from cellfab.cell import CellId, Opcode, WidthMode, vote, wrap16
 from cellfab.engine import (
     Engine,
     FaultSpec,
@@ -279,20 +279,20 @@ def test_criterion_07_voter_property():
             if bad == good:
                 continue
             for pos in range(3):
-                reps = [Value.bit(good)] * 3
-                reps[pos] = Value.bit(bad)
-                v, mask = vote(tuple(reps))
-                assert v.payload == good and mask == 1 << pos
+                reps = [good] * 3
+                reps[pos] = bad
+                v, mask = vote(*reps)
+                assert v == good and mask == 1 << pos
     rng = random.Random(7)
     trials = 10_000
     for _ in range(trials):
         good = rng.randint(-32768, 32767)
         bad = wrap16(good + rng.randint(1, 0xFFFF))
         pos = rng.randrange(3)
-        reps = [Value.int16(good)] * 3
-        reps[pos] = Value.int16(bad)
-        v, mask = vote(tuple(reps))
-        assert v.payload == good and mask == 1 << pos
+        reps = [good] * 3
+        reps[pos] = bad
+        v, mask = vote(*reps)
+        assert v == good and mask == 1 << pos
     report(7, f"voter masks every single-replica corruption (exhaustive bit, {trials} word cases)")
 
 

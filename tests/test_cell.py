@@ -4,7 +4,12 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from cellfab.cell import (
+    INT16_MAX,
+    INT16_MIN,
+    INT16_ONLY_OPCODES,
     CellHealth,
     CellId,
     CheckResult,
@@ -16,116 +21,98 @@ from cellfab.cell import (
     Port,
     PORT_ORDER,
     StuckBehavior,
-    Value,
     WidthMode,
     classify,
+    fit,
     gfb_eval,
     qmul,
     vote,
     wrap16,
-    write_port,
 )
 from cellfab.genetic import CellConfig, InputSelector, SelectorKind, UNUSED
 
-
-def bits(n, w, e=0, s=0):
-    return {
-        Port.NORTH: Value.bit(n),
-        Port.WEST: Value.bit(w),
-        Port.EAST: Value.bit(e),
-        Port.SOUTH: Value.bit(s),
-    }
+BIT = WidthMode.BIT
+WORD = WidthMode.INT16
 
 
-def words(n, w, e=0, s=0):
-    return {
-        Port.NORTH: Value.int16(n),
-        Port.WEST: Value.int16(w),
-        Port.EAST: Value.int16(e),
-        Port.SOUTH: Value.int16(s),
-    }
-
-
-ZERO_BIT = Value.bit(0)
-ZERO_W = Value.int16(0)
+def ports(n, w, e=0, s=0):
+    """Voted port values in N, W, E, S order."""
+    return (n, w, e, s)
 
 
 class TestGfbEval:
     def test_and_conjunction(self):
-        out, _ = gfb_eval(Opcode.AND, bits(1, 1), ZERO_BIT, ())
-        assert out.payload == 1
-        assert gfb_eval(Opcode.AND, bits(1, 0), ZERO_BIT, ())[0].payload == 0
+        out, _ = gfb_eval(Opcode.AND, BIT, ports(1, 1), ())
+        assert out == 1
+        assert gfb_eval(Opcode.AND, BIT, ports(1, 0), ())[0] == 0
 
     def test_mux_selector_one_picks_east(self):
-        out, _ = gfb_eval(Opcode.MUX, words(1, 5, 9), ZERO_W, ())
-        assert out.payload == 9
+        out, _ = gfb_eval(Opcode.MUX, WORD, ports(1, 5, 9), ())
+        assert out == 9
 
     def test_mux_selector_zero_picks_west(self):
-        out, _ = gfb_eval(Opcode.MUX, words(0, 5, 9), ZERO_W, ())
-        assert out.payload == 5
+        out, _ = gfb_eval(Opcode.MUX, WORD, ports(0, 5, 9), ())
+        assert out == 5
 
     def test_sub_twos_complement(self):
-        out, _ = gfb_eval(Opcode.SUB, words(3, 7), ZERO_W, ())
-        assert out.payload == -4
+        out, _ = gfb_eval(Opcode.SUB, WORD, ports(3, 7), ())
+        assert out == -4
 
     def test_add_wraps(self):
-        out, _ = gfb_eval(Opcode.ADD, words(32767, 1), ZERO_W, ())
-        assert out.payload == -32768
+        out, _ = gfb_eval(Opcode.ADD, WORD, ports(32767, 1), ())
+        assert out == -32768
 
     def test_not_bit_and_word(self):
-        assert gfb_eval(Opcode.NOT, bits(1, 0), ZERO_BIT, ())[0].payload == 0
-        assert gfb_eval(Opcode.NOT, words(0, 0), ZERO_W, ())[0].payload == -1
+        assert gfb_eval(Opcode.NOT, BIT, ports(1, 0), ())[0] == 0
+        assert gfb_eval(Opcode.NOT, WORD, ports(0, 0), ())[0] == -1
 
     def test_cmp_greater_equal(self):
-        assert gfb_eval(Opcode.CMP, words(5, 5), ZERO_W, ())[0].payload == 1
-        assert gfb_eval(Opcode.CMP, words(4, 5), ZERO_W, ())[0].payload == 0
-        assert gfb_eval(Opcode.CMP, words(-1, -2), ZERO_W, ())[0].payload == 1
+        assert gfb_eval(Opcode.CMP, WORD, ports(5, 5), ())[0] == 1
+        assert gfb_eval(Opcode.CMP, WORD, ports(4, 5), ())[0] == 0
+        assert gfb_eval(Opcode.CMP, WORD, ports(-1, -2), ())[0] == 1
 
     def test_mul_q88_truncates_toward_zero(self):
         # 0.5 * 3 = 1.5 -> 1; -3 * 0.5 -> -1 (not -2)
-        assert gfb_eval(Opcode.MUL, words(3, 128), ZERO_W, ())[0].payload == 1
-        assert gfb_eval(Opcode.MUL, words(-3, 128), ZERO_W, ())[0].payload == -1
+        assert gfb_eval(Opcode.MUL, WORD, ports(3, 128), ())[0] == 1
+        assert gfb_eval(Opcode.MUL, WORD, ports(-3, 128), ())[0] == -1
         # 1.0 multiplier is exact
-        assert gfb_eval(Opcode.MUL, words(1234, 256), ZERO_W, ())[0].payload == 1234
+        assert gfb_eval(Opcode.MUL, WORD, ports(1234, 256), ())[0] == 1234
 
     def test_nop_yields_zero(self):
-        assert gfb_eval(Opcode.NOP, words(9, 9), ZERO_W, ())[0].payload == 0
+        assert gfb_eval(Opcode.NOP, WORD, ports(9, 9), ())[0] == 0
 
     def test_delay_pipeline(self):
         state = (0, 0)
         outs = []
         for x in (7, 8, 9, 10):
-            out, state = gfb_eval(Opcode.DELAY, words(x, 0), ZERO_W, state)
-            outs.append(out.payload)
+            out, state = gfb_eval(Opcode.DELAY, WORD, ports(x, 0), state)
+            outs.append(out)
         assert outs == [0, 7, 8, 9]
 
     def test_purity(self):
-        args = (Opcode.DELAY, words(3, 0), ZERO_W, (1, 2))
+        args = (Opcode.DELAY, WORD, ports(3, 0), (1, 2))
         assert gfb_eval(*args) == gfb_eval(*args)
         assert gfb_eval(*args)[1] == (2, 3)
 
 
 class TestVote:
     def test_unanimous(self):
-        v, mask = vote((Value.int16(5),) * 3)
-        assert (v.payload, mask) == (5, 0b000)
+        assert vote(5, 5, 5) == (5, 0b000)
 
     def test_single_corruption_masked(self):
-        v, mask = vote((Value.int16(5), Value.int16(9), Value.int16(5)))
-        assert (v.payload, mask) == (5, 0b010)
+        assert vote(5, 9, 5) == (5, 0b010)
 
     def test_all_dissent_fallback(self):
-        v, mask = vote((Value.int16(1), Value.int16(2), Value.int16(3)))
-        assert (v.payload, mask) == (1, 0b111)
+        assert vote(1, 2, 3) == (1, 0b111)
 
     def test_masking_exhaustive_bits(self):
         for good in (0, 1):
             bad = 1 - good
             for pos in range(3):
-                reps = [Value.bit(good)] * 3
-                reps[pos] = Value.bit(bad)
-                v, mask = vote(tuple(reps))
-                assert v.payload == good
+                reps = [good] * 3
+                reps[pos] = bad
+                v, mask = vote(*reps)
+                assert v == good
                 assert mask == 1 << pos
 
     def test_masking_randomized_words(self):
@@ -136,32 +123,31 @@ class TestVote:
             if bad == good:
                 bad = wrap16(bad + 1)
             pos = rng.randrange(3)
-            reps = [Value.int16(good)] * 3
-            reps[pos] = Value.int16(bad)
-            v, mask = vote(tuple(reps))
-            assert v.payload == good
+            reps = [good] * 3
+            reps[pos] = bad
+            v, mask = vote(*reps)
+            assert v == good
             assert mask == 1 << pos
 
 
 class TestRegisterBank:
     def test_write_sets_all_replicas(self):
         bank = InputRegisterBank(WidthMode.INT16)
-        write_port(bank, Port.NORTH, Value.int16(7), 100)
-        assert [r.payload for r in bank.ports[Port.NORTH].replicas] == [7, 7, 7]
-        assert bank.ports[Port.NORTH].last_write == 100
+        bank.write(Port.NORTH, 7)
+        assert bank.ports[Port.NORTH].replicas == [7, 7, 7]
 
     def test_write_repairs_transient(self):
         bank = InputRegisterBank(WidthMode.INT16)
-        write_port(bank, Port.WEST, Value.int16(3), 100)
+        bank.write(Port.WEST, 3)
         bank.ports[Port.WEST].corrupt(1, flip=0xFF, stuck=None)
-        assert bank.voted(Port.WEST) == (Value.int16(3), 0b010)
-        write_port(bank, Port.WEST, Value.int16(3), 200)
-        assert bank.voted(Port.WEST) == (Value.int16(3), 0b000)
+        assert vote(*bank.ports[Port.WEST].replicas) == (3, 0b010)
+        bank.write(Port.WEST, 3)
+        assert vote(*bank.ports[Port.WEST].replicas) == (3, 0b000)
 
     def test_unknown_port_rejected(self):
         bank = InputRegisterBank(WidthMode.BIT)
         with pytest.raises(KeyError):
-            bank.write("Q", Value.bit(0), 0)
+            bank.write("Q", 0)
 
     def test_write_repair_randomized(self):
         rng = random.Random(7)
@@ -170,8 +156,8 @@ class TestRegisterBank:
             port = rng.choice(PORT_ORDER)
             bank.ports[port].corrupt(rng.randrange(3), flip=rng.randint(1, 0xFFFF), stuck=None)
             v = rng.randint(-32768, 32767)
-            write_port(bank, port, Value.int16(v), 1)
-            assert [r.payload for r in bank.ports[port].replicas] == [v, v, v]
+            bank.write(port, v)
+            assert bank.ports[port].replicas == [v, v, v]
 
 
 def and_cell(injected=None) -> FunctionalCell:
@@ -194,25 +180,25 @@ def and_cell(injected=None) -> FunctionalCell:
 class TestSelfCheck:
     def test_clean_without_fault(self):
         cell = and_cell()
-        cell.registers.write(Port.NORTH, Value.bit(1), 0)
-        cell.registers.write(Port.WEST, Value.bit(1), 0)
-        out, result, masks = cell.step(1)
-        assert (out.payload, result) == (1, CheckResult.CLEAN)
-        assert all(m == 0 for m in masks.values())
+        cell.registers.write(Port.NORTH, 1)
+        cell.registers.write(Port.WEST, 1)
+        out, result, masks = cell.step()
+        assert (out, result) == (1, CheckResult.CLEAN)
+        assert masks == (0, 0, 0, 0)
 
     def test_stuck_at_zero_sensitized(self):
         cell = and_cell(StuckBehavior(stuck=0))
-        cell.registers.write(Port.NORTH, Value.bit(1), 0)
-        cell.registers.write(Port.WEST, Value.bit(1), 0)
-        out, result, _ = cell.step(1)
-        assert (out.payload, result) == (0, CheckResult.MISMATCH)
+        cell.registers.write(Port.NORTH, 1)
+        cell.registers.write(Port.WEST, 1)
+        out, result, _ = cell.step()
+        assert (out, result) == (0, CheckResult.MISMATCH)
 
     def test_stuck_at_zero_not_sensitized(self):
         cell = and_cell(StuckBehavior(stuck=0))
-        cell.registers.write(Port.NORTH, Value.bit(0), 0)
-        cell.registers.write(Port.WEST, Value.bit(1), 0)
-        out, result, _ = cell.step(1)
-        assert (out.payload, result) == (0, CheckResult.CLEAN)
+        cell.registers.write(Port.NORTH, 0)
+        cell.registers.write(Port.WEST, 1)
+        out, result, _ = cell.step()
+        assert (out, result) == (0, CheckResult.CLEAN)
 
     def test_sensitization_honesty_randomized(self):
         # mismatch reported exactly when the corruption changes the output
@@ -221,33 +207,48 @@ class TestSelfCheck:
             n, w = rng.randint(0, 1), rng.randint(0, 1)
             stuck = rng.randint(0, 1)
             cell = and_cell(StuckBehavior(stuck=stuck))
-            cell.registers.write(Port.NORTH, Value.bit(n), 0)
-            cell.registers.write(Port.WEST, Value.bit(w), 0)
-            out, result, _ = cell.step(1)
+            cell.registers.write(Port.NORTH, n)
+            cell.registers.write(Port.WEST, w)
+            out, result, _ = cell.step()
             expected = n & w
-            assert out.payload == stuck
+            assert out == stuck
             assert (result is CheckResult.MISMATCH) == (stuck != expected)
 
     def test_masked_register_corruption_keeps_output(self):
         cell = and_cell()
-        cell.registers.write(Port.NORTH, Value.bit(1), 0)
-        cell.registers.write(Port.WEST, Value.bit(1), 0)
+        cell.registers.write(Port.NORTH, 1)
+        cell.registers.write(Port.WEST, 1)
         cell.registers.ports[Port.NORTH].corrupt(2, flip=1, stuck=None)
-        out, result, masks = cell.step(1)
-        assert (out.payload, result) == (1, CheckResult.CLEAN)
-        assert masks[Port.NORTH] == 0b100
+        out, result, masks = cell.step()
+        assert (out, result) == (1, CheckResult.CLEAN)
+        assert masks == (0b100, 0, 0, 0)
+
+    def test_configure_rejects_constant_outside_width(self):
+        cfg = CellConfig(
+            opcode=Opcode.AND,
+            selectors=(
+                InputSelector(SelectorKind.PRIMARY_INPUT, 0),
+                InputSelector(SelectorKind.CONSTANT, 0),
+                UNUSED,
+                UNUSED,
+            ),
+            immediate=5,
+            width_mode=WidthMode.BIT,
+        )
+        with pytest.raises(ValueError, match="immediate 5 does not fit bit"):
+            FunctionalCell(CellId(0, 0, "F")).configure(cfg)
 
     def test_step_on_deactivated_cell_rejected(self):
         cell = and_cell()
         cell.health = CellHealth.FAULTY_DEACTIVATED
         with pytest.raises(RuntimeError):
-            cell.step(0)
+            cell.step()
 
 
 class TestClassify:
     def record(self, history, results):
-        for t, r in enumerate(results):
-            history.record(r, t)
+        for r in results:
+            history.record(r)
 
     def test_mismatch_then_clean_is_transient(self):
         h = FaultHistory()
@@ -277,20 +278,20 @@ class TestClassify:
     def test_classification_soundness_k2(self):
         # an always-sensitized permanent becomes Permanent in exactly 2 steps
         cell = and_cell(StuckBehavior(flip=1))
-        cell.registers.write(Port.NORTH, Value.bit(1), 0)
-        cell.registers.write(Port.WEST, Value.bit(1), 0)
-        cell.step(1)
+        cell.registers.write(Port.NORTH, 1)
+        cell.registers.write(Port.WEST, 1)
+        cell.step()
         assert classify(cell.history, 2) is FaultClass.UNDETERMINED
-        cell.step(2)
+        cell.step()
         assert classify(cell.history, 2) is FaultClass.PERMANENT
 
     def test_single_transient_never_permanent(self):
         cell = and_cell()
-        cell.registers.write(Port.NORTH, Value.bit(1), 0)
-        cell.registers.write(Port.WEST, Value.bit(1), 0)
+        cell.registers.write(Port.NORTH, 1)
+        cell.registers.write(Port.WEST, 1)
         cell.registers.ports[Port.NORTH].corrupt(0, flip=1, stuck=None)
-        for t in range(1, 6):
-            cell.step(t)
+        for _ in range(5):
+            cell.step()
         assert classify(cell.history, 2) is None
 
 
@@ -306,8 +307,39 @@ class TestHelpers:
         assert qmul(5, 64) == 1  # 5 * 0.25 truncates toward zero
         assert qmul(-5, 64) == -1
 
-    def test_value_range_checks(self):
-        with pytest.raises(ValueError):
-            Value.bit(2)
-        with pytest.raises(ValueError):
-            Value(WidthMode.INT16, 40000)
+
+# (width, opcode) pairs a netlist may configure: arithmetic is INT16 only
+LEGAL_OPS = [
+    (wm, op)
+    for wm in WidthMode
+    for op in Opcode
+    if wm is WidthMode.INT16 or op not in INT16_ONLY_OPCODES
+]
+
+
+def payloads(wm: WidthMode):
+    return st.integers(0, 1) if wm is WidthMode.BIT else st.integers(INT16_MIN, INT16_MAX)
+
+
+@st.composite
+def evaluations(draw):
+    wm, op = draw(st.sampled_from(LEGAL_OPS))
+    inputs = tuple(draw(payloads(wm)) for _ in PORT_ORDER)
+    depth = draw(st.integers(1 if op is Opcode.DELAY else 0, 4))
+    state = tuple(draw(payloads(wm)) for _ in range(depth))
+    return wm, op, inputs, state, draw(st.integers(0, 2)), draw(payloads(wm))
+
+
+@settings(deadline=None)
+@given(evaluations())
+def test_values_stay_in_their_width(case):
+    wm, op, inputs, state, pos, bad = case
+    out, new_state = gfb_eval(op, wm, inputs, state)
+    assert len(new_state) == len(state)
+    for v in (out, *new_state):
+        assert fit(wm, v) == v
+    # any single corrupted replica of a port is outvoted and named
+    good = inputs[0]
+    reps = [good] * 3
+    reps[pos] = bad
+    assert vote(*reps) == (good, 0 if bad == good else 1 << pos)

@@ -202,19 +202,71 @@ def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, messag
     assert not (tmp_path / "ghost.csv").exists()
 
 
-def test_unknown_timing_key_is_one_line_error(tmp_path, capsys):
+def _stimulus(data, name):
+    return next(s for s in data["stimulus"] if s["name"] == name)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(timing={"cell_dly": 3}), "unknown timing key 'cell_dly'"),
+        (lambda d: _stimulus(d, "estop").pop("value"), "missing stimulus key 'value'"),
+        (lambda d: d.update(faults=[{"kind": "permanent_gfb", "t": 400, "flip": 1}]),
+         "missing fault key 'cell'"),
+        (lambda d: d.pop("application"), "missing scenario key 'application'"),
+        (lambda d: d.pop("run_until"), "missing scenario key 'run_until'"),
+        (lambda d: d.update(application="nope/missing.nl"),
+         "netlist file not found: nope/missing.nl"),
+        (lambda d: _stimulus(d, "estop").update(value=7),
+         "stimulus estop=7 at t=0 does not fit bit"),
+        (lambda d: d.update(plant={"input_name": "estop", "output_name": "speed"}),
+         "plant input 'estop' is not an int16 input"),
+    ],
+    ids=[
+        "unknown_timing_key",
+        "missing_stimulus_value",
+        "missing_fault_cell",
+        "missing_application",
+        "missing_run_until",
+        "missing_netlist_file",
+        "stimulus_outside_width",
+        "plant_input_not_int16",
+    ],
+)
+def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
     import json
 
     from cellfab.scenarios import load_scenario, scenario_to_dict
 
     data = scenario_to_dict(load_scenario("edg_faultfree"))
-    data["timing"] = {"cell_dly": 3}
+    edit(data)
     scn = tmp_path / "typo.scn"
     scn.write_text(json.dumps(data))
     rc = main(["run", str(scn), "--out", str(tmp_path), "--format", "csv"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "unknown timing key 'cell_dly'" in err
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text + "0,in.a,x,data\n", "line {rows}: "),
+        (lambda text: text.replace(text.splitlines()[2], "# timing: cell_dly=3"),
+         "line 3: unknown timing key 'cell_dly'"),
+    ],
+    ids=["bad_value", "unknown_timing_key"],
+)
+def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
+    assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
+    csv = tmp_path / "edg_faultfree.csv"
+    text = edit(csv.read_text())
+    csv.write_text(text)
+    capsys.readouterr()
+    assert main(["report", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message.format(rows=len(text.splitlines())) in err
 
 
 @pytest.mark.parametrize("name, kernel_runs", [("edg_faultfree", 1), ("edg_permanent_bt", 2)])

@@ -81,6 +81,9 @@ def test_imm_operand_and_width_check():
     assert nl.node("g").immediate == 41
     with pytest.raises(NetlistError, match="constant"):
         parse_netlist("input a : bit\nnode g = MUX(a, a, imm) imm=9\noutput y = g\n")
+    # a bit-wide node's immediate must fit even when no port is wired to it
+    with pytest.raises(NetlistError, match="constant"):
+        parse_netlist("input a : bit\ninput b : bit\nnode x = AND(a, b) imm=5\noutput y = x\n")
 
 
 def test_single_not_depth():
