@@ -37,6 +37,7 @@ from .cell import (
     wrap16,
 )
 from .fabric import Alarm, Fabric, HealAction, HealthSyndrome
+from .netlist import Netlist
 from .place import FabricProgram
 
 
@@ -190,8 +191,8 @@ class Scenario:
     seed: int = 0  # recorded in the trace header; nothing random consumes it
     plant: Optional[PlantFeedback] = None
 
-    def validate(self, inputs: list[tuple[str, WidthMode]]) -> None:
-        """Check the scenario against the application's (name, width) inputs."""
+    def validate(self, netlist: Netlist) -> None:
+        """Check the scenario against the application's inputs and outputs."""
         self.timing.validate()
         if self.run_until <= 0:
             raise ValueError("run_until must be > 0")
@@ -200,7 +201,7 @@ class Scenario:
                 raise ValueError(
                     f"fault on {fault.cell} at t={fault.time} is after run_until={self.run_until}"
                 )
-        widths = dict(inputs)
+        widths = dict(netlist.inputs)
         at_zero = {name for t, name, _ in self.stimulus if t == 0}
         missing = [n for n in widths if n not in at_zero]
         if missing:
@@ -210,12 +211,14 @@ class Scenario:
                 raise ValueError("stimulus time must be >= 0")
             if name not in widths:
                 raise ValueError(f"unknown input {name!r} in stimulus")
-            if not isinstance(value, int) or fit(widths[name], value) != value:
+            if type(value) is not int or fit(widths[name], value) != value:
                 raise ValueError(
                     f"stimulus {name}={value!r} at t={t} does not fit {widths[name].name.lower()}"
                 )
         if self.plant is not None and widths.get(self.plant.input_name) is not WidthMode.INT16:
             raise ValueError(f"plant input {self.plant.input_name!r} is not an int16 input")
+        if self.plant is not None and self.plant.output_name not in netlist.outputs:
+            raise ValueError(f"unknown plant output {self.plant.output_name!r}")
 
     def without_faults(self) -> "Scenario":
         return replace(self, faults=[], name=self.name + "+golden")
@@ -305,6 +308,9 @@ class Engine:
         self.faults = expand_faults(scenario.faults)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
+        functions = [self.fabric.functions[i] for i in sorted(self.fabric.functions)]
+        self._delays = [fn for fn in functions if fn.config.opcode is Opcode.DELAY]
+        self._wave = [fn for fn in functions if fn.config.opcode is not Opcode.DELAY]
 
     # ---- scheduling ----------------------------------------------------
 
@@ -315,8 +321,7 @@ class Engine:
         heapq.heappush(self._heap, (time, seq, kind, payload))
 
     def _schedule_eval(self, fn_idx: int, time: int, wave: bool) -> None:
-        fn = self.fabric.functions[fn_idx]
-        if fn.node.opcode is Opcode.DELAY and not wave:
+        if not wave and self.fabric.functions[fn_idx].config.opcode is Opcode.DELAY:
             return  # delay registers shift on the clock only
         key = (fn_idx, time)
         if key in self._pending_evals:
@@ -329,7 +334,7 @@ class Engine:
 
     def run(self) -> RunResult:
         scenario = self.scenario
-        scenario.validate(self.fabric.netlist.inputs)
+        scenario.validate(self.fabric.netlist)
         for fault in self.faults:
             if str(fault.cell) not in self.fabric.cells:
                 raise ValueError(f"fault on unknown cell {fault.cell}")
@@ -380,15 +385,11 @@ class Engine:
 
         # phase 1: clock every delay register off last period's port values
         shifted: list[tuple[int, int]] = []
-        for fn_idx in sorted(fabric.functions):
-            fn = fabric.functions[fn_idx]
-            if fn.node.opcode is not Opcode.DELAY:
-                continue
-            cell = fabric.binding[fn_idx]
+        for fn in self._delays:
+            cell = fabric.binding[fn.index]
             if cell.health is CellHealth.FAULTY_DEACTIVATED:
                 continue
-            value = self._evaluate_cell(fn, cell, t)
-            shifted.append((fn_idx, value))
+            shifted.append((fn.index, self._evaluate_cell(fn, cell, t)))
         for fn_idx, value in shifted:
             self._publish(fn_idx, value, t, cascade=False)
 
@@ -396,16 +397,12 @@ class Engine:
         for name, value in assignments:
             fabric.input_values[name] = value
             self.trace.add(t, f"in.{name}", value, "data")
-            for cell, port in fabric.consumers_of_input(name):
-                cell.registers.write(port, value)
+            fabric.route(name, value)
 
         # phase 3: one wave, each combinational cell at its level
         delta = self.timing.cell_delay
-        for fn_idx in sorted(fabric.functions):
-            fn = fabric.functions[fn_idx]
-            if fn.node.opcode is Opcode.DELAY:
-                continue
-            self._schedule_eval(fn_idx, t + fn.level * delta, wave=True)
+        for fn in self._wave:
+            self._schedule_eval(fn.index, t + fn.level * delta, wave=True)
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
         fabric = self.fabric
@@ -505,8 +502,7 @@ class Engine:
             fabric.reroute(syndrome, t)
         elif action is HealAction.RESTORE:
             fabric.restore(syndrome, t)
-            if fabric.functions[fn_idx].node.opcode is not Opcode.DELAY:
-                self._schedule_eval(fn_idx, t, wave=False)
+            self._schedule_eval(fn_idx, t, wave=False)
 
     def _fail_safe(self, t: int) -> None:
         fabric = self.fabric
@@ -522,25 +518,17 @@ class Engine:
         fabric = self.fabric
         if fabric.alarm is Alarm.FAIL_SAFE and fn_idx in fabric.output_binding.values():
             value = 0
-        previous = fabric.published.get(fn_idx)
-        changed = previous != value
+        changed = fabric.published[fn_idx] != value
         fabric.published[fn_idx] = value
         for name in self._signals[fn_idx]:
             self.trace.add(t, name, value, "data")
-        consumers = fabric.consumers_of_fn(fn_idx)
-        for cell, port in consumers:
-            cell.registers.write(port, value)
+        readers = fabric.route(fn_idx, value)
         if cascade and changed:
-            delta = self.timing.cell_delay
-            seen = set()
-            for cell, _port in consumers:
-                consumer_fn = fabric.fn_of_cell(cell)
-                if consumer_fn is None or consumer_fn.index in seen:
-                    continue
-                seen.add(consumer_fn.index)
-                if consumer_fn.node.opcode is Opcode.DELAY:
-                    continue
-                self._schedule_eval(consumer_fn.index, t + delta, wave=False)
+            # a reader with several ports is scheduled once: _schedule_eval
+            # merges evaluations of one function at one time
+            for reader, _port in readers:
+                if fabric.binding[reader].health is not CellHealth.FAULTY_DEACTIVATED:
+                    self._schedule_eval(reader, t + self.timing.cell_delay, wave=False)
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:

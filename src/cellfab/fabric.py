@@ -21,13 +21,11 @@ from .cell import (
     CellId,
     FunctionalCell,
     InputRegisterBank,
-    Opcode,
     Port,
     PORT_ORDER,
-    WidthMode,
 )
-from .genetic import CellConfig, SelectorKind, encode_genetic
-from .netlist import NetNode, depth as depth_report, eval_level
+from .genetic import CellConfig, SelectorKind
+from .netlist import depth as depth_report, eval_level
 from .place import FabricProgram, SLOTS_PER_LAYER
 
 
@@ -82,28 +80,29 @@ class FabricFunction:
     """One placed application function (a netlist node on the fabric)."""
 
     index: int
-    node: NetNode
-    layer: int
-    slot: int
-    width: WidthMode
     level: int  # wave level; 0 for DELAY cells which capture on the clock
     config: CellConfig
-    code: int
 
 
 class Fabric:
-    """Run-time state of a configured fabric; owned by one simulation run."""
+    """Run-time state of a configured fabric; owned by one simulation run.
+
+    The wiring is fixed at build: ``readers[source]`` lists the
+    ``(fn_idx, port)`` pairs that read a source (an input name or a
+    function index).  Healing changes only which cells serve a function,
+    kept in ``sinks[fn_idx]``: the cells whose registers take that
+    function's inputs.
+    """
 
     def __init__(self, program: FabricProgram):
-        self.program = program
         self.netlist = program.netlist
         report = depth_report(self.netlist)
+        nodes = {node.name: node for node in self.netlist.nodes}
         self.layers: list[CriticalServiceLayer] = []
         self.functions: dict[int, FabricFunction] = {}
         self.binding: dict[int, FunctionalCell] = {}
         self.cells: dict[str, FunctionalCell] = {}
         self.reserved: set[str] = set()
-        self.listeners: dict[int, FunctionalCell] = {}  # fn -> rerouted spare
         self.alarm = Alarm.NONE
 
         for lp in program.layers:
@@ -123,64 +122,41 @@ class Fabric:
             for slot, name in enumerate(lp.worker_nodes):
                 if name is None:
                     continue
-                node = self.netlist.node(name)
                 fn = FabricFunction(
                     index=lp.index * SLOTS_PER_LAYER + slot,
-                    node=node,
-                    layer=lp.index,
-                    slot=slot,
-                    width=self.netlist.widths[name],
-                    level=eval_level(self.netlist, node, report),
+                    level=eval_level(self.netlist, nodes[name], report),
                     config=lp.worker_configs[slot],
-                    code=encode_genetic(lp.worker_configs[slot]),
                 )
                 self.functions[fn.index] = fn
                 self.binding[fn.index] = f_cells[slot]
 
-        self.input_index = dict(program.placement.input_binding)
+        self.input_names = self.netlist.input_names()  # by input index
         self.input_values: dict[str, int] = {}
         self.published: dict[int, Optional[int]] = {f: None for f in self.functions}
         self.output_binding = dict(program.output_binding)
-        self._consumers: Optional[dict] = None
+        self.readers: dict[str | int, list[tuple[int, Port]]] = {
+            source: [] for source in [*self.input_names, *self.functions]
+        }
+        for fn in self.functions.values():
+            for port, sel in zip(PORT_ORDER, fn.config.selectors):
+                if sel.kind is SelectorKind.PRIMARY_INPUT:
+                    self.readers[self.input_names[sel.index]].append((fn.index, port))
+                elif sel.kind is SelectorKind.CELL_OUTPUT:
+                    self.readers[sel.index].append((fn.index, port))
+        self.sinks = {fn_idx: [cell] for fn_idx, cell in self.binding.items()}
 
     # ---- wiring ------------------------------------------------------
 
-    def rebuild_consumers(self) -> None:
-        """(cell, port) sinks per source, for routing published values."""
-        by_input: dict[str, list[tuple[FunctionalCell, Port]]] = {
-            name: [] for name in self.input_index
-        }
-        by_fn: dict[int, list[tuple[FunctionalCell, Port]]] = {
-            idx: [] for idx in self.functions
-        }
-        idx_to_name = {i: n for n, i in self.input_index.items()}
+    def route(self, source: str | int, value: int) -> list[tuple[int, Port]]:
+        """Write a source's value into every cell serving one of its readers.
 
-        def wire(cell: FunctionalCell, fn: FabricFunction) -> None:
-            for port, sel in zip(PORT_ORDER, fn.config.selectors):
-                if sel.kind is SelectorKind.PRIMARY_INPUT:
-                    by_input[idx_to_name[sel.index]].append((cell, port))
-                elif sel.kind is SelectorKind.CELL_OUTPUT:
-                    by_fn[sel.index].append((cell, port))
-
-        for fn_idx in sorted(self.functions):
-            cell = self.binding[fn_idx]
-            if cell.health is not CellHealth.FAULTY_DEACTIVATED:
-                wire(cell, self.functions[fn_idx])
-        for fn_idx in sorted(self.listeners):
-            spare = self.listeners[fn_idx]
-            if spare is not self.binding[fn_idx]:
-                wire(spare, self.functions[fn_idx])
-        self._consumers = {"input": by_input, "fn": by_fn}
-
-    def consumers_of_input(self, name: str) -> list[tuple[FunctionalCell, Port]]:
-        if self._consumers is None:
-            self.rebuild_consumers()
-        return self._consumers["input"].get(name, [])
-
-    def consumers_of_fn(self, fn_idx: int) -> list[tuple[FunctionalCell, Port]]:
-        if self._consumers is None:
-            self.rebuild_consumers()
-        return self._consumers["fn"].get(fn_idx, [])
+        Returns the ``(fn_idx, port)`` readers of ``source``.
+        """
+        readers = self.readers[source]
+        for fn_idx, port in readers:
+            for cell in self.sinks[fn_idx]:
+                cell.registers.write(port, value)
+        return readers
 
     def fn_of_cell(self, cell: FunctionalCell) -> Optional[FabricFunction]:
         for fn_idx, bound in self.binding.items():
@@ -192,8 +168,7 @@ class Fabric:
         """Current value a port draws from its configured source."""
         sel = fn.config.selector(port)
         if sel.kind is SelectorKind.PRIMARY_INPUT:
-            name = {i: n for n, i in self.input_index.items()}[sel.index]
-            return self.input_values.get(name, 0)
+            return self.input_values.get(self.input_names[sel.index], 0)
         if sel.kind is SelectorKind.CELL_OUTPUT:
             return self.published.get(sel.index) or 0
         if sel.kind is SelectorKind.CONSTANT:
@@ -248,19 +223,19 @@ class Fabric:
         cell.health = CellHealth.FAULTY_DEACTIVATED
         if self.alarm is Alarm.NONE:
             self.alarm = Alarm.DEGRADED
+        self.sinks[syndrome.function_index].remove(cell)
         syndrome.actions.append((HealAction.DEACTIVATE, t))
-        self.rebuild_consumers()
 
     def reroute(self, syndrome: HealthSyndrome, t: int) -> None:
         fn = self.functions[syndrome.function_index]
         spare = self.cells[str(syndrome.chosen_spare)]
-        if spare.registers is None or spare.registers.width_mode is not fn.width:
-            spare.registers = InputRegisterBank(fn.width)
+        width = fn.config.width_mode
+        if spare.registers is None or spare.registers.width_mode is not width:
+            spare.registers = InputRegisterBank(width)
         for port in PORT_ORDER:
             spare.registers.write(port, self.source_value(fn, port))
-        self.listeners[fn.index] = spare
+        self.sinks[fn.index].append(spare)
         syndrome.actions.append((HealAction.REROUTE, t))
-        self.rebuild_consumers()
 
     def restore(self, syndrome: HealthSyndrome, t: int) -> None:
         fn = self.functions[syndrome.function_index]
@@ -270,10 +245,9 @@ class Fabric:
         spare.registers = registers
         spare.health = CellHealth.SPARE_ACTIVE
         self.binding[fn.index] = spare
-        self.listeners.pop(fn.index, None)
+        self.sinks[fn.index] = [spare]
         self.reserved.discard(str(spare.cell_id))
         syndrome.actions.append((HealAction.RESTORE, t))
-        self.rebuild_consumers()
 
     def enter_fail_safe(self) -> bool:
         """Latch the fail-safe posture; returns False if already latched."""

@@ -228,16 +228,13 @@ def node_width(nl: Netlist, node: NetNode) -> WidthMode:
     return nl.widths[node.name]
 
 
-def _combinational_operands(nl: Netlist, node: NetNode) -> list[str]:
-    """Operand node ids that propagate combinationally (inputs and the
-    outputs of DELAY nodes act as wave sources and are excluded)."""
-    delay_nodes = {n.name for n in nl.nodes if n.opcode is Opcode.DELAY}
-    input_names = set(nl.input_names())
-    return [
-        ref
-        for ref in node.operands
-        if ref != IMM_REF and ref not in input_names and ref not in delay_nodes
-    ]
+def _combinational_operands(nl: Netlist) -> dict[str, list[str]]:
+    """Per node, the operand node ids that propagate combinationally
+    (inputs and the outputs of DELAY nodes act as wave sources and are
+    excluded)."""
+    sources = {IMM_REF, *nl.input_names()}
+    sources.update(n.name for n in nl.nodes if n.opcode is Opcode.DELAY)
+    return {n.name: [ref for ref in n.operands if ref not in sources] for n in nl.nodes}
 
 
 def _check_combinational_cycles(nl: Netlist) -> None:
@@ -251,7 +248,7 @@ def _check_combinational_cycles(nl: Netlist) -> None:
 
 
 def _topological_order(nl: Netlist) -> tuple[list[str], list[str]]:
-    deps = {n.name: _combinational_operands(nl, n) for n in nl.nodes}
+    deps = _combinational_operands(nl)
     state: dict[str, int] = {}  # 0 visiting, 1 done
     order: list[str] = []
     cycle: list[str] = []
@@ -298,17 +295,10 @@ def depth(nl: Netlist) -> DepthReport:
     depth(node) = 1 + max(depth of non-DELAY operands); primary inputs
     and DELAY node outputs contribute 0 (a delay stage breaks the path).
     """
-    delay_nodes = {n.name for n in nl.nodes if n.opcode is Opcode.DELAY}
-    input_names = set(nl.input_names())
+    deps = _combinational_operands(nl)
     depths: dict[str, int] = {}
     for name in topological_order(nl):
-        node = nl.node(name)
-        best = 0
-        for ref in node.operands:
-            if ref == IMM_REF or ref in input_names or ref in delay_nodes:
-                continue
-            best = max(best, depths[ref])
-        depths[name] = 1 + best
+        depths[name] = 1 + max((depths[ref] for ref in deps[name]), default=0)
     # a DELAY node's depth reflects where its captured input settles
     critical = max(depths.values(), default=0)
     return DepthReport(node_depth=depths, critical_path=critical)

@@ -108,6 +108,7 @@ def _selector_for(ref: str, nl: Netlist, placement: Placement) -> InputSelector:
 def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
     """Resolve operand references into port selectors and pack genetic codes."""
     program = FabricProgram(netlist=nl, placement=placement)
+    nodes = {node.name: node for node in nl.nodes}
     by_layer: dict[int, dict[int, str]] = {}
     for name, (layer, slot) in placement.slots.items():
         by_layer.setdefault(layer, {})[slot] = name
@@ -121,7 +122,7 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
             if name is None:
                 worker_configs.append(nop_config())
                 continue
-            node = nl.node(name)
+            node = nodes[name]
             if len(node.operands) > 4:
                 raise NetlistError("operand fan-in exceeds the cell's 4 ports", node.line)
             selectors = [_selector_for(ref, nl, placement) for ref in node.operands]

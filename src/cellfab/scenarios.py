@@ -35,11 +35,23 @@ def _port(name) -> Port:
     return _PORTS[name]
 
 
+def _int(value, what: str) -> int:
+    """``value`` itself if it is an int (a bool is not); never coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+    return value
+
+
 def _section(cls, data: dict, section: str):
-    """Build a dataclass from one scenario section, rejecting unknown keys."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    """Build a dataclass from one scenario section, rejecting unknown keys
+    and non-int values of int fields."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
+    for key, value in data.items():
+        if types[key] == "int":
+            _int(value, f"{section} {key}")
     return cls(**data)
 
 
@@ -51,6 +63,9 @@ def _key(data: dict, key: str, section: str):
 
 
 def _fault_from_dict(d: dict) -> FaultSpec:
+    for key in ("t", "replica", "flip", "stuck", "period", "count"):
+        if key in d:
+            _int(d[key], f"fault {key}")
     return FaultSpec(
         kind=_key(d, "kind", "fault"),
         cell=CellId.parse(_key(d, "cell", "fault")),
@@ -87,6 +102,8 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         tuple(_key(s, key, "stimulus") for key in ("t", "name", "value"))
         for s in data.get("stimulus", [])
     ]
+    for t, _, _ in stimulus:
+        _int(t, "stimulus t")
     faults = [_fault_from_dict(f) for f in data.get("faults", [])]
     plant = _section(PlantFeedback, data["plant"], "plant") if "plant" in data else None
     return Scenario(
@@ -95,8 +112,8 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         stimulus=stimulus,
         faults=faults,
         timing=timing,
-        run_until=_key(data, "run_until", "scenario"),
-        seed=data.get("seed", 0),
+        run_until=_int(_key(data, "run_until", "scenario"), "scenario run_until"),
+        seed=_int(data.get("seed", 0), "scenario seed"),
         plant=plant,
     )
 

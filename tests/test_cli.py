@@ -183,8 +183,15 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
           "replica": 0, "flip": 1}, "unknown port 'Q'"),
         ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 5000, "flip": 1},
          "after run_until=600"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": "1"},
+         "fault flip '1' is not an int"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": "100", "flip": 1},
+         "fault t '100' is not an int"),
     ],
-    ids=["unknown_cell", "bad_cell_id", "unknown_port", "after_run_until"],
+    ids=[
+        "unknown_cell", "bad_cell_id", "unknown_port", "after_run_until",
+        "str_flip", "str_time",
+    ],
 )
 def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, message):
     import json
@@ -206,6 +213,15 @@ def _stimulus(data, name):
     return next(s for s in data["stimulus"] if s["name"] == name)
 
 
+def _ccs_step_plant(data, **plant):
+    """Replace ``data`` with the ccs_step scenario, its plant edited."""
+    from cellfab.scenarios import load_scenario, scenario_to_dict
+
+    data.clear()
+    data.update(scenario_to_dict(load_scenario("ccs_step")))
+    data["plant"].update(plant)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -221,6 +237,13 @@ def _stimulus(data, name):
          "stimulus estop=7 at t=0 does not fit bit"),
         (lambda d: d.update(plant={"input_name": "estop", "output_name": "speed"}),
          "plant input 'estop' is not an int16 input"),
+        (lambda d: _ccs_step_plant(d, output_name="nope"), "unknown plant output 'nope'"),
+        (lambda d: _ccs_step_plant(d, gain="1"), "plant gain '1' is not an int"),
+        (lambda d: d.update(run_until="600"), "scenario run_until '600' is not an int"),
+        (lambda d: d["timing"].update(cell_delay="35"), "timing cell_delay '35' is not an int"),
+        (lambda d: d["stimulus"].append({"t": "5", "name": "estop", "value": 1}),
+         "stimulus t '5' is not an int"),
+        (lambda d: d.update(seed="x"), "scenario seed 'x' is not an int"),
     ],
     ids=[
         "unknown_timing_key",
@@ -231,6 +254,12 @@ def _stimulus(data, name):
         "missing_netlist_file",
         "stimulus_outside_width",
         "plant_input_not_int16",
+        "unknown_plant_output",
+        "str_plant_gain",
+        "str_run_until",
+        "str_cell_delay",
+        "str_stimulus_time",
+        "str_seed",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):

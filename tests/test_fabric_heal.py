@@ -213,3 +213,19 @@ def test_health_map_snapshot():
     assert len(snap.free_spares) == 16
     assert snap.cells["L0.F0"] is CellHealth.HEALTHY
     assert snap.cells["L0.R0"] is CellHealth.SPARE_IDLE
+
+
+def test_input_change_in_reroute_window_reaches_spare():
+    # fuel_press_ok toggles between reroute (470) and restore (505) of the
+    # function on L0.F0 (press_ok): only the rerouted spare can take it
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=400, flip=1)
+    toggle = (487, "fuel_press_ok", 1 - START_PERMITTED["fuel_press_ok"])
+    sc = edg_scenario(faults=[fault], run_until=600, stimulus_extra=[toggle])
+    res = run_raw(sc)
+    s = res.syndromes[0]
+    assert (s.action_time(HealAction.REROUTE), s.action_time(HealAction.RESTORE)) == (470, 505)
+
+    def last_press_ok(trace):
+        return [r.value for r in trace.records if r.signal == "fn.press_ok"][-1]
+
+    assert last_press_ok(res.trace) == last_press_ok(run_raw(sc.without_faults()).trace)
