@@ -10,6 +10,7 @@ from cellfab.cell import CellId
 from cellfab.engine import Engine, FaultSpec, Scenario
 from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
+from cellfab.report import metrics
 
 NETLIST = """
 input a : bit
@@ -43,7 +44,7 @@ for r in result.trace.records:
         label = "ALARM fail_safe" if r.annotation == "alarm" else r.signal
         print(f"t={r.time:5d} ns  {label}")
 
-print(f"\nfinal alarm state: {result.fabric.alarm.value}")
+print(f"\nfinal alarm state: {metrics(result.trace).alarm}")
 finals = {}
 for r in result.trace.records:
     if r.annotation == "data" and r.signal in ("y1", "y2"):

@@ -10,6 +10,7 @@ as a PNG next to this script.
 
 from pathlib import Path
 
+from cellfab.report import metrics
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
 
@@ -23,9 +24,9 @@ print("period   target   speed")
 for k in (10, 40, 63, 100, 170, 172, 220, 299):
     print(f"{k:6d}   {target.get(k, 0):6d}   {speed.get(k * 1000, 0):5d}")
 
-syndrome = faulted.syndromes[0]
-print(f"\nfault in cell {syndrome.cell_id} detected {syndrome.detect_time} ns, "
-      f"restored {syndrome.actions[-1][1]} ns (within one 1000 ns period)")
+syndrome = metrics(faulted.trace).syndromes[0]
+print(f"\nfault in cell {syndrome.cell} detected {syndrome.detect_time} ns, "
+      f"restored {syndrome.restore_time} ns (within one 1000 ns period)")
 
 diverged = [t for t, v in golden.plant_log if dict(faulted.plant_log).get(t) != v]
 print(f"speed samples differing from the fault-free run: {len(diverged)}")

@@ -38,7 +38,7 @@ from .genetic import (  # noqa: F401
 from .netlist import Netlist, NetlistError, depth, parse_netlist  # noqa: F401
 from .place import Placement, build_routing, compile_netlist, place  # noqa: F401
 from .oracle import NetlistOracle, reference_eval, settled_reference  # noqa: F401
-from .fabric import Alarm, Fabric, HealAction, HealthSyndrome  # noqa: F401
+from .fabric import Fabric, HealAction, HealthSyndrome  # noqa: F401
 from .engine import (  # noqa: F401
     Engine,
     FaultSpec,

@@ -36,7 +36,7 @@ from .cell import (
     qmul,
     wrap16,
 )
-from .fabric import Alarm, Fabric, HealAction, HealthSyndrome
+from .fabric import Fabric, HealAction, HealthSyndrome
 from .netlist import Netlist
 from .place import FabricProgram
 
@@ -303,7 +303,6 @@ class Engine:
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._pending_evals: dict[tuple[int, int], bool] = {}  # (fn, t) -> wave?
-        self._syndromed: set[str] = set()
         self._last_clock = 0
         self.faults = expand_faults(scenario.faults)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
@@ -443,8 +442,7 @@ class Engine:
             self.trace.add(t, f"cell.{cid}", 1, "mismatch")
             verdict = classify(cell.history, self.timing.check_threshold)
             if verdict is FaultClass.PERMANENT:
-                if str(cid) not in self._syndromed:
-                    self._raise_syndrome(fn, cell, t)
+                self._raise_syndrome(fn, cell, t)
             else:
                 cell.health = (
                     CellHealth.SUSPECT_TRANSIENT
@@ -464,18 +462,9 @@ class Engine:
     def _raise_syndrome(self, fn, cell: FunctionalCell, t: int) -> None:
         fabric = self.fabric
         cid = cell.cell_id
-        self._syndromed.add(str(cid))
-        syndrome = HealthSyndrome(
-            cell_id=cid,
-            detect_time=t,
-            function_index=fn.index,
-        )
+        syndrome = HealthSyndrome(cell_id=cid, detect_time=t, function_index=fn.index)
         self.syndromes.append(syndrome)
-        spare = None
-        if cid.kind == "F":
-            spare = fabric.allocate_spare(cid.layer)
-        if spare is None:
-            spare = fabric.allocate_spare_global(cid.layer)
+        spare = fabric.allocate_spare(cid.layer)
         if spare is None:
             self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
             self._fail_safe(t)
@@ -496,18 +485,19 @@ class Engine:
             t, f"heal.{syndrome.cell_id}.{action.value}", fn_idx, "syndrome_action"
         )
         if action is HealAction.DEACTIVATE:
-            fabric.deactivate(syndrome, t)
+            fabric.deactivate(syndrome)
             self._publish(fn_idx, 0, t, cascade=True)
         elif action is HealAction.REROUTE:
-            fabric.reroute(syndrome, t)
+            fabric.reroute(syndrome)
         elif action is HealAction.RESTORE:
-            fabric.restore(syndrome, t)
+            fabric.restore(syndrome)
             self._schedule_eval(fn_idx, t, wave=False)
 
     def _fail_safe(self, t: int) -> None:
         fabric = self.fabric
-        if not fabric.enter_fail_safe():
+        if fabric.fail_safe:
             return
+        fabric.fail_safe = True
         self.trace.add(t, "alarm", 2, "alarm")
         for fn_idx in sorted(set(fabric.output_binding.values())):
             self._publish(fn_idx, 0, t, cascade=False)
@@ -516,7 +506,7 @@ class Engine:
 
     def _publish(self, fn_idx: int, value: int, t: int, cascade: bool) -> None:
         fabric = self.fabric
-        if fabric.alarm is Alarm.FAIL_SAFE and fn_idx in fabric.output_binding.values():
+        if fabric.fail_safe and fn_idx in fabric.output_binding.values():
             value = 0
         changed = fabric.published[fn_idx] != value
         fabric.published[fn_idx] = value

@@ -7,12 +7,14 @@ it in three steps (deactivate, reroute, restore) using one of its
 spares, and when local spares run out the global layer pulls the nearest
 idle spare from any layer.  With no spare left anywhere the fabric drops
 into fail-safe: every primary output is forced to 0 and an alarm is
-latched while the simulation keeps recording.
+latched while the simulation keeps recording.  The heal timeline itself
+lives in the trace (``syndrome_action`` records); the fabric keeps only
+the state the kernel reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -37,32 +39,12 @@ class HealAction(Enum):
 
 @dataclass
 class HealthSyndrome:
-    """Record of one detected permanent fault and its healing action sequence."""
+    """One detected permanent fault: the payload of its heal events."""
 
     cell_id: CellId
     detect_time: int
-    function_index: Optional[int] = None
+    function_index: int
     chosen_spare: Optional[CellId] = None
-    actions: list[tuple[HealAction, int]] = field(default_factory=list)
-
-    def action_time(self, action: HealAction) -> Optional[int]:
-        for a, t in self.actions:
-            if a is action:
-                return t
-        return None
-
-
-class Alarm(Enum):
-    NONE = "none"
-    DEGRADED = "degraded"
-    FAIL_SAFE = "fail_safe"
-
-
-@dataclass
-class GlobalHealthMap:
-    cells: dict[str, CellHealth]
-    free_spares: list[CellId]
-    alarm: Alarm
 
 
 @dataclass
@@ -103,7 +85,7 @@ class Fabric:
         self.binding: dict[int, FunctionalCell] = {}
         self.cells: dict[str, FunctionalCell] = {}
         self.reserved: set[str] = set()
-        self.alarm = Alarm.NONE
+        self.fail_safe = False  # latched once no spare is left for a syndrome
 
         for lp in program.layers:
             f_cells, r_cells = [], []
@@ -177,26 +159,17 @@ class Fabric:
 
     # ---- spare management --------------------------------------------
 
-    def allocate_spare(self, layer_index: int) -> Optional[CellId]:
-        """Lowest-index idle, unreserved spare of one layer; deterministic."""
-        layer = self.layers[layer_index]
-        for cell in layer.r_cells:
-            if cell.health is CellHealth.SPARE_IDLE and str(cell.cell_id) not in self.reserved:
-                return cell.cell_id
-        return None
+    def allocate_spare(self, from_layer: int) -> Optional[CellId]:
+        """Nearest-layer idle, unreserved spare; None when none is left.
 
-    def allocate_spare_global(self, from_layer: int) -> Optional[CellId]:
-        """Nearest-layer, lowest-slot idle spare anywhere in the fabric.
-
-        Distance 0 (the faulty cell's own layer) is searched first so a
-        failed active spare can still be replaced by a sibling spare.
+        The faulty cell's own layer comes first, the lower layer wins a
+        tie of distance, and the lowest slot wins within a layer.
         """
-        order = sorted(range(len(self.layers)), key=lambda i: (abs(i - from_layer), i))
-        for layer_index in order:
-            found = self.allocate_spare(layer_index)
-            if found is not None:
-                return found
-        return None
+        return min(
+            self.free_spares(),
+            key=lambda c: (abs(c.layer - from_layer), c.layer, c.slot),
+            default=None,
+        )
 
     def reserve(self, cell_id: CellId) -> None:
         self.reserved.add(str(cell_id))
@@ -209,24 +182,14 @@ class Fabric:
                     out.append(cell.cell_id)
         return out
 
-    def health_map(self) -> GlobalHealthMap:
-        return GlobalHealthMap(
-            cells={cid: cell.health for cid, cell in sorted(self.cells.items())},
-            free_spares=self.free_spares(),
-            alarm=self.alarm,
-        )
-
     # ---- healing state transitions -----------------------------------
 
-    def deactivate(self, syndrome: HealthSyndrome, t: int) -> None:
+    def deactivate(self, syndrome: HealthSyndrome) -> None:
         cell = self.cells[str(syndrome.cell_id)]
         cell.health = CellHealth.FAULTY_DEACTIVATED
-        if self.alarm is Alarm.NONE:
-            self.alarm = Alarm.DEGRADED
         self.sinks[syndrome.function_index].remove(cell)
-        syndrome.actions.append((HealAction.DEACTIVATE, t))
 
-    def reroute(self, syndrome: HealthSyndrome, t: int) -> None:
+    def reroute(self, syndrome: HealthSyndrome) -> None:
         fn = self.functions[syndrome.function_index]
         spare = self.cells[str(syndrome.chosen_spare)]
         width = fn.config.width_mode
@@ -235,9 +198,8 @@ class Fabric:
         for port in PORT_ORDER:
             spare.registers.write(port, self.source_value(fn, port))
         self.sinks[fn.index].append(spare)
-        syndrome.actions.append((HealAction.REROUTE, t))
 
-    def restore(self, syndrome: HealthSyndrome, t: int) -> None:
+    def restore(self, syndrome: HealthSyndrome) -> None:
         fn = self.functions[syndrome.function_index]
         spare = self.cells[str(syndrome.chosen_spare)]
         registers = spare.registers  # keep the data routed in at reroute time
@@ -247,11 +209,3 @@ class Fabric:
         self.binding[fn.index] = spare
         self.sinks[fn.index] = [spare]
         self.reserved.discard(str(spare.cell_id))
-        syndrome.actions.append((HealAction.RESTORE, t))
-
-    def enter_fail_safe(self) -> bool:
-        """Latch the fail-safe posture; returns False if already latched."""
-        if self.alarm is Alarm.FAIL_SAFE:
-            return False
-        self.alarm = Alarm.FAIL_SAFE
-        return True

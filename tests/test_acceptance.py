@@ -18,7 +18,6 @@ from cellfab.engine import (
     TimingParams,
     compare_steady_state,
 )
-from cellfab.fabric import HealAction
 from cellfab.genetic import (
     CorruptedCodeError,
     InvalidCodeError,
@@ -48,7 +47,7 @@ def output_rows(trace) -> str:
 
 
 def restore_times(result):
-    return [t for s in result.syndromes for a, t in s.actions if a is HealAction.RESTORE]
+    return [s.restore_time for s in metrics(result.trace).syndromes if s.restore_time is not None]
 
 
 def test_criterion_01_fault_free_latency():
@@ -77,10 +76,9 @@ def test_criterion_03_permanent_healing():
     sc = load_scenario("edg_permanent_bt")
     res = run_raw(sc)
     assert len(res.syndromes) == 2
-    for s in res.syndromes:
-        assert [a.value for a, _ in s.actions] == ["deactivate", "reroute", "restore"]
-        times = [t for _, t in s.actions]
-        assert times == sorted(times)
+    for s in metrics(res.trace).syndromes:
+        times = [s.deactivate_time, s.reroute_time, s.restore_time]
+        assert None not in times and times == sorted(times)
     nl = resolve_application("edg").netlist
     oracle = NetlistOracle(nl)
     from cellfab.apps.edg import START_PERMITTED
@@ -118,10 +116,11 @@ def test_criterion_05_constant_incremental_latency():
         seed=1,
     )
     res = run_raw(sc)
-    assert len(res.syndromes) == 8
+    healed = metrics(res.trace).syndromes
+    assert len(res.syndromes) == len(healed) == 8
     latencies = []
-    for s, t_inject in zip(res.syndromes, fault_times):
-        restore = s.action_time(HealAction.RESTORE)
+    for s, t_inject in zip(healed, fault_times):
+        restore = s.restore_time
         assert restore is not None
         latencies.append(restore - t_inject)
     spread = max(latencies) - min(latencies)

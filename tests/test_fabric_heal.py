@@ -6,10 +6,11 @@ from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellHealth, CellId
 from cellfab.engine import Engine, FaultSpec, Scenario, compare_steady_state
-from cellfab.fabric import Alarm, Fabric, HealAction
+from cellfab.fabric import Fabric
 from cellfab.netlist import parse_netlist
 from cellfab.oracle import reference_eval
 from cellfab.place import compile_netlist
+from cellfab.report import metrics
 from cellfab.sim import run_raw
 
 
@@ -22,7 +23,12 @@ def edg_scenario(name="t", faults=(), run_until=1200, stimulus_extra=()):
 
 
 def restore_times(result):
-    return [t for s in result.syndromes for a, t in s.actions if a is HealAction.RESTORE]
+    return [s.restore_time for s in metrics(result.trace).syndromes if s.restore_time is not None]
+
+
+def heal_times(s):
+    """(deactivate, reroute, restore) times of one trace-derived syndrome."""
+    return [s.deactivate_time, s.reroute_time, s.restore_time]
 
 
 # ---- local healing -------------------------------------------------------
@@ -33,7 +39,8 @@ def test_local_heal_uses_lowest_spare_and_reloads_code():
     res = run_raw(edg_scenario(faults=[fault]))
     s = res.syndromes[0]
     assert str(s.chosen_spare) == "L0.R0"
-    assert [a.value for a, _ in s.actions] == ["deactivate", "reroute", "restore"]
+    times = heal_times(metrics(res.trace).syndromes[0])
+    assert None not in times and times == sorted(times)
     spare = res.fabric.cells["L0.R0"]
     assert spare.health is CellHealth.SPARE_ACTIVE
     assert spare.config == res.fabric.functions[s.function_index].config
@@ -41,9 +48,9 @@ def test_local_heal_uses_lowest_spare_and_reloads_code():
 
 def test_action_order_timestamps():
     res = run_raw(load_bundled("edg_permanent_bt"))
-    for s in res.syndromes:
-        ts = dict((a.value, t) for a, t in s.actions)
-        assert ts["deactivate"] <= ts["reroute"] <= ts["restore"]
+    for s in metrics(res.trace).syndromes:
+        deactivate, reroute, restore = heal_times(s)
+        assert deactivate <= reroute <= restore
 
 
 def load_bundled(name):
@@ -57,7 +64,7 @@ def test_transient_syndrome_never_raised():
 
     res = run_raw(load_scenario("edg_transient3"))
     assert res.syndromes == []
-    assert res.fabric.alarm is Alarm.NONE
+    assert metrics(res.trace).alarm == "none"
 
 
 def test_healing_soundness_random_stimuli():
@@ -134,8 +141,7 @@ def test_allocate_spare_deterministic():
     assert str(fabric.allocate_spare(0)) == "L0.R1"
     for slot in range(4):
         fabric.cells[f"L0.R{slot}"].health = CellHealth.SPARE_ACTIVE
-    assert fabric.allocate_spare(0) is None
-    assert str(fabric.allocate_spare_global(0)) == "L1.R0"
+    assert str(fabric.allocate_spare(0)) == "L1.R0"
 
 
 def test_single_remaining_spare_chosen_regardless_of_distance():
@@ -144,9 +150,9 @@ def test_single_remaining_spare_chosen_regardless_of_distance():
         for slot in range(4):
             fabric.cells[f"L{layer}.R{slot}"].health = CellHealth.SPARE_ACTIVE
     fabric.cells["L3.R2"].health = CellHealth.SPARE_IDLE
-    assert str(fabric.allocate_spare_global(0)) == "L3.R2"
+    assert str(fabric.allocate_spare(0)) == "L3.R2"
     fabric.cells["L3.R2"].health = CellHealth.SPARE_ACTIVE
-    assert fabric.allocate_spare_global(0) is None
+    assert fabric.allocate_spare(0) is None
 
 
 # ---- fail-safe -----------------------------------------------------------
@@ -182,7 +188,7 @@ def single_layer_scenario(fault_count, run_until=None):
 
 def test_nine_faults_exhaust_and_fail_safe():
     res = single_layer_scenario(9)
-    assert res.fabric.alarm is Alarm.FAIL_SAFE
+    assert metrics(res.trace).alarm == "fail_safe"
     alarms = [r for r in res.trace.records if r.annotation == "alarm"]
     assert len(alarms) == 1  # latching is idempotent
     finals = {}
@@ -194,7 +200,7 @@ def test_nine_faults_exhaust_and_fail_safe():
 
 def test_healthy_path_never_enters_fail_safe():
     res = single_layer_scenario(4)
-    assert res.fabric.alarm is Alarm.DEGRADED
+    assert metrics(res.trace).alarm == "degraded"
     assert not any(r.annotation == "alarm" for r in res.trace.records)
 
 
@@ -208,11 +214,10 @@ def test_outputs_pinned_zero_after_fail_safe():
 
 def test_health_map_snapshot():
     fabric = Fabric(resolve_application("edg"))
-    snap = fabric.health_map()
-    assert snap.alarm is Alarm.NONE
-    assert len(snap.free_spares) == 16
-    assert snap.cells["L0.F0"] is CellHealth.HEALTHY
-    assert snap.cells["L0.R0"] is CellHealth.SPARE_IDLE
+    assert not fabric.fail_safe
+    assert len(fabric.free_spares()) == 16
+    assert fabric.cells["L0.F0"].health is CellHealth.HEALTHY
+    assert fabric.cells["L0.R0"].health is CellHealth.SPARE_IDLE
 
 
 def test_input_change_in_reroute_window_reaches_spare():
@@ -222,8 +227,8 @@ def test_input_change_in_reroute_window_reaches_spare():
     toggle = (487, "fuel_press_ok", 1 - START_PERMITTED["fuel_press_ok"])
     sc = edg_scenario(faults=[fault], run_until=600, stimulus_extra=[toggle])
     res = run_raw(sc)
-    s = res.syndromes[0]
-    assert (s.action_time(HealAction.REROUTE), s.action_time(HealAction.RESTORE)) == (470, 505)
+    s = metrics(res.trace).syndromes[0]
+    assert (s.reroute_time, s.restore_time) == (470, 505)
 
     def last_press_ok(trace):
         return [r.value for r in trace.records if r.signal == "fn.press_ok"][-1]
