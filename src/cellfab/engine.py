@@ -5,9 +5,9 @@ first shifts the delay registers, then applies input changes, then
 schedules each combinational cell exactly once at clock + level x Delta.
 Fault injections and healing steps run as local events that re-evaluate
 one cell and cascade downstream only when its output actually changed.
-A register transient is re-evaluated at injection only once the cell's
-wave slot of the current period has passed; before that, the pending
-wave evaluation votes it, so the cell never publishes a mid-wave value.
+A fault is re-evaluated at injection only once the cell's wave slot of
+the current period has passed; before that, the pending wave evaluation
+sees it, so the cell never publishes a mid-wave value.
 Events are totally ordered by (time, sequence number), so two runs of
 the same scenario produce byte-identical traces.
 """
@@ -91,13 +91,12 @@ class FaultSpec:
     injection time onward; intermittent_burst expands into ``count``
     transients spaced ``period`` apart.
 
-    A transient is first voted at injection if the cell's wave slot of
-    the current period has passed, otherwise at that slot; a permanent
-    fault is evaluated at injection either way.  A fault on a deactivated
-    cell is a no-op.  On an idle spare a transient is a no-op too (the
-    spare holds no data and reroute rewrites every port), while a
-    permanent fault is installed and stays latent until the spare takes
-    over a function.
+    A fault, transient or permanent, is first evaluated at injection if
+    the cell's wave slot of the current period has passed, otherwise at
+    that slot.  A fault on a deactivated cell is a no-op.  On an idle
+    spare a transient is a no-op too (the spare holds no data and reroute
+    rewrites every port), while a permanent fault is installed and stays
+    latent until the spare takes over a function.
     """
 
     kind: str
@@ -412,11 +411,8 @@ class Engine:
         fn = fabric.fn_of_cell(fabric.cells[str(fault.cell)])
         if fn is None:
             return
-        if (
-            fault.kind == FaultKind.TRANSIENT_REGISTER
-            and t < self._last_clock + fn.level * self.timing.cell_delay
-        ):
-            return  # this period's wave evaluation is still pending and votes it
+        if t < self._last_clock + fn.level * self.timing.cell_delay:
+            return  # this period's wave evaluation is still pending and sees it
         self._schedule_eval(fn.index, t, wave=False)
 
     def _handle_eval(self, t: int, fn_idx: int) -> None:

@@ -231,3 +231,15 @@ def test_mid_wave_transient_keeps_outputs_golden():
             assert samples(res.trace, out) == samples(golden.trace, out)
         masked = [r.time for r in res.trace.records if r.annotation == "masked_transient"]
         assert masked == [slot]
+
+
+def test_mid_wave_permanent_waits_for_its_slot():
+    # a permanent fault injected before its cell's wave slot (475 for
+    # perm_ok on L2.F2) is first evaluated at that slot, like a transient:
+    # no function publishes ahead of the golden twin
+    extra = [(300, "estop", 1)]
+    golden = run_raw(edg_scenario(run_until=900, stimulus_extra=extra))
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(2, 2, "F"), time=460, stuck=0)
+    res = run_raw(edg_scenario(faults=[fault], run_until=900, stimulus_extra=extra))
+    for signal in ("fn.perm_ok", "EngineStart", "OpenAirStartFuel_Valves"):
+        assert samples(res.trace, signal) == samples(golden.trace, signal)
