@@ -336,6 +336,19 @@ class Engine:
         for fault in self.faults:
             if str(fault.cell) not in self.fabric.cells:
                 raise ValueError(f"fault on unknown cell {fault.cell}")
+            # an idle spare has no width yet; it is pre-loaded with the code
+            # of the worker in its own slot
+            width = self.fabric.layers[fault.cell.layer].f_cells[fault.cell.slot].config.width_mode
+            if fault.flip is not None:  # a mask of the cell's bits
+                key, value = "flip", fault.flip
+                fits = 0 <= value <= (1 if width is WidthMode.BIT else 0xFFFF)
+            else:  # one of the cell's values
+                key, value = "stuck", fault.stuck
+                fits = fit(width, value) == value
+            if not fits:
+                raise ValueError(
+                    f"fault {key}={value} on {fault.cell} does not fit {width.name.lower()}"
+                )
         timeline: dict[int, list[tuple[str, int]]] = {}
         for t, name, value in scenario.stimulus:
             timeline.setdefault(t, []).append((name, value))

@@ -29,29 +29,34 @@ BUNDLED_SCENARIOS = (
 _PORTS = {p.value: p for p in Port}
 
 
+_KINDS = {int: "an int", str: "a string", list: "a list", dict: "an object"}
+
+
 def _port(name) -> Port:
-    if name not in _PORTS:
+    if type(name) is not str or name not in _PORTS:
         raise ValueError(f"unknown port {name!r}")
     return _PORTS[name]
 
 
-def _int(value, what: str) -> int:
-    """``value`` itself if it is an int (a bool is not); never coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an int")
+def _typed(value, what: str, kind: type = int):
+    """``value`` itself if its type is exactly ``kind`` (a bool is no int);
+    never coerced."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} {value!r} is not {_KINDS[kind]}")
     return value
 
 
 def _section(cls, data: dict, section: str):
     """Build a dataclass from one scenario section, rejecting unknown keys
     and non-int values of int fields."""
+    _typed(data, section, dict)
     types = {f.name: f.type for f in fields(cls)}
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
     for key, value in data.items():
         if types[key] == "int":
-            _int(value, f"{section} {key}")
+            _typed(value, f"{section} {key}")
     return cls(**data)
 
 
@@ -63,9 +68,10 @@ def _key(data: dict, key: str, section: str):
 
 
 def _fault_from_dict(d: dict) -> FaultSpec:
+    _typed(d, "fault entry", dict)
     for key in ("t", "replica", "flip", "stuck", "period", "count"):
         if key in d:
-            _int(d[key], f"fault {key}")
+            _typed(d[key], f"fault {key}")
     return FaultSpec(
         kind=_key(d, "kind", "fault"),
         cell=CellId.parse(_key(d, "cell", "fault")),
@@ -97,23 +103,26 @@ def _fault_to_dict(f: FaultSpec) -> dict:
 
 
 def scenario_from_dict(data: dict, name: str) -> Scenario:
+    if type(data) is not dict:
+        raise ValueError("scenario is not a JSON object")
     timing = _section(TimingParams, data.get("timing", {}), "timing")
-    stimulus = [
-        tuple(_key(s, key, "stimulus") for key in ("t", "name", "value"))
-        for s in data.get("stimulus", [])
+    stimulus = []
+    for s in _typed(data.get("stimulus", []), "scenario stimulus", list):
+        _typed(s, "stimulus entry", dict)
+        t, signal, value = (_key(s, key, "stimulus") for key in ("t", "name", "value"))
+        stimulus.append((_typed(t, "stimulus t"), _typed(signal, "stimulus name", str), value))
+    faults = [
+        _fault_from_dict(f) for f in _typed(data.get("faults", []), "scenario faults", list)
     ]
-    for t, _, _ in stimulus:
-        _int(t, "stimulus t")
-    faults = [_fault_from_dict(f) for f in data.get("faults", [])]
     plant = _section(PlantFeedback, data["plant"], "plant") if "plant" in data else None
     return Scenario(
         name=name,
-        application=_key(data, "application", "scenario"),
+        application=_typed(_key(data, "application", "scenario"), "scenario application", str),
         stimulus=stimulus,
         faults=faults,
         timing=timing,
-        run_until=_int(_key(data, "run_until", "scenario"), "scenario run_until"),
-        seed=_int(data.get("seed", 0), "scenario seed"),
+        run_until=_typed(_key(data, "run_until", "scenario"), "scenario run_until"),
+        seed=_typed(data.get("seed", 0), "scenario seed"),
         plant=plant,
     )
 

@@ -187,10 +187,22 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
          "fault flip '1' is not an int"),
         ({"kind": "permanent_gfb", "cell": "L0.F0", "t": "100", "flip": 1},
          "fault t '100' is not an int"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": 2},
+         "fault flip=2 on L0.F0 does not fit bit"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": -1},
+         "fault flip=-1 on L0.F0 does not fit bit"),
+        ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": "N",
+          "replica": 0, "stuck": 9}, "fault stuck=9 on L0.F0 does not fit bit"),
+        ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": ["N"],
+          "replica": 0, "flip": 1}, "unknown port ['N']"),
+        (5, "fault entry 5 is not an object"),
+        ({"kind": "permanent_gfb", "cell": "L1.R2", "t": 400, "stuck": 7},
+         "fault stuck=7 on L1.R2 does not fit bit"),
     ],
     ids=[
         "unknown_cell", "bad_cell_id", "unknown_port", "after_run_until",
-        "str_flip", "str_time",
+        "str_flip", "str_time", "wide_flip", "negative_flip", "wide_transient_stuck",
+        "wide_spare_stuck", "list_port", "int_fault_entry",
     ],
 )
 def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, message):
@@ -244,6 +256,17 @@ def _ccs_step_plant(data, **plant):
         (lambda d: d["stimulus"].append({"t": "5", "name": "estop", "value": 1}),
          "stimulus t '5' is not an int"),
         (lambda d: d.update(seed="x"), "scenario seed 'x' is not an int"),
+        (lambda d: d.update(application=0), "scenario application 0 is not a string"),
+        (lambda d: d.update(application=[]), "scenario application [] is not a string"),
+        (lambda d: d.update(application=None), "scenario application None is not a string"),
+        (lambda d: _stimulus(d, "estop").update(name=["estop"]),
+         "stimulus name ['estop'] is not a string"),
+        (lambda d: d["stimulus"].append(5), "stimulus entry 5 is not an object"),
+        (lambda d: [d], "scenario is not a JSON object"),
+        (lambda d: d.update(timing=[]), "timing [] is not an object"),
+        (lambda d: d.update(plant=5), "plant 5 is not an object"),
+        (lambda d: d.update(stimulus={}), "scenario stimulus {} is not a list"),
+        (lambda d: d.update(faults=5), "scenario faults 5 is not a list"),
     ],
     ids=[
         "unknown_timing_key",
@@ -260,6 +283,16 @@ def _ccs_step_plant(data, **plant):
         "str_cell_delay",
         "str_stimulus_time",
         "str_seed",
+        "int_application",
+        "list_application",
+        "null_application",
+        "list_stimulus_name",
+        "int_stimulus_entry",
+        "top_level_array",
+        "list_timing",
+        "int_plant",
+        "object_stimulus",
+        "int_faults",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
@@ -268,9 +301,9 @@ def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
     from cellfab.scenarios import load_scenario, scenario_to_dict
 
     data = scenario_to_dict(load_scenario("edg_faultfree"))
-    edit(data)
+    replaced = edit(data)  # an edit that returns a list replaces the document
     scn = tmp_path / "typo.scn"
-    scn.write_text(json.dumps(data))
+    scn.write_text(json.dumps(replaced if isinstance(replaced, list) else data))
     rc = main(["run", str(scn), "--out", str(tmp_path), "--format", "csv"])
     assert rc == 2
     err = capsys.readouterr().err
