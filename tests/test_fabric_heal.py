@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellHealth, CellId
@@ -153,6 +155,29 @@ def test_single_remaining_spare_chosen_regardless_of_distance():
     assert str(fabric.allocate_spare(0)) == "L3.R2"
     fabric.cells["L3.R2"].health = CellHealth.SPARE_ACTIVE
     assert fabric.allocate_spare(0) is None
+
+
+EDG_FABRIC = Fabric(resolve_application("edg"))
+EDG_SPARES = [c for layer in EDG_FABRIC.layers for c in layer.r_cells]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from(["idle", "active", "reserved"]),
+             min_size=len(EDG_SPARES), max_size=len(EDG_SPARES)),
+    st.integers(0, len(EDG_FABRIC.layers) - 1),
+)
+def test_allocate_spare_is_nearest_free_spare(states, from_layer):
+    fabric = EDG_FABRIC
+    fabric.reserved.clear()
+    for cell, state in zip(EDG_SPARES, states):
+        cell.health = CellHealth.SPARE_ACTIVE if state == "active" else CellHealth.SPARE_IDLE
+        if state == "reserved":
+            fabric.reserve(cell.cell_id)
+    free = fabric.free_spares()
+    assert len(free) == states.count("idle")
+    nearest = sorted(free, key=lambda c: (abs(c.layer - from_layer), c.layer, c.slot))
+    assert fabric.allocate_spare(from_layer) == (nearest[0] if nearest else None)
 
 
 # ---- fail-safe -----------------------------------------------------------
