@@ -27,8 +27,6 @@ BUNDLED_SCENARIOS = (
 )
 
 _PORTS = {p.value: p for p in Port}
-
-
 _KINDS = {int: "an int", str: "a string", list: "a list", dict: "an object"}
 
 

@@ -193,11 +193,11 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
          "fault flip=-1 on L0.F0 does not fit bit"),
         ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": "N",
           "replica": 0, "stuck": 9}, "fault stuck=9 on L0.F0 does not fit bit"),
+        ({"kind": "permanent_gfb", "cell": "L1.R2", "t": 400, "stuck": 7},
+         "fault stuck=7 on L1.R2 does not fit bit"),
         ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": ["N"],
           "replica": 0, "flip": 1}, "unknown port ['N']"),
         (5, "fault entry 5 is not an object"),
-        ({"kind": "permanent_gfb", "cell": "L1.R2", "t": 400, "stuck": 7},
-         "fault stuck=7 on L1.R2 does not fit bit"),
     ],
     ids=[
         "unknown_cell", "bad_cell_id", "unknown_port", "after_run_until",
