@@ -10,7 +10,6 @@ from cellfab import (
     CellId,
     FunctionalCell,
     Opcode,
-    Port,
     WidthMode,
     classify,
     gfb_eval,
@@ -52,14 +51,15 @@ cell.configure(
         width_mode=WidthMode.BIT,
     )
 )
-cell.registers.write(Port.NORTH, 1)
-cell.registers.write(Port.WEST, 1)
+NORTH, WEST = 0, 1  # register ports are indexed in N, W, E, S order
+cell.registers.write(NORTH, 1)
+cell.registers.write(WEST, 1)
 
 out, check, masks = cell.step()
 print(f"\nhealthy AND cell: output {out}, check {check.value}")
 
 # corrupt one replica: the voter hides it and reports which copy lied
-cell.registers.ports[Port.NORTH].corrupt(1, flip=1, stuck=None)
+cell.registers.corrupt(NORTH, 1, flip=1, stuck=None)
 out, check, masks = cell.step()  # one dissent mask per port, N, W, E, S
 print(f"after a register hit: output {out}, check {check.value}, "
       f"north dissent {masks[0]:03b}")

@@ -2,12 +2,14 @@
 
 A functional cell evaluates one configurable operation (an IEC 61131-3
 style function block) on up to four directional input ports.  Each port
-is backed by three replica registers voted on every evaluation, so a
-corrupted replica is masked without disturbing the output.  The block is
-evaluated twice per step, once through the primary path (which carries
-any injected permanent fault) and once through a golden checker path;
-a disagreement raises a mismatch that feeds the transient/permanent
-classifier.
+is backed by three replica registers, so a corrupted replica is out-voted
+without disturbing the output.  The replicas of a port are equal until a
+transient corrupts one, so a port is stored as one int and only a
+corrupted port (held in the bank's overlay) is voted.  The block has a
+primary path, which carries any injected permanent fault, and a golden
+checker path; a disagreement raises a mismatch that feeds the
+transient/permanent classifier.  The two paths can only disagree on a
+cell with an injected permanent fault, so only such a cell runs both.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 INT16_MIN = -32768
 INT16_MAX = 32767
@@ -34,6 +36,7 @@ class Port(Enum):
 
 
 PORT_ORDER = (Port.NORTH, Port.WEST, Port.EAST, Port.SOUTH)
+NO_MASKS = (0, 0, 0, 0)
 
 
 class Opcode(Enum):
@@ -99,7 +102,7 @@ def fit(width_mode: WidthMode, raw: int) -> int:
 def gfb_eval(
     op: Opcode,
     width_mode: WidthMode,
-    inputs: tuple[int, int, int, int],
+    inputs: Sequence[int],
     state: tuple[int, ...],
 ) -> tuple[int, tuple[int, ...]]:
     """Evaluate one generic function block operation.
@@ -158,30 +161,38 @@ def vote(a: int, b: int, c: int) -> tuple[int, int]:
 
 
 @dataclass
-class RegisterPort:
-    width_mode: WidthMode
-    replicas: list[int] = field(default_factory=lambda: [0, 0, 0])
-
-    def corrupt(self, replica: int, flip: Optional[int], stuck: Optional[int]) -> None:
-        raw = self.replicas[replica] ^ flip if flip is not None else stuck
-        self.replicas[replica] = fit(self.width_mode, raw)
-
-
-@dataclass
 class InputRegisterBank:
-    """Four triplicated input registers keyed North/West/East/South."""
+    """Four triplicated input registers, indexed in PORT_ORDER (N, W, E, S).
+
+    ``values`` holds each port's agreed value.  ``corrupt`` moves a port
+    into ``overlay``, which holds its three replicas until the next
+    ``write`` to that port drops it again.
+    """
 
     width_mode: WidthMode
-    ports: dict[Port, RegisterPort] = field(default_factory=dict)
+    values: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
+    overlay: dict[int, list[int]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.ports:
-            for p in PORT_ORDER:
-                self.ports[p] = RegisterPort(self.width_mode)
-
-    def write(self, port: Port, v: int) -> None:
+    def write(self, port: int, v: int) -> None:
         """Set all three replicas of a port; clears any injected transient."""
-        self.ports[port].replicas = [v, v, v]
+        self.values[port] = v
+        if self.overlay:
+            self.overlay.pop(port, None)
+
+    def corrupt(self, port: int, replica: int, flip: Optional[int], stuck: Optional[int]) -> None:
+        replicas = self.overlay.get(port)
+        if replicas is None:
+            replicas = self.overlay[port] = [self.values[port]] * 3
+        raw = replicas[replica] ^ flip if flip is not None else stuck
+        replicas[replica] = fit(self.width_mode, raw)
+
+    def voted(self) -> tuple[list[int], tuple[int, int, int, int]]:
+        """Port values and dissent masks in PORT_ORDER; overlay ports are voted."""
+        inputs = list(self.values)
+        masks = [0, 0, 0, 0]
+        for port, replicas in self.overlay.items():
+            inputs[port], masks[port] = vote(*replicas)
+        return inputs, tuple(masks)
 
 
 class CheckResult(Enum):
@@ -294,7 +305,7 @@ class FunctionalCell:
         self.registers = InputRegisterBank(config.width_mode)
         # constant-wired ports hold the immediate from configuration time on;
         # kind checked by name to keep cell free of the genetic-code module
-        for port, sel in zip(PORT_ORDER, config.selectors):
+        for port, sel in enumerate(config.selectors):  # in PORT_ORDER
             if sel.kind.name == "CONSTANT":
                 if fit(config.width_mode, config.immediate) != config.immediate:
                     raise ValueError(
@@ -310,21 +321,31 @@ class FunctionalCell:
 
         The block is evaluated once on the voted inputs (the golden checker
         path, which also advances the pipeline); an injected fault corrupts
-        only the primary copy of that output, and the two are compared.
-        Returns the (possibly corrupted) primary output, the check result
-        and the dissent masks in PORT_ORDER.  Must not be called on a
-        deactivated cell; the fabric drives safe 0 for those.
+        only the primary copy of that output, and the two are compared.  A
+        clean check is recorded only while a mismatch streak is live or just
+        broken: ``classify`` answers the same without it.  Returns the
+        (possibly corrupted) primary output, the check result and the
+        dissent masks in PORT_ORDER.  Must not be called on a deactivated
+        cell; the fabric drives safe 0 for those.
         """
         if self.health is CellHealth.FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
         config = self.config
-        inputs, masks = zip(*(vote(*p.replicas) for p in self.registers.ports.values()))
-        golden, self.pipeline = gfb_eval(config.opcode, config.width_mode, inputs, self.pipeline)
-        primary = golden
+        registers = self.registers
+        if registers.overlay:
+            inputs, masks = registers.voted()
+        else:
+            inputs, masks = registers.values, NO_MASKS
+        primary, self.pipeline = gfb_eval(config.opcode, config.width_mode, inputs, self.pipeline)
+        result = CheckResult.CLEAN
         if self.injected_permanent is not None:
+            golden = primary
             primary = self.injected_permanent.apply(config.width_mode, golden)
-        result = CheckResult.CLEAN if primary == golden else CheckResult.MISMATCH
-        self.history.record(result)
+            if primary != golden:
+                result = CheckResult.MISMATCH
+        history = self.history
+        if result is CheckResult.MISMATCH or history.mismatch_streak or history.broken_streak:
+            history.record(result)
         if not config.output_enable:
             primary = 0
         return primary, result, masks

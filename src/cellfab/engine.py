@@ -2,7 +2,7 @@
 
 Evaluation follows level-synchronous waves: every stimulus (clock) event
 first shifts the delay registers, then applies input changes, then
-schedules each combinational cell exactly once at clock + level x Delta.
+evaluates each combinational cell exactly once at clock + level x Delta.
 Fault injections and healing steps run as local events that re-evaluate
 one cell and cascade downstream only when its output actually changed.
 A fault is re-evaluated at injection only once the cell's wave slot of
@@ -10,6 +10,25 @@ the current period has passed; before that, the pending wave evaluation
 sees it, so the cell never publishes a mid-wave value.
 Events are totally ordered by (time, sequence number), so two runs of
 the same scenario produce byte-identical traces.
+
+A wave takes one of two paths, which produce the same trace:
+
+- flat: the clock handler evaluates the whole wave itself, as one loop
+  in (level, function index) order, publishing each value at its slot
+  clock + level x Delta without cascading.  That is the order the heap
+  would pop the wave's evaluations in.  Taken when both of these hold:
+  the heap's first event is later than the last slot clock + max_level x
+  Delta, and no live (not deactivated) cell bound to a combinational
+  function holds fault state, i.e. an overlay port or an injected
+  permanent fault.  Then nothing can interleave with the wave and no
+  evaluation in it can schedule another.  The stop event sits on the
+  heap at ``run_until``, so a flat wave also ends by ``run_until``.
+- heap: otherwise, each evaluation is pushed on the event heap at its
+  slot and runs interleaved with injections, heal steps and local
+  re-evaluations.
+
+The rule is checked at every clock, so a faulted run goes flat again
+once its faults are healed or cleared.
 """
 
 from __future__ import annotations
@@ -17,7 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .cell import (
@@ -138,7 +157,7 @@ def inject(fault: FaultSpec, fabric: Fabric, t: int) -> bool:
         return True
     if cell.registers is None:
         return False  # idle spare: no data held, reroute rewrites every port
-    cell.registers.ports[fault.port].corrupt(fault.replica, fault.flip, fault.stuck)
+    cell.registers.corrupt(PORT_ORDER.index(fault.port), fault.replica, fault.flip, fault.stuck)
     return True
 
 
@@ -226,8 +245,7 @@ class Scenario:
 ANNOTATIONS = ("data", "masked_transient", "mismatch", "syndrome_action", "alarm")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time: int
     signal: str
     value: int
@@ -306,9 +324,13 @@ class Engine:
         self.faults = expand_faults(scenario.faults)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
-        functions = [self.fabric.functions[i] for i in sorted(self.fabric.functions)]
-        self._delays = [fn for fn in functions if fn.config.opcode is Opcode.DELAY]
-        self._wave = [fn for fn in functions if fn.config.opcode is not Opcode.DELAY]
+        functions, opcode = self.fabric.functions, self.fabric.opcode
+        self._delays = [i for i in sorted(functions) if opcode[i] is Opcode.DELAY]
+        # (level, fn index) of every combinational function: the wave order
+        self._wave = sorted(
+            (fn.level, i) for i, fn in functions.items() if opcode[i] is not Opcode.DELAY
+        )
+        self._max_level = self._wave[-1][0] if self._wave else 0
 
     # ---- scheduling ----------------------------------------------------
 
@@ -319,7 +341,7 @@ class Engine:
         heapq.heappush(self._heap, (time, seq, kind, payload))
 
     def _schedule_eval(self, fn_idx: int, time: int, wave: bool) -> None:
-        if not wave and self.fabric.functions[fn_idx].config.opcode is Opcode.DELAY:
+        if not wave and self.fabric.opcode[fn_idx] is Opcode.DELAY:
             return  # delay registers shift on the clock only
         key = (fn_idx, time)
         if key in self._pending_evals:
@@ -387,7 +409,7 @@ class Engine:
         plant = self.scenario.plant
         if plant is not None and t > 0:
             out_fn = fabric.output_binding[plant.output_name]
-            throttle = fabric.published.get(out_fn) or 0
+            throttle = fabric.published[out_fn] or 0
             self.plant_speed = plant_step_raw(
                 self.plant_speed, throttle, plant.gain, plant.drag, plant.dt
             )
@@ -396,11 +418,11 @@ class Engine:
 
         # phase 1: clock every delay register off last period's port values
         shifted: list[tuple[int, int]] = []
-        for fn in self._delays:
-            cell = fabric.binding[fn.index]
+        for fn_idx in self._delays:
+            cell = fabric.binding[fn_idx]
             if cell.health is CellHealth.FAULTY_DEACTIVATED:
                 continue
-            shifted.append((fn.index, self._evaluate_cell(fn, cell, t)))
+            shifted.append((fn_idx, self._evaluate_cell(fn_idx, cell, t)))
         for fn_idx, value in shifted:
             self._publish(fn_idx, value, t, cascade=False)
 
@@ -412,8 +434,29 @@ class Engine:
 
         # phase 3: one wave, each combinational cell at its level
         delta = self.timing.cell_delay
-        for fn in self._wave:
-            self._schedule_eval(fn.index, t + fn.level * delta, wave=True)
+        last_slot = t + self._max_level * delta
+        if self._heap[0][0] > last_slot and self._wave_is_clean():
+            binding = fabric.binding
+            for level, fn_idx in self._wave:
+                cell = binding[fn_idx]
+                if cell.health is not CellHealth.FAULTY_DEACTIVATED:
+                    slot = t + level * delta
+                    value = self._evaluate_cell(fn_idx, cell, slot)
+                    self._publish(fn_idx, value, slot, cascade=False)
+        else:
+            for level, fn_idx in self._wave:
+                self._schedule_eval(fn_idx, t + level * delta, wave=True)
+
+    def _wave_is_clean(self) -> bool:
+        """True when no live cell bound to a wave function holds fault state."""
+        binding = self.fabric.binding
+        for _, fn_idx in self._wave:
+            cell = binding[fn_idx]
+            if (
+                cell.injected_permanent is not None or cell.registers.overlay
+            ) and cell.health is not CellHealth.FAULTY_DEACTIVATED:
+                return False
+        return True
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
         fabric = self.fabric
@@ -421,57 +464,56 @@ class Engine:
         self.trace.add(t, f"fault.{fault.cell}", 1 if applied else 0, "data")
         if not applied:
             return
-        fn = fabric.fn_of_cell(fabric.cells[str(fault.cell)])
-        if fn is None:
+        fn_idx = fabric.cell_fn.get(str(fault.cell))
+        if fn_idx is None:
             return
-        if t < self._last_clock + fn.level * self.timing.cell_delay:
+        if t < self._last_clock + fabric.functions[fn_idx].level * self.timing.cell_delay:
             return  # this period's wave evaluation is still pending and sees it
-        self._schedule_eval(fn.index, t, wave=False)
+        self._schedule_eval(fn_idx, t, wave=False)
 
     def _handle_eval(self, t: int, fn_idx: int) -> None:
         wave = self._pending_evals.pop((fn_idx, t), False)
-        fabric = self.fabric
-        fn = fabric.functions[fn_idx]
-        cell = fabric.binding[fn_idx]
+        cell = self.fabric.binding[fn_idx]
         if cell.health is CellHealth.FAULTY_DEACTIVATED:
             return
-        value = self._evaluate_cell(fn, cell, t)
+        value = self._evaluate_cell(fn_idx, cell, t)
         self._publish(fn_idx, value, t, cascade=not wave)
 
-    def _evaluate_cell(self, fn, cell: FunctionalCell, t: int) -> int:
+    def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check, classify."""
         primary, result, masks = cell.step()
         cid = cell.cell_id
         three_way = False
-        for port, mask in zip(PORT_ORDER, masks):
-            if mask:
-                self.trace.add(t, f"cell.{cid}.{port.value}", mask, "masked_transient")
-                three_way = three_way or mask == 0b111
+        if cell.registers.overlay:  # only overlay ports can dissent
+            for port, mask in zip(PORT_ORDER, masks):
+                if mask:
+                    self.trace.add(t, f"cell.{cid}.{port.value}", mask, "masked_transient")
+                    three_way = three_way or mask == 0b111
         if result is CheckResult.MISMATCH:
             self.trace.add(t, f"cell.{cid}", 1, "mismatch")
             verdict = classify(cell.history, self.timing.check_threshold)
             if verdict is FaultClass.PERMANENT:
-                self._raise_syndrome(fn, cell, t)
+                self._raise_syndrome(fn_idx, cell, t)
             else:
                 cell.health = (
                     CellHealth.SUSPECT_TRANSIENT
                     if cell.health is CellHealth.HEALTHY
                     else cell.health
                 )
-                self._schedule_eval(fn.index, t + self.timing.cell_delay, wave=False)
+                self._schedule_eval(fn_idx, t + self.timing.cell_delay, wave=False)
         elif three_way:
             # all three replicas of a port disagree: undetermined, keep watching
             if cell.health is CellHealth.HEALTHY:
                 cell.health = CellHealth.SUSPECT_TRANSIENT
-            self._schedule_eval(fn.index, t + self.timing.cell_delay, wave=False)
+            self._schedule_eval(fn_idx, t + self.timing.cell_delay, wave=False)
         elif cell.health is CellHealth.SUSPECT_TRANSIENT:
             cell.health = CellHealth.HEALTHY
         return primary
 
-    def _raise_syndrome(self, fn, cell: FunctionalCell, t: int) -> None:
+    def _raise_syndrome(self, fn_idx: int, cell: FunctionalCell, t: int) -> None:
         fabric = self.fabric
         cid = cell.cell_id
-        syndrome = HealthSyndrome(cell_id=cid, detect_time=t, function_index=fn.index)
+        syndrome = HealthSyndrome(cell_id=cid, detect_time=t, function_index=fn_idx)
         self.syndromes.append(syndrome)
         spare = fabric.allocate_spare(cid.layer)
         if spare is None:
@@ -508,14 +550,14 @@ class Engine:
             return
         fabric.fail_safe = True
         self.trace.add(t, "alarm", 2, "alarm")
-        for fn_idx in sorted(set(fabric.output_binding.values())):
+        for fn_idx in sorted(fabric.output_fns):
             self._publish(fn_idx, 0, t, cascade=False)
 
     # ---- value propagation ----------------------------------------------
 
     def _publish(self, fn_idx: int, value: int, t: int, cascade: bool) -> None:
         fabric = self.fabric
-        if fabric.fail_safe and fn_idx in fabric.output_binding.values():
+        if fabric.fail_safe and fn_idx in fabric.output_fns:
             value = 0
         changed = fabric.published[fn_idx] != value
         fabric.published[fn_idx] = value

@@ -18,15 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .cell import (
-    CellHealth,
-    CellId,
-    FunctionalCell,
-    InputRegisterBank,
-    Port,
-    PORT_ORDER,
-)
-from .genetic import CellConfig, SelectorKind
+from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank, Opcode
+from .genetic import CellConfig, InputSelector, SelectorKind
 from .netlist import depth as depth_report, eval_level
 from .place import FabricProgram, SLOTS_PER_LAYER
 
@@ -71,9 +64,12 @@ class Fabric:
 
     The wiring is fixed at build: ``readers[source]`` lists the
     ``(fn_idx, port)`` pairs that read a source (an input name or a
-    function index).  Healing changes only which cells serve a function,
-    kept in ``sinks[fn_idx]``: the cells whose registers take that
-    function's inputs.
+    function index), with ports as indices in PORT_ORDER.  Healing changes
+    only which cells serve a function, kept in ``sinks[fn_idx]``: the
+    cells whose registers take that function's inputs.  The per-function
+    tables (``opcode``, ``binding``, ``sinks``, ``published``) are lists
+    indexed by function, None on a slot no function is placed in;
+    ``cell_fn`` maps a cell id to the function its cell is bound to.
     """
 
     def __init__(self, program: FabricProgram):
@@ -82,7 +78,8 @@ class Fabric:
         nodes = {node.name: node for node in self.netlist.nodes}
         self.layers: list[CriticalServiceLayer] = []
         self.functions: dict[int, FabricFunction] = {}
-        self.binding: dict[int, FunctionalCell] = {}
+        slots = len(program.layers) * SLOTS_PER_LAYER
+        self.binding: list[Optional[FunctionalCell]] = [None] * slots
         self.cells: dict[str, FunctionalCell] = {}
         self.reserved: set[str] = set()
         self.fail_safe = False  # latched once no spare is left for a syndrome
@@ -114,45 +111,43 @@ class Fabric:
 
         self.input_names = self.netlist.input_names()  # by input index
         self.input_values: dict[str, int] = {}
-        self.published: dict[int, Optional[int]] = {f: None for f in self.functions}
+        self.published: list[Optional[int]] = [None] * slots
         self.output_binding = dict(program.output_binding)
-        self.readers: dict[str | int, list[tuple[int, Port]]] = {
+        self.output_fns = frozenset(self.output_binding.values())
+        self.opcode: list[Optional[Opcode]] = [None] * slots
+        self.readers: dict[str | int, list[tuple[int, int]]] = {
             source: [] for source in [*self.input_names, *self.functions]
         }
         for fn in self.functions.values():
-            for port, sel in zip(PORT_ORDER, fn.config.selectors):
+            self.opcode[fn.index] = fn.config.opcode
+            for port, sel in enumerate(fn.config.selectors):  # in PORT_ORDER
                 if sel.kind is SelectorKind.PRIMARY_INPUT:
                     self.readers[self.input_names[sel.index]].append((fn.index, port))
                 elif sel.kind is SelectorKind.CELL_OUTPUT:
                     self.readers[sel.index].append((fn.index, port))
-        self.sinks = {fn_idx: [cell] for fn_idx, cell in self.binding.items()}
+        self.sinks = [None if cell is None else [cell] for cell in self.binding]
+        self.cell_fn = {str(self.binding[f].cell_id): f for f in self.functions}
 
     # ---- wiring ------------------------------------------------------
 
-    def route(self, source: str | int, value: int) -> list[tuple[int, Port]]:
+    def route(self, source: str | int, value: int) -> list[tuple[int, int]]:
         """Write a source's value into every cell serving one of its readers.
 
         Returns the ``(fn_idx, port)`` readers of ``source``.
         """
         readers = self.readers[source]
+        sinks = self.sinks
         for fn_idx, port in readers:
-            for cell in self.sinks[fn_idx]:
+            for cell in sinks[fn_idx]:
                 cell.registers.write(port, value)
         return readers
 
-    def fn_of_cell(self, cell: FunctionalCell) -> Optional[FabricFunction]:
-        for fn_idx, bound in self.binding.items():
-            if bound is cell:
-                return self.functions[fn_idx]
-        return None
-
-    def source_value(self, fn: FabricFunction, port: Port) -> int:
-        """Current value a port draws from its configured source."""
-        sel = fn.config.selector(port)
+    def source_value(self, fn: FabricFunction, sel: InputSelector) -> int:
+        """Current value a port with selector ``sel`` of ``fn`` draws."""
         if sel.kind is SelectorKind.PRIMARY_INPUT:
             return self.input_values.get(self.input_names[sel.index], 0)
         if sel.kind is SelectorKind.CELL_OUTPUT:
-            return self.published.get(sel.index) or 0
+            return self.published[sel.index] or 0
         if sel.kind is SelectorKind.CONSTANT:
             return fn.config.immediate
         return 0
@@ -195,8 +190,8 @@ class Fabric:
         width = fn.config.width_mode
         if spare.registers is None or spare.registers.width_mode is not width:
             spare.registers = InputRegisterBank(width)
-        for port in PORT_ORDER:
-            spare.registers.write(port, self.source_value(fn, port))
+        for port, sel in enumerate(fn.config.selectors):
+            spare.registers.write(port, self.source_value(fn, sel))
         self.sinks[fn.index].append(spare)
 
     def restore(self, syndrome: HealthSyndrome) -> None:
@@ -206,6 +201,8 @@ class Fabric:
         spare.configure(fn.config)
         spare.registers = registers
         spare.health = CellHealth.SPARE_ACTIVE
+        del self.cell_fn[str(self.binding[fn.index].cell_id)]
+        self.cell_fn[str(spare.cell_id)] = fn.index
         self.binding[fn.index] = spare
         self.sinks[fn.index] = [spare]
         self.reserved.discard(str(spare.cell_id))

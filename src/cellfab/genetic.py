@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cell import INT16_MAX, INT16_MIN, Opcode, Port, PORT_ORDER, WidthMode
+from .cell import INT16_MAX, INT16_MIN, Opcode, PORT_ORDER, WidthMode
 
 WORD_BITS = 66
 HEX_DIGITS = 17  # 68-bit container, top two bits always zero
@@ -88,9 +88,6 @@ class CellConfig:
             raise InvalidCodeError("delay_cycles must be >= 1 for DELAY")
         if self.opcode is not Opcode.DELAY and self.delay_cycles != 0:
             raise InvalidCodeError("delay_cycles must be 0 for non-DELAY opcodes")
-
-    def selector(self, port: Port) -> InputSelector:
-        return self.selectors[PORT_ORDER.index(port)]
 
 
 def nop_config(width_mode: WidthMode = WidthMode.BIT) -> CellConfig:

@@ -18,7 +18,6 @@ from cellfab.cell import (
     FunctionalCell,
     InputRegisterBank,
     Opcode,
-    Port,
     PORT_ORDER,
     StuckBehavior,
     WidthMode,
@@ -130,34 +129,81 @@ class TestVote:
             assert mask == 1 << pos
 
 
-class TestRegisterBank:
-    def test_write_sets_all_replicas(self):
-        bank = InputRegisterBank(WidthMode.INT16)
-        bank.write(Port.NORTH, 7)
-        assert bank.ports[Port.NORTH].replicas == [7, 7, 7]
+N, W, E, S = range(4)  # register port indices, in PORT_ORDER
 
-    def test_write_repairs_transient(self):
+
+class TestRegisterBank:
+    def test_write_sets_the_port_value(self):
         bank = InputRegisterBank(WidthMode.INT16)
-        bank.write(Port.WEST, 3)
-        bank.ports[Port.WEST].corrupt(1, flip=0xFF, stuck=None)
-        assert vote(*bank.ports[Port.WEST].replicas) == (3, 0b010)
-        bank.write(Port.WEST, 3)
-        assert vote(*bank.ports[Port.WEST].replicas) == (3, 0b000)
+        bank.write(N, 7)
+        assert bank.values == [7, 0, 0, 0]
+        assert bank.overlay == {}
+
+    def test_corrupt_moves_port_into_overlay_and_write_clears_it(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.write(W, 3)
+        bank.corrupt(W, 1, flip=0xFF, stuck=None)
+        assert bank.overlay == {W: [3, 3 ^ 0xFF, 3]}
+        assert bank.values[W] == 3
+        bank.write(W, 3)
+        assert bank.overlay == {}
+        assert bank.voted() == ([0, 3, 0, 0], (0, 0, 0, 0))
+
+    def test_only_overlay_ports_are_voted(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        for port, v in enumerate((1, 2, 3, 4)):
+            bank.write(port, v)
+        bank.corrupt(E, 2, flip=None, stuck=-9)
+        assert list(bank.overlay) == [E]
+        assert bank.voted() == ([1, 2, 3, 4], (0, 0, 0b100, 0))
+
+    def test_single_dissent_masked_on_every_port_and_replica(self):
+        for port in range(4):
+            for replica in range(3):
+                bank = InputRegisterBank(WidthMode.BIT)
+                bank.write(port, 1)
+                bank.corrupt(port, replica, flip=1, stuck=None)
+                inputs, masks = bank.voted()
+                assert inputs[port] == 1
+                assert masks[port] == 1 << replica
+                assert sum(m != 0 for m in masks) == 1
+
+    def test_three_way_disagreement_falls_back_with_full_mask(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.write(N, 5)
+        bank.corrupt(N, 1, flip=0xFF, stuck=None)
+        bank.corrupt(N, 2, flip=0xF0, stuck=None)
+        assert bank.overlay == {N: [5, 5 ^ 0xFF, 5 ^ 0xF0]}
+        assert bank.voted() == ([5, 0, 0, 0], (0b111, 0, 0, 0))
+
+    def test_undone_corruption_stays_in_overlay_with_no_dissent(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.write(S, 9)
+        bank.corrupt(S, 0, flip=4, stuck=None)
+        bank.corrupt(S, 0, flip=4, stuck=None)
+        assert bank.overlay == {S: [9, 9, 9]}
+        assert bank.voted() == ([0, 0, 0, 9], (0, 0, 0, 0))
+
+    def test_corrupt_keeps_the_width(self):
+        bank = InputRegisterBank(WidthMode.BIT)
+        bank.corrupt(N, 0, flip=None, stuck=3)
+        assert bank.overlay == {N: [1, 0, 0]}
 
     def test_unknown_port_rejected(self):
         bank = InputRegisterBank(WidthMode.BIT)
-        with pytest.raises(KeyError):
-            bank.write("Q", 0)
+        with pytest.raises(IndexError):
+            bank.write(4, 0)
 
     def test_write_repair_randomized(self):
         rng = random.Random(7)
         bank = InputRegisterBank(WidthMode.INT16)
         for _ in range(500):
-            port = rng.choice(PORT_ORDER)
-            bank.ports[port].corrupt(rng.randrange(3), flip=rng.randint(1, 0xFFFF), stuck=None)
+            port = rng.randrange(4)
+            bank.corrupt(port, rng.randrange(3), flip=rng.randint(1, 0xFFFF), stuck=None)
             v = rng.randint(-32768, 32767)
             bank.write(port, v)
-            assert bank.ports[port].replicas == [v, v, v]
+            assert bank.values[port] == v
+            assert port not in bank.overlay
 
 
 def and_cell(injected=None) -> FunctionalCell:
@@ -180,23 +226,23 @@ def and_cell(injected=None) -> FunctionalCell:
 class TestSelfCheck:
     def test_clean_without_fault(self):
         cell = and_cell()
-        cell.registers.write(Port.NORTH, 1)
-        cell.registers.write(Port.WEST, 1)
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 1)
         out, result, masks = cell.step()
         assert (out, result) == (1, CheckResult.CLEAN)
         assert masks == (0, 0, 0, 0)
 
     def test_stuck_at_zero_sensitized(self):
         cell = and_cell(StuckBehavior(stuck=0))
-        cell.registers.write(Port.NORTH, 1)
-        cell.registers.write(Port.WEST, 1)
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 1)
         out, result, _ = cell.step()
         assert (out, result) == (0, CheckResult.MISMATCH)
 
     def test_stuck_at_zero_not_sensitized(self):
         cell = and_cell(StuckBehavior(stuck=0))
-        cell.registers.write(Port.NORTH, 0)
-        cell.registers.write(Port.WEST, 1)
+        cell.registers.write(N, 0)
+        cell.registers.write(W, 1)
         out, result, _ = cell.step()
         assert (out, result) == (0, CheckResult.CLEAN)
 
@@ -207,8 +253,8 @@ class TestSelfCheck:
             n, w = rng.randint(0, 1), rng.randint(0, 1)
             stuck = rng.randint(0, 1)
             cell = and_cell(StuckBehavior(stuck=stuck))
-            cell.registers.write(Port.NORTH, n)
-            cell.registers.write(Port.WEST, w)
+            cell.registers.write(N, n)
+            cell.registers.write(W, w)
             out, result, _ = cell.step()
             expected = n & w
             assert out == stuck
@@ -216,12 +262,46 @@ class TestSelfCheck:
 
     def test_masked_register_corruption_keeps_output(self):
         cell = and_cell()
-        cell.registers.write(Port.NORTH, 1)
-        cell.registers.write(Port.WEST, 1)
-        cell.registers.ports[Port.NORTH].corrupt(2, flip=1, stuck=None)
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 1)
+        cell.registers.corrupt(N, 2, flip=1, stuck=None)
         out, result, masks = cell.step()
         assert (out, result) == (1, CheckResult.CLEAN)
         assert masks == (0b100, 0, 0, 0)
+
+    def test_three_way_disagreement_reported_as_full_mask(self):
+        # the cell reports it; the kernel escalates it (see
+        # test_three_way_disagreement_escalates_undetermined)
+        cell = FunctionalCell(CellId(0, 0, "F"))
+        cell.configure(
+            CellConfig(
+                opcode=Opcode.ADD,
+                selectors=and_cell().config.selectors,
+                width_mode=WidthMode.INT16,
+            )
+        )
+        cell.registers.write(N, 5)
+        cell.registers.write(W, 2)
+        cell.registers.corrupt(N, 1, flip=1, stuck=None)
+        cell.registers.corrupt(N, 2, flip=2, stuck=None)
+        out, result, masks = cell.step()  # replica 0 is the fallback
+        assert (out, result, masks) == (7, CheckResult.CLEAN, (0b111, 0, 0, 0))
+
+    def test_clean_check_recorded_only_while_a_streak_is_live(self):
+        cell = and_cell(StuckBehavior(stuck=0))
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 0)
+        cell.step()  # not sensitized, no streak: nothing to record
+        assert cell.history.last_check is None
+        assert classify(cell.history, 2) is None
+        cell.registers.write(W, 1)
+        cell.step()
+        cell.registers.write(W, 0)
+        cell.step()  # breaks the streak: recorded
+        assert classify(cell.history, 2) is FaultClass.TRANSIENT
+        cell.step()  # ends the broken streak: recorded, then nothing is live
+        assert (cell.history.mismatch_streak, cell.history.broken_streak) == (0, 0)
+        assert classify(cell.history, 2) is None
 
     def test_configure_rejects_constant_outside_width(self):
         cfg = CellConfig(
@@ -278,8 +358,8 @@ class TestClassify:
     def test_classification_soundness_k2(self):
         # an always-sensitized permanent becomes Permanent in exactly 2 steps
         cell = and_cell(StuckBehavior(flip=1))
-        cell.registers.write(Port.NORTH, 1)
-        cell.registers.write(Port.WEST, 1)
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 1)
         cell.step()
         assert classify(cell.history, 2) is FaultClass.UNDETERMINED
         cell.step()
@@ -287,9 +367,9 @@ class TestClassify:
 
     def test_single_transient_never_permanent(self):
         cell = and_cell()
-        cell.registers.write(Port.NORTH, 1)
-        cell.registers.write(Port.WEST, 1)
-        cell.registers.ports[Port.NORTH].corrupt(0, flip=1, stuck=None)
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 1)
+        cell.registers.corrupt(N, 0, flip=1, stuck=None)
         for _ in range(5):
             cell.step()
         assert classify(cell.history, 2) is None
