@@ -1,0 +1,173 @@
+"""The flat wave path leaves the same trace as the event heap.
+
+A wave is evaluated as one straight loop only when nothing can interleave
+with it.  A no-op transient on an idle spare inside every wave window puts
+an event there, which forces every wave of a run onto the heap without
+changing anything else; the two traces must then differ only in their
+``fault.`` rows.
+"""
+
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
+from cellfab.apps import resolve_application
+from cellfab.apps.edg import START_PERMITTED
+from cellfab.cell import CellId, Port, WidthMode
+from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
+from cellfab.netlist import depth
+from cellfab.place import compile_netlist
+
+from test_acceptance import random_netlist, random_vector
+
+
+def clock_times(sc: Scenario) -> list[int]:
+    period = sc.timing.stimulus_period
+    times = set(range(0, sc.run_until + 1, period)) | {t for t, _, _ in sc.stimulus}
+    return sorted(times)
+
+
+def noop_transients(sc: Scenario, spare: CellId) -> list[FaultSpec]:
+    """One transient on an idle spare at every clock, i.e. in every wave window."""
+    return [
+        FaultSpec(kind="transient_register", cell=spare, time=t,
+                  port=Port.NORTH, replica=0, flip=1)
+        for t in clock_times(sc)
+    ]
+
+
+def run(program, sc: Scenario):
+    """The run's result, its trace without fault rows, and its flat clocks."""
+    engine = Engine(program, sc)
+    heap_clocks = set()
+    schedule = engine._schedule_eval
+
+    def spy(fn_idx, time, wave):
+        if wave:
+            heap_clocks.add(engine._last_clock)
+        schedule(fn_idx, time, wave)
+
+    engine._schedule_eval = spy
+    res = engine.run()
+    records = [r for r in res.trace.records if not r.signal.startswith("fault.")]
+    return res, records, [t for t in clock_times(sc) if t not in heap_clocks]
+
+
+def assert_paths_agree(program, sc: Scenario, spare: CellId) -> list[int]:
+    """Run ``sc`` as is and forced onto the heap; returns the first run's flat clocks."""
+    forced = replace(sc, faults=sc.faults + noop_transients(sc, spare))
+    _, plain_records, flat = run(program, sc)
+    _, forced_records, forced_flat = run(program, forced)
+    assert forced_flat == []
+    assert plain_records == forced_records
+    return flat
+
+
+@st.composite
+def scenarios(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    nl = random_netlist(rng, 0)
+    if draw(st.booleans()):  # shuffled layers: function index order is not level order
+        names = [node.name for node in nl.nodes]
+        rng.shuffle(names)
+        nl.partition = [names[i:i + 3] for i in range(0, len(names), 3)]
+    program = compile_netlist(nl)
+    delta = draw(st.integers(1, 40))
+    wave = depth(nl).critical_path * delta
+    period = draw(st.one_of(st.integers(wave + 1, 3 * wave), st.integers(1, wave)))
+    run_until = period * draw(st.integers(2, 5))
+    stimulus = [(0, name, v) for name, v in random_vector(rng, nl).items()]
+    for _ in range(draw(st.integers(0, 4))):  # on a clock or between two
+        t = draw(st.integers(1, run_until))
+        name = rng.choice(nl.input_names())
+        stimulus.append((t, name, random_vector(rng, nl)[name]))
+    bit = nl.widths[nl.input_names()[0]] is WidthMode.BIT
+    cells = sorted(program.placement.slots.values())
+    faults = []
+    for _ in range(draw(st.integers(0, 2))):  # transients on placed workers
+        layer, slot = draw(st.sampled_from(cells))
+        port = draw(st.sampled_from(list(Port)))
+        # two replicas of one word port can leave no majority
+        for replica in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)):
+            faults.append(FaultSpec(
+                kind="transient_register", cell=CellId(layer, slot, "F"),
+                time=draw(st.integers(0, run_until)), port=port, replica=replica,
+                flip=1 if bit else draw(st.integers(1, 0xFFFF)),
+            ))
+    sc = Scenario(
+        name="paths", application=nl.name, stimulus=stimulus, faults=faults,
+        timing=TimingParams(cell_delay=delta, stimulus_period=period),
+        run_until=run_until,
+    )
+    return program, sc
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scenarios())
+def test_flat_waves_match_the_heap(case):
+    program, sc = case
+    assert_paths_agree(program, sc, CellId(0, 0, "R"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(scenarios(), st.data())
+def test_flat_waves_match_the_heap_around_a_heal(case, data):
+    # one permanent fault takes the R0 spare of its layer, so R3 stays idle
+    program, sc = case
+    layer, slot = data.draw(st.sampled_from(sorted(program.placement.slots.values())))
+    bit = program.netlist.widths[program.netlist.input_names()[0]] is WidthMode.BIT
+    value = st.integers(0, 1) if bit else st.integers(-0x8000, 0x7FFF)
+    # a stuck fault may stay latent through several clean-looking waves
+    flip, stuck = data.draw(st.one_of(
+        st.tuples(st.just(1) if bit else st.integers(1, 0xFFFF), st.none()),
+        st.tuples(st.none(), value),
+    ))
+    fault = FaultSpec(
+        kind="permanent_gfb", cell=CellId(layer, slot, "F"),
+        time=data.draw(st.integers(0, sc.run_until)), flip=flip, stuck=stuck,
+    )
+    sc = replace(sc, faults=sc.faults + [fault])
+    assert_paths_agree(program, sc, CellId(layer, 3, "R"))
+
+
+def edg_scenario(faults=()):
+    return Scenario(
+        name="edg", application="edg",
+        stimulus=[(0, n, v) for n, v in START_PERMITTED.items()] + [(1200, "estop", 1)],
+        faults=list(faults), run_until=2100,
+    )
+
+
+def test_fault_free_waves_go_flat():
+    program = resolve_application("edg")
+    flat = assert_paths_agree(program, edg_scenario(), CellId(0, 0, "R"))
+    # the wave at 2100 would end after run_until
+    assert flat == [t for t in range(0, 2100, 300)]
+
+
+def test_healed_run_goes_flat_again():
+    # L0.F0 is detected at 435 and restored onto L0.R0 at 505; the cascade
+    # from the restore runs into the 600 wave, and the periods after it are
+    # flat again and match a heap-only run
+    program = resolve_application("edg")
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=400, flip=1)
+    sc = edg_scenario([fault])
+    res, _, _ = run(program, sc)
+    assert [s.detect_time for s in res.syndromes] == [435]
+    assert res.fabric.binding[res.syndromes[0].function_index].cell_id == CellId(0, 0, "R")
+    flat = assert_paths_agree(program, sc, CellId(0, 3, "R"))
+    assert flat == [0, 900, 1200, 1500, 1800]
+
+
+def test_latent_stuck_fault_keeps_its_waves_on_the_heap():
+    # a stuck-0 on trips (L0.F3) is latent until estop rises at 1200; its
+    # first mismatch at 1235 schedules a re-check inside that wave, so every
+    # wave the fault sits in must go through the heap (the injection at 100
+    # is inside the first wave, and the restore's cascade inside the 1500 one)
+    program = resolve_application("edg")
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 3, "F"), time=100, stuck=0)
+    sc = edg_scenario([fault])
+    res, _, _ = run(program, sc)
+    assert [s.detect_time for s in res.syndromes] == [1270]
+    flat = assert_paths_agree(program, sc, CellId(0, 3, "R"))
+    assert flat == [1800]
