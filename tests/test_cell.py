@@ -133,13 +133,14 @@ N, W, E, S = range(4)  # register port indices, in PORT_ORDER
 
 
 class TestRegisterBank:
-    def test_write_sets_the_port_value(self):
+    def test_write_sets_all_replicas(self):
         bank = InputRegisterBank(WidthMode.INT16)
         bank.write(N, 7)
         assert bank.values == [7, 0, 0, 0]
-        assert bank.overlay == {}
+        assert bank.overlay == {}  # the three replicas agree
+        assert bank.voted() == ([7, 0, 0, 0], (0, 0, 0, 0))
 
-    def test_corrupt_moves_port_into_overlay_and_write_clears_it(self):
+    def test_write_repairs_transient(self):
         bank = InputRegisterBank(WidthMode.INT16)
         bank.write(W, 3)
         bank.corrupt(W, 1, flip=0xFF, stuck=None)
