@@ -11,24 +11,12 @@ sees it, so the cell never publishes a mid-wave value.
 Events are totally ordered by (time, sequence number), so two runs of
 the same scenario produce byte-identical traces.
 
-A wave takes one of two paths, which produce the same trace:
-
-- flat: the clock handler evaluates the whole wave itself, as one loop
-  in (level, function index) order, publishing each value at its slot
-  clock + level x Delta without cascading.  That is the order the heap
-  would pop the wave's evaluations in.  Taken when both of these hold:
-  the heap's first event is later than the last slot clock + max_level x
-  Delta, and no live (not deactivated) cell bound to a combinational
-  function holds fault state, i.e. an overlay port or an injected
-  permanent fault.  Then nothing can interleave with the wave and no
-  evaluation in it can schedule another.  The stop event sits on the
-  heap at ``run_until``, so a flat wave also ends by ``run_until``.
-- heap: otherwise, each evaluation is pushed on the event heap at its
-  slot and runs interleaved with injections, heal steps and local
-  re-evaluations.
-
-The rule is checked at every clock, so a faulted run goes flat again
-once its faults are healed or cleared.
+A wave is one heap event.  Its evaluations run in (level, function
+index) order, each at its slot without cascading, under sequence numbers
+reserved at the clock; before each one the wave yields to any event that
+sorts first, so every evaluation keeps the place it would have as an
+event of its own.  A local evaluation of a slot that an open wave still
+holds is dropped: the wave evaluates it there anyway.
 """
 
 from __future__ import annotations
@@ -278,8 +266,9 @@ class Trace:
 _CLOCK = 0
 _INJECT = 1
 _EVAL = 2
-_HEAL = 3
-_STOP = 4
+_WAVE = 3
+_HEAL = 4
+_STOP = 5
 
 _STOP_SEQ = 1 << 62
 
@@ -292,6 +281,15 @@ def _fn_signals(program: FabricProgram) -> dict[int, list[str]]:
     for node in program.placement.slots:
         signals.setdefault(program.placement.function_index(node), [f"fn.{node}"])
     return signals
+
+
+@dataclass(slots=True)
+class _Wave:
+    """One clock's wave; evaluation i runs at clock + its offset, seq base + i."""
+
+    clock: int
+    base: int
+    pos: int = 0  # the first evaluation not yet run
 
 
 @dataclass
@@ -319,18 +317,22 @@ class Engine:
         self.syndromes: list[HealthSyndrome] = []
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        self._pending_evals: dict[tuple[int, int], bool] = {}  # (fn, t) -> wave?
+        self._pending_evals: set[tuple[int, int]] = set()  # local evaluations (fn, t)
+        self._open_waves: list[_Wave] = []
         self._last_clock = 0
         self.faults = expand_faults(scenario.faults)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
         functions, opcode = self.fabric.functions, self.fabric.opcode
         self._delays = [i for i in sorted(functions) if opcode[i] is Opcode.DELAY]
-        # (level, fn index) of every combinational function: the wave order
-        self._wave = sorted(
+        # (slot offset, fn index, n) of every combinational function, in
+        # (level, fn index) order: the wave order, n counting from 0
+        levels = sorted(
             (fn.level, i) for i, fn in functions.items() if opcode[i] is not Opcode.DELAY
         )
-        self._max_level = self._wave[-1][0] if self._wave else 0
+        delta = self.timing.cell_delay
+        self._wave = [(level * delta, i, n) for n, (level, i) in enumerate(levels)]
+        self._wave_index = {i: n for _, i, n in self._wave}
 
     # ---- scheduling ----------------------------------------------------
 
@@ -340,14 +342,21 @@ class Engine:
             self._seq += 1
         heapq.heappush(self._heap, (time, seq, kind, payload))
 
-    def _schedule_eval(self, fn_idx: int, time: int, wave: bool) -> None:
-        if not wave and self.fabric.opcode[fn_idx] is Opcode.DELAY:
+    def _schedule_eval(self, fn_idx: int, time: int) -> None:
+        """Schedule a local evaluation unless one of the same slot is pending."""
+        if self.fabric.opcode[fn_idx] is Opcode.DELAY:
             return  # delay registers shift on the clock only
         key = (fn_idx, time)
         if key in self._pending_evals:
-            self._pending_evals[key] = self._pending_evals[key] or wave
             return
-        self._pending_evals[key] = wave
+        n = self._wave_index[fn_idx]
+        offset = self._wave[n][0]
+        for wave in self._open_waves:
+            # a wave's pos is stale only while it runs, and then the only
+            # evaluation it schedules is a re-check past its own slot
+            if wave.clock + offset == time and n >= wave.pos:
+                return  # the wave still holds this slot
+        self._pending_evals.add(key)
         self._push(time, _EVAL, fn_idx)
 
     # ---- run loop -------------------------------------------------------
@@ -384,15 +393,16 @@ class Engine:
         self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
 
         while self._heap:
+            # the stop event sorts before every event after run_until
             time, _, kind, payload = heapq.heappop(self._heap)
-            if time > scenario.run_until:
-                continue
             if kind == _STOP:
                 break
             if kind == _CLOCK:
                 self._handle_clock(time, payload)
             elif kind == _INJECT:
                 self._handle_inject(time, payload)
+            elif kind == _WAVE:
+                self._handle_wave(payload)
             elif kind == _EVAL:
                 self._handle_eval(time, payload)
             elif kind == _HEAL:
@@ -432,31 +442,32 @@ class Engine:
             self.trace.add(t, f"in.{name}", value, "data")
             fabric.route(name, value)
 
-        # phase 3: one wave, each combinational cell at its level
-        delta = self.timing.cell_delay
-        last_slot = t + self._max_level * delta
-        if self._heap[0][0] > last_slot and self._wave_is_clean():
-            binding = fabric.binding
-            for level, fn_idx in self._wave:
-                cell = binding[fn_idx]
-                if cell.health is not CellHealth.FAULTY_DEACTIVATED:
-                    slot = t + level * delta
-                    value = self._evaluate_cell(fn_idx, cell, slot)
-                    self._publish(fn_idx, value, slot, cascade=False)
-        else:
-            for level, fn_idx in self._wave:
-                self._schedule_eval(fn_idx, t + level * delta, wave=True)
+        # phase 3: one wave, each combinational cell at its level.  No local
+        # evaluation holds one of its slots: locals are scheduled at most one
+        # cell delay ahead, and no event of time t has run before this clock
+        if self._wave:
+            wave = _Wave(t, self._seq)
+            self._seq += len(self._wave)
+            self._open_waves.append(wave)
+            self._push(t + self._wave[0][0], _WAVE, wave, seq=wave.base)
 
-    def _wave_is_clean(self) -> bool:
-        """True when no live cell bound to a wave function holds fault state."""
+    def _handle_wave(self, wave: _Wave) -> None:
+        """Run the wave's evaluations until an event on the heap comes first."""
+        heap = self._heap
         binding = self.fabric.binding
-        for _, fn_idx in self._wave:
+        clock, base = wave.clock, wave.base
+        for offset, fn_idx, n in self._wave[wave.pos:]:
+            slot = clock + offset
+            top = heap[0]
+            if top[0] <= slot and (top[0] < slot or top[1] < base + n):
+                wave.pos = n
+                self._push(slot, _WAVE, wave, seq=base + n)
+                return
             cell = binding[fn_idx]
-            if (
-                cell.injected_permanent is not None or cell.registers.overlay
-            ) and cell.health is not CellHealth.FAULTY_DEACTIVATED:
-                return False
-        return True
+            if cell.health is not CellHealth.FAULTY_DEACTIVATED:
+                value = self._evaluate_cell(fn_idx, cell, slot)
+                self._publish(fn_idx, value, slot, cascade=False)
+        self._open_waves.remove(wave)
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
         fabric = self.fabric
@@ -469,15 +480,13 @@ class Engine:
             return
         if t < self._last_clock + fabric.functions[fn_idx].level * self.timing.cell_delay:
             return  # this period's wave evaluation is still pending and sees it
-        self._schedule_eval(fn_idx, t, wave=False)
+        self._schedule_eval(fn_idx, t)
 
     def _handle_eval(self, t: int, fn_idx: int) -> None:
-        wave = self._pending_evals.pop((fn_idx, t), False)
+        self._pending_evals.remove((fn_idx, t))
         cell = self.fabric.binding[fn_idx]
-        if cell.health is CellHealth.FAULTY_DEACTIVATED:
-            return
-        value = self._evaluate_cell(fn_idx, cell, t)
-        self._publish(fn_idx, value, t, cascade=not wave)
+        if cell.health is not CellHealth.FAULTY_DEACTIVATED:
+            self._publish(fn_idx, self._evaluate_cell(fn_idx, cell, t), t, cascade=True)
 
     def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check, classify."""
@@ -491,21 +500,15 @@ class Engine:
                     three_way = three_way or mask == 0b111
         if result is CheckResult.MISMATCH:
             self.trace.add(t, f"cell.{cid}", 1, "mismatch")
-            verdict = classify(cell.history, self.timing.check_threshold)
-            if verdict is FaultClass.PERMANENT:
+            if classify(cell.history, self.timing.check_threshold) is FaultClass.PERMANENT:
                 self._raise_syndrome(fn_idx, cell, t)
-            else:
-                cell.health = (
-                    CellHealth.SUSPECT_TRANSIENT
-                    if cell.health is CellHealth.HEALTHY
-                    else cell.health
-                )
-                self._schedule_eval(fn_idx, t + self.timing.cell_delay, wave=False)
-        elif three_way:
-            # all three replicas of a port disagree: undetermined, keep watching
+                return primary
+        if result is CheckResult.MISMATCH or three_way:
+            # not (yet) permanent, or all three replicas of a port disagree:
+            # undetermined, keep watching
             if cell.health is CellHealth.HEALTHY:
                 cell.health = CellHealth.SUSPECT_TRANSIENT
-            self._schedule_eval(fn_idx, t + self.timing.cell_delay, wave=False)
+            self._schedule_eval(fn_idx, t + self.timing.cell_delay)
         elif cell.health is CellHealth.SUSPECT_TRANSIENT:
             cell.health = CellHealth.HEALTHY
         return primary
@@ -515,16 +518,15 @@ class Engine:
         cid = cell.cell_id
         syndrome = HealthSyndrome(cell_id=cid, detect_time=t, function_index=fn_idx)
         self.syndromes.append(syndrome)
+        self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
         spare = fabric.allocate_spare(cid.layer)
         if spare is None:
-            self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
             self._fail_safe(t)
             return
         syndrome.chosen_spare = spare
         fabric.reserve(spare)
         reroute_t = t + self.timing.reroute_delay
         restore_t = reroute_t + self.timing.restore_delay
-        self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
         self._push(reroute_t, _HEAL, (syndrome, HealAction.REROUTE))
         self._push(restore_t, _HEAL, (syndrome, HealAction.RESTORE))
 
@@ -542,7 +544,7 @@ class Engine:
             fabric.reroute(syndrome)
         elif action is HealAction.RESTORE:
             fabric.restore(syndrome)
-            self._schedule_eval(fn_idx, t, wave=False)
+            self._schedule_eval(fn_idx, t)
 
     def _fail_safe(self, t: int) -> None:
         fabric = self.fabric
@@ -569,7 +571,7 @@ class Engine:
             # merges evaluations of one function at one time
             for reader, _port in readers:
                 if fabric.binding[reader].health is not CellHealth.FAULTY_DEACTIVATED:
-                    self._schedule_eval(reader, t + self.timing.cell_delay, wave=False)
+                    self._schedule_eval(reader, t + self.timing.cell_delay)
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:
@@ -594,16 +596,9 @@ def compare_steady_state(
         raise ValueError(f"trace ends at {last}, before t_from={t_from}")
     mismatches = []
     for name in sorted(oracle_outputs):
-        held: Optional[int] = None
-        after: Optional[int] = None
-        for r in trace.records:
-            if r.annotation != "data" or r.signal != name:
-                continue
-            if r.time < t_from:
-                held = r.value
-            else:
-                after = r.value
-        value = after if after is not None else held
+        samples = [r for r in trace.records if r.annotation == "data" and r.signal == name]
+        after = [r.value for r in samples if r.time >= t_from]
+        value = (after or [r.value for r in samples] or [None])[-1]
         if value != oracle_outputs[name]:
             mismatches.append((name, value, oracle_outputs[name]))
     return mismatches

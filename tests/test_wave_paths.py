@@ -1,24 +1,38 @@
-"""The flat wave path leaves the same trace as the event heap.
+"""A wave that yields to interleaving events leaves the same trace as one that does not.
 
-A wave is evaluated as one straight loop only when nothing can interleave
-with it.  A no-op transient on an idle spare inside every wave window puts
-an event there, which forces every wave of a run onto the heap without
-changing anything else; the two traces must then differ only in their
-``fault.`` rows.
+A wave is one heap event that runs its evaluations until another event
+comes first.  A no-op transient on an idle spare at every wave slot from
+level 2 on makes each wave yield before those levels without changing
+anything else; the traces with and without them must then differ only in
+their ``fault.`` rows.  A wave that runs in one pop is called flat.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
-from cellfab.cell import CellId, Port, WidthMode
+from cellfab.cell import CellId, Opcode, Port, WidthMode
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
+from cellfab.fabric import Fabric
 from cellfab.netlist import depth
 from cellfab.place import compile_netlist
 
 from test_acceptance import random_netlist, random_vector
+
+
+class CountingEngine(Engine):
+    """An engine that counts the pops of each clock's wave event."""
+
+    def __init__(self, program, scenario):
+        super().__init__(program, scenario)
+        self.wave_pops = Counter()
+
+    def _handle_wave(self, wave):
+        self.wave_pops[wave.clock] += 1
+        super()._handle_wave(wave)
 
 
 def clock_times(sc: Scenario) -> list[int]:
@@ -27,40 +41,47 @@ def clock_times(sc: Scenario) -> list[int]:
     return sorted(times)
 
 
-def noop_transients(sc: Scenario, spare: CellId) -> list[FaultSpec]:
-    """One transient on an idle spare at every clock, i.e. in every wave window."""
+def wave_levels(program) -> list[int]:
+    fabric = Fabric(program)
+    return sorted({fn.level for i, fn in fabric.functions.items()
+                   if fabric.opcode[i] is not Opcode.DELAY})
+
+
+def noop_transients(program, sc: Scenario, spare: CellId) -> list[FaultSpec]:
+    """One transient on an idle spare at every wave slot from level 2 on."""
+    delta = sc.timing.cell_delay
+    times = {t + level * delta for t in clock_times(sc) for level in wave_levels(program)
+             if level >= 2 and t + level * delta <= sc.run_until}
     return [
         FaultSpec(kind="transient_register", cell=spare, time=t,
                   port=Port.NORTH, replica=0, flip=1)
-        for t in clock_times(sc)
+        for t in sorted(times)
     ]
 
 
 def run(program, sc: Scenario):
-    """The run's result, its trace without fault rows, and its flat clocks."""
-    engine = Engine(program, sc)
-    heap_clocks = set()
-    schedule = engine._schedule_eval
-
-    def spy(fn_idx, time, wave):
-        if wave:
-            heap_clocks.add(engine._last_clock)
-        schedule(fn_idx, time, wave)
-
-    engine._schedule_eval = spy
+    """The run's result, its trace without fault rows, and its wave pops per clock."""
+    engine = CountingEngine(program, sc)
     res = engine.run()
     records = [r for r in res.trace.records if not r.signal.startswith("fault.")]
-    return res, records, [t for t in clock_times(sc) if t not in heap_clocks]
+    return res, records, engine.wave_pops
+
+
+def flat_clocks(pops: Counter) -> list[int]:
+    return sorted(t for t, n in pops.items() if n == 1)
 
 
 def assert_paths_agree(program, sc: Scenario, spare: CellId) -> list[int]:
-    """Run ``sc`` as is and forced onto the heap; returns the first run's flat clocks."""
-    forced = replace(sc, faults=sc.faults + noop_transients(sc, spare))
-    _, plain_records, flat = run(program, sc)
-    _, forced_records, forced_flat = run(program, forced)
-    assert forced_flat == []
+    """Run ``sc`` as is and made to yield; returns the first run's flat clocks."""
+    forced = replace(sc, faults=sc.faults + noop_transients(program, sc, spare))
+    _, plain_records, plain_pops = run(program, sc)
+    _, forced_records, forced_pops = run(program, forced)
+    # the first wave has no slot left to a local evaluation, so it reaches
+    # every level and yields before level 2
+    if wave_levels(program)[-1] >= 2 and 2 * sc.timing.cell_delay <= sc.run_until:
+        assert forced_pops[0] >= 2
     assert plain_records == forced_records
-    return flat
+    return flat_clocks(plain_pops)
 
 
 @st.composite
@@ -140,15 +161,19 @@ def edg_scenario(faults=()):
 
 def test_fault_free_waves_go_flat():
     program = resolve_application("edg")
-    flat = assert_paths_agree(program, edg_scenario(), CellId(0, 0, "R"))
-    # the wave at 2100 would end after run_until
+    sc = edg_scenario()
+    flat = assert_paths_agree(program, sc, CellId(0, 0, "R"))
+    # the wave at 2100 would start after run_until and never pops
     assert flat == [t for t in range(0, 2100, 300)]
+    _, _, forced_pops = run(program, replace(sc, faults=noop_transients(program, sc, CellId(0, 0, "R"))))
+    # depth 7: one pop per level
+    assert [forced_pops[t] for t in flat] == [7] * len(flat)
 
 
 def test_healed_run_goes_flat_again():
     # L0.F0 is detected at 435 and restored onto L0.R0 at 505; the cascade
     # from the restore runs into the 600 wave, and the periods after it are
-    # flat again and match a heap-only run
+    # flat again
     program = resolve_application("edg")
     fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=400, flip=1)
     sc = edg_scenario([fault])
@@ -159,15 +184,16 @@ def test_healed_run_goes_flat_again():
     assert flat == [0, 900, 1200, 1500, 1800]
 
 
-def test_latent_stuck_fault_keeps_its_waves_on_the_heap():
-    # a stuck-0 on trips (L0.F3) is latent until estop rises at 1200; its
-    # first mismatch at 1235 schedules a re-check inside that wave, so every
-    # wave the fault sits in must go through the heap (the injection at 100
-    # is inside the first wave, and the restore's cascade inside the 1500 one)
+def test_latent_stuck_fault_yields_only_where_events_interleave():
+    # a stuck-0 on trips (L0.F3) is latent until estop rises at 1200; the
+    # injection at 100 falls inside the first wave and the first mismatch
+    # at 1235 schedules a re-check inside the 1200 one.  The waves in which
+    # the fault only sits run flat, and so does the 1500 one: the restore's
+    # cascade ends at 1515, before that wave's first slot
     program = resolve_application("edg")
     fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 3, "F"), time=100, stuck=0)
     sc = edg_scenario([fault])
     res, _, _ = run(program, sc)
     assert [s.detect_time for s in res.syndromes] == [1270]
     flat = assert_paths_agree(program, sc, CellId(0, 3, "R"))
-    assert flat == [1800]
+    assert flat == [300, 600, 900, 1500, 1800]
