@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import __version__
 from .cell import (
@@ -233,7 +233,8 @@ class Scenario:
 ANNOTATIONS = ("data", "masked_transient", "mismatch", "syndrome_action", "alarm")
 
 
-class TraceRecord(NamedTuple):
+@dataclass(slots=True)
+class TraceRecord:
     time: int
     signal: str
     value: int
