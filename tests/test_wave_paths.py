@@ -165,7 +165,8 @@ def test_fault_free_waves_go_flat():
     flat = assert_paths_agree(program, sc, CellId(0, 0, "R"))
     # the wave at 2100 would start after run_until and never pops
     assert flat == [t for t in range(0, 2100, 300)]
-    _, _, forced_pops = run(program, replace(sc, faults=noop_transients(program, sc, CellId(0, 0, "R"))))
+    forced = replace(sc, faults=noop_transients(program, sc, CellId(0, 0, "R")))
+    _, _, forced_pops = run(program, forced)
     # depth 7: one pop per level
     assert [forced_pops[t] for t in flat] == [7] * len(flat)
 
@@ -197,3 +198,24 @@ def test_latent_stuck_fault_yields_only_where_events_interleave():
     assert [s.detect_time for s in res.syndromes] == [1270]
     flat = assert_paths_agree(program, sc, CellId(0, 3, "R"))
     assert flat == [300, 600, 900, 1500, 1800]
+
+
+def test_restore_on_a_slot_its_wave_has_passed_is_evaluated():
+    # power_ok (L2.F0, level 3) is detected at 105, inside the second wave,
+    # and restored at 205, its slot in that wave.  The wave has skipped the
+    # deactivated cell there before the restore runs, so the restore's own
+    # evaluation must run and cascade, not be merged into the wave
+    program = resolve_application("edg")
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(2, 0, "F"), time=0, flip=1)
+    sc = Scenario(
+        name="edg", application="edg",
+        stimulus=[(0, n, v) for n, v in START_PERMITTED.items()], faults=[fault],
+        timing=TimingParams(check_threshold=1, reroute_delay=50, restore_delay=50,
+                            stimulus_period=100),
+        run_until=400,
+    )
+    res, records, _ = run(program, sc)
+    assert [s.detect_time for s in res.syndromes] == [105]
+    data = [(r.time, r.signal, r.value) for r in records if r.annotation == "data"]
+    assert (205, "fn.power_ok", 1) in data
+    assert (240, "fn.crank_seq", 1) in data and (275, "fn.perm_ok", 1) in data
