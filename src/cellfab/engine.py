@@ -504,12 +504,12 @@ class Engine:
             if classify(cell.history, self.timing.check_threshold) is FaultClass.PERMANENT:
                 self._raise_syndrome(fn_idx, cell, t)
                 return primary
+            self._schedule_eval(fn_idx, t + self.timing.cell_delay)
         if result is CheckResult.MISMATCH or three_way:
-            # not (yet) permanent, or all three replicas of a port disagree:
-            # undetermined, keep watching
+            # undetermined; a port whose three replicas disagree stays so
+            # until it is rewritten, so only a mismatch is checked again
             if cell.health is CellHealth.HEALTHY:
                 cell.health = CellHealth.SUSPECT_TRANSIENT
-            self._schedule_eval(fn_idx, t + self.timing.cell_delay)
         elif cell.health is CellHealth.SUSPECT_TRANSIENT:
             cell.health = CellHealth.HEALTHY
         return primary

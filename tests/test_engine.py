@@ -203,6 +203,32 @@ def test_three_way_disagreement_escalates_undetermined():
     assert samples(res.trace, "q")[-1][1] == 7  # replica-0 fallback was correct
 
 
+def test_three_way_disagreement_is_not_rechecked_until_rewritten():
+    # the W port is wired to the immediate and never rewritten, so its
+    # disagreement is seen once at each injection and once per wave after
+    from cellfab.cell import CellHealth
+
+    program = compile_netlist(
+        parse_netlist("input x : int16\nnode s = ADD(x, imm) imm=3\noutput q = s\n")
+    )
+    faults = [
+        FaultSpec(kind="transient_register", cell=CellId(0, 0, "F"), time=100,
+                  port=Port.WEST, replica=1, flip=0xFF),
+        FaultSpec(kind="transient_register", cell=CellId(0, 0, "F"), time=120,
+                  port=Port.WEST, replica=2, flip=0xF0),
+    ]
+    for run_until, rows in ((3000, 11), (12000, 41)):
+        sc = Scenario(name="threeway", application="adders", stimulus=[(0, "x", 5)],
+                      faults=faults, run_until=run_until)
+        res = Engine(program, sc).run()
+        masks = [r for r in res.trace.records if r.annotation == "masked_transient"]
+        assert len(masks) == rows
+        assert [r.time for r in masks[:3]] == [100, 120, 335]
+        assert res.syndromes == []
+        assert res.fabric.cells["L0.F0"].health is CellHealth.SUSPECT_TRANSIENT
+        assert samples(res.trace, "q")[-1] == (run_until - 265, 8)
+
+
 def test_masked_transient_never_schedules_downstream():
     fault = FaultSpec(
         kind="transient_register", cell=CellId(0, 0, "F"), time=180,
