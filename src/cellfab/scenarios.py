@@ -10,7 +10,7 @@ demo vehicle model.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 
@@ -45,16 +45,16 @@ def _typed(value, what: str, kind: type = int):
 
 
 def _section(cls, data: dict, section: str):
-    """Build a dataclass from one scenario section, rejecting unknown keys
-    and non-int values of int fields."""
+    """Build a dataclass of int and str fields from one scenario section,
+    rejecting unknown and missing keys and values of another type."""
     _typed(data, section, dict)
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(types))
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} key {unknown[0]!r}")
-    for key, value in data.items():
-        if types[key] == "int":
-            _typed(value, f"{section} {key}")
+    for f in fields(cls):
+        if f.name in data or f.default is MISSING:
+            kind = int if f.type == "int" else str
+            _typed(_key(data, f.name, section), f"{section} {f.name}", kind)
     return cls(**data)
 
 

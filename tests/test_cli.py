@@ -265,6 +265,11 @@ def _ccs_step_plant(data, **plant):
         (lambda d: [d], "scenario is not a JSON object"),
         (lambda d: d.update(timing=[]), "timing [] is not an object"),
         (lambda d: d.update(plant=5), "plant 5 is not an object"),
+        (lambda d: d.update(plant={}), "missing plant key 'input_name'"),
+        (lambda d: _ccs_step_plant(d, input_name=["actual_speed"]),
+         "plant input_name ['actual_speed'] is not a string"),
+        (lambda d: _ccs_step_plant(d, output_name=["throttle"]),
+         "plant output_name ['throttle'] is not a string"),
         (lambda d: d.update(stimulus={}), "scenario stimulus {} is not a list"),
         (lambda d: d.update(faults=5), "scenario faults 5 is not a list"),
     ],
@@ -291,6 +296,9 @@ def _ccs_step_plant(data, **plant):
         "top_level_array",
         "list_timing",
         "int_plant",
+        "empty_plant",
+        "list_plant_input",
+        "list_plant_output",
         "object_stimulus",
         "int_faults",
     ],
