@@ -6,7 +6,11 @@ mutation, the loader either accepts the text or raises a ``ValueError``
 subclass (``NetlistError``, ``PlacementError``, ``GeneticCodeError``, or a
 plain ``ValueError`` naming the CSV line); a ``TypeError``, ``KeyError`` or
 ``IndexError`` escaping would reach the command line as a traceback.
+A scenario document is mutated as JSON instead, and run when it loads; a
+missing netlist file may also end in an ``OSError``.
 """
+
+import copy
 
 import pytest
 
@@ -19,7 +23,8 @@ from cellfab.genetic import decode_genetic, encode_genetic, from_hex, to_hex
 from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
 from cellfab.report import from_csv, to_csv
-from cellfab.sim import run_raw
+from cellfab.scenarios import load_scenario, scenario_from_dict, scenario_to_dict
+from cellfab.sim import run, run_raw
 
 from test_genetic import random_config
 
@@ -106,3 +111,63 @@ def test_unmutated_documents_load():
     compile_netlist(parse_netlist(ccs.netlist_text()))
     with pytest.raises(ValueError, match="^line "):
         from_csv(CSV_TEXT.replace("data", "dat", 1))
+
+
+SCENARIOS = [
+    scenario_to_dict(load_scenario(name)) | {"run_until": 600}
+    for name in ("edg_multifault4", "ccs_step")  # ccs_step has a plant section
+]
+SCENARIO_KEYS = [
+    "application", "timing", "stimulus", "faults", "run_until", "seed", "plant",
+    "cell_delay", "stimulus_period", "t", "name", "value", "kind", "cell", "port",
+    "replica", "flip", "stuck", "period", "count", "input_name", "output_name", "v0",
+]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 600)
+    | st.sampled_from(["edg", "estop", "L0.F0", "L1.R0", "N", "flip", "throttle", "x.nl"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCENARIO_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def containers(node):
+    """``node`` and every object or array inside it."""
+    yield node
+    for value in node.values() if isinstance(node, dict) else node:
+        if isinstance(value, (dict, list)):
+            yield from containers(value)
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A bundled document, cut at 600, with a few values replaced, keys or
+    entries dropped, or keys and entries added."""
+    data = copy.deepcopy(draw(st.sampled_from(SCENARIOS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(containers(data))))
+        if isinstance(node, dict):
+            own = st.sampled_from(sorted(node) or SCENARIO_KEYS)
+            key = draw(own | st.sampled_from(SCENARIO_KEYS))
+            if key in node and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(JSON)
+        elif node and draw(st.booleans()):
+            i = draw(st.integers(0, len(node) - 1))
+            if draw(st.booleans()):
+                del node[i]
+            else:
+                node[i] = draw(JSON)
+        else:
+            node.append(draw(JSON))
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_scenario())
+def test_scenario_loader_and_run_raise_only_value_errors(data):
+    try:
+        run(scenario_from_dict(data, "fuzz"))
+    except (ValueError, OSError):
+        pass
