@@ -11,11 +11,9 @@ from .ccs import (  # noqa: F401
     CcsApplication,
     ModeCondition,
     PiParams,
-    PlantParams,
     build_ccs,
     ccs_mode,
     pi_reference,
-    plant_step,
 )
 
 BUNDLED = ("edg", "ccs")

@@ -1,9 +1,10 @@
-"""Cruise control application: mode semantics, PI reference and demo plant.
+"""Cruise control application: mode semantics and PI reference.
 
 The behavioural contract for the 17-cell netlist is given by ccs_mode
 (the target-speed update rules) and pi_reference (the exact fixed-point
-controller recurrence); the closed loop is completed by plant_step, a
-first-order vehicle model sampled once per stimulus period.
+controller recurrence); a scenario's ``plant`` section closes the loop
+through ``engine.plant_step_raw``, a first-order vehicle model sampled
+once per stimulus period.
 """
 
 from __future__ import annotations
@@ -78,26 +79,6 @@ def pi_reference(params: PiParams, errors: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PlantParams:
-    """First-order vehicle model, all factors Q8.8."""
-
-    gain_q88: int = 128  # thrust per unit command: 0.5
-    drag_q88: int = 64  # speed decay: 0.25
-    dt_q88: int = 256  # integration step: 1.0 period
-
-    def validate(self) -> None:
-        if self.drag_q88 < 0:
-            raise ValueError("drag must be >= 0")
-
-
-def plant_step(v: int, u: int, params: PlantParams) -> int:
-    """v' = v + (gain*u - drag*v)*dt, truncated Q8.8, wrapped to INT16."""
-    params.validate()
-    force = qmul(params.gain_q88, u) - qmul(params.drag_q88, v)
-    return wrap16(v + qmul(params.dt_q88, force))
-
-
 # Table of per-cell operations the bundled netlist must expose, keyed by
 # cell name: the opcode multiset is part of the application's contract.
 CCS_CELL_OPCODES = {
@@ -128,7 +109,6 @@ OUTPUTS = ("throttle", "active")
 class CcsApplication:
     netlist: Netlist
     pi: PiParams
-    plant: PlantParams
     inputs: tuple[str, ...] = INPUTS
     outputs: tuple[str, str] = OUTPUTS
 
@@ -137,9 +117,5 @@ def netlist_text() -> str:
     return resources.files("cellfab.data").joinpath("ccs.nl").read_text()
 
 
-def build_ccs(pi: PiParams | None = None, plant: PlantParams | None = None) -> CcsApplication:
-    return CcsApplication(
-        netlist=parse_netlist(netlist_text(), "ccs"),
-        pi=pi or PiParams(),
-        plant=plant or PlantParams(),
-    )
+def build_ccs(pi: PiParams | None = None) -> CcsApplication:
+    return CcsApplication(netlist=parse_netlist(netlist_text(), "ccs"), pi=pi or PiParams())

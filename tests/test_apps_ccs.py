@@ -9,12 +9,11 @@ from cellfab.apps.ccs import (
     CCS_CELL_OPCODES,
     ModeCondition,
     PiParams,
-    PlantParams,
     build_ccs,
     ccs_mode,
     pi_reference,
-    plant_step,
 )
+from cellfab.engine import plant_step_raw
 from cellfab.place import place
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
@@ -158,17 +157,16 @@ def test_pi_params_validation():
 
 
 def test_plant_no_force_holds_speed():
-    assert plant_step(37, 0, PlantParams(drag_q88=0)) == 37
+    assert plant_step_raw(37, 0, 128, 0, 256) == 37
 
 
 def test_plant_equilibrium_fixed_point():
-    p = PlantParams()  # gain 0.5, drag 0.25: u* = v/2
-    assert plant_step(60, 30, p) == 60
+    # gain 0.5, drag 0.25: u* = v/2
+    assert plant_step_raw(60, 30, 128, 64, 256) == 60
 
 
 def test_plant_against_rational_oracle():
-    p = PlantParams()
-    g, d, dt = (Fraction(x, 256) for x in (p.gain_q88, p.drag_q88, p.dt_q88))
+    g, d, dt = (Fraction(x, 256) for x in (128, 64, 256))
 
     def trunc(x: Fraction) -> int:
         return int(x)  # Fraction.__int__ truncates toward zero
@@ -177,7 +175,7 @@ def test_plant_against_rational_oracle():
     u = 20
     sim, ref = [], []
     for _ in range(30):
-        v = plant_step(v, u, p)
+        v = plant_step_raw(v, u, 128, 64, 256)
         sim.append(v)
     v = Fraction(0)
     vi = 0
@@ -189,11 +187,10 @@ def test_plant_against_rational_oracle():
 
 
 def test_plant_step_response_frozen():
-    p = PlantParams()
     v = 0
     curve = []
     for _ in range(10):
-        v = plant_step(v, 20, p)
+        v = plant_step_raw(v, 20, 128, 64, 256)
         curve.append(v)
     # frozen from the rational oracle above
     assert curve == [10, 18, 24, 28, 31, 34, 36, 37, 38, 39]
