@@ -284,15 +284,6 @@ def _fn_signals(program: FabricProgram) -> dict[int, list[str]]:
     return signals
 
 
-@dataclass(slots=True)
-class _Wave:
-    """One clock's wave; evaluation i runs at clock + its offset, seq base + i."""
-
-    clock: int
-    base: int
-    pos: int = 0  # the first evaluation not yet run
-
-
 @dataclass
 class RunResult:
     trace: Trace
@@ -319,7 +310,8 @@ class Engine:
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._pending_evals: set[tuple[int, int]] = set()  # local evaluations (fn, t)
-        self._open_waves: list[_Wave] = []
+        self._wave_base: dict[int, int] = {}  # clock -> seq of its wave's evaluation 0
+        self._now = (0, 0)  # (time, seq) of the event being handled
         self._last_clock = 0
         self.faults = expand_faults(scenario.faults)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
@@ -333,7 +325,7 @@ class Engine:
         )
         delta = self.timing.cell_delay
         self._wave = [(level * delta, i, n) for n, (level, i) in enumerate(levels)]
-        self._wave_index = {i: n for _, i, n in self._wave}
+        self._wave_entry = {i: (offset, n) for offset, i, n in self._wave}
 
     # ---- scheduling ----------------------------------------------------
 
@@ -344,19 +336,21 @@ class Engine:
         heapq.heappush(self._heap, (time, seq, kind, payload))
 
     def _schedule_eval(self, fn_idx: int, time: int) -> None:
-        """Schedule a local evaluation unless one of the same slot is pending."""
+        """Schedule a local evaluation unless the slot is already pending,
+        as a local evaluation or as an evaluation of a wave."""
         if self.fabric.opcode[fn_idx] is Opcode.DELAY:
             return  # delay registers shift on the clock only
         key = (fn_idx, time)
         if key in self._pending_evals:
             return
-        n = self._wave_index[fn_idx]
-        offset = self._wave[n][0]
-        for wave in self._open_waves:
-            # a wave's pos is stale only while it runs, and then the only
-            # evaluation it schedules is a re-check past its own slot
-            if wave.clock + offset == time and n >= wave.pos:
-                return  # the wave still holds this slot
+        # a wave holds the slot while its evaluation there sorts after the
+        # event being handled.  While a wave runs, _now is the key it was
+        # popped at; it then schedules only re-checks at later times, for
+        # which that key and its current one compare the same
+        offset, n = self._wave_entry[fn_idx]
+        base = self._wave_base.get(time - offset)
+        if base is not None and (time, base + n) > self._now:
+            return
         self._pending_evals.add(key)
         self._push(time, _EVAL, fn_idx)
 
@@ -395,7 +389,8 @@ class Engine:
 
         while self._heap:
             # the stop event sorts before every event after run_until
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, seq, kind, payload = heapq.heappop(self._heap)
+            self._now = (time, seq)
             if kind == _STOP:
                 break
             if kind == _CLOCK:
@@ -403,7 +398,7 @@ class Engine:
             elif kind == _INJECT:
                 self._handle_inject(time, payload)
             elif kind == _WAVE:
-                self._handle_wave(payload)
+                self._handle_wave(payload, seq)
             elif kind == _EVAL:
                 self._handle_eval(time, payload)
             elif kind == _HEAL:
@@ -443,32 +438,30 @@ class Engine:
             self.trace.add(t, f"in.{name}", value, "data")
             fabric.route(name, value)
 
-        # phase 3: one wave, each combinational cell at its level.  No local
-        # evaluation holds one of its slots: locals are scheduled at most one
-        # cell delay ahead, and no event of time t has run before this clock
+        # phase 3: one wave, each combinational cell at its level; no local
+        # evaluation holds a slot of it, as none is scheduled more than one
+        # cell delay ahead and no other event of time t has run yet
         if self._wave:
-            wave = _Wave(t, self._seq)
+            base = self._wave_base[t] = self._seq
             self._seq += len(self._wave)
-            self._open_waves.append(wave)
-            self._push(t + self._wave[0][0], _WAVE, wave, seq=wave.base)
+            self._push(t + self._wave[0][0], _WAVE, t, seq=base)
 
-    def _handle_wave(self, wave: _Wave) -> None:
-        """Run the wave's evaluations until an event on the heap comes first."""
+    def _handle_wave(self, clock: int, seq: int) -> None:
+        """Run the clock's wave from evaluation ``seq`` on until an event on
+        the heap comes first; evaluation n has sequence number base + n."""
         heap = self._heap
         binding = self.fabric.binding
-        clock, base = wave.clock, wave.base
-        for offset, fn_idx, n in self._wave[wave.pos:]:
+        base = self._wave_base[clock]
+        for offset, fn_idx, n in self._wave[seq - base:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
-                wave.pos = n
-                self._push(slot, _WAVE, wave, seq=base + n)
+                self._push(slot, _WAVE, clock, seq=base + n)
                 return
             cell = binding[fn_idx]
             if cell.health is not CellHealth.FAULTY_DEACTIVATED:
                 value = self._evaluate_cell(fn_idx, cell, slot)
                 self._publish(fn_idx, value, slot, cascade=False)
-        self._open_waves.remove(wave)
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
         fabric = self.fabric
@@ -486,8 +479,10 @@ class Engine:
     def _handle_eval(self, t: int, fn_idx: int) -> None:
         self._pending_evals.remove((fn_idx, t))
         cell = self.fabric.binding[fn_idx]
-        if cell.health is not CellHealth.FAULTY_DEACTIVATED:
-            self._publish(fn_idx, self._evaluate_cell(fn_idx, cell, t), t, cascade=True)
+        if cell.health is CellHealth.FAULTY_DEACTIVATED:
+            return
+        value = self._evaluate_cell(fn_idx, cell, t)
+        self._publish(fn_idx, value, t, cascade=True)
 
     def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check, classify."""
@@ -519,15 +514,16 @@ class Engine:
         cid = cell.cell_id
         syndrome = HealthSyndrome(cell_id=cid, detect_time=t, function_index=fn_idx)
         self.syndromes.append(syndrome)
-        self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
         spare = fabric.allocate_spare(cid.layer)
         if spare is None:
+            self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
             self._fail_safe(t)
             return
         syndrome.chosen_spare = spare
         fabric.reserve(spare)
         reroute_t = t + self.timing.reroute_delay
         restore_t = reroute_t + self.timing.restore_delay
+        self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
         self._push(reroute_t, _HEAL, (syndrome, HealAction.REROUTE))
         self._push(restore_t, _HEAL, (syndrome, HealAction.RESTORE))
 
@@ -597,9 +593,16 @@ def compare_steady_state(
         raise ValueError(f"trace ends at {last}, before t_from={t_from}")
     mismatches = []
     for name in sorted(oracle_outputs):
-        samples = [r for r in trace.records if r.annotation == "data" and r.signal == name]
-        after = [r.value for r in samples if r.time >= t_from]
-        value = (after or [r.value for r in samples] or [None])[-1]
+        held: Optional[int] = None
+        after: Optional[int] = None
+        for r in trace.records:
+            if r.annotation != "data" or r.signal != name:
+                continue
+            if r.time < t_from:
+                held = r.value
+            else:
+                after = r.value
+        value = after if after is not None else held
         if value != oracle_outputs[name]:
             mismatches.append((name, value, oracle_outputs[name]))
     return mismatches

@@ -30,9 +30,9 @@ class CountingEngine(Engine):
         super().__init__(program, scenario)
         self.wave_pops = Counter()
 
-    def _handle_wave(self, wave):
-        self.wave_pops[wave.clock] += 1
-        super()._handle_wave(wave)
+    def _handle_wave(self, clock, seq):
+        self.wave_pops[clock] += 1
+        super()._handle_wave(clock, seq)
 
 
 def clock_times(sc: Scenario) -> list[int]:
