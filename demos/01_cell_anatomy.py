@@ -11,7 +11,6 @@ from cellfab import (
     FunctionalCell,
     Opcode,
     WidthMode,
-    classify,
     gfb_eval,
     vote,
 )
@@ -55,19 +54,20 @@ NORTH, WEST = 0, 1  # register ports are indexed in N, W, E, S order
 cell.registers.write(NORTH, 1)
 cell.registers.write(WEST, 1)
 
-out, check, masks = cell.step()
-print(f"\nhealthy AND cell: output {out}, check {check.value}")
+out, mismatch, masks = cell.step()
+print(f"\nhealthy AND cell: output {out}, mismatch {mismatch}")
 
 # corrupt one replica: the voter hides it and reports which copy lied
 cell.registers.corrupt(NORTH, 1, flip=1, stuck=None)
-out, check, masks = cell.step()  # one dissent mask per port, N, W, E, S
-print(f"after a register hit: output {out}, check {check.value}, "
+out, mismatch, masks = cell.step()  # one dissent mask per port, N, W, E, S
+print(f"after a register hit: output {out}, mismatch {mismatch}, "
       f"north dissent {masks[0]:03b}")
 
 # break the logic itself: the checker path disagrees immediately
 cell.injected_permanent = StuckBehavior(stuck=0)
-out, check, _ = cell.step()
-print(f"stuck-at-0 logic:    output {out}, check {check.value}")
-out, check, _ = cell.step()
-print(f"second strike:       output {out}, check {check.value}, "
-      f"classified {classify(cell.history, 2).value}")
+out, mismatch, _ = cell.step()
+print(f"stuck-at-0 logic:    output {out}, mismatch {mismatch}")
+out, mismatch, _ = cell.step()
+# the kernel deems the fault permanent once the streak reaches the threshold (2)
+print(f"second strike:       output {out}, mismatch {mismatch}, "
+      f"mismatch streak {cell.mismatch_streak}")

@@ -11,15 +11,11 @@ __version__ = "0.1.0"
 from .cell import (  # noqa: F401
     CellHealth,
     CellId,
-    CheckResult,
-    FaultClass,
-    FaultHistory,
     FunctionalCell,
     InputRegisterBank,
     Opcode,
     Port,
     WidthMode,
-    classify,
     gfb_eval,
     vote,
 )
@@ -49,5 +45,5 @@ from .engine import (  # noqa: F401
     compare_steady_state,
 )
 from .report import HealingMetrics, from_csv, metrics, to_csv, to_vcd  # noqa: F401
-from .scenarios import BUNDLED_SCENARIOS, load_scenario, save_scenario  # noqa: F401
+from .scenarios import BUNDLED_SCENARIOS, load_scenario  # noqa: F401
 from .sim import run, run_raw  # noqa: F401

@@ -7,8 +7,8 @@ without disturbing the output.  The replicas of a port are equal until a
 transient corrupts one, so a port is stored as one int and only a
 corrupted port (held in the bank's overlay) is voted.  The block has a
 primary path, which carries any injected permanent fault, and a golden
-checker path; a disagreement raises a mismatch that feeds the
-transient/permanent classifier.  The two paths can only disagree on a
+checker path; a disagreement raises a mismatch, and a streak of them
+marks the fault permanent.  The two paths can only disagree on a
 cell with an injected permanent fault, so only such a cell runs both.
 """
 
@@ -195,59 +195,6 @@ class InputRegisterBank:
         return inputs, tuple(masks)
 
 
-class CheckResult(Enum):
-    CLEAN = "clean"
-    MISMATCH = "mismatch"
-
-
-class FaultClass(Enum):
-    TRANSIENT = "transient"
-    PERMANENT = "permanent"
-    UNDETERMINED = "undetermined"
-
-
-@dataclass
-class FaultHistory:
-    """Consecutive self-check mismatch bookkeeping for one cell.
-
-    ``mismatch_streak`` resets to 0 on any clean check; ``broken_streak``
-    remembers the streak length an interrupting clean check just ended so
-    the classifier can report it as a (retrospective) transient.
-    """
-
-    mismatch_streak: int = 0
-    broken_streak: int = 0
-    last_check: Optional[CheckResult] = None
-
-    def record(self, result: CheckResult) -> None:
-        self.last_check = result
-        if result is CheckResult.MISMATCH:
-            self.mismatch_streak += 1
-            self.broken_streak = 0
-        else:
-            self.broken_streak = self.mismatch_streak
-            self.mismatch_streak = 0
-
-
-def classify(history: FaultHistory, threshold: int = 2) -> Optional[FaultClass]:
-    """Classify the fault behind a mismatch history with persistence threshold K.
-
-    K or more consecutive mismatches mean a permanent fault; a streak that
-    a clean check interrupted was a transient; a shorter live streak stays
-    undetermined (keep watching).  Returns None for a history with no
-    mismatch activity at all.
-    """
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if history.mismatch_streak >= threshold:
-        return FaultClass.PERMANENT
-    if history.last_check is CheckResult.CLEAN and history.broken_streak >= 1:
-        return FaultClass.TRANSIENT
-    if history.mismatch_streak >= 1:
-        return FaultClass.UNDETERMINED
-    return None
-
-
 class CellHealth(Enum):
     HEALTHY = "healthy"
     SUSPECT_TRANSIENT = "suspect_transient"
@@ -297,7 +244,7 @@ class FunctionalCell:
     registers: InputRegisterBank | None = None
     pipeline: tuple[int, ...] = ()
     health: CellHealth = CellHealth.HEALTHY
-    history: FaultHistory = field(default_factory=FaultHistory)
+    mismatch_streak: int = 0  # consecutive self-check mismatches
     injected_permanent: Optional[StuckBehavior] = None
 
     def configure(self, config) -> None:
@@ -314,19 +261,18 @@ class FunctionalCell:
                     )
                 self.registers.write(port, config.immediate)
         self.pipeline = (0,) * config.delay_cycles
-        self.history = FaultHistory()
+        self.mismatch_streak = 0
 
-    def step(self) -> tuple[int, CheckResult, tuple[int, int, int, int]]:
+    def step(self) -> tuple[int, bool, tuple[int, int, int, int]]:
         """One monitored evaluation: vote ports, evaluate, self-check.
 
         The block is evaluated once on the voted inputs (the golden checker
         path, which also advances the pipeline); an injected fault corrupts
         only the primary copy of that output, and the two are compared.  A
-        clean check is recorded only while a mismatch streak is live or just
-        broken: ``classify`` answers the same without it.  Returns the
-        (possibly corrupted) primary output, the check result and the
-        dissent masks in PORT_ORDER.  Must not be called on a deactivated
-        cell; the fabric drives safe 0 for those.
+        mismatch extends ``mismatch_streak`` and a clean check ends it.
+        Returns the (possibly corrupted) primary output, whether the check
+        mismatched and the dissent masks in PORT_ORDER.  Must not be called
+        on a deactivated cell; the fabric drives safe 0 for those.
         """
         if self.health is CellHealth.FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
@@ -337,15 +283,12 @@ class FunctionalCell:
         else:
             inputs, masks = registers.values, NO_MASKS
         primary, self.pipeline = gfb_eval(config.opcode, config.width_mode, inputs, self.pipeline)
-        result = CheckResult.CLEAN
-        if self.injected_permanent is not None:
+        mismatch = False
+        if self.injected_permanent is not None:  # else the paths cannot differ
             golden = primary
             primary = self.injected_permanent.apply(config.width_mode, golden)
-            if primary != golden:
-                result = CheckResult.MISMATCH
-        history = self.history
-        if result is CheckResult.MISMATCH or history.mismatch_streak or history.broken_streak:
-            history.record(result)
+            mismatch = primary != golden
+            self.mismatch_streak = self.mismatch_streak + 1 if mismatch else 0
         if not config.output_enable:
             primary = 0
-        return primary, result, masks
+        return primary, mismatch, masks

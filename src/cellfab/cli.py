@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
     for source in args.scenarios:
         try:
             scenario = load_scenario(source)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {source}: {exc}", file=sys.stderr)
             status = 2
             continue

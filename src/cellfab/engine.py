@@ -30,15 +30,12 @@ from . import __version__
 from .cell import (
     CellHealth,
     CellId,
-    CheckResult,
-    FaultClass,
     FunctionalCell,
     Opcode,
     PORT_ORDER,
     Port,
     StuckBehavior,
     WidthMode,
-    classify,
     fit,
     qmul,
     wrap16,
@@ -116,7 +113,9 @@ class FaultSpec:
     period: Optional[int] = None
     count: Optional[int] = None
 
-    def validate(self) -> None:
+    def validate(self, run_until: int) -> None:
+        """Check the fault on its own; no fault, and no transient of a
+        burst, may start after ``run_until``."""
         if self.kind not in tuple(FaultKind):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.time < 0:
@@ -126,9 +125,13 @@ class FaultSpec:
         if self.kind != FaultKind.PERMANENT_GFB:
             if self.port is None or self.replica not in (0, 1, 2):
                 raise ValueError("register faults need a port and replica 0..2")
+        last = self.time
         if self.kind == FaultKind.INTERMITTENT_BURST:
             if not self.period or not self.count or self.period <= 0 or self.count < 1:
                 raise ValueError("burst needs period > 0 and count >= 1")
+            last += (self.count - 1) * self.period
+        if last > run_until:
+            raise ValueError(f"fault on {self.cell} at t={last} is after run_until={run_until}")
 
 
 def inject(fault: FaultSpec, fabric: Fabric, t: int) -> bool:
@@ -149,11 +152,13 @@ def inject(fault: FaultSpec, fabric: Fabric, t: int) -> bool:
     return True
 
 
-def expand_faults(faults: list[FaultSpec]) -> list[FaultSpec]:
-    """Expand intermittent bursts into their individual transients."""
+def expand_faults(faults: list[FaultSpec], run_until: int) -> list[FaultSpec]:
+    """Validate the faults of a run stopping at ``run_until``, then expand
+    intermittent bursts into their individual transients."""
+    for f in faults:
+        f.validate(run_until)
     out: list[FaultSpec] = []
     for f in faults:
-        f.validate()
         if f.kind == FaultKind.INTERMITTENT_BURST:
             for i in range(f.count):
                 out.append(
@@ -202,11 +207,6 @@ class Scenario:
         self.timing.validate()
         if self.run_until <= 0:
             raise ValueError("run_until must be > 0")
-        for fault in self.faults:
-            if fault.time > self.run_until:
-                raise ValueError(
-                    f"fault on {fault.cell} at t={fault.time} is after run_until={self.run_until}"
-                )
         widths = dict(netlist.inputs)
         at_zero = {name for t, name, _ in self.stimulus if t == 0}
         missing = [n for n in widths if n not in at_zero]
@@ -243,24 +243,30 @@ class TraceRecord:
 
 @dataclass
 class Trace:
+    """A run's record stream and its signal table.
+
+    ``inputs`` and ``outputs`` map each primary input and output name to
+    its declared width, in netlist declaration order.  Input samples are
+    recorded as ``in.<name>``, output samples under the output name.
+    """
+
     scenario_name: str
     application: str
     timing: TimingParams
     seed: int
     version: str = __version__
+    inputs: dict[str, WidthMode] = field(default_factory=dict)
+    outputs: dict[str, WidthMode] = field(default_factory=dict)
     records: list[TraceRecord] = field(default_factory=list)
     complete: bool = False
 
     def add(self, time: int, signal: str, value: int, annotation: str) -> None:
         self.records.append(TraceRecord(time, signal, value, annotation))
 
-    def output_records(self, output_names: set[str]) -> list[TraceRecord]:
+    def output_records(self) -> list[TraceRecord]:
         """The primary-output data samples only (the comparable output trace)."""
-        return [
-            r
-            for r in self.records
-            if r.annotation == "data" and r.signal in output_names
-        ]
+        outputs = self.outputs
+        return [r for r in self.records if r.annotation == "data" and r.signal in outputs]
 
 
 # event kinds, processed in (time, seq) order
@@ -300,11 +306,14 @@ class Engine:
         self._signals = _fn_signals(program)
         self.scenario = scenario
         self.timing = scenario.timing
+        netlist = program.netlist
         self.trace = Trace(
             scenario_name=scenario.name,
             application=scenario.application,
             timing=scenario.timing,
             seed=scenario.seed,
+            inputs=dict(netlist.inputs),
+            outputs={name: netlist.widths[node] for name, node in netlist.outputs.items()},
         )
         self.syndromes: list[HealthSyndrome] = []
         self._heap: list[tuple[int, int, int, object]] = []
@@ -313,7 +322,7 @@ class Engine:
         self._wave_base: dict[int, int] = {}  # clock -> seq of its wave's evaluation 0
         self._now = (0, 0)  # (time, seq) of the event being handled
         self._last_clock = 0
-        self.faults = expand_faults(scenario.faults)
+        self.faults = expand_faults(scenario.faults, scenario.run_until)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
         functions, opcode = self.fabric.functions, self.fabric.opcode
@@ -485,8 +494,9 @@ class Engine:
         self._publish(fn_idx, value, t, cascade=True)
 
     def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
-        """Monitored evaluation: vote, evaluate, self-check, classify."""
-        primary, result, masks = cell.step()
+        """Monitored evaluation: vote, evaluate, self-check; a streak of
+        ``check_threshold`` mismatches raises a syndrome."""
+        primary, mismatch, masks = cell.step()
         cid = cell.cell_id
         three_way = False
         if cell.registers.overlay:  # only overlay ports can dissent
@@ -494,15 +504,16 @@ class Engine:
                 if mask:
                     self.trace.add(t, f"cell.{cid}.{port.value}", mask, "masked_transient")
                     three_way = three_way or mask == 0b111
-        if result is CheckResult.MISMATCH:
+        if mismatch:
             self.trace.add(t, f"cell.{cid}", 1, "mismatch")
-            if classify(cell.history, self.timing.check_threshold) is FaultClass.PERMANENT:
+            if cell.mismatch_streak >= self.timing.check_threshold:
                 self._raise_syndrome(fn_idx, cell, t)
                 return primary
             self._schedule_eval(fn_idx, t + self.timing.cell_delay)
-        if result is CheckResult.MISMATCH or three_way:
-            # undetermined; a port whose three replicas disagree stays so
-            # until it is rewritten, so only a mismatch is checked again
+        if mismatch or three_way:
+            # a streak below the threshold, or a port whose three replicas
+            # disagree: that stays so until the port is rewritten, so only a
+            # mismatch is checked again
             if cell.health is CellHealth.HEALTHY:
                 cell.health = CellHealth.SUSPECT_TRANSIENT
         elif cell.health is CellHealth.SUSPECT_TRANSIENT:

@@ -1,8 +1,9 @@
 """Trace export (CSV, VCD) and healing metrics.
 
 CSV carries the full record stream with a commented header echoing the
-run's timing parameters; VCD carries the primary input and output
-waveforms for waveform-viewer inspection.  Metrics compare a run against
+run's timing parameters and its signal table; VCD carries the primary
+input and output waveforms for waveform-viewer inspection, each as wide
+as its netlist declaration.  Metrics compare a run against
 its fault-free golden twin to count erroneous output samples and time
 the healing of every syndrome.
 """
@@ -15,6 +16,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .apps import resolve_application
+from .cell import WidthMode
 from .engine import (
     ANNOTATIONS,
     Engine,
@@ -29,22 +31,16 @@ from .engine import (
 from .fabric import HealAction
 from .scenarios import _section
 
-_META_PREFIXES = ("in.", "fn.", "cell.", "heal.", "fault.")
-
-
-def output_signals(trace: Trace) -> list[str]:
-    """Primary output signal names (bare names by construction)."""
-    seen: dict[str, None] = {}
-    for r in trace.records:
-        if r.annotation == "data" and not r.signal.startswith(_META_PREFIXES):
-            seen.setdefault(r.signal, None)
-    return list(seen)
-
-
 # ---- CSV ----------------------------------------------------------------
 
+_WIDTHS = {mode.name.lower(): mode for mode in WidthMode}  # the netlist's spelling
 
-def to_csv(trace: Trace, records: Optional[list[TraceRecord]] = None) -> str:
+
+def _signal_table(table: dict[str, WidthMode]) -> str:
+    return "".join(f" {name}:{mode.name.lower()}" for name, mode in table.items())
+
+
+def to_csv(trace: Trace) -> str:
     """Deterministic CSV export: header comments, then one row per record."""
     rows = [
         f"# scenario: {trace.scenario_name}",
@@ -52,9 +48,11 @@ def to_csv(trace: Trace, records: Optional[list[TraceRecord]] = None) -> str:
         f"# timing: {trace.timing.describe()}",
         f"# seed: {trace.seed}",
         f"# version: cellfab {trace.version}",
+        f"# inputs:{_signal_table(trace.inputs)}",
+        f"# outputs:{_signal_table(trace.outputs)}",
         "time_ns,signal,value,annotation",
     ]
-    for r in trace.records if records is None else records:
+    for r in trace.records:
         rows.append(f"{r.time},{r.signal},{r.value},{r.annotation}")
     return "\n".join(rows) + "\n"
 
@@ -66,13 +64,24 @@ def _header_value(key: str, value: str):
     if key == "timing":
         pairs = (part.split("=") for part in value.split())
         return _section(TimingParams, {k: int(v) for k, v in pairs}, "timing")
+    if key in ("inputs", "outputs"):
+        table: dict[str, WidthMode] = {}
+        for entry in value.split():
+            name, _, width = entry.partition(":")
+            if not name or name in table:
+                raise ValueError(f"bad {key} entry {entry!r}")
+            if width not in _WIDTHS:
+                raise ValueError(f"unknown width {width!r} of {name!r}")
+            table[name] = _WIDTHS[width]
+        return table
     return value
 
 
 def from_csv(text: str) -> Trace:
     """Parse a CSV export back into a trace (header metadata included).
 
-    A malformed line raises ValueError naming its line number.
+    A malformed line raises ValueError naming its line number, and so
+    does a missing ``# inputs:`` or ``# outputs:`` line.
     """
     meta = {}
     records = []
@@ -96,11 +105,16 @@ def from_csv(text: str) -> Trace:
             records.append(TraceRecord(int(t), signal, int(value), annotation))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+    for key in ("inputs", "outputs"):
+        if key not in meta:
+            raise ValueError(f"missing '# {key}:' header line")
     trace = Trace(
         scenario_name=meta.get("scenario", "unknown"),
         application=meta.get("application", "unknown"),
         timing=meta.get("timing", TimingParams()),
         seed=meta.get("seed", 0),
+        inputs=meta["inputs"],
+        outputs=meta["outputs"],
         records=records,
     )
     trace.complete = True
@@ -124,28 +138,19 @@ def _vcd_vector(value: int) -> str:
     return format(value & 0xFFFF, "016b")
 
 
-def to_vcd(trace: Trace, widths: Optional[dict[str, int]] = None) -> str:
+def to_vcd(trace: Trace) -> str:
     """Value-change dump of the primary input and output waveforms.
 
-    One variable per signal, timescale 1 ns, initial dump at t=0 (x for
-    signals not yet driven), then changes only.  Signal widths default to
-    1 bit unless any sample leaves {0,1}.
+    One variable per signal of the trace's signal table that has a sample,
+    in order of first sample, as wide as its declaration (1 bit or 16);
+    timescale 1 ns, initial dump at t=0 (x for signals not yet driven),
+    then changes only.
     """
-    outputs = set(output_signals(trace))
-    data = [
-        r
-        for r in trace.records
-        if r.annotation == "data" and (r.signal.startswith("in.") or r.signal in outputs)
-    ]
-    signals: dict[str, None] = {}
-    for r in data:
-        signals.setdefault(r.signal, None)
-    if widths is None:
-        widths = {}
-        for r in data:
-            if r.value not in (0, 1):
-                widths[r.signal] = 16
-        widths = {s: widths.get(s, 1) for s in signals}
+    inputs = {f"in.{name}": mode for name, mode in trace.inputs.items()}
+    declared = inputs | trace.outputs
+    data = [r for r in trace.records if r.annotation == "data" and r.signal in declared]
+    signals = dict.fromkeys(r.signal for r in data)
+    widths = {s: 1 if declared[s] is WidthMode.BIT else 16 for s in signals}
 
     ids = {s: _vcd_id(i) for i, s in enumerate(signals)}
     lines = [
@@ -154,12 +159,12 @@ def to_vcd(trace: Trace, widths: Optional[dict[str, int]] = None) -> str:
         "$scope module inputs $end",
     ]
     for s in signals:
-        if s.startswith("in."):
+        if s in inputs:
             lines.append(f"$var wire {widths[s]} {ids[s]} {s[3:]} $end")
     lines.append("$upscope $end")
     lines.append("$scope module outputs $end")
     for s in signals:
-        if not s.startswith("in."):
+        if s not in inputs:
             lines.append(f"$var wire {widths[s]} {ids[s]} {s} $end")
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
@@ -273,12 +278,16 @@ def metrics(
     With the scenario at hand the output samples are diffed against the
     golden twin (simulated here unless ``golden`` is given) to count
     erroneous samples and verify heal completion; without it those
-    fields stay unavailable (None) rather than failing.
+    fields stay unavailable (None) rather than failing.  Every output of
+    the trace's signal table needs a sample.
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
     samples = _data_samples(trace)
-    outputs = output_signals(trace)
+    outputs = list(trace.outputs)
+    for o in outputs:
+        if o not in samples:
+            raise ValueError(f"trace has no sample of output {o!r}")
     fault_free_latency = max((samples[o][0][0] for o in outputs), default=None)
 
     alarm = "none"
@@ -316,6 +325,7 @@ def _compare_with_golden(
     golden: Optional[Trace],
 ) -> None:
     """Fill the fault counts, erroneous samples and per-syndrome heal times."""
+    faults = expand_faults(scenario.faults, scenario.run_until)
     m.faults_injected = sum(
         1
         for r in trace.records
@@ -340,7 +350,7 @@ def _compare_with_golden(
             masked_times.setdefault(r.signal[5:], []).append(r.time)
 
     syndrome_by_cell = {s.cell: s for s in m.syndromes}
-    for f in expand_faults(scenario.faults):
+    for f in faults:
         cid = str(f.cell)
         if f.kind == FaultKind.TRANSIENT_REGISTER:
             key = f"{cid}.{f.port.value}"

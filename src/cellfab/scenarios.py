@@ -165,7 +165,3 @@ def load_scenario(source: str | Path) -> Scenario:
     if not path.exists():
         raise FileNotFoundError(f"scenario not found: {source}")
     return scenario_from_dict(json.loads(path.read_text()), path.stem)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")

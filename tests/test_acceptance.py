@@ -27,7 +27,7 @@ from cellfab.genetic import (
 from cellfab.netlist import Netlist, NetNode, validate_netlist
 from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist, place
-from cellfab.report import metrics, output_signals, to_csv, to_vcd
+from cellfab.report import metrics, to_csv, to_vcd
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
@@ -39,10 +39,9 @@ def report(n: int, text: str) -> None:
 
 
 def output_rows(trace) -> str:
-    outs = set(output_signals(trace))
     return "\n".join(
         f"{r.time},{r.signal},{r.value},{r.annotation}"
-        for r in trace.output_records(outs)
+        for r in trace.output_records()
     )
 
 
@@ -209,7 +208,7 @@ def run_vectors(program, nl, vectors, holds, faults):
     res = Engine(program, sc).run()
     held: dict[str, list] = {}
     for r in res.trace.records:
-        if r.annotation == "data" and r.signal.startswith("o"):
+        if r.annotation == "data" and r.signal in res.trace.outputs:
             held.setdefault(r.signal, []).append((r.time, r.value))
 
     def settled(upto: int) -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""Cell-level semantics: function block ops, voting, registers, classification."""
+"""Cell-level semantics: function block ops, voting, registers, mismatch streaks."""
 
 import random
 
@@ -12,16 +12,12 @@ from cellfab.cell import (
     INT16_ONLY_OPCODES,
     CellHealth,
     CellId,
-    CheckResult,
-    FaultClass,
-    FaultHistory,
     FunctionalCell,
     InputRegisterBank,
     Opcode,
     PORT_ORDER,
     StuckBehavior,
     WidthMode,
-    classify,
     fit,
     gfb_eval,
     qmul,
@@ -229,23 +225,23 @@ class TestSelfCheck:
         cell = and_cell()
         cell.registers.write(N, 1)
         cell.registers.write(W, 1)
-        out, result, masks = cell.step()
-        assert (out, result) == (1, CheckResult.CLEAN)
+        out, mismatch, masks = cell.step()
+        assert (out, mismatch) == (1, False)
         assert masks == (0, 0, 0, 0)
 
     def test_stuck_at_zero_sensitized(self):
         cell = and_cell(StuckBehavior(stuck=0))
         cell.registers.write(N, 1)
         cell.registers.write(W, 1)
-        out, result, _ = cell.step()
-        assert (out, result) == (0, CheckResult.MISMATCH)
+        out, mismatch, _ = cell.step()
+        assert (out, mismatch) == (0, True)
 
     def test_stuck_at_zero_not_sensitized(self):
         cell = and_cell(StuckBehavior(stuck=0))
         cell.registers.write(N, 0)
         cell.registers.write(W, 1)
-        out, result, _ = cell.step()
-        assert (out, result) == (0, CheckResult.CLEAN)
+        out, mismatch, _ = cell.step()
+        assert (out, mismatch) == (0, False)
 
     def test_sensitization_honesty_randomized(self):
         # mismatch reported exactly when the corruption changes the output
@@ -256,18 +252,18 @@ class TestSelfCheck:
             cell = and_cell(StuckBehavior(stuck=stuck))
             cell.registers.write(N, n)
             cell.registers.write(W, w)
-            out, result, _ = cell.step()
+            out, mismatch, _ = cell.step()
             expected = n & w
             assert out == stuck
-            assert (result is CheckResult.MISMATCH) == (stuck != expected)
+            assert mismatch == (stuck != expected)
 
     def test_masked_register_corruption_keeps_output(self):
         cell = and_cell()
         cell.registers.write(N, 1)
         cell.registers.write(W, 1)
         cell.registers.corrupt(N, 2, flip=1, stuck=None)
-        out, result, masks = cell.step()
-        assert (out, result) == (1, CheckResult.CLEAN)
+        out, mismatch, masks = cell.step()
+        assert (out, mismatch) == (1, False)
         assert masks == (0b100, 0, 0, 0)
 
     def test_three_way_disagreement_reported_as_full_mask(self):
@@ -285,24 +281,8 @@ class TestSelfCheck:
         cell.registers.write(W, 2)
         cell.registers.corrupt(N, 1, flip=1, stuck=None)
         cell.registers.corrupt(N, 2, flip=2, stuck=None)
-        out, result, masks = cell.step()  # replica 0 is the fallback
-        assert (out, result, masks) == (7, CheckResult.CLEAN, (0b111, 0, 0, 0))
-
-    def test_clean_check_recorded_only_while_a_streak_is_live(self):
-        cell = and_cell(StuckBehavior(stuck=0))
-        cell.registers.write(N, 1)
-        cell.registers.write(W, 0)
-        cell.step()  # not sensitized, no streak: nothing to record
-        assert cell.history.last_check is None
-        assert classify(cell.history, 2) is None
-        cell.registers.write(W, 1)
-        cell.step()
-        cell.registers.write(W, 0)
-        cell.step()  # breaks the streak: recorded
-        assert classify(cell.history, 2) is FaultClass.TRANSIENT
-        cell.step()  # ends the broken streak: recorded, then nothing is live
-        assert (cell.history.mismatch_streak, cell.history.broken_streak) == (0, 0)
-        assert classify(cell.history, 2) is None
+        out, mismatch, masks = cell.step()  # replica 0 is the fallback
+        assert (out, mismatch, masks) == (7, False, (0b111, 0, 0, 0))
 
     def test_configure_rejects_constant_outside_width(self):
         cfg = CellConfig(
@@ -327,44 +307,51 @@ class TestSelfCheck:
 
 
 class TestClassify:
-    def record(self, history, results):
-        for r in results:
-            history.record(r)
+    """The kernel deems a fault permanent once a cell's ``mismatch_streak``
+    reaches ``check_threshold``; a clean check ends the streak."""
 
     def test_mismatch_then_clean_is_transient(self):
-        h = FaultHistory()
-        self.record(h, [CheckResult.MISMATCH, CheckResult.CLEAN])
-        assert classify(h, 2) is FaultClass.TRANSIENT
-        assert h.mismatch_streak == 0
+        cell = and_cell(StuckBehavior(stuck=0))
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 0)
+        cell.step()  # not sensitized
+        assert cell.mismatch_streak == 0
+        cell.registers.write(W, 1)
+        cell.step()
+        assert cell.mismatch_streak == 1
+        cell.registers.write(W, 0)
+        cell.step()  # a clean check ends the streak short of the threshold
+        assert cell.mismatch_streak == 0
 
     def test_two_mismatches_is_permanent(self):
-        h = FaultHistory()
-        self.record(h, [CheckResult.MISMATCH, CheckResult.MISMATCH])
-        assert classify(h, 2) is FaultClass.PERMANENT
-
-    def test_single_mismatch_undetermined(self):
-        h = FaultHistory()
-        self.record(h, [CheckResult.MISMATCH])
-        assert classify(h, 2) is FaultClass.UNDETERMINED
-
-    def test_clean_history_unclassified(self):
-        h = FaultHistory()
-        self.record(h, [CheckResult.CLEAN, CheckResult.CLEAN])
-        assert classify(h, 2) is None
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            classify(FaultHistory(), 0)
-
-    def test_classification_soundness_k2(self):
-        # an always-sensitized permanent becomes Permanent in exactly 2 steps
         cell = and_cell(StuckBehavior(flip=1))
         cell.registers.write(N, 1)
         cell.registers.write(W, 1)
         cell.step()
-        assert classify(cell.history, 2) is FaultClass.UNDETERMINED
         cell.step()
-        assert classify(cell.history, 2) is FaultClass.PERMANENT
+        assert cell.mismatch_streak == 2
+
+    def test_single_mismatch_undetermined(self):
+        cell = and_cell(StuckBehavior(flip=1))
+        cell.step()
+        assert cell.mismatch_streak == 1  # below the threshold of 2: keep watching
+
+    def test_clean_history_unclassified(self):
+        cell = and_cell()
+        cell.step()
+        cell.step()
+        assert cell.mismatch_streak == 0
+
+    def test_classification_soundness_k2(self):
+        # the streak reaches 2 exactly when the last two checks mismatched
+        rng = random.Random(7)
+        cell = and_cell(StuckBehavior(stuck=0))
+        cell.registers.write(N, 1)
+        checks = []
+        for _ in range(200):
+            cell.registers.write(W, rng.randint(0, 1))
+            checks.append(cell.step()[1])
+            assert (cell.mismatch_streak >= 2) == (checks[-2:] == [True, True])
 
     def test_single_transient_never_permanent(self):
         cell = and_cell()
@@ -373,7 +360,13 @@ class TestClassify:
         cell.registers.corrupt(N, 0, flip=1, stuck=None)
         for _ in range(5):
             cell.step()
-        assert classify(cell.history, 2) is None
+        assert cell.mismatch_streak == 0
+
+    def test_configure_resets_the_streak(self):
+        cell = and_cell(StuckBehavior(flip=1))
+        cell.step()
+        cell.configure(cell.config)
+        assert cell.mismatch_streak == 0
 
 
 class TestHelpers:

@@ -272,6 +272,7 @@ def _ccs_step_plant(data, **plant):
          "plant output_name ['throttle'] is not a string"),
         (lambda d: d.update(stimulus={}), "scenario stimulus {} is not a list"),
         (lambda d: d.update(faults=5), "scenario faults 5 is not a list"),
+        (lambda d: d["timing"].update(check_threshold=0), "check_threshold must be >= 1"),
     ],
     ids=[
         "unknown_timing_key",
@@ -301,6 +302,7 @@ def _ccs_step_plant(data, **plant):
         "list_plant_output",
         "object_stimulus",
         "int_faults",
+        "zero_check_threshold",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
@@ -324,8 +326,17 @@ def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
         (lambda text: text + "0,in.a,x,data\n", "line {rows}: "),
         (lambda text: text.replace(text.splitlines()[2], "# timing: cell_dly=3"),
          "line 3: unknown timing key 'cell_dly'"),
+        (lambda text: text.replace(text.splitlines()[5] + "\n", ""),
+         "missing '# inputs:' header line"),
+        (lambda text: text.replace(text.splitlines()[6] + "\n", ""),
+         "missing '# outputs:' header line"),
+        (lambda text: text.replace("EngineStart:bit", "EngineStart:int8"),
+         "line 7: unknown width 'int8' of 'EngineStart'"),
+        (lambda text: text.replace("# outputs:", "# outputs: ghost:bit"),
+         "trace has no sample of output 'ghost'"),
     ],
-    ids=["bad_value", "unknown_timing_key"],
+    ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
+         "unknown_width", "output_without_data"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
@@ -337,6 +348,30 @@ def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message)
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert message.format(rows=len(text.splitlines())) in err
+
+
+def test_endless_burst_is_one_line_error_on_run_and_report(tmp_path, capsys):
+    # every transient of a burst must start by run_until; the check runs
+    # before the burst is expanded, so a huge count costs nothing
+    import json
+    import time
+
+    from cellfab.scenarios import load_scenario, scenario_to_dict
+
+    assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
+    data = scenario_to_dict(load_scenario("edg_faultfree"))
+    data["faults"] = [{"kind": "intermittent_burst", "cell": "L0.F0", "t": 100, "port": "N",
+                       "replica": 0, "flip": 1, "period": 1000, "count": 10**9}]
+    scn = tmp_path / "burst.scn"
+    scn.write_text(json.dumps(data))
+    capsys.readouterr()
+    for argv in (["run", str(scn), "--out", str(tmp_path), "--format", "csv"],
+                 ["report", str(tmp_path / "edg_faultfree.csv"), "--scenario", str(scn)]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "after run_until=600" in err
 
 
 @pytest.mark.parametrize("name, kernel_runs", [("edg_faultfree", 1), ("edg_permanent_bt", 2)])

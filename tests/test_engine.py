@@ -136,9 +136,11 @@ def test_burst_expands_to_spaced_transients():
         kind="intermittent_burst", cell=CellId(0, 0, "F"), time=180,
         port=Port.NORTH, replica=0, flip=1, period=60, count=3,
     )
-    expanded = expand_faults([burst])
+    expanded = expand_faults([burst], 300)
     assert [f.time for f in expanded] == [180, 240, 300]
     assert all(f.kind == "transient_register" for f in expanded)
+    with pytest.raises(ValueError, match="at t=300 is after run_until=299"):
+        expand_faults([burst], 299)  # its last transient comes too late
 
 
 def test_inject_into_deactivated_cell_is_noop():

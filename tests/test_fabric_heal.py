@@ -87,10 +87,9 @@ def test_healing_soundness_random_stimuli():
 
     def window_outputs(t_lo, t_hi):
         out = {}
-        for r in trace.records:
-            if r.annotation == "data" and not r.signal.startswith(("in.", "fn.", "cell.", "heal.", "fault.")):
-                if t_lo <= r.time < t_hi:
-                    out[r.signal] = r.value
+        for r in trace.output_records():
+            if t_lo <= r.time < t_hi:
+                out[r.signal] = r.value
         return out
 
     for i, vec in enumerate(vectors):

@@ -4,8 +4,9 @@ Each loader is fed mutations of a valid document: spliced characters from
 the format's own alphabet, deleted or duplicated lines.  Whatever the
 mutation, the loader either accepts the text or raises a ``ValueError``
 subclass (``NetlistError``, ``PlacementError``, ``GeneticCodeError``, or a
-plain ``ValueError`` naming the CSV line); a ``TypeError``, ``KeyError`` or
-``IndexError`` escaping would reach the command line as a traceback.
+plain ``ValueError`` naming the CSV line or the missing header line); a
+``TypeError``, ``KeyError`` or ``IndexError`` escaping would reach the
+command line as a traceback.  A CSV trace that loads is also measured.
 A scenario document is mutated as JSON instead, and run when it loads; a
 missing netlist file may also end in an ``OSError``.
 """
@@ -18,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import ccs, edg
 from cellfab.apps.edg import START_PERMITTED
-from cellfab.engine import Scenario
+from cellfab.cell import CellId
+from cellfab.engine import FaultSpec, Scenario
 from cellfab.genetic import decode_genetic, encode_genetic, from_hex, to_hex
 from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
-from cellfab.report import from_csv, to_csv
+from cellfab.report import from_csv, metrics, to_csv
 from cellfab.scenarios import load_scenario, scenario_from_dict, scenario_to_dict
 from cellfab.sim import run, run_raw
 
@@ -86,28 +88,39 @@ def test_hex_loader_raises_only_value_errors(text):
 
 
 def short_trace_csv() -> str:
+    """A healed permanent fault: data, mismatch and syndrome_action rows."""
     sc = Scenario(
         name="fuzz", application="edg",
         stimulus=[(0, n, v) for n, v in START_PERMITTED.items()], run_until=300,
+        faults=[FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=0, flip=1)],
     )
     return to_csv(run_raw(sc).trace)
 
 
 CSV_TEXT = short_trace_csv()
 CSV_ALPHABET = "0123456789,.-#: =\nabcdefilmnostu_" + "EOS"
+COLUMNS = "time_ns,signal,value,annotation\n"
+CSV_HEADER, CSV_ROWS = CSV_TEXT.split(COLUMNS)  # the header alone is mutated too
 
 
 @FUZZ
-@given(mutated(CSV_TEXT, CSV_ALPHABET))
+@given(mutated(CSV_TEXT, CSV_ALPHABET) | mutated(CSV_HEADER, CSV_ALPHABET).map(
+    lambda header: header + COLUMNS + CSV_ROWS))
 def test_csv_loader_raises_only_value_errors(text):
     try:
-        from_csv(text)
+        trace = from_csv(text)
     except ValueError as exc:
-        assert str(exc).startswith("line ")
+        assert str(exc).startswith(("line ", "missing '# "))
+        return
+    try:
+        metrics(trace)
+    except ValueError:
+        pass
 
 
 def test_unmutated_documents_load():
-    assert from_csv(CSV_TEXT).records
+    m = metrics(from_csv(CSV_TEXT))
+    assert (m.fault_free_latency, m.heal_complete, len(m.syndromes)) == (245, 140, 1)
     compile_netlist(parse_netlist(ccs.netlist_text()))
     with pytest.raises(ValueError, match="^line "):
         from_csv(CSV_TEXT.replace("data", "dat", 1))

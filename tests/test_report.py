@@ -4,17 +4,17 @@ import re
 
 import pytest
 
-from cellfab.cell import CellId
+from cellfab.apps import resolve_application
+from cellfab.cell import CellId, WidthMode
 from cellfab.engine import FaultSpec, Scenario, TimingParams, Trace
 from cellfab.report import (
     format_metrics,
     from_csv,
     metrics,
-    output_signals,
     to_csv,
     to_vcd,
 )
-from cellfab.scenarios import load_scenario
+from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
 
@@ -93,6 +93,21 @@ class TestCsv:
         assert back.records == faultfree.trace.records
         assert back.timing == faultfree.trace.timing
         assert back.scenario_name == faultfree.trace.scenario_name
+        assert list(back.inputs.items()) == list(faultfree.trace.inputs.items())
+        assert list(back.outputs.items()) == list(faultfree.trace.outputs.items())
+
+    def test_signal_table_follows_the_version_line(self, faultfree):
+        lines = to_csv(faultfree.trace).splitlines()
+        assert lines[4].startswith("# version: ")
+        assert lines[5].startswith("# inputs: fuel_press_ok:bit lube_press_ok:bit ")
+        assert lines[6] == "# outputs: EngineStart:bit OpenAirStartFuel_Valves:bit"
+        assert lines[7] == "time_ns,signal,value,annotation"
+
+    def test_signal_table_keeps_int16_declarations(self):
+        res = run_raw(load_scenario("ccs_step"))
+        back = from_csv(to_csv(res.trace))
+        assert back.inputs["brake"] is WidthMode.INT16  # declared int16, holds 0 or 1
+        assert back.outputs == res.trace.outputs
 
     def test_first_engine_start_row_at_245(self, faultfree):
         text = to_csv(faultfree.trace)
@@ -147,6 +162,17 @@ class TestVcd:
         throttle_id = next(i for i, (n, _) in vars_.items() if n == "throttle")
         assert any(v and v > 1 for t, i, v in changes if i == throttle_id)
 
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_var_widths_are_the_netlist_declarations(self, name):
+        sc = load_scenario(name)
+        nl = resolve_application(sc.application).netlist
+        declared = dict(nl.inputs) | {o: nl.widths[node] for o, node in nl.outputs.items()}
+        vars_, _ = parse_vcd(to_vcd(run_raw(sc).trace))
+        widths = {n: w for n, w in vars_.values()}
+        assert set(widths) == set(declared)
+        for n, w in widths.items():
+            assert w == (1 if declared[n] is WidthMode.BIT else 16), n
+
 
 class TestMetrics:
     def test_faultfree_metrics(self, faultfree):
@@ -180,8 +206,7 @@ class TestMetrics:
         res = run_raw(sc3)
         golden = run_raw(sc3.without_faults())
         m = metrics(res.trace, sc3, golden=golden.trace)
-        outs = set(output_signals(res.trace))
-        same = res.trace.output_records(outs) == golden.trace.output_records(outs)
+        same = res.trace.output_records() == golden.trace.output_records()
         assert (m.erroneous_output_samples == 0) == same
         assert same
 
@@ -224,8 +249,9 @@ class TestMetrics:
         vars_, _ = parse_vcd(to_vcd(res.trace))
         assert "alarm" in {n for n, _ in vars_.values()}
 
-    def test_output_signals_excludes_internals(self, faultfree):
-        assert set(output_signals(faultfree.trace)) == {
-            "EngineStart",
-            "OpenAirStartFuel_Valves",
+    def test_trace_outputs_are_the_declared_outputs(self, faultfree):
+        assert faultfree.trace.outputs == {
+            "EngineStart": WidthMode.BIT,
+            "OpenAirStartFuel_Valves": WidthMode.BIT,
         }
+        assert list(faultfree.trace.inputs)[:2] == ["fuel_press_ok", "lube_press_ok"]
