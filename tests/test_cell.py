@@ -284,6 +284,21 @@ class TestSelfCheck:
         out, mismatch, masks = cell.step()  # replica 0 is the fallback
         assert (out, mismatch, masks) == (7, False, (0b111, 0, 0, 0))
 
+    def test_clean_check_recorded_only_while_a_streak_is_live(self):
+        cell = and_cell(StuckBehavior(stuck=0))
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 0)
+        assert cell.step()[1] is False  # not sensitized, no streak to end
+        assert cell.mismatch_streak == 0
+        cell.registers.write(W, 1)
+        assert cell.step()[1] is True
+        assert cell.mismatch_streak == 1
+        cell.registers.write(W, 0)
+        assert cell.step()[1] is False  # ends the live streak
+        assert cell.mismatch_streak == 0
+        cell.step()  # nothing is live any more: the streak stays at zero
+        assert cell.mismatch_streak == 0
+
     def test_configure_rejects_constant_outside_width(self):
         cfg = CellConfig(
             opcode=Opcode.AND,
