@@ -160,6 +160,11 @@ def cmd_report(args) -> int:
     try:
         trace = from_csv(path.read_text())
         scenario = load_scenario(args.scenario) if args.scenario else None
+        if scenario is not None and scenario.application != trace.application:
+            raise ValueError(
+                f"scenario application {scenario.application!r} is not"
+                f" the trace's {trace.application!r}"
+            )
         m = metrics(trace, scenario)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -248,6 +248,11 @@ class Trace:
     ``inputs`` and ``outputs`` map each primary input and output name to
     its declared width, in netlist declaration order.  Input samples are
     recorded as ``in.<name>``, output samples under the output name.
+
+    A trace an ``Engine`` returns also holds the ``program`` and the
+    ``scenario`` it ran, so that ``metrics`` needs no compile for it;
+    they stay in memory (no export writes them, so a parsed trace has
+    None) and take no part in comparison.
     """
 
     scenario_name: str
@@ -259,6 +264,8 @@ class Trace:
     outputs: dict[str, WidthMode] = field(default_factory=dict)
     records: list[TraceRecord] = field(default_factory=list)
     complete: bool = False
+    program: Optional[FabricProgram] = field(default=None, repr=False, compare=False)
+    scenario: Optional[Scenario] = field(default=None, repr=False, compare=False)
 
     def add(self, time: int, signal: str, value: int, annotation: str) -> None:
         self.records.append(TraceRecord(time, signal, value, annotation))
@@ -314,6 +321,8 @@ class Engine:
             seed=scenario.seed,
             inputs=dict(netlist.inputs),
             outputs={name: netlist.widths[node] for name, node in netlist.outputs.items()},
+            program=program,
+            scenario=scenario,
         )
         self.syndromes: list[HealthSyndrome] = []
         self._heap: list[tuple[int, int, int, object]] = []

@@ -276,10 +276,16 @@ def metrics(
     """Compute healing metrics for a completed run.
 
     With the scenario at hand the output samples are diffed against the
-    golden twin (simulated here unless ``golden`` is given) to count
-    erroneous samples and verify heal completion; without it those
-    fields stay unavailable (None) rather than failing.  Every output of
-    the trace's signal table needs a sample.
+    golden twin to count erroneous samples and verify heal completion;
+    without it those fields stay unavailable (None) rather than failing.
+    Every output of the trace's signal table needs a sample.
+
+    The golden twin is ``golden`` when given.  Otherwise, for a trace an
+    ``Engine`` ran on this very ``scenario`` object, it is the trace
+    itself when the scenario has no faults, and else a fault-free run of
+    the trace's own program; neither compiles.  Any other trace (parsed
+    from CSV, or passed with a different or merely equal scenario) gets
+    a twin simulated from a fresh compile of ``scenario.application``.
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
@@ -331,10 +337,15 @@ def _compare_with_golden(
         for r in trace.records
         if r.annotation == "data" and r.signal.startswith("fault.") and r.value == 1
     )
-    program = resolve_application(scenario.application)
+    if trace.scenario is scenario:  # an in-memory run of this scenario
+        program = trace.program
+        if golden is None and not scenario.faults:
+            golden = trace
+    else:
+        program = resolve_application(scenario.application)
     if golden is None:
         golden = Engine(program, scenario.without_faults()).run().trace
-    golden_samples = _data_samples(golden)
+    golden_samples = samples if golden is trace else _data_samples(golden)
     m.erroneous_output_samples = sum(
         _held_value(golden_samples.get(o, []), t) != v for o in outputs for t, v in samples[o]
     )

@@ -16,7 +16,9 @@ def run_raw(scenario: Scenario) -> RunResult:
 def run(scenario: Scenario) -> tuple[Trace, HealingMetrics]:
     """Run a scenario; returns (trace, healing metrics) per the library contract.
 
-    A fault-free scenario is its own golden twin, so it is simulated once.
+    The application compiles once: ``metrics`` takes the trace's own
+    program for the golden twin of a faulted scenario, and a fault-free
+    run is its own twin, so it is simulated once.
     """
     trace = run_raw(scenario).trace
-    return trace, metrics(trace, scenario, golden=None if scenario.faults else trace)
+    return trace, metrics(trace, scenario)

@@ -117,6 +117,17 @@ def test_report_from_csv(out_dir, capsys):
     assert "heal_complete_ns 570" in capsys.readouterr().out
 
 
+def test_report_rejects_a_scenario_of_another_application(out_dir, capsys):
+    main(["run", "edg_faultfree", "--out", str(out_dir), "--format", "csv"])
+    capsys.readouterr()
+    rc = main(["report", str(out_dir / "edg_faultfree.csv"), "--scenario", "ccs_step"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "'ccs'" in captured.err and "'edg'" in captured.err
+
+
 def test_report_without_scenario(out_dir, capsys):
     main(["run", "edg_multifault4", "--out", str(out_dir), "--format", "csv"])
     capsys.readouterr()
@@ -391,3 +402,19 @@ def test_run_simulates_golden_twin_only_for_faulted_scenarios(
     monkeypatch.setattr(Engine, "run", counting_run)
     assert main(["run", name, "--out", str(tmp_path), "--format", "csv"]) == 0
     assert len(calls) == kernel_runs
+
+
+def test_faulted_run_compiles_once(tmp_path, monkeypatch):
+    # the golden twin runs on the program the faulted run compiled
+    import cellfab.apps
+
+    calls = []
+    compile_netlist = cellfab.apps.compile_netlist
+
+    def counting_compile(netlist):
+        calls.append(netlist.name)
+        return compile_netlist(netlist)
+
+    monkeypatch.setattr(cellfab.apps, "compile_netlist", counting_compile)
+    assert main(["run", "edg_permanent_bt", "--out", str(tmp_path), "--format", "csv"]) == 0
+    assert len(calls) == 1
