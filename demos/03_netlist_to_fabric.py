@@ -6,13 +6,11 @@ into the spare cell sitting beside it.
 """
 
 from cellfab.apps import resolve_netlist
-from cellfab.netlist import depth
 from cellfab.place import build_routing, dump_program, place
 
 nl = resolve_netlist("edg")
-report = depth(nl)
 print(f"netlist: {len(nl.nodes)} nodes over {len(nl.inputs)} inputs, "
-      f"combinational depth {report.critical_path}")
+      f"combinational depth {nl.critical_path}")
 
 placement = place(nl)
 print(f"placement: {placement.layer_count} layers of 4 worker slots\n")

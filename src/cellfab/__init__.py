@@ -31,7 +31,7 @@ from .genetic import (  # noqa: F401
     from_hex,
     to_hex,
 )
-from .netlist import Netlist, NetlistError, depth, parse_netlist  # noqa: F401
+from .netlist import Netlist, NetlistError, parse_netlist  # noqa: F401
 from .place import Placement, build_routing, compile_netlist, place  # noqa: F401
 from .oracle import NetlistOracle, reference_eval, settled_reference  # noqa: F401
 from .fabric import Fabric, HealAction, HealthSyndrome  # noqa: F401
@@ -42,7 +42,6 @@ from .engine import (  # noqa: F401
     Scenario,
     TimingParams,
     Trace,
-    compare_steady_state,
 )
 from .report import HealingMetrics, from_csv, metrics, to_csv, to_vcd  # noqa: F401
 from .scenarios import BUNDLED_SCENARIOS, load_scenario  # noqa: F401

@@ -1,30 +1,30 @@
-"""Bundled applications and application-name resolution."""
+"""Bundled applications and application-name resolution.
+
+A bundled application is its netlist, ``data/<name>.nl``.  The modules
+``edg`` and ``ccs`` hold its reference semantics for tests and the
+benchmark; running an application does not import them.
+"""
 
 from __future__ import annotations
 
+from importlib import resources
 from pathlib import Path
 
 from ..netlist import Netlist, parse_netlist
 from ..place import FabricProgram, compile_netlist
-from .edg import EdgApplication, build_edg  # noqa: F401
-from .ccs import (  # noqa: F401
-    CcsApplication,
-    ModeCondition,
-    PiParams,
-    build_ccs,
-    ccs_mode,
-    pi_reference,
-)
 
 BUNDLED = ("edg", "ccs")
 
 
+def netlist_text(name: str) -> str:
+    """Text of the bundled netlist of application ``name``."""
+    return resources.files("cellfab.data").joinpath(f"{name}.nl").read_text()
+
+
 def resolve_netlist(application: str) -> Netlist:
     """Map an application name or netlist path to a parsed netlist."""
-    if application == "edg":
-        return build_edg().netlist
-    if application == "ccs":
-        return build_ccs().netlist
+    if application in BUNDLED:
+        return parse_netlist(netlist_text(application), application)
     path = Path(application)
     if path.suffix == ".nl" or path.exists():
         if not path.exists():

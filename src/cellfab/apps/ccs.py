@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 
 from ..cell import qmul, wrap16
-from ..netlist import Netlist, parse_netlist
 
 
 class ModeCondition(Enum):
@@ -100,22 +98,3 @@ CCS_CELL_OPCODES = {
     "fc16": "MUL",
     "fc17": "ADD",
 }
-
-INPUTS = ("set_btn", "inc_btn", "dec_btn", "cancel_btn", "brake", "actual_speed")
-OUTPUTS = ("throttle", "active")
-
-
-@dataclass(frozen=True)
-class CcsApplication:
-    netlist: Netlist
-    pi: PiParams
-    inputs: tuple[str, ...] = INPUTS
-    outputs: tuple[str, str] = OUTPUTS
-
-
-def netlist_text() -> str:
-    return resources.files("cellfab.data").joinpath("ccs.nl").read_text()
-
-
-def build_ccs(pi: PiParams | None = None) -> CcsApplication:
-    return CcsApplication(netlist=parse_netlist(netlist_text(), "ccs"), pi=pi or PiParams())

@@ -1,13 +1,6 @@
-"""Emergency generator startup application bundled with the package."""
+"""Emergency generator startup: the reference semantics of ``data/edg.nl``."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from importlib import resources
-
-from ..netlist import Netlist, parse_netlist
-
-OUTPUTS = ("EngineStart", "OpenAirStartFuel_Valves")
 
 # Input assignment under which every start permissive is satisfied; the
 # standard stimulus of the bundled scenarios.
@@ -51,17 +44,3 @@ def reference_equations(inputs: dict[str, int]) -> dict[str, int]:
         "EngineStart": s & inputs["field_flash_ok"],
         "OpenAirStartFuel_Valves": s & inputs["breaker_open"],
     }
-
-
-@dataclass(frozen=True)
-class EdgApplication:
-    netlist: Netlist
-    outputs: tuple[str, str] = OUTPUTS
-
-
-def netlist_text() -> str:
-    return resources.files("cellfab.data").joinpath("edg.nl").read_text()
-
-
-def build_edg() -> EdgApplication:
-    return EdgApplication(netlist=parse_netlist(netlist_text(), "edg"))

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .apps import BUNDLED, resolve_netlist
 from .genetic import GeneticCodeError, decode_genetic, format_config, from_hex
-from .netlist import NetlistError, depth, parse_netlist
+from .netlist import NetlistError, parse_netlist
 from .place import PlacementError, place
 from .report import format_metrics, from_csv, metrics, to_csv, to_vcd
 from .scenarios import BUNDLED_SCENARIOS, load_scenario
@@ -127,9 +127,8 @@ def cmd_validate(args) -> int:
     except (NetlistError, PlacementError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    report = depth(nl)
     print(
-        f"{len(nl.nodes)} nodes, depth {report.critical_path}, "
+        f"{len(nl.nodes)} nodes, depth {nl.critical_path}, "
         f"{placement.layer_count} layers"
     )
     for name, (layer, slot) in sorted(placement.slots.items(), key=lambda kv: kv[1]):
@@ -177,10 +176,9 @@ def cmd_apps(args) -> int:
     print("applications:")
     for name in BUNDLED:
         nl = resolve_netlist(name)
-        report = depth(nl)
         outputs = ", ".join(nl.outputs)
         print(
-            f"  {name}: {len(nl.nodes)} cells, depth {report.critical_path}, "
+            f"  {name}: {len(nl.nodes)} cells, depth {nl.critical_path}, "
             f"outputs {outputs}"
         )
     print("scenarios:")

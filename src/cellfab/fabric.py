@@ -20,7 +20,6 @@ from typing import Optional
 
 from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank, Opcode
 from .genetic import CellConfig, InputSelector, SelectorKind
-from .netlist import depth as depth_report, eval_level
 from .place import FabricProgram, SLOTS_PER_LAYER
 
 
@@ -74,8 +73,6 @@ class Fabric:
 
     def __init__(self, program: FabricProgram):
         self.netlist = program.netlist
-        report = depth_report(self.netlist)
-        nodes = {node.name: node for node in self.netlist.nodes}
         self.layers: list[CriticalServiceLayer] = []
         self.functions: dict[int, FabricFunction] = {}
         slots = len(program.layers) * SLOTS_PER_LAYER
@@ -101,10 +98,11 @@ class Fabric:
             for slot, name in enumerate(lp.worker_nodes):
                 if name is None:
                     continue
+                config = lp.worker_configs[slot]
                 fn = FabricFunction(
                     index=lp.index * SLOTS_PER_LAYER + slot,
-                    level=eval_level(self.netlist, nodes[name], report),
-                    config=lp.worker_configs[slot],
+                    level=0 if config.opcode is Opcode.DELAY else self.netlist.depth[name],
+                    config=config,
                 )
                 self.functions[fn.index] = fn
                 self.binding[fn.index] = f_cells[slot]

@@ -47,16 +47,18 @@ class Netlist:
     nodes: list[NetNode] = field(default_factory=list)
     outputs: dict[str, str] = field(default_factory=dict)  # output name -> node id
     partition: list[list[str]] = field(default_factory=list)  # layer -> node ids
-    widths: dict[str, WidthMode] = field(default_factory=dict)  # filled by validate
+    # filled by validate_netlist
+    widths: dict[str, WidthMode] = field(default_factory=dict)
+    order: list[str] = field(default_factory=list)  # combinational evaluation order
+    depth: dict[str, int] = field(default_factory=dict)  # node id -> combinational depth
 
     def input_names(self) -> list[str]:
         return [n for n, _ in self.inputs]
 
-    def node(self, name: str) -> NetNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
+    @property
+    def critical_path(self) -> int:
+        """The deepest node's combinational depth (0 without nodes)."""
+        return max(self.depth.values(), default=0)
 
 
 _INPUT_RE = re.compile(r"^input\s+(\w+)\s*:\s*(bit|int16)$")
@@ -168,7 +170,7 @@ def validate_netlist(nl: Netlist) -> None:
             if len(layer) > 4:
                 raise NetlistError(f"partition layer {i} exceeds 4 worker slots")
 
-    _check_combinational_cycles(nl)
+    _order_by_depth(nl)
     _resolve_widths(nl)
 
 
@@ -221,96 +223,39 @@ def _resolve_widths(nl: Netlist) -> None:
     nl.widths = widths
 
 
-def node_width(nl: Netlist, node: NetNode) -> WidthMode:
-    """Width mode of a node's output."""
-    if not nl.widths:
-        _resolve_widths(nl)
-    return nl.widths[node.name]
+def _order_by_depth(nl: Netlist) -> None:
+    """Fill ``nl.order`` and ``nl.depth``; the combinational graph must be acyclic.
 
-
-def _combinational_operands(nl: Netlist) -> dict[str, list[str]]:
-    """Per node, the operand node ids that propagate combinationally
-    (inputs and the outputs of DELAY nodes act as wave sources and are
-    excluded)."""
+    Only operands that propagate combinationally count: primary inputs
+    and DELAY node outputs are wave sources, so a delay stage breaks both
+    a cycle and a path.  A node's depth is 1 + the greatest depth of its
+    combinational operands, for DELAY nodes too (where their captured
+    input settles).
+    """
     sources = {IMM_REF, *nl.input_names()}
     sources.update(n.name for n in nl.nodes if n.opcode is Opcode.DELAY)
-    return {n.name: [ref for ref in n.operands if ref not in sources] for n in nl.nodes}
-
-
-def _check_combinational_cycles(nl: Netlist) -> None:
-    """The graph restricted to non-DELAY edges must be acyclic."""
-    order, cycle = _topological_order(nl)
-    if cycle:
-        raise NetlistError(
-            "combinational cycle through: " + " -> ".join(cycle),
-            nl.node(cycle[0]).line,
-        )
-
-
-def _topological_order(nl: Netlist) -> tuple[list[str], list[str]]:
-    deps = _combinational_operands(nl)
-    state: dict[str, int] = {}  # 0 visiting, 1 done
+    deps = {n.name: [ref for ref in n.operands if ref not in sources] for n in nl.nodes}
+    lines = {n.name: n.line for n in nl.nodes}
+    depths: dict[str, int] = {}
     order: list[str] = []
-    cycle: list[str] = []
+    stack: list[str] = []
 
-    def visit(name: str, stack: list[str]) -> bool:
-        if state.get(name) == 1:
-            return True
-        if state.get(name) == 0:
-            cycle.extend(stack[stack.index(name):])
-            return False
-        state[name] = 0
+    def visit(name: str) -> None:
+        if name in depths:
+            return
+        if name in stack:
+            cycle = stack[stack.index(name):]
+            raise NetlistError(
+                "combinational cycle through: " + " -> ".join(cycle), lines[name]
+            )
         stack.append(name)
         for dep in deps[name]:
-            if not visit(dep, stack):
-                return False
+            visit(dep)
         stack.pop()
-        state[name] = 1
+        depths[name] = 1 + max((depths[dep] for dep in deps[name]), default=0)
         order.append(name)
-        return True
 
     for node in nl.nodes:
-        if not visit(node.name, []):
-            return [], cycle
-    return order, []
-
-
-def topological_order(nl: Netlist) -> list[str]:
-    """Node ids in combinational evaluation order (DELAY edges broken)."""
-    order, cycle = _topological_order(nl)
-    if cycle:
-        raise NetlistError("combinational cycle")
-    return order
-
-
-@dataclass
-class DepthReport:
-    node_depth: dict[str, int]
-    critical_path: int
-
-
-def depth(nl: Netlist) -> DepthReport:
-    """Combinational depth per node.
-
-    depth(node) = 1 + max(depth of non-DELAY operands); primary inputs
-    and DELAY node outputs contribute 0 (a delay stage breaks the path).
-    """
-    deps = _combinational_operands(nl)
-    depths: dict[str, int] = {}
-    for name in topological_order(nl):
-        depths[name] = 1 + max((depths[ref] for ref in deps[name]), default=0)
-    # a DELAY node's depth reflects where its captured input settles
-    critical = max(depths.values(), default=0)
-    return DepthReport(node_depth=depths, critical_path=critical)
-
-
-def eval_level(nl: Netlist, node: NetNode, report: DepthReport | None = None) -> int:
-    """Wave level at which a node's cell evaluates.
-
-    DELAY cells capture on the stimulus clock itself (level 0); all other
-    cells evaluate one cell delay after their deepest combinational operand.
-    """
-    if node.opcode is Opcode.DELAY:
-        return 0
-    report = report or depth(nl)
-    return report.node_depth[node.name]
+        visit(node.name)
+    nl.order = order
+    nl.depth = depths

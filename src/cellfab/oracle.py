@@ -9,7 +9,7 @@ model so the two can check each other.
 from __future__ import annotations
 
 from .cell import WidthMode, wrap16
-from .netlist import IMM_REF, Netlist, Opcode, node_width, topological_order
+from .netlist import IMM_REF, Netlist, Opcode
 
 
 def _trunc_q88(p: int) -> int:
@@ -22,12 +22,14 @@ class NetlistOracle:
 
     def __init__(self, nl: Netlist):
         self.netlist = nl
-        self.order = topological_order(nl)
+        nodes = {n.name: n for n in nl.nodes}
+        self.combinational = [
+            nodes[name] for name in nl.order if nodes[name].opcode is not Opcode.DELAY
+        ]
         self.delay_nodes = [n for n in nl.nodes if n.opcode is Opcode.DELAY]
         self.state: dict[str, tuple[int, ...]] = {
             n.name: (0,) * n.delay_cycles for n in self.delay_nodes
         }
-        self.widths = {n.name: node_width(nl, n) for n in nl.nodes}
 
     def step(self, inputs: dict[str, int]) -> dict[str, int]:
         """Advance one stimulus period; returns every node's settled value."""
@@ -37,11 +39,8 @@ class NetlistOracle:
         values: dict[str, int] = dict(inputs)
         for node in self.delay_nodes:
             values[node.name] = self.state[node.name][0]
-        for name in self.order:
-            node = self.netlist.node(name)
-            if node.opcode is Opcode.DELAY:
-                continue
-            values[name] = self._eval_node(node, values)
+        for node in self.combinational:
+            values[node.name] = self._eval_node(node, values)
         for node in self.delay_nodes:
             captured = self._operand(node, 0, values)
             self.state[node.name] = self.state[node.name][1:] + (captured,)
@@ -55,7 +54,7 @@ class NetlistOracle:
         return node.immediate if ref == IMM_REF else values[ref]
 
     def _eval_node(self, node, values: dict[str, int]) -> int:
-        bit = self.widths[node.name] is WidthMode.BIT
+        bit = self.netlist.widths[node.name] is WidthMode.BIT
         ops = [self._operand(node, i, values) for i in range(len(node.operands))]
         op = node.opcode
         if op is Opcode.NOP:

@@ -19,7 +19,7 @@ from .genetic import (
     nop_config,
     to_hex,
 )
-from .netlist import IMM_REF, Netlist, NetlistError, depth, node_width
+from .netlist import IMM_REF, Netlist, NetlistError
 
 SLOTS_PER_LAYER = 4
 MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 addressable functions
@@ -70,26 +70,25 @@ class FabricProgram:
         return [code for layer in self.layers for code in layer.spare_codes]
 
 
-def place(nl: Netlist, capacity: int = SLOTS_PER_LAYER, max_layers: int = MAX_LAYERS) -> Placement:
+def place(nl: Netlist) -> Placement:
     """Assign every node a (layer, slot); deterministic for a given netlist."""
     slots: dict[str, tuple[int, int]] = {}
     if nl.partition:
         for layer_idx, names in enumerate(nl.partition):
             for slot_idx, name in enumerate(names):
-                if slot_idx >= capacity:
+                if slot_idx >= SLOTS_PER_LAYER:
                     raise PlacementError(f"partition layer {layer_idx} over capacity")
                 slots[name] = (layer_idx, slot_idx)
         layer_count = len(nl.partition)
     else:
-        report = depth(nl)
-        decl_order = {n.name: i for i, n in enumerate(nl.nodes)}
-        ordered = sorted(nl.nodes, key=lambda n: (report.node_depth[n.name], decl_order[n.name]))
+        # sorted() is stable: equal depths keep declaration order
+        ordered = sorted(nl.nodes, key=lambda n: nl.depth[n.name])
         for i, node in enumerate(ordered):
-            slots[node.name] = (i // capacity, i % capacity)
-        layer_count = (len(ordered) + capacity - 1) // capacity
-    if layer_count > max_layers:
+            slots[node.name] = (i // SLOTS_PER_LAYER, i % SLOTS_PER_LAYER)
+        layer_count = (len(ordered) + SLOTS_PER_LAYER - 1) // SLOTS_PER_LAYER
+    if layer_count > MAX_LAYERS:
         raise PlacementError(
-            f"netlist needs {layer_count} layers, fabric holds {max_layers}"
+            f"netlist needs {layer_count} layers, fabric holds {MAX_LAYERS}"
         )
     input_binding = {name: i for i, (name, _) in enumerate(nl.inputs)}
     if len(input_binding) > 64:
@@ -135,7 +134,7 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
                     immediate=node.immediate,
                     delay_cycles=node.delay_cycles,
                     output_enable=True,
-                    width_mode=node_width(nl, node),
+                    width_mode=nl.widths[name],
                 )
             )
         spare_codes = [encode_genetic(cfg) for cfg in worker_configs]

@@ -282,10 +282,11 @@ def metrics(
 
     The golden twin is ``golden`` when given.  Otherwise, for a trace an
     ``Engine`` ran on this very ``scenario`` object, it is the trace
-    itself when the scenario has no faults, and else a fault-free run of
-    the trace's own program; neither compiles.  Any other trace (parsed
-    from CSV, or passed with a different or merely equal scenario) gets
-    a twin simulated from a fresh compile of ``scenario.application``.
+    itself when the trace holds no ``fault.*`` record, and else a
+    fault-free run of the trace's own program; neither compiles.  Any
+    other trace (parsed from CSV, or passed with a different or merely
+    equal scenario) gets a twin simulated from a fresh compile of
+    ``scenario.application``.
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
@@ -332,14 +333,14 @@ def _compare_with_golden(
 ) -> None:
     """Fill the fault counts, erroneous samples and per-syndrome heal times."""
     faults = expand_faults(scenario.faults, scenario.run_until)
-    m.faults_injected = sum(
-        1
-        for r in trace.records
-        if r.annotation == "data" and r.signal.startswith("fault.") and r.value == 1
-    )
+    fault_records = [
+        r for r in trace.records if r.annotation == "data" and r.signal.startswith("fault.")
+    ]
+    m.faults_injected = sum(1 for r in fault_records if r.value == 1)
     if trace.scenario is scenario:  # an in-memory run of this scenario
         program = trace.program
-        if golden is None and not scenario.faults:
+        # the run, not the scenario as it reads now, says whether it was fault-free
+        if golden is None and not fault_records:
             golden = trace
     else:
         program = resolve_application(scenario.application)

@@ -11,13 +11,7 @@ import pytest
 
 from cellfab.apps import resolve_application
 from cellfab.cell import CellId, Opcode, WidthMode, vote, wrap16
-from cellfab.engine import (
-    Engine,
-    FaultSpec,
-    Scenario,
-    TimingParams,
-    compare_steady_state,
-)
+from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
 from cellfab.genetic import (
     CorruptedCodeError,
     InvalidCodeError,
@@ -31,6 +25,7 @@ from cellfab.report import metrics, to_csv, to_vcd
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
+from helpers import compare_steady_state
 from test_genetic import random_config
 
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cellfab.apps import resolve_netlist
 from cellfab.apps.ccs import (
     CCS_CELL_OPCODES,
     ModeCondition,
     PiParams,
-    build_ccs,
     ccs_mode,
     pi_reference,
 )
@@ -23,7 +23,7 @@ from cellfab.sim import run_raw
 
 
 def test_cell_opcode_assignment_matches_contract():
-    nl = build_ccs().netlist
+    nl = resolve_netlist("ccs")
     got = {n.name: n.opcode.name for n in nl.nodes}
     assert got == CCS_CELL_OPCODES
 
@@ -37,13 +37,13 @@ def test_opcode_multiset():
 
 
 def test_seventeen_cells_five_layers():
-    nl = build_ccs().netlist
+    nl = resolve_netlist("ccs")
     assert len(nl.nodes) == 17
     assert place(nl).layer_count == 5
 
 
 def test_io_signature():
-    nl = build_ccs().netlist
+    nl = resolve_netlist("ccs")
     assert len(nl.inputs) == 6
     assert set(nl.outputs) == {"throttle", "active"}
 

@@ -2,59 +2,58 @@
 
 import itertools
 
-from cellfab.apps.edg import build_edg, reference_equations, START_PERMITTED
+from cellfab.apps import resolve_netlist
+from cellfab.apps.edg import reference_equations, START_PERMITTED
 from cellfab.cell import Opcode
-from cellfab.netlist import depth
 from cellfab.oracle import NetlistOracle
 from cellfab.place import place
 
 
 def test_node_count_is_fourteen():
-    assert len(build_edg().netlist.nodes) == 14
+    assert len(resolve_netlist("edg").nodes) == 14
 
 
 def test_io_counts():
-    nl = build_edg().netlist
+    nl = resolve_netlist("edg")
     assert len(nl.inputs) == 14
     assert len(nl.outputs) == 2
     assert set(nl.outputs) == {"EngineStart", "OpenAirStartFuel_Valves"}
 
 
 def test_combinational_depth_seven():
-    assert depth(build_edg().netlist).critical_path == 7
+    assert resolve_netlist("edg").critical_path == 7
 
 
 def test_opcodes_are_basic_gates():
-    ops = {n.opcode for n in build_edg().netlist.nodes}
+    ops = {n.opcode for n in resolve_netlist("edg").nodes}
     assert ops <= {Opcode.AND, Opcode.OR, Opcode.NOT}
 
 
 def test_both_outputs_at_full_depth():
-    nl = build_edg().netlist
-    rep = depth(nl)
+    nl = resolve_netlist("edg")
     for node_id in nl.outputs.values():
-        assert rep.node_depth[node_id] == 7
+        assert nl.depth[node_id] == 7
 
 
 def test_places_into_four_layers():
-    assert place(build_edg().netlist).layer_count == 4
+    assert place(resolve_netlist("edg")).layer_count == 4
 
 
 def test_every_input_is_referenced():
-    nl = build_edg().netlist
+    nl = resolve_netlist("edg")
     used = {ref for n in nl.nodes for ref in n.operands}
     assert set(nl.input_names()) <= used
 
 
 def test_start_permitted_fires_both_outputs():
-    nl = build_edg().netlist
+    nl = resolve_netlist("edg")
     oracle = NetlistOracle(nl)
     out = oracle.outputs(oracle.step(START_PERMITTED))
     assert out == {"EngineStart": 1, "OpenAirStartFuel_Valves": 1}
 
 
 def test_netlist_matches_documented_equations_exhaustively():
-    nl = build_edg().netlist
+    nl = resolve_netlist("edg")
     names = nl.input_names()
     oracle = NetlistOracle(nl)
     for bits in itertools.product((0, 1), repeat=14):

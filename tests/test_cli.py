@@ -56,9 +56,9 @@ def test_run_outputs_byte_identical(tmp_path):
 
 def test_validate_edg(tmp_path, capsys):
     nl_path = tmp_path / "edg.nl"
-    from cellfab.apps.edg import netlist_text
+    from cellfab.apps import netlist_text
 
-    nl_path.write_text(netlist_text())
+    nl_path.write_text(netlist_text("edg"))
     rc = main(["validate", str(nl_path)])
     assert rc == 0
     assert "14 nodes, depth 7, 4 layers" in capsys.readouterr().out
@@ -66,9 +66,9 @@ def test_validate_edg(tmp_path, capsys):
 
 def test_validate_ccs(tmp_path, capsys):
     nl_path = tmp_path / "ccs.nl"
-    from cellfab.apps.ccs import netlist_text
+    from cellfab.apps import netlist_text
 
-    nl_path.write_text(netlist_text())
+    nl_path.write_text(netlist_text("ccs"))
     rc = main(["validate", str(nl_path)])
     assert rc == 0
     out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from cellfab.engine import (
     FaultSpec,
     Scenario,
     TimingParams,
-    compare_steady_state,
     expand_faults,
 )
 from cellfab.netlist import parse_netlist
@@ -19,6 +18,8 @@ from cellfab.place import compile_netlist
 from cellfab.report import to_csv
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
+
+from helpers import compare_steady_state
 
 
 def edg_scenario(name="t", faults=(), run_until=600, stimulus_extra=()):

@@ -151,6 +151,16 @@ def test_equal_but_distinct_scenario_gets_a_simulated_twin(counters):
     assert metrics(trace, sc).erroneous_output_samples == 0  # its own twin
 
 
+def test_trace_with_fault_records_is_not_its_own_twin():
+    # the run decides, not the scenario as it reads afterwards: clearing
+    # its faults must not make a faulted trace its own twin
+    sc = load_scenario("edg_multifault4")
+    trace = run_raw(sc).trace
+    sc.faults = []
+    assert metrics(trace, sc).erroneous_output_samples == 6
+    assert metrics(trace, copy.copy(sc)).erroneous_output_samples == 6
+
+
 @pytest.mark.parametrize("name", ["edg_permanent_bt", "edg_multifault4", "ccs_fc16_permanent"])
 def test_program_reused_after_a_healed_run_gives_the_same_twin(name):
     sc = load_scenario(name)

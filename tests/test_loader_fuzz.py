@@ -17,7 +17,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cellfab.apps import ccs, edg
+from cellfab.apps import netlist_text
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId
 from cellfab.engine import FaultSpec, Scenario
@@ -55,7 +55,7 @@ NETLIST_ALPHABET = "abinoptuwyz_019 :=(),#\n\t-ANDORTMUXCPSBLYE"
 
 
 @FUZZ
-@given(st.sampled_from([edg.netlist_text(), ccs.netlist_text()]).flatmap(
+@given(st.sampled_from([netlist_text("edg"), netlist_text("ccs")]).flatmap(
     lambda text: mutated(text, NETLIST_ALPHABET)))
 def test_netlist_loader_raises_only_value_errors(text):
     try:
@@ -121,7 +121,7 @@ def test_csv_loader_raises_only_value_errors(text):
 def test_unmutated_documents_load():
     m = metrics(from_csv(CSV_TEXT))
     assert (m.fault_free_latency, m.heal_complete, len(m.syndromes)) == (245, 140, 1)
-    compile_netlist(parse_netlist(ccs.netlist_text()))
+    compile_netlist(parse_netlist(netlist_text("ccs")))
     with pytest.raises(ValueError, match="^line "):
         from_csv(CSV_TEXT.replace("data", "dat", 1))
 

@@ -3,7 +3,9 @@
 import pytest
 
 from cellfab.cell import WidthMode
-from cellfab.netlist import NetlistError, depth, eval_level, parse_netlist
+from cellfab.fabric import Fabric
+from cellfab.netlist import NetlistError, parse_netlist
+from cellfab.place import compile_netlist
 
 
 def test_minimal_netlist():
@@ -35,6 +37,20 @@ def test_combinational_cycle_detected():
         parse_netlist(text)
 
 
+def test_cycle_error_names_the_line_where_the_cycle_starts():
+    # h reaches the cycle first but is not on it; the walk enters it at g2
+    text = (
+        "input a : bit\n"
+        "node h = NOT(g2)\n"
+        "node g1 = AND(g2, a)\n"
+        "node g2 = OR(g1, a)\n"
+        "output y = h\n"
+    )
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(text)
+    assert str(exc.value) == "line 4: combinational cycle through: g2 -> g1"
+
+
 def test_delay_breaks_cycle():
     text = (
         "input a : int16\n"
@@ -43,7 +59,7 @@ def test_delay_breaks_cycle():
         "output y = acc\n"
     )
     nl = parse_netlist(text)
-    assert nl.node("reg").delay_cycles == 1
+    assert {n.name: n for n in nl.nodes}["reg"].delay_cycles == 1
 
 
 def test_unknown_opcode():
@@ -78,7 +94,7 @@ def test_imm_operand_and_width_check():
     nl = parse_netlist(
         "input a : int16\nnode g = ADD(a, imm) imm=41\noutput y = g\n"
     )
-    assert nl.node("g").immediate == 41
+    assert nl.nodes[0].immediate == 41
     with pytest.raises(NetlistError, match="constant"):
         parse_netlist("input a : bit\nnode g = MUX(a, a, imm) imm=9\noutput y = g\n")
     # a bit-wide node's immediate must fit even when no port is wired to it
@@ -88,7 +104,7 @@ def test_imm_operand_and_width_check():
 
 def test_single_not_depth():
     nl = parse_netlist("input a : bit\nnode g = NOT(a)\noutput y = g\n")
-    assert depth(nl).critical_path == 1
+    assert nl.critical_path == 1
 
 
 def test_chain_of_seven_gates():
@@ -97,7 +113,7 @@ def test_chain_of_seven_gates():
         lines.append(f"node g{i} = NOT(g{i-1})")
     lines.append("output y = g6")
     nl = parse_netlist("\n".join(lines))
-    assert depth(nl).critical_path == 7
+    assert nl.critical_path == 7
 
 
 def test_delay_edges_break_depth():
@@ -109,10 +125,11 @@ def test_delay_edges_break_depth():
         "output y = t\n"
     )
     nl = parse_netlist(text)
-    rep = depth(nl)
-    assert rep.node_depth["s"] == 1  # reg contributes 0 as a register output
-    assert rep.node_depth["t"] == 2
-    assert eval_level(nl, nl.node("reg"), rep) == 0
+    assert nl.depth["s"] == 1  # reg contributes 0 as a register output
+    assert nl.depth["t"] == 2
+    program = compile_netlist(nl)
+    fn = Fabric(program).functions[program.placement.function_index("reg")]
+    assert fn.level == 0
 
 
 def test_partition_pragma():
@@ -159,4 +176,4 @@ def test_syntax_error_line_number():
 
 def test_empty_netlist_is_valid():
     nl = parse_netlist("")
-    assert nl.nodes == [] and depth(nl).critical_path == 0
+    assert nl.nodes == [] and nl.critical_path == 0

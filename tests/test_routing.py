@@ -3,11 +3,13 @@
 import random
 
 from cellfab.apps import resolve_netlist
-from cellfab.engine import Engine, Scenario, TimingParams, compare_steady_state
+from cellfab.engine import Engine, Scenario, TimingParams
 from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist
 from cellfab.sim import run_raw
 from cellfab.scenarios import load_scenario
+
+from helpers import compare_steady_state
 
 
 def drive_vectors(nl, vectors, holds=1, period=2000):

@@ -17,7 +17,7 @@ from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId, Opcode, Port, WidthMode
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
 from cellfab.fabric import Fabric
-from cellfab.netlist import depth
+from cellfab.netlist import Netlist, validate_netlist
 from cellfab.place import compile_netlist
 
 from test_acceptance import random_netlist, random_vector
@@ -93,7 +93,7 @@ def scenarios(draw):
         nl.partition = [names[i:i + 3] for i in range(0, len(names), 3)]
     program = compile_netlist(nl)
     delta = draw(st.integers(1, 40))
-    wave = depth(nl).critical_path * delta
+    wave = nl.critical_path * delta
     period = draw(st.one_of(st.integers(wave + 1, 3 * wave), st.integers(1, wave)))
     run_until = period * draw(st.integers(2, 5))
     stimulus = [(0, name, v) for name, v in random_vector(rng, nl).items()]
@@ -148,6 +148,26 @@ def test_flat_waves_match_the_heap_around_a_heal(case, data):
     )
     sc = replace(sc, faults=sc.faults + [fault])
     assert_paths_agree(program, sc, CellId(layer, 3, "R"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(scenarios(), st.randoms(use_true_random=False))
+def test_combinational_operands_come_first_and_shallower(case, rng):
+    # the generated netlists declare every operand before its reader, so
+    # the same nodes are also checked in shuffled declaration order
+    nl = case[0].netlist
+    shuffled = Netlist(nl.name, nl.inputs, rng.sample(nl.nodes, len(nl.nodes)), nl.outputs)
+    validate_netlist(shuffled)
+    assert shuffled.depth == nl.depth
+    delays = {n.name for n in nl.nodes if n.opcode is Opcode.DELAY}
+    for net in (nl, shuffled):
+        assert sorted(net.order) == sorted(n.name for n in net.nodes)
+        position = {name: i for i, name in enumerate(net.order)}
+        for node in net.nodes:
+            for ref in node.operands:
+                if ref in position and ref not in delays:
+                    assert position[ref] < position[node.name]
+                    assert net.depth[ref] < net.depth[node.name]
 
 
 def edg_scenario(faults=()):
