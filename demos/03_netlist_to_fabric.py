@@ -18,5 +18,5 @@ print(f"placement: {placement.layer_count} layers of 4 worker slots\n")
 program = build_routing(nl, placement)
 print(dump_program(program))
 
-print(f"{len(program.configs())} worker configurations, "
+print(f"{len(program.configs)} worker configurations, "
       f"{len(program.spare_codes())} pre-generated spare codes")

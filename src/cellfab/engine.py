@@ -31,7 +31,6 @@ from .cell import (
     CellHealth,
     CellId,
     FunctionalCell,
-    Opcode,
     PORT_ORDER,
     Port,
     StuckBehavior,
@@ -250,9 +249,10 @@ class Trace:
     recorded as ``in.<name>``, output samples under the output name.
 
     A trace an ``Engine`` returns also holds the ``program`` and the
-    ``scenario`` it ran, so that ``metrics`` needs no compile for it;
-    they stay in memory (no export writes them, so a parsed trace has
-    None) and take no part in comparison.
+    ``scenario`` it ran and the run's expanded ``faults``, so that
+    ``metrics`` needs no compile for it and counts the run's own faults;
+    they stay in memory (no export writes them, so a parsed
+    trace has None) and take no part in comparison.
     """
 
     scenario_name: str
@@ -266,6 +266,7 @@ class Trace:
     complete: bool = False
     program: Optional[FabricProgram] = field(default=None, repr=False, compare=False)
     scenario: Optional[Scenario] = field(default=None, repr=False, compare=False)
+    faults: Optional[list[FaultSpec]] = field(default=None, repr=False, compare=False)
 
     def add(self, time: int, signal: str, value: int, annotation: str) -> None:
         self.records.append(TraceRecord(time, signal, value, annotation))
@@ -287,16 +288,6 @@ _STOP = 5
 _STOP_SEQ = 1 << 62
 
 
-def _fn_signals(program: FabricProgram) -> dict[int, list[str]]:
-    """Trace signal names per placed function: its outputs, else ``fn.<node>``."""
-    signals: dict[int, list[str]] = {}
-    for name, fn_idx in program.output_binding.items():
-        signals.setdefault(fn_idx, []).append(name)
-    for node in program.placement.slots:
-        signals.setdefault(program.placement.function_index(node), [f"fn.{node}"])
-    return signals
-
-
 @dataclass
 class RunResult:
     trace: Trace
@@ -309,10 +300,12 @@ class Engine:
     """One scenario run over one fabric; single-threaded, deterministic."""
 
     def __init__(self, program: FabricProgram, scenario: Scenario):
+        self.program = program
         self.fabric = Fabric(program)
-        self._signals = _fn_signals(program)
+        self._signals = program.signals
         self.scenario = scenario
         self.timing = scenario.timing
+        self.faults = expand_faults(scenario.faults, scenario.run_until)
         netlist = program.netlist
         self.trace = Trace(
             scenario_name=scenario.name,
@@ -323,6 +316,7 @@ class Engine:
             outputs={name: netlist.widths[node] for name, node in netlist.outputs.items()},
             program=program,
             scenario=scenario,
+            faults=self.faults,
         )
         self.syndromes: list[HealthSyndrome] = []
         self._heap: list[tuple[int, int, int, object]] = []
@@ -331,16 +325,12 @@ class Engine:
         self._wave_base: dict[int, int] = {}  # clock -> seq of its wave's evaluation 0
         self._now = (0, 0)  # (time, seq) of the event being handled
         self._last_clock = 0
-        self.faults = expand_faults(scenario.faults, scenario.run_until)
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
-        functions, opcode = self.fabric.functions, self.fabric.opcode
-        self._delays = [i for i in sorted(functions) if opcode[i] is Opcode.DELAY]
+        self._delays = [i for i, level in program.levels.items() if level == 0]
         # (slot offset, fn index, n) of every combinational function, in
         # (level, fn index) order: the wave order, n counting from 0
-        levels = sorted(
-            (fn.level, i) for i, fn in functions.items() if opcode[i] is not Opcode.DELAY
-        )
+        levels = sorted((level, i) for i, level in program.levels.items() if level)
         delta = self.timing.cell_delay
         self._wave = [(level * delta, i, n) for n, (level, i) in enumerate(levels)]
         self._wave_entry = {i: (offset, n) for offset, i, n in self._wave}
@@ -356,8 +346,9 @@ class Engine:
     def _schedule_eval(self, fn_idx: int, time: int) -> None:
         """Schedule a local evaluation unless the slot is already pending,
         as a local evaluation or as an evaluation of a wave."""
-        if self.fabric.opcode[fn_idx] is Opcode.DELAY:
-            return  # delay registers shift on the clock only
+        entry = self._wave_entry.get(fn_idx)
+        if entry is None:
+            return  # a delay register shifts on the clock only
         key = (fn_idx, time)
         if key in self._pending_evals:
             return
@@ -365,7 +356,7 @@ class Engine:
         # event being handled.  While a wave runs, _now is the key it was
         # popped at; it then schedules only re-checks at later times, for
         # which that key and its current one compare the same
-        offset, n = self._wave_entry[fn_idx]
+        offset, n = entry
         base = self._wave_base.get(time - offset)
         if base is not None and (time, base + n) > self._now:
             return
@@ -376,7 +367,7 @@ class Engine:
 
     def run(self) -> RunResult:
         scenario = self.scenario
-        scenario.validate(self.fabric.netlist)
+        scenario.validate(self.program.netlist)
         for fault in self.faults:
             if str(fault.cell) not in self.fabric.cells:
                 raise ValueError(f"fault on unknown cell {fault.cell}")
@@ -432,7 +423,7 @@ class Engine:
         assignments = list(assignments)
         plant = self.scenario.plant
         if plant is not None and t > 0:
-            out_fn = fabric.output_binding[plant.output_name]
+            out_fn = self.program.output_binding[plant.output_name]
             throttle = fabric.published[out_fn] or 0
             self.plant_speed = plant_step_raw(
                 self.plant_speed, throttle, plant.gain, plant.drag, plant.dt
@@ -487,10 +478,11 @@ class Engine:
         self.trace.add(t, f"fault.{fault.cell}", 1 if applied else 0, "data")
         if not applied:
             return
-        fn_idx = fabric.cell_fn.get(str(fault.cell))
+        cell = fabric.cells[str(fault.cell)]
+        fn_idx = next((i for i, bound in enumerate(fabric.binding) if bound is cell), None)
         if fn_idx is None:
             return
-        if t < self._last_clock + fabric.functions[fn_idx].level * self.timing.cell_delay:
+        if t < self._last_clock + self.program.levels[fn_idx] * self.timing.cell_delay:
             return  # this period's wave evaluation is still pending and sees it
         self._schedule_eval(fn_idx, t)
 
@@ -569,14 +561,14 @@ class Engine:
             return
         fabric.fail_safe = True
         self.trace.add(t, "alarm", 2, "alarm")
-        for fn_idx in sorted(fabric.output_fns):
+        for fn_idx in sorted(set(self.program.output_binding.values())):
             self._publish(fn_idx, 0, t, cascade=False)
 
     # ---- value propagation ----------------------------------------------
 
     def _publish(self, fn_idx: int, value: int, t: int, cascade: bool) -> None:
         fabric = self.fabric
-        if fabric.fail_safe and fn_idx in fabric.output_fns:
+        if fabric.fail_safe and fn_idx in self.program.output_binding.values():
             value = 0
         changed = fabric.published[fn_idx] != value
         fabric.published[fn_idx] = value

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank, Opcode
+from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank
 from .genetic import CellConfig, InputSelector, SelectorKind
 from .place import FabricProgram, SLOTS_PER_LAYER
 
@@ -49,32 +49,21 @@ class CriticalServiceLayer:
     spare_codes: list[int]
 
 
-@dataclass
-class FabricFunction:
-    """One placed application function (a netlist node on the fabric)."""
-
-    index: int
-    level: int  # wave level; 0 for DELAY cells which capture on the clock
-    config: CellConfig
-
-
 class Fabric:
     """Run-time state of a configured fabric; owned by one simulation run.
 
-    The wiring is fixed at build: ``readers[source]`` lists the
-    ``(fn_idx, port)`` pairs that read a source (an input name or a
-    function index), with ports as indices in PORT_ORDER.  Healing changes
+    Every static table lives in the shared ``program``, which no run
+    writes; ``readers`` is that program's own table.  Healing changes
     only which cells serve a function, kept in ``sinks[fn_idx]``: the
-    cells whose registers take that function's inputs.  The per-function
-    tables (``opcode``, ``binding``, ``sinks``, ``published``) are lists
-    indexed by function, None on a slot no function is placed in;
-    ``cell_fn`` maps a cell id to the function its cell is bound to.
+    cells whose registers take that function's inputs.  The
+    per-function lists (``binding``, ``sinks``, ``published``) are
+    indexed by function, None on a slot no function is placed in.
     """
 
     def __init__(self, program: FabricProgram):
-        self.netlist = program.netlist
+        self.program = program
+        self.readers = program.readers
         self.layers: list[CriticalServiceLayer] = []
-        self.functions: dict[int, FabricFunction] = {}
         slots = len(program.layers) * SLOTS_PER_LAYER
         self.binding: list[Optional[FunctionalCell]] = [None] * slots
         self.cells: dict[str, FunctionalCell] = {}
@@ -87,44 +76,21 @@ class Fabric:
                 fcell = FunctionalCell(CellId(lp.index, slot, "F"))
                 fcell.configure(lp.worker_configs[slot])
                 f_cells.append(fcell)
+                if lp.worker_nodes[slot] is not None:
+                    self.binding[lp.index * SLOTS_PER_LAYER + slot] = fcell
                 self.cells[str(fcell.cell_id)] = fcell
                 rcell = FunctionalCell(CellId(lp.index, slot, "R"))
                 rcell.health = CellHealth.SPARE_IDLE
                 r_cells.append(rcell)
                 self.cells[str(rcell.cell_id)] = rcell
+            # spare codes are run state: a copy of the program's
             self.layers.append(
                 CriticalServiceLayer(lp.index, f_cells, r_cells, list(lp.spare_codes))
             )
-            for slot, name in enumerate(lp.worker_nodes):
-                if name is None:
-                    continue
-                config = lp.worker_configs[slot]
-                fn = FabricFunction(
-                    index=lp.index * SLOTS_PER_LAYER + slot,
-                    level=0 if config.opcode is Opcode.DELAY else self.netlist.depth[name],
-                    config=config,
-                )
-                self.functions[fn.index] = fn
-                self.binding[fn.index] = f_cells[slot]
 
-        self.input_names = self.netlist.input_names()  # by input index
         self.input_values: dict[str, int] = {}
         self.published: list[Optional[int]] = [None] * slots
-        self.output_binding = dict(program.output_binding)
-        self.output_fns = frozenset(self.output_binding.values())
-        self.opcode: list[Optional[Opcode]] = [None] * slots
-        self.readers: dict[str | int, list[tuple[int, int]]] = {
-            source: [] for source in [*self.input_names, *self.functions]
-        }
-        for fn in self.functions.values():
-            self.opcode[fn.index] = fn.config.opcode
-            for port, sel in enumerate(fn.config.selectors):  # in PORT_ORDER
-                if sel.kind is SelectorKind.PRIMARY_INPUT:
-                    self.readers[self.input_names[sel.index]].append((fn.index, port))
-                elif sel.kind is SelectorKind.CELL_OUTPUT:
-                    self.readers[sel.index].append((fn.index, port))
         self.sinks = [None if cell is None else [cell] for cell in self.binding]
-        self.cell_fn = {str(self.binding[f].cell_id): f for f in self.functions}
 
     # ---- wiring ------------------------------------------------------
 
@@ -140,14 +106,14 @@ class Fabric:
                 cell.registers.write(port, value)
         return readers
 
-    def source_value(self, fn: FabricFunction, sel: InputSelector) -> int:
-        """Current value a port with selector ``sel`` of ``fn`` draws."""
+    def source_value(self, config: CellConfig, sel: InputSelector) -> int:
+        """Current value a port with selector ``sel`` of ``config`` draws."""
         if sel.kind is SelectorKind.PRIMARY_INPUT:
-            return self.input_values.get(self.input_names[sel.index], 0)
+            return self.input_values.get(self.program.netlist.inputs[sel.index][0], 0)
         if sel.kind is SelectorKind.CELL_OUTPUT:
             return self.published[sel.index] or 0
         if sel.kind is SelectorKind.CONSTANT:
-            return fn.config.immediate
+            return config.immediate
         return 0
 
     # ---- spare management --------------------------------------------
@@ -183,24 +149,22 @@ class Fabric:
         self.sinks[syndrome.function_index].remove(cell)
 
     def reroute(self, syndrome: HealthSyndrome) -> None:
-        fn = self.functions[syndrome.function_index]
+        config = self.program.configs[syndrome.function_index]
         spare = self.cells[str(syndrome.chosen_spare)]
-        width = fn.config.width_mode
+        width = config.width_mode
         if spare.registers is None or spare.registers.width_mode is not width:
             spare.registers = InputRegisterBank(width)
-        for port, sel in enumerate(fn.config.selectors):
-            spare.registers.write(port, self.source_value(fn, sel))
-        self.sinks[fn.index].append(spare)
+        for port, sel in enumerate(config.selectors):
+            spare.registers.write(port, self.source_value(config, sel))
+        self.sinks[syndrome.function_index].append(spare)
 
     def restore(self, syndrome: HealthSyndrome) -> None:
-        fn = self.functions[syndrome.function_index]
+        fn_idx = syndrome.function_index
         spare = self.cells[str(syndrome.chosen_spare)]
         registers = spare.registers  # keep the data routed in at reroute time
-        spare.configure(fn.config)
+        spare.configure(self.program.configs[fn_idx])
         spare.registers = registers
         spare.health = CellHealth.SPARE_ACTIVE
-        del self.cell_fn[str(self.binding[fn.index].cell_id)]
-        self.cell_fn[str(spare.cell_id)] = fn.index
-        self.binding[fn.index] = spare
-        self.sinks[fn.index] = [spare]
+        self.binding[fn_idx] = spare
+        self.sinks[fn_idx] = [spare]
         self.reserved.discard(str(spare.cell_id))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cell import Opcode
 from .genetic import (
     CellConfig,
     InputSelector,
@@ -52,19 +53,26 @@ class LayerProgram:
 
 @dataclass
 class FabricProgram:
+    """A compiled application: every table a run reads and none it writes.
+
+    Built once by ``build_routing`` and shared by every run of the
+    application.  The per-function tables are keyed by function index,
+    ascending, over the placed nodes only: ``configs``, wave
+    ``levels`` (the node's depth; 0 marks a DELAY, which captures on the
+    clock) and trace ``signals`` (the function's output names, else
+    ``fn.<node>``).  ``readers[source]`` lists the ``(fn_idx, port)``
+    pairs that read a source, an input name or a function index, with
+    ports as indices in PORT_ORDER.
+    """
+
     netlist: Netlist
     placement: Placement
     layers: list[LayerProgram] = field(default_factory=list)
     output_binding: dict[str, int] = field(default_factory=dict)  # name -> fn index
-
-    def configs(self) -> list[CellConfig]:
-        """Configs of the placed nodes only, placement order."""
-        out = []
-        for layer in self.layers:
-            for slot, node in enumerate(layer.worker_nodes):
-                if node is not None:
-                    out.append(layer.worker_configs[slot])
-        return out
+    configs: dict[int, CellConfig] = field(default_factory=dict)
+    levels: dict[int, int] = field(default_factory=dict)
+    readers: dict[str | int, list[tuple[int, int]]] = field(default_factory=dict)
+    signals: dict[int, list[str]] = field(default_factory=dict)
 
     def spare_codes(self) -> list[int]:
         return [code for layer in self.layers for code in layer.spare_codes]
@@ -105,12 +113,19 @@ def _selector_for(ref: str, nl: Netlist, placement: Placement) -> InputSelector:
 
 
 def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
-    """Resolve operand references into port selectors and pack genetic codes."""
+    """Resolve operand references into port selectors and readers, pack
+    genetic codes, and fill the per-function tables."""
     program = FabricProgram(netlist=nl, placement=placement)
     nodes = {node.name: node for node in nl.nodes}
     by_layer: dict[int, dict[int, str]] = {}
     for name, (layer, slot) in placement.slots.items():
         by_layer.setdefault(layer, {})[slot] = name
+    output_names: dict[str, list[str]] = {}
+    for out_name, node_id in nl.outputs.items():
+        output_names.setdefault(node_id, []).append(out_name)
+    readers = program.readers
+    for source in [*nl.input_names(), *map(placement.function_index, placement.slots)]:
+        readers[source] = []
 
     for layer_idx in range(placement.layer_count):
         worker_nodes: list[str | None] = [None] * SLOTS_PER_LAYER
@@ -125,18 +140,26 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
             if len(node.operands) > 4:
                 raise NetlistError("operand fan-in exceeds the cell's 4 ports", node.line)
             selectors = [_selector_for(ref, nl, placement) for ref in node.operands]
+            fn_idx = layer_idx * SLOTS_PER_LAYER + slot
+            for port, sel in enumerate(selectors):  # in PORT_ORDER
+                if sel.kind is SelectorKind.PRIMARY_INPUT:
+                    readers[node.operands[port]].append((fn_idx, port))
+                elif sel.kind is SelectorKind.CELL_OUTPUT:
+                    readers[sel.index].append((fn_idx, port))
             while len(selectors) < 4:
                 selectors.append(UNUSED)
-            worker_configs.append(
-                CellConfig(
-                    opcode=node.opcode,
-                    selectors=tuple(selectors),
-                    immediate=node.immediate,
-                    delay_cycles=node.delay_cycles,
-                    output_enable=True,
-                    width_mode=nl.widths[name],
-                )
+            config = CellConfig(
+                opcode=node.opcode,
+                selectors=tuple(selectors),
+                immediate=node.immediate,
+                delay_cycles=node.delay_cycles,
+                output_enable=True,
+                width_mode=nl.widths[name],
             )
+            worker_configs.append(config)
+            program.configs[fn_idx] = config
+            program.levels[fn_idx] = 0 if node.opcode is Opcode.DELAY else nl.depth[name]
+            program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
         spare_codes = [encode_genetic(cfg) for cfg in worker_configs]
         program.layers.append(
             LayerProgram(

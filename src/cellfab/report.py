@@ -25,7 +25,6 @@ from .engine import (
     TimingParams,
     Trace,
     TraceRecord,
-    _fn_signals,
     expand_faults,
 )
 from .fabric import HealAction
@@ -283,10 +282,11 @@ def metrics(
     The golden twin is ``golden`` when given.  Otherwise, for a trace an
     ``Engine`` ran on this very ``scenario`` object, it is the trace
     itself when the trace holds no ``fault.*`` record, and else a
-    fault-free run of the trace's own program; neither compiles.  Any
-    other trace (parsed from CSV, or passed with a different or merely
-    equal scenario) gets a twin simulated from a fresh compile of
-    ``scenario.application``.
+    fault-free run of the trace's own program; neither compiles, and the
+    faults counted as detected and healed are the run's own.
+    Any other trace (parsed from CSV, or passed with a different or
+    merely equal scenario) gets a twin simulated from a fresh compile of
+    ``scenario.application``, and the faults of ``scenario``.
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
@@ -332,18 +332,19 @@ def _compare_with_golden(
     golden: Optional[Trace],
 ) -> None:
     """Fill the fault counts, erroneous samples and per-syndrome heal times."""
-    faults = expand_faults(scenario.faults, scenario.run_until)
     fault_records = [
         r for r in trace.records if r.annotation == "data" and r.signal.startswith("fault.")
     ]
     m.faults_injected = sum(1 for r in fault_records if r.value == 1)
-    if trace.scenario is scenario:  # an in-memory run of this scenario
-        program = trace.program
-        # the run, not the scenario as it reads now, says whether it was fault-free
+    # for an in-memory run of this scenario the run, not the scenario as it
+    # reads now, says which faults it injected and whether it was fault-free
+    if trace.scenario is scenario:
+        program, faults = trace.program, trace.faults
         if golden is None and not fault_records:
             golden = trace
     else:
         program = resolve_application(scenario.application)
+        faults = expand_faults(scenario.faults, scenario.run_until)
     if golden is None:
         golden = Engine(program, scenario.without_faults()).run().trace
     golden_samples = samples if golden is trace else _data_samples(golden)
@@ -378,11 +379,10 @@ def _compare_with_golden(
 
     # a syndrome is healed at the first post-restore sample of the function
     # it serves that matches the golden twin
-    fn_signals = _fn_signals(program)
     for s in m.syndromes:
-        if s.restore_time is None or s.function_index not in fn_signals:
+        if s.restore_time is None or s.function_index not in program.signals:
             continue
-        signal = fn_signals[s.function_index][0]
+        signal = program.signals[s.function_index][0]
         for t, v in samples.get(signal, []):
             if t >= s.restore_time and _held_value(golden_samples.get(signal, []), t) == v:
                 s.heal_complete = t

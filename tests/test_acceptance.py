@@ -6,6 +6,7 @@ line per criterion; any assertion failure marks its criterion failed.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -164,6 +165,9 @@ def random_netlist(rng: random.Random, index: int) -> Netlist:
         )
         refs.append(f"n{k}")
     out_nodes = rng.sample([n.name for n in nodes], k=min(2, len(nodes)))
+    # declared in random order: a node may come before an operand of its own
+    rng.shuffle(nodes)
+    nodes = [replace(node, line=k + 1) for k, node in enumerate(nodes)]
     nl = Netlist(
         name=f"rand{index}",
         inputs=inputs,
@@ -224,8 +228,10 @@ def test_criterion_06_oracle_equivalence():
     rng = random.Random(20240806)
     t0 = time.time()
     n_netlists = 1000
+    reordered = 0
     for i in range(n_netlists):
         nl = random_netlist(rng, i)
+        reordered += nl.order != [n.name for n in nl.nodes]
         program = compile_netlist(nl)
         delay_stages = sum(n.delay_cycles for n in nl.nodes)
         holds = 1 if delay_stages == 0 else delay_stages + 3
@@ -263,6 +269,7 @@ def test_criterion_06_oracle_equivalence():
         assert got_f[1:] == expected[1:], f"post-healing divergence on netlist {i}"
     elapsed = time.time() - t0
     assert elapsed < 60.0
+    assert reordered, "no netlist declares a node after a reader of it"
     report(6, f"{n_netlists} random netlists x 10 vectors, fault-free and healed ({elapsed:.1f}s)")
 
 

@@ -47,7 +47,7 @@ def test_local_heal_uses_lowest_spare_and_reloads_code():
     assert None not in times and times == sorted(times)
     spare = res.fabric.cells["L0.R0"]
     assert spare.health is CellHealth.SPARE_ACTIVE
-    assert spare.config == res.fabric.functions[s.function_index].config
+    assert spare.config == res.trace.program.configs[s.function_index]
 
 
 def test_action_order_timestamps():

@@ -153,12 +153,19 @@ def test_equal_but_distinct_scenario_gets_a_simulated_twin(counters):
 
 def test_trace_with_fault_records_is_not_its_own_twin():
     # the run decides, not the scenario as it reads afterwards: clearing
-    # its faults must not make a faulted trace its own twin
+    # its faults must not make a faulted trace its own twin, nor change
+    # the faults it counts as detected and healed
     sc = load_scenario("edg_multifault4")
     trace = run_raw(sc).trace
     sc.faults = []
     assert metrics(trace, sc).erroneous_output_samples == 6
     assert metrics(trace, copy.copy(sc)).erroneous_output_samples == 6
+    for name in ("edg_multifault4", "edg_transient3", "edg_permanent_bt", "ccs_fc16_permanent"):
+        sc = load_scenario(name)
+        trace = run_raw(sc).trace
+        before = dataclasses.asdict(metrics(trace, sc))
+        sc.faults = []
+        assert dataclasses.asdict(metrics(trace, sc)) == before, name
 
 
 @pytest.mark.parametrize("name", ["edg_permanent_bt", "edg_multifault4", "ccs_fc16_permanent"])
@@ -167,6 +174,11 @@ def test_program_reused_after_a_healed_run_gives_the_same_twin(name):
     program = resolve_application(sc.application)
     healed = Engine(program, sc).run()
     assert healed.syndromes
+    compiled = resolve_application(sc.application)
+    # no run writes the program it shares
+    for table in ("configs", "levels", "readers", "signals", "output_binding"):
+        assert getattr(program, table) == getattr(compiled, table), table
+    assert program.spare_codes() == compiled.spare_codes()
     reused = Engine(program, sc.without_faults()).run().trace
-    fresh = Engine(resolve_application(sc.application), sc.without_faults()).run().trace
+    fresh = Engine(compiled, sc.without_faults()).run().trace
     assert reused.records == fresh.records

@@ -3,7 +3,6 @@
 import pytest
 
 from cellfab.cell import WidthMode
-from cellfab.fabric import Fabric
 from cellfab.netlist import NetlistError, parse_netlist
 from cellfab.place import compile_netlist
 
@@ -128,8 +127,7 @@ def test_delay_edges_break_depth():
     assert nl.depth["s"] == 1  # reg contributes 0 as a register output
     assert nl.depth["t"] == 2
     program = compile_netlist(nl)
-    fn = Fabric(program).functions[program.placement.function_index("reg")]
-    assert fn.level == 0
+    assert program.levels[program.placement.function_index("reg")] == 0
 
 
 def test_partition_pragma():

@@ -91,7 +91,7 @@ def test_every_code_decodes_to_its_config(edg):
 
 def test_edg_build_counts(edg):
     program = compile_netlist(edg)
-    assert len(program.configs()) == 14
+    assert len(program.configs) == 14
     assert len(program.spare_codes()) == 16
 
 

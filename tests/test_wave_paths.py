@@ -16,8 +16,7 @@ from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId, Opcode, Port, WidthMode
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
-from cellfab.fabric import Fabric
-from cellfab.netlist import Netlist, validate_netlist
+from cellfab.netlist import Netlist, NetlistError, validate_netlist
 from cellfab.place import compile_netlist
 
 from test_acceptance import random_netlist, random_vector
@@ -42,9 +41,7 @@ def clock_times(sc: Scenario) -> list[int]:
 
 
 def wave_levels(program) -> list[int]:
-    fabric = Fabric(program)
-    return sorted({fn.level for i, fn in fabric.functions.items()
-                   if fabric.opcode[i] is not Opcode.DELAY})
+    return sorted({level for level in program.levels.values() if level})
 
 
 def noop_transients(program, sc: Scenario, spare: CellId) -> list[FaultSpec]:
@@ -83,10 +80,41 @@ def assert_paths_agree(program, sc: Scenario, spare: CellId) -> list[int]:
     return flat_clocks(plain_pops)
 
 
+def close_a_loop(nl: Netlist, rng) -> Netlist:
+    """``nl`` with one DELAY's operand retargeted to a node that reads the
+    DELAY, directly or through other nodes, so a loop closes through the
+    register; ``nl`` itself when no DELAY has a reader or the netlist
+    check rejects the loop."""
+    readers = {n.name: [m.name for m in nl.nodes if n.name in m.operands] for n in nl.nodes}
+    loops = []
+    for node in nl.nodes:
+        if node.opcode is Opcode.DELAY:
+            downstream, stack = set(), [node.name]
+            while stack:
+                new = set(readers[stack.pop()]) - downstream
+                downstream |= new
+                stack.extend(new)
+            if downstream:
+                loops.append((node, sorted(downstream)))
+    if not loops:
+        return nl
+    delay, downstream = rng.choice(loops)
+    target = rng.choice(downstream)
+    nodes = [replace(n, operands=(target,)) if n is delay else n for n in nl.nodes]
+    looped = Netlist(nl.name, nl.inputs, nodes, nl.outputs)
+    try:
+        validate_netlist(looped)
+    except NetlistError:  # a loop fed by no input defaults to bit
+        return nl
+    return looped
+
+
 @st.composite
 def scenarios(draw):
     rng = draw(st.randoms(use_true_random=False))
     nl = random_netlist(rng, 0)
+    if draw(st.booleans()):  # feedback through a delay register
+        nl = close_a_loop(nl, rng)
     if draw(st.booleans()):  # shuffled layers: function index order is not level order
         names = [node.name for node in nl.nodes]
         rng.shuffle(names)
@@ -153,8 +181,7 @@ def test_flat_waves_match_the_heap_around_a_heal(case, data):
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(scenarios(), st.randoms(use_true_random=False))
 def test_combinational_operands_come_first_and_shallower(case, rng):
-    # the generated netlists declare every operand before its reader, so
-    # the same nodes are also checked in shuffled declaration order
+    # the same nodes are also checked in a second declaration order
     nl = case[0].netlist
     shuffled = Netlist(nl.name, nl.inputs, rng.sample(nl.nodes, len(nl.nodes)), nl.outputs)
     validate_netlist(shuffled)
