@@ -33,7 +33,7 @@ from .genetic import (  # noqa: F401
 )
 from .netlist import Netlist, NetlistError, parse_netlist  # noqa: F401
 from .place import Placement, build_routing, compile_netlist, place  # noqa: F401
-from .oracle import NetlistOracle, reference_eval, settled_reference  # noqa: F401
+from .oracle import NetlistOracle  # noqa: F401
 from .fabric import Fabric, HealAction, HealthSyndrome  # noqa: F401
 from .engine import (  # noqa: F401
     Engine,

@@ -166,18 +166,26 @@ class InputRegisterBank:
 
     ``values`` holds each port's agreed value.  ``corrupt`` moves a port
     into ``overlay``, which holds its three replicas until the next
-    ``write`` to that port drops it again.
+    ``write`` to that port drops it again.  ``changed`` says whether the
+    voted inputs may differ from those of the cell's last evaluation: a
+    write sets it when it changes a value or drops an overlay port (the
+    last output may come from a corrupted majority), and the cell clears
+    it when it evaluates.
     """
 
     width_mode: WidthMode
     values: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
     overlay: dict[int, list[int]] = field(default_factory=dict)
+    changed: bool = True
 
     def write(self, port: int, v: int) -> None:
         """Set all three replicas of a port; clears any injected transient."""
-        self.values[port] = v
-        if self.overlay:
-            self.overlay.pop(port, None)
+        values = self.values
+        if values[port] != v:
+            values[port] = v
+            self.changed = True
+        if self.overlay and self.overlay.pop(port, None) is not None:
+            self.changed = True
 
     def corrupt(self, port: int, replica: int, flip: Optional[int], stuck: Optional[int]) -> None:
         replicas = self.overlay.get(port)
@@ -246,9 +254,11 @@ class FunctionalCell:
     health: CellHealth = CellHealth.HEALTHY
     mismatch_streak: int = 0  # consecutive self-check mismatches
     injected_permanent: Optional[StuckBehavior] = None
+    last_output: Optional[int] = None  # of the last evaluation; None: evaluate
 
     def configure(self, config) -> None:
         self.config = config
+        self.last_output = None
         self.registers = InputRegisterBank(config.width_mode)
         # constant-wired ports hold the immediate from configuration time on;
         # kind checked by name to keep cell free of the genetic-code module
@@ -273,11 +283,26 @@ class FunctionalCell:
         Returns the (possibly corrupted) primary output, whether the check
         mismatched and the dissent masks in PORT_ORDER.  Must not be called
         on a deactivated cell; the fabric drives safe 0 for those.
+
+        A cell whose ports have not changed since its last evaluation and
+        that holds no fault state (no overlay port, no injected permanent
+        fault) returns its last output unevaluated, with a clean check and
+        no dissent, as an evaluation would.  A DELAY always evaluates: its
+        pipeline shifts at every clock.
         """
         if self.health is CellHealth.FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
-        config = self.config
         registers = self.registers
+        last = self.last_output
+        if (
+            last is not None
+            and not registers.changed
+            and not registers.overlay
+            and self.injected_permanent is None
+        ):
+            return last, False, NO_MASKS
+        registers.changed = False
+        config = self.config
         if registers.overlay:
             inputs, masks = registers.voted()
         else:
@@ -291,4 +316,6 @@ class FunctionalCell:
             self.mismatch_streak = self.mismatch_streak + 1 if mismatch else 0
         if not config.output_enable:
             primary = 0
+        if config.opcode is not Opcode.DELAY:
+            self.last_output = primary
         return primary, mismatch, masks

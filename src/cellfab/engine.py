@@ -7,7 +7,10 @@ Fault injections and healing steps run as local events that re-evaluate
 one cell and cascade downstream only when its output actually changed.
 A fault is re-evaluated at injection only once the cell's wave slot of
 the current period has passed; before that, the pending wave evaluation
-sees it, so the cell never publishes a mid-wave value.
+sees it, so the cell never publishes a mid-wave value.  A cell whose
+inputs have not changed since its last evaluation and that holds no
+fault state returns its last output (``FunctionalCell.step``); it is
+published and recorded all the same.
 Events are totally ordered by (time, sequence number), so two runs of
 the same scenario produce byte-identical traces.
 

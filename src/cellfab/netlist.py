@@ -179,7 +179,10 @@ def _resolve_widths(nl: Netlist) -> None:
 
     Forward references are legal (delay feedback loops need them) so
     widths settle by fixpoint iteration, which terminates in at most one
-    pass per node.  Nodes fed only by constants default to BIT.
+    pass per node.  Nodes fed only by constants default to BIT.  When
+    the iteration stalls on delay loops fed by no input, each pending
+    node with an int16-only opcode is INT16 and the iteration goes on;
+    a loop with no such node defaults to BIT.
     """
     widths: dict[str, WidthMode] = dict(nl.inputs)
     pending = list(nl.nodes)
@@ -203,9 +206,16 @@ def _resolve_widths(nl: Netlist) -> None:
             widths[node.name] = known[0] if known else WidthMode.BIT
             progressed = True
         if not progressed:
-            for node in still_pending:  # delay-only loops: default to BIT
-                widths[node.name] = WidthMode.BIT
-            break
+            # delay loops fed by no input: an int16-only opcode fixes its
+            # node's width, and a loop without one defaults to BIT
+            arithmetic = [n for n in still_pending if n.opcode in INT16_ONLY_OPCODES]
+            if not arithmetic:
+                for node in still_pending:
+                    widths[node.name] = WidthMode.BIT
+                break
+            for node in arithmetic:
+                widths[node.name] = WidthMode.INT16
+            still_pending = [n for n in still_pending if n.name not in widths]
         pending = still_pending
     for node in nl.nodes:
         width = widths[node.name]

@@ -79,30 +79,3 @@ class NetlistOracle:
             raise ValueError(f"oracle cannot evaluate {op}")
         return r & 1 if bit else wrap16(r)
 
-
-def reference_eval(
-    nl: Netlist,
-    inputs: dict[str, int],
-    delay_state: dict[str, tuple[int, ...]] | None = None,
-) -> tuple[dict[str, int], dict[str, tuple[int, ...]]]:
-    """One-shot ideal evaluation: (primary outputs, advanced delay state)."""
-    oracle = NetlistOracle(nl)
-    if delay_state is not None:
-        for name, pipe in delay_state.items():
-            oracle.state[name] = tuple(pipe)
-    values = oracle.step(inputs)
-    return oracle.outputs(values), dict(oracle.state)
-
-
-def settled_reference(nl: Netlist, inputs: dict[str, int], holds: int) -> dict[str, int]:
-    """Outputs after holding one input vector for ``holds`` periods.
-
-    With inputs held constant every delay pipeline flushes to a
-    history-independent fixpoint, which is the steady state the fabric
-    must reach as well.
-    """
-    oracle = NetlistOracle(nl)
-    values: dict[str, int] = {}
-    for _ in range(max(1, holds)):
-        values = oracle.step(inputs)
-    return oracle.outputs(values)

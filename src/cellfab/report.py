@@ -242,29 +242,50 @@ def _held_value(samples: list[tuple[int, int]], t: int) -> Optional[int]:
     return samples[i - 1][1] if i else None
 
 
-def _syndromes_from_trace(trace: Trace) -> list[SyndromeMetrics]:
-    table: dict[str, SyndromeMetrics] = {}
-    order: list[str] = []
-    fn_of: dict[str, int] = {}
+@dataclass
+class _TraceScan:
+    """What metrics reads of a trace's records, gathered in one pass.
+
+    ``samples`` is ``_data_samples`` (``fault.*`` rows included);
+    ``mismatch`` and ``masked`` hold the record times per cell
+    (``L0.F1``) and per cell port (``L0.F1.N``); ``syndromes`` follow
+    the order of each cell's first ``syndrome_action``.
+    """
+
+    samples: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    syndromes: dict[str, SyndromeMetrics] = field(default_factory=dict)
+    mismatch: dict[str, list[int]] = field(default_factory=dict)
+    masked: dict[str, list[int]] = field(default_factory=dict)
+    alarm: bool = False
+
+
+def _scan(trace: Trace) -> _TraceScan:
+    scan = _TraceScan()
+    samples = scan.samples
     for r in trace.records:
-        if r.annotation != "syndrome_action":
-            continue
-        cell, action = r.signal.removeprefix("heal.").rsplit(".", 1)
-        if cell not in table:
-            table[cell] = SyndromeMetrics(cell=cell, detect_time=r.time)
-            order.append(cell)
-            fn_of[cell] = r.value
-        s = table[cell]
-        if action == HealAction.DEACTIVATE.value:
-            s.deactivate_time = r.time
-        elif action == HealAction.REROUTE.value:
-            s.reroute_time = r.time
-        elif action == HealAction.RESTORE.value:
-            s.restore_time = r.time
-    out = [table[c] for c in order]
-    for s in out:
-        s.function_index = fn_of[s.cell]
-    return out
+        annotation = r.annotation
+        if annotation == "data":
+            samples.setdefault(r.signal, []).append((r.time, r.value))
+        elif annotation == "masked_transient":
+            scan.masked.setdefault(r.signal[5:], []).append(r.time)
+        elif annotation == "mismatch":
+            scan.mismatch.setdefault(r.signal[5:], []).append(r.time)
+        elif annotation == "syndrome_action":
+            cell, action = r.signal.removeprefix("heal.").rsplit(".", 1)
+            s = scan.syndromes.get(cell)
+            if s is None:
+                s = scan.syndromes[cell] = SyndromeMetrics(
+                    cell=cell, detect_time=r.time, function_index=r.value
+                )
+            if action == HealAction.DEACTIVATE.value:
+                s.deactivate_time = r.time
+            elif action == HealAction.REROUTE.value:
+                s.reroute_time = r.time
+            elif action == HealAction.RESTORE.value:
+                s.restore_time = r.time
+        elif annotation == "alarm":
+            scan.alarm = True
+    return scan
 
 
 def metrics(
@@ -290,7 +311,8 @@ def metrics(
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
-    samples = _data_samples(trace)
+    scan = _scan(trace)
+    samples = scan.samples
     outputs = list(trace.outputs)
     for o in outputs:
         if o not in samples:
@@ -298,22 +320,22 @@ def metrics(
     fault_free_latency = max((samples[o][0][0] for o in outputs), default=None)
 
     alarm = "none"
-    if any(r.annotation == "alarm" for r in trace.records):
+    if scan.alarm:
         alarm = "fail_safe"
-    elif any(r.annotation == "syndrome_action" for r in trace.records):
+    elif scan.syndromes:
         alarm = "degraded"
 
     m = HealingMetrics(
         scenario=trace.scenario_name,
         alarm=alarm,
         fault_free_latency=fault_free_latency,
-        syndromes=_syndromes_from_trace(trace),
+        syndromes=list(scan.syndromes.values()),
     )
     if scenario is None:
         for s in m.syndromes:
             s.heal_complete = s.restore_time
     else:
-        _compare_with_golden(m, trace, samples, outputs, scenario, golden)
+        _compare_with_golden(m, trace, scan, outputs, scenario, golden)
     m.heal_complete = max(
         (s.heal_complete for s in m.syndromes if s.heal_complete is not None),
         default=None,
@@ -326,21 +348,20 @@ def metrics(
 def _compare_with_golden(
     m: HealingMetrics,
     trace: Trace,
-    samples: dict[str, list[tuple[int, int]]],
+    scan: _TraceScan,
     outputs: list[str],
     scenario: Scenario,
     golden: Optional[Trace],
 ) -> None:
     """Fill the fault counts, erroneous samples and per-syndrome heal times."""
-    fault_records = [
-        r for r in trace.records if r.annotation == "data" and r.signal.startswith("fault.")
-    ]
-    m.faults_injected = sum(1 for r in fault_records if r.value == 1)
+    samples = scan.samples
+    fault_samples = [v for s, fs in samples.items() if s.startswith("fault.") for _, v in fs]
+    m.faults_injected = fault_samples.count(1)
     # for an in-memory run of this scenario the run, not the scenario as it
     # reads now, says which faults it injected and whether it was fault-free
     if trace.scenario is scenario:
         program, faults = trace.program, trace.faults
-        if golden is None and not fault_records:
+        if golden is None and not fault_samples:
             golden = trace
     else:
         program = resolve_application(scenario.application)
@@ -354,26 +375,17 @@ def _compare_with_golden(
 
     detected = 0
     healed = 0
-    mismatch_times: dict[str, list[int]] = {}
-    masked_times: dict[str, list[int]] = {}
-    for r in trace.records:
-        if r.annotation == "mismatch":
-            mismatch_times.setdefault(r.signal[5:], []).append(r.time)
-        elif r.annotation == "masked_transient":
-            masked_times.setdefault(r.signal[5:], []).append(r.time)
-
-    syndrome_by_cell = {s.cell: s for s in m.syndromes}
     for f in faults:
         cid = str(f.cell)
         if f.kind == FaultKind.TRANSIENT_REGISTER:
             key = f"{cid}.{f.port.value}"
-            if any(t >= f.time for t in masked_times.get(key, [])):
+            if any(t >= f.time for t in scan.masked.get(key, [])):
                 detected += 1
                 healed += 1  # masked by the voter: tolerated in place
         else:
-            if any(t >= f.time for t in mismatch_times.get(cid, [])):
+            if any(t >= f.time for t in scan.mismatch.get(cid, [])):
                 detected += 1
-            s = syndrome_by_cell.get(cid)
+            s = scan.syndromes.get(cid)
             if s is not None and s.detect_latency is None:
                 s.detect_latency = s.detect_time - f.time
 

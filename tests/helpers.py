@@ -4,7 +4,18 @@ from __future__ import annotations
 
 from typing import Optional
 
-from cellfab.engine import Trace
+from cellfab.engine import Engine, Trace
+from cellfab.netlist import Netlist
+from cellfab.oracle import NetlistOracle
+
+
+class AlwaysEvaluateEngine(Engine):
+    """The kernel with selective evaluation off: each cell's register bank
+    is marked changed before every step, so every step evaluates."""
+
+    def _evaluate_cell(self, fn_idx, cell, t):
+        cell.registers.changed = True
+        return super()._evaluate_cell(fn_idx, cell, t)
 
 
 def compare_steady_state(
@@ -37,3 +48,31 @@ def compare_steady_state(
         if value != oracle_outputs[name]:
             mismatches.append((name, value, oracle_outputs[name]))
     return mismatches
+
+
+def reference_eval(
+    nl: Netlist,
+    inputs: dict[str, int],
+    delay_state: dict[str, tuple[int, ...]] | None = None,
+) -> tuple[dict[str, int], dict[str, tuple[int, ...]]]:
+    """One-shot ideal evaluation: (primary outputs, advanced delay state)."""
+    oracle = NetlistOracle(nl)
+    if delay_state is not None:
+        for name, pipe in delay_state.items():
+            oracle.state[name] = tuple(pipe)
+    values = oracle.step(inputs)
+    return oracle.outputs(values), dict(oracle.state)
+
+
+def settled_reference(nl: Netlist, inputs: dict[str, int], holds: int) -> dict[str, int]:
+    """Outputs after holding one input vector for ``holds`` periods.
+
+    With inputs held constant every delay pipeline flushes to a
+    history-independent fixpoint, which is the steady state the fabric
+    must reach as well.
+    """
+    oracle = NetlistOracle(nl)
+    values: dict[str, int] = {}
+    for _ in range(max(1, holds)):
+        values = oracle.step(inputs)
+    return oracle.outputs(values)

@@ -191,6 +191,46 @@ class TestRegisterBank:
         with pytest.raises(IndexError):
             bank.write(4, 0)
 
+    def test_equal_write_leaves_the_bank_unchanged(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.write(N, 7)
+        bank.changed = False  # as after an evaluation
+        bank.write(N, 7)
+        assert bank.changed is False
+
+    def test_differing_write_marks_the_bank_changed(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.write(W, 7)
+        bank.changed = False
+        bank.write(W, 8)
+        assert bank.changed is True
+
+    def test_dropping_an_overlay_port_marks_the_bank_changed(self):
+        # the last output may come from a corrupted majority, so an equal
+        # write that drops the port still needs an evaluation
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.write(E, 3)
+        bank.corrupt(E, 1, flip=0xFF, stuck=None)
+        bank.changed = False
+        bank.write(W, 0)  # another port, equal value: the overlay stays
+        assert bank.changed is False
+        bank.write(E, 3)
+        assert bank.overlay == {}
+        assert bank.changed is True
+
+    def test_configure_evaluates_on_the_next_step(self):
+        cell = and_cell()
+        cell.registers.write(N, 1)
+        cell.registers.write(W, 1)
+        assert cell.step() == (1, False, (0, 0, 0, 0))
+        assert (cell.last_output, cell.registers.changed) == (1, False)
+        registers = cell.registers
+        cell.configure(cell.config)
+        assert cell.last_output is None  # a new bank, and no cached output
+        cell.registers = registers  # as a restore keeps the routed data
+        registers.values[N] = 0  # behind the flag's back: only an evaluation sees it
+        assert cell.step() == (0, False, (0, 0, 0, 0))
+
     def test_write_repair_randomized(self):
         rng = random.Random(7)
         bank = InputRegisterBank(WidthMode.INT16)

@@ -13,13 +13,13 @@ from cellfab.engine import (
     expand_faults,
 )
 from cellfab.netlist import parse_netlist
-from cellfab.oracle import NetlistOracle, reference_eval
+from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist
 from cellfab.report import to_csv
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state
+from helpers import compare_steady_state, reference_eval
 
 
 def edg_scenario(name="t", faults=(), run_until=600, stimulus_extra=()):

@@ -10,12 +10,11 @@ from cellfab.cell import CellHealth, CellId
 from cellfab.engine import Engine, FaultSpec, Scenario
 from cellfab.fabric import Fabric
 from cellfab.netlist import parse_netlist
-from cellfab.oracle import reference_eval
 from cellfab.place import compile_netlist
 from cellfab.report import metrics
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state
+from helpers import compare_steady_state, reference_eval
 
 
 def edg_scenario(name="t", faults=(), run_until=1200, stimulus_extra=()):

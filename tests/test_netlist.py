@@ -3,7 +3,9 @@
 import pytest
 
 from cellfab.cell import WidthMode
+from cellfab.engine import Engine, Scenario
 from cellfab.netlist import NetlistError, parse_netlist
+from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist
 
 
@@ -80,6 +82,41 @@ def test_width_mismatch():
 def test_arith_requires_int16():
     with pytest.raises(NetlistError, match="int16"):
         parse_netlist("input a : bit\nnode g = ADD(a, a)\noutput y = g\n")
+
+
+def test_counter_loop_fed_by_constants_is_int16():
+    # the loop s -> r -> s reads no input: its ADD makes it int16
+    text = (
+        "input a : int16\n"
+        "node s = ADD(r, imm) imm=1\n"
+        "node r = DELAY(s) delay=1\n"
+        "node y = ADD(a, r)\n"
+        "output count = s\n"
+        "output o = y\n"
+    )
+    nl = parse_netlist(text)
+    assert nl.widths == {name: WidthMode.INT16 for name in ("a", "s", "r", "y")}
+    sc = Scenario(name="counter", application="counter", stimulus=[(0, "a", 10)], run_until=1500)
+    trace = Engine(compile_netlist(nl), sc).run().trace
+    samples = [(r.time, r.signal, r.value) for r in trace.output_records()]
+    oracle = NetlistOracle(nl)
+    expected = []
+    for k in range(5):  # every output settles one cell delay after its clock
+        for name, value in oracle.outputs(oracle.step({"a": 10})).items():
+            expected.append((300 * k + 35, name, value))
+    assert samples == expected
+    assert [v for _, name, v in samples if name == "count"] == [1, 2, 3, 4, 5]
+
+
+def test_delay_loop_without_an_int16_opcode_defaults_to_bit():
+    nl = parse_netlist("node n = NOT(r)\nnode r = DELAY(n) delay=1\noutput y = n\n")
+    assert nl.widths == {"n": WidthMode.BIT, "r": WidthMode.BIT}
+    # an int16 reader of that loop meets a bit operand
+    with pytest.raises(NetlistError, match="width modes differ"):
+        parse_netlist(
+            "input a : int16\nnode n = NOT(r)\nnode r = DELAY(n) delay=1\n"
+            "node y = ADD(a, r)\noutput o = y\n"
+        )
 
 
 def test_delay_attr_rules():

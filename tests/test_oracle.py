@@ -7,7 +7,9 @@ import pytest
 from cellfab.apps import resolve_netlist
 from cellfab.apps.edg import START_PERMITTED, reference_equations
 from cellfab.netlist import parse_netlist
-from cellfab.oracle import NetlistOracle, reference_eval, settled_reference
+from cellfab.oracle import NetlistOracle
+
+from helpers import reference_eval, settled_reference
 
 
 def test_single_not():

@@ -104,7 +104,7 @@ def close_a_loop(nl: Netlist, rng) -> Netlist:
     looped = Netlist(nl.name, nl.inputs, nodes, nl.outputs)
     try:
         validate_netlist(looped)
-    except NetlistError:  # a loop fed by no input defaults to bit
+    except NetlistError:  # a loop fed by no input and holding no int16-only node is bit
         return nl
     return looped
 
