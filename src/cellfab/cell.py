@@ -28,6 +28,14 @@ class WidthMode(Enum):
     INT16 = 1
 
 
+# The per-evaluation path compares against module-level names bound to
+# enum members (BIT here, OP_* and the health names below), not against
+# ``<Enum>.<MEMBER>``: on CPython before 3.12 such a class attribute read
+# goes through EnumType.__getattr__, several times the cost of a global
+# read.  Each name is the member object itself, so ``is`` tests hold.
+BIT = WidthMode.BIT
+
+
 class Port(Enum):
     NORTH = "N"
     WEST = "W"
@@ -51,6 +59,10 @@ class Opcode(Enum):
     DELAY = 8
     MUX = 9
 
+
+OP_NOP, OP_AND, OP_OR, OP_NOT = Opcode.NOP, Opcode.AND, Opcode.OR, Opcode.NOT
+OP_ADD, OP_SUB, OP_MUL, OP_CMP = Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP
+OP_DELAY, OP_MUX = Opcode.DELAY, Opcode.MUX
 
 # Operand count per opcode.  Operands are assigned to ports in N, W, E, S
 # order; ports beyond the arity stay unused and read 0.
@@ -94,7 +106,7 @@ def fit(width_mode: WidthMode, raw: int) -> int:
     Signal values are plain ints: 0 or 1 for a BIT, a two's-complement
     word in [INT16_MIN, INT16_MAX] for an INT16.
     """
-    if width_mode is WidthMode.BIT:
+    if width_mode is BIT:
         return raw & 1
     return wrap16(raw)
 
@@ -118,25 +130,25 @@ def gfb_eval(
     delay seen at the output is exactly k stimulus periods.
     """
     n, w, e, _ = inputs
-    if op is Opcode.NOP:
+    if op is OP_NOP:
         return 0, state
-    if op is Opcode.AND:
+    if op is OP_AND:
         return fit(width_mode, n & w), state
-    if op is Opcode.OR:
+    if op is OP_OR:
         return fit(width_mode, n | w), state
-    if op is Opcode.NOT:
+    if op is OP_NOT:
         return fit(width_mode, ~n), state
-    if op is Opcode.ADD:
+    if op is OP_ADD:
         return wrap16(n + w), state
-    if op is Opcode.SUB:
+    if op is OP_SUB:
         return wrap16(n - w), state
-    if op is Opcode.MUL:
+    if op is OP_MUL:
         return qmul(n, w), state
-    if op is Opcode.CMP:
+    if op is OP_CMP:
         return (1 if n >= w else 0), state
-    if op is Opcode.MUX:
+    if op is OP_MUX:
         return (w if n == 0 else e), state
-    if op is Opcode.DELAY:
+    if op is OP_DELAY:
         new_state = state[1:] + (n,)
         return new_state[0], new_state
     raise ValueError(f"unknown opcode {op}")
@@ -209,6 +221,11 @@ class CellHealth(Enum):
     FAULTY_DEACTIVATED = "faulty_deactivated"
     SPARE_IDLE = "spare_idle"
     SPARE_ACTIVE = "spare_active"
+
+
+HEALTHY = CellHealth.HEALTHY
+SUSPECT_TRANSIENT = CellHealth.SUSPECT_TRANSIENT
+FAULTY_DEACTIVATED = CellHealth.FAULTY_DEACTIVATED
 
 
 @dataclass(frozen=True)
@@ -290,7 +307,7 @@ class FunctionalCell:
         no dissent, as an evaluation would.  A DELAY always evaluates: its
         pipeline shifts at every clock.
         """
-        if self.health is CellHealth.FAULTY_DEACTIVATED:
+        if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
         registers = self.registers
         last = self.last_output
@@ -316,6 +333,6 @@ class FunctionalCell:
             self.mismatch_streak = self.mismatch_streak + 1 if mismatch else 0
         if not config.output_enable:
             primary = 0
-        if config.opcode is not Opcode.DELAY:
+        if config.opcode is not OP_DELAY:
             self.last_output = primary
         return primary, mismatch, masks

@@ -122,7 +122,12 @@ def cmd_validate(args) -> int:
         print(f"error: netlist file not found: {path}", file=sys.stderr)
         return 2
     try:
-        nl = parse_netlist(path.read_text(), path.stem)
+        text = path.read_text()
+    except (OSError, ValueError) as exc:  # a directory, or not UTF-8
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        nl = parse_netlist(text, path.stem)
         placement = place(nl)
     except (NetlistError, PlacementError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)

@@ -33,9 +33,12 @@ from . import __version__
 from .cell import (
     CellHealth,
     CellId,
+    FAULTY_DEACTIVATED,
     FunctionalCell,
+    HEALTHY,
     PORT_ORDER,
     Port,
+    SUSPECT_TRANSIENT,
     StuckBehavior,
     WidthMode,
     fit,
@@ -438,7 +441,7 @@ class Engine:
         shifted: list[tuple[int, int]] = []
         for fn_idx in self._delays:
             cell = fabric.binding[fn_idx]
-            if cell.health is CellHealth.FAULTY_DEACTIVATED:
+            if cell.health is FAULTY_DEACTIVATED:
                 continue
             shifted.append((fn_idx, self._evaluate_cell(fn_idx, cell, t)))
         for fn_idx, value in shifted:
@@ -471,7 +474,7 @@ class Engine:
                 self._push(slot, _WAVE, clock, seq=base + n)
                 return
             cell = binding[fn_idx]
-            if cell.health is not CellHealth.FAULTY_DEACTIVATED:
+            if cell.health is not FAULTY_DEACTIVATED:
                 value = self._evaluate_cell(fn_idx, cell, slot)
                 self._publish(fn_idx, value, slot, cascade=False)
 
@@ -492,7 +495,7 @@ class Engine:
     def _handle_eval(self, t: int, fn_idx: int) -> None:
         self._pending_evals.remove((fn_idx, t))
         cell = self.fabric.binding[fn_idx]
-        if cell.health is CellHealth.FAULTY_DEACTIVATED:
+        if cell.health is FAULTY_DEACTIVATED:
             return
         value = self._evaluate_cell(fn_idx, cell, t)
         self._publish(fn_idx, value, t, cascade=True)
@@ -518,10 +521,10 @@ class Engine:
             # a streak below the threshold, or a port whose three replicas
             # disagree: that stays so until the port is rewritten, so only a
             # mismatch is checked again
-            if cell.health is CellHealth.HEALTHY:
-                cell.health = CellHealth.SUSPECT_TRANSIENT
-        elif cell.health is CellHealth.SUSPECT_TRANSIENT:
-            cell.health = CellHealth.HEALTHY
+            if cell.health is HEALTHY:
+                cell.health = SUSPECT_TRANSIENT
+        elif cell.health is SUSPECT_TRANSIENT:
+            cell.health = HEALTHY
         return primary
 
     def _raise_syndrome(self, fn_idx: int, cell: FunctionalCell, t: int) -> None:
@@ -582,7 +585,7 @@ class Engine:
             # a reader with several ports is scheduled once: _schedule_eval
             # merges evaluations of one function at one time
             for reader, _port in readers:
-                if fabric.binding[reader].health is not CellHealth.FAULTY_DEACTIVATED:
+                if fabric.binding[reader].health is not FAULTY_DEACTIVATED:
                     self._schedule_eval(reader, t + self.timing.cell_delay)
 
 

@@ -12,6 +12,15 @@ from .cell import WidthMode, wrap16
 from .netlist import IMM_REF, Netlist, Opcode
 
 
+# module-level names for the members _eval_node compares against: an
+# ``<Enum>.<MEMBER>`` read costs an EnumType.__getattr__ call before 3.12
+BIT = WidthMode.BIT
+OP_NOP, OP_AND, OP_OR, OP_NOT = Opcode.NOP, Opcode.AND, Opcode.OR, Opcode.NOT
+OP_ADD, OP_SUB, OP_MUL, OP_CMP, OP_MUX = (
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP, Opcode.MUX
+)
+
+
 def _trunc_q88(p: int) -> int:
     q = abs(p) >> 8
     return -q if p < 0 else q
@@ -54,26 +63,26 @@ class NetlistOracle:
         return node.immediate if ref == IMM_REF else values[ref]
 
     def _eval_node(self, node, values: dict[str, int]) -> int:
-        bit = self.netlist.widths[node.name] is WidthMode.BIT
+        bit = self.netlist.widths[node.name] is BIT
         ops = [self._operand(node, i, values) for i in range(len(node.operands))]
         op = node.opcode
-        if op is Opcode.NOP:
+        if op is OP_NOP:
             return 0
-        if op is Opcode.AND:
+        if op is OP_AND:
             r = ops[0] & ops[1]
-        elif op is Opcode.OR:
+        elif op is OP_OR:
             r = ops[0] | ops[1]
-        elif op is Opcode.NOT:
+        elif op is OP_NOT:
             r = ~ops[0]
-        elif op is Opcode.ADD:
+        elif op is OP_ADD:
             r = ops[0] + ops[1]
-        elif op is Opcode.SUB:
+        elif op is OP_SUB:
             r = ops[0] - ops[1]
-        elif op is Opcode.MUL:
+        elif op is OP_MUL:
             r = _trunc_q88(ops[0] * ops[1])
-        elif op is Opcode.CMP:
+        elif op is OP_CMP:
             return 1 if ops[0] >= ops[1] else 0
-        elif op is Opcode.MUX:
+        elif op is OP_MUX:
             return ops[1] if ops[0] == 0 else ops[2]
         else:
             raise ValueError(f"oracle cannot evaluate {op}")

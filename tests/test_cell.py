@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cellfab.cell import (
     INT16_MAX,
     INT16_MIN,
     INT16_ONLY_OPCODES,
+    OPCODE_ARITY,
     CellHealth,
     CellId,
     FunctionalCell,
@@ -25,6 +26,8 @@ from cellfab.cell import (
     wrap16,
 )
 from cellfab.genetic import CellConfig, InputSelector, SelectorKind, UNUSED
+from cellfab.netlist import parse_netlist
+from cellfab.oracle import NetlistOracle
 
 BIT = WidthMode.BIT
 WORD = WidthMode.INT16
@@ -472,3 +475,19 @@ def test_values_stay_in_their_width(case):
     reps = [good] * 3
     reps[pos] = bad
     assert vote(*reps) == (good, 0 if bad == good else 1 << pos)
+
+
+@settings(deadline=None)
+@given(evaluations())
+def test_gfb_eval_equals_the_oracle_on_a_one_node_netlist(case):
+    """The cell's opcode dispatch against the independent reference: one
+    node reading one primary input per operand, in N, W, E order."""
+    wm, op, inputs, state, _, _ = case
+    assume(op is not Opcode.DELAY)  # its output is the pipeline's, not the inputs'
+    names = [f"p{i}" for i in range(OPCODE_ARITY[op])]
+    width = "bit" if wm is WidthMode.BIT else "int16"
+    text = "".join(f"input {name} : {width}\n" for name in names)
+    text += f"node y = {op.name}({', '.join(names)})\noutput o = y\n"
+    oracle = NetlistOracle(parse_netlist(text))
+    expected = oracle.outputs(oracle.step(dict(zip(names, inputs))))["o"]
+    assert gfb_eval(op, wm, inputs, state) == (expected, state)

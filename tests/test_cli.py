@@ -86,6 +86,27 @@ def test_validate_cyclic_netlist(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "report"])
+@pytest.mark.parametrize(
+    "unreadable, message",
+    [("a_directory", "Is a directory"), ("latin1.nl", "can't decode")],
+)
+def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, unreadable, message):
+    path = tmp_path / unreadable
+    if unreadable == "a_directory":
+        path.mkdir()
+    else:
+        path.write_bytes("input a : bit  # \xe9\n".encode("latin-1"))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_disasm_roundtrip(capsys):
     word = to_hex(encode_genetic(nop_config()))
     rc = main(["disasm", word])
