@@ -98,19 +98,19 @@ def cmd_run(args) -> int:
             scenario = dataclasses.replace(
                 scenario, timing=dataclasses.replace(scenario.timing, **overrides)
             )
+        base = out_dir / scenario.name
         try:
             trace, m = run(scenario)
-        except (OSError, ValueError) as exc:  # also NetlistError and PlacementError
+            if args.format in ("csv", "both"):
+                Path(f"{base}.csv").write_text(to_csv(trace))
+            if args.format in ("vcd", "both"):
+                Path(f"{base}.vcd").write_text(to_vcd(trace))
+            report_text = format_metrics(m, scenario.timing)
+            Path(f"{base}.metrics.txt").write_text(report_text)
+        except (OSError, ValueError) as exc:  # also NetlistError, PlacementError, an export
             print(f"error: {scenario.name}: {exc}", file=sys.stderr)
             status = 2
             continue
-        base = out_dir / scenario.name
-        if args.format in ("csv", "both"):
-            Path(f"{base}.csv").write_text(to_csv(trace))
-        if args.format in ("vcd", "both"):
-            Path(f"{base}.vcd").write_text(to_vcd(trace))
-        report_text = format_metrics(m, scenario.timing)
-        Path(f"{base}.metrics.txt").write_text(report_text)
         print(f"== {scenario.name}")
         print(report_text, end="")
     return status

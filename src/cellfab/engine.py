@@ -16,7 +16,7 @@ the same scenario produce byte-identical traces.
 
 A wave is one heap event.  Its evaluations run in (level, function
 index) order, each at its slot without cascading, under sequence numbers
-reserved at the clock; before each one the wave yields to any event that
+taken at the clock; before each one the wave yields to any event that
 sorts first, so every evaluation keeps the place it would have as an
 event of its own.  A local evaluation of a slot that an open wave still
 holds is dropped: the wave evaluates it there anyway.
@@ -102,10 +102,10 @@ class FaultSpec:
 
     A fault, transient or permanent, is first evaluated at injection if
     the cell's wave slot of the current period has passed, otherwise at
-    that slot.  A fault on a deactivated cell is a no-op.  On an idle
-    spare a transient is a no-op too (the spare holds no data and reroute
-    rewrites every port), while a permanent fault is installed and stays
-    latent until the spare takes over a function.
+    that slot.  A fault on a deactivated cell is a no-op.  On a spare
+    before its reroute a transient is a no-op too (the spare holds no
+    data and reroute loads every port), while a permanent fault is
+    installed and stays latent until the spare takes over a function.
     """
 
     kind: str
@@ -152,7 +152,7 @@ def inject(fault: FaultSpec, fabric: Fabric, t: int) -> bool:
         cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
         return True
     if cell.registers is None:
-        return False  # idle spare: no data held, reroute rewrites every port
+        return False  # a spare before its reroute: no data held, reroute loads every port
     cell.registers.corrupt(PORT_ORDER.index(fault.port), fault.replica, fault.flip, fault.stuck)
     return True
 
@@ -328,7 +328,7 @@ class Engine:
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._pending_evals: set[tuple[int, int]] = set()  # local evaluations (fn, t)
-        self._wave_base: dict[int, int] = {}  # clock -> seq of its wave's evaluation 0
+        self._wave_base: dict[int, int] = {}  # clock -> seq of evaluation 0, unfinished waves
         self._now = (0, 0)  # (time, seq) of the event being handled
         self._last_clock = 0
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
@@ -379,7 +379,8 @@ class Engine:
                 raise ValueError(f"fault on unknown cell {fault.cell}")
             # an idle spare has no width yet; it is pre-loaded with the code
             # of the worker in its own slot
-            width = self.fabric.layers[fault.cell.layer].f_cells[fault.cell.slot].config.width_mode
+            layer = self.program.layers[fault.cell.layer]
+            width = layer.worker_configs[fault.cell.slot].width_mode
             if fault.flip is not None:  # a mask of the cell's bits
                 key, value = "flip", fault.flip
                 fits = 0 <= value <= (1 if width is WidthMode.BIT else 0xFFFF)
@@ -449,7 +450,6 @@ class Engine:
 
         # phase 2: apply stimulus
         for name, value in assignments:
-            fabric.input_values[name] = value
             self.trace.add(t, f"in.{name}", value, "data")
             fabric.route(name, value)
 
@@ -477,6 +477,9 @@ class Engine:
             if cell.health is not FAULTY_DEACTIVATED:
                 value = self._evaluate_cell(fn_idx, cell, slot)
                 self._publish(fn_idx, value, slot, cascade=False)
+        # no later event sorts before the wave's last evaluation, so no
+        # hold check can match the wave's keys again
+        del self._wave_base[clock]
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
         fabric = self.fabric
@@ -538,7 +541,6 @@ class Engine:
             self._fail_safe(t)
             return
         syndrome.chosen_spare = spare
-        fabric.reserve(spare)
         reroute_t = t + self.timing.reroute_delay
         restore_t = reroute_t + self.timing.restore_delay
         self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))

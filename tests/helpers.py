@@ -5,8 +5,10 @@ from __future__ import annotations
 from typing import Optional
 
 from cellfab.engine import Engine, Trace
+from cellfab.genetic import SelectorKind
 from cellfab.netlist import Netlist
 from cellfab.oracle import NetlistOracle
+from cellfab.place import FabricProgram
 
 
 class AlwaysEvaluateEngine(Engine):
@@ -16,6 +18,33 @@ class AlwaysEvaluateEngine(Engine):
     def _evaluate_cell(self, fn_idx, cell, t):
         cell.registers.changed = True
         return super()._evaluate_cell(fn_idx, cell, t)
+
+
+def selector_walk(trace: Trace, program: FabricProgram, fn_idx: int, t: int) -> list[int]:
+    """The values a function's ports draw at ``t``, walked from its selectors.
+
+    A primary input reads its last ``in.<name>`` sample at or before
+    ``t``, a function output the last sample of its first signal, a
+    constant-wired port the immediate, and an unused port 0; an input or
+    function not yet sampled reads 0.  This is the reference for what a
+    spare's ports hold after reroute.
+    """
+    last: dict[str, int] = {}
+    for r in trace.records:
+        if r.annotation == "data" and r.time <= t:
+            last[r.signal] = r.value
+    config = program.configs[fn_idx]
+    values = []
+    for sel in config.selectors:
+        if sel.kind is SelectorKind.PRIMARY_INPUT:
+            values.append(last.get(f"in.{program.netlist.inputs[sel.index][0]}", 0))
+        elif sel.kind is SelectorKind.CELL_OUTPUT:
+            values.append(last.get(program.signals[sel.index][0], 0))
+        elif sel.kind is SelectorKind.CONSTANT:
+            values.append(config.immediate)
+        else:
+            values.append(0)
+    return values
 
 
 def compare_steady_state(

@@ -54,6 +54,19 @@ def test_run_outputs_byte_identical(tmp_path):
         assert fa == fb
 
 
+def test_unwritable_export_is_one_line_error(out_dir, capsys):
+    # the CSV path is a directory: that scenario fails, the next one runs
+    (out_dir / "edg_faultfree.csv").mkdir(parents=True)
+    rc = main(["run", "edg_faultfree", "edg_transient3", "--out", str(out_dir), "--format", "csv"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: edg_faultfree: ")
+    assert "== edg_faultfree" not in captured.out
+    assert "== edg_transient3" in captured.out
+    assert (out_dir / "edg_transient3.csv").exists()
+
+
 def test_validate_edg(tmp_path, capsys):
     nl_path = tmp_path / "edg.nl"
     from cellfab.apps import netlist_text

@@ -16,7 +16,7 @@ from cellfab.netlist import parse_netlist
 from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist
 from cellfab.report import to_csv
-from cellfab.scenarios import load_scenario
+from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
 from helpers import compare_steady_state, reference_eval
@@ -42,6 +42,15 @@ def test_outputs_first_valid_at_245():
     res = run_raw(edg_scenario())
     for out in ("EngineStart", "OpenAirStartFuel_Valves"):
         assert samples(res.trace, out)[0] == (245, 1)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_finished_waves_drop_their_base_entry(name):
+    # only the last clock's wave may still be open when the run stops
+    sc = load_scenario(name)
+    engine = Engine(resolve_application(sc.application), sc)
+    engine.run()
+    assert len(engine._wave_base) <= 1
 
 
 def test_determinism_byte_identical():

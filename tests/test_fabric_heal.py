@@ -12,9 +12,11 @@ from cellfab.fabric import Fabric
 from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
 from cellfab.report import metrics
+from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, reference_eval
+from helpers import compare_steady_state, reference_eval, selector_walk
+from test_selective_eval import faulted_scenarios
 
 
 def edg_scenario(name="t", faults=(), run_until=1200, stimulus_extra=()):
@@ -50,21 +52,13 @@ def test_local_heal_uses_lowest_spare_and_reloads_code():
 
 
 def test_action_order_timestamps():
-    res = run_raw(load_bundled("edg_permanent_bt"))
+    res = run_raw(load_scenario("edg_permanent_bt"))
     for s in metrics(res.trace).syndromes:
         deactivate, reroute, restore = heal_times(s)
         assert deactivate <= reroute <= restore
 
 
-def load_bundled(name):
-    from cellfab.scenarios import load_scenario
-
-    return load_scenario(name)
-
-
 def test_transient_syndrome_never_raised():
-    from cellfab.scenarios import load_scenario
-
     res = run_raw(load_scenario("edg_transient3"))
     assert res.syndromes == []
     assert metrics(res.trace).alarm == "none"
@@ -158,26 +152,35 @@ def test_single_remaining_spare_chosen_regardless_of_distance():
 
 
 EDG_FABRIC = Fabric(resolve_application("edg"))
-EDG_SPARES = [c for layer in EDG_FABRIC.layers for c in layer.r_cells]
+EDG_SPARES = EDG_FABRIC.spares
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
-    st.lists(st.sampled_from(["idle", "active", "reserved"]),
+    st.lists(st.sampled_from(["idle", "active", "claimed"]),
              min_size=len(EDG_SPARES), max_size=len(EDG_SPARES)),
-    st.integers(0, len(EDG_FABRIC.layers) - 1),
+    st.integers(0, len(EDG_FABRIC.program.layers) - 1),
 )
 def test_allocate_spare_is_nearest_free_spare(states, from_layer):
     fabric = EDG_FABRIC
-    fabric.reserved.clear()
+    # "claimed" spares are claimed by earlier allocate_spare calls: with
+    # the idle ones held back, each is the lowest free spare of its layer
     for cell, state in zip(EDG_SPARES, states):
-        cell.health = CellHealth.SPARE_ACTIVE if state == "active" else CellHealth.SPARE_IDLE
-        if state == "reserved":
-            fabric.reserve(cell.cell_id)
+        cell.health = CellHealth.SPARE_IDLE if state == "claimed" else CellHealth.SPARE_ACTIVE
+    for cell, state in zip(EDG_SPARES, states):
+        if state == "claimed":
+            assert fabric.allocate_spare(cell.cell_id.layer) == cell.cell_id
+    for cell, state in zip(EDG_SPARES, states):
+        if state == "idle":
+            cell.health = CellHealth.SPARE_IDLE
     free = fabric.free_spares()
     assert len(free) == states.count("idle")
     nearest = sorted(free, key=lambda c: (abs(c.layer - from_layer), c.layer, c.slot))
-    assert fabric.allocate_spare(from_layer) == (nearest[0] if nearest else None)
+    first = fabric.allocate_spare(from_layer)
+    assert first == (nearest[0] if nearest else None)
+    # a claimed spare goes to no second syndrome
+    assert first not in fabric.free_spares()
+    assert fabric.allocate_spare(from_layer) == (nearest[1] if len(nearest) > 1 else None)
 
 
 # ---- fail-safe -----------------------------------------------------------
@@ -254,8 +257,72 @@ def test_input_change_in_reroute_window_reaches_spare():
     res = run_raw(sc)
     s = metrics(res.trace).syndromes[0]
     assert (s.reroute_time, s.restore_time) == (470, 505)
-
-    def last_press_ok(trace):
-        return [r.value for r in trace.records if r.signal == "fn.press_ok"][-1]
-
     assert last_press_ok(res.trace) == last_press_ok(run_raw(sc.without_faults()).trace)
+
+
+def test_input_change_in_hand_over_window_reaches_spare():
+    # fuel_press_ok toggles between deactivate (435) and reroute (470) of
+    # the function on L0.F0 (press_ok): the deactivated cell still takes
+    # the function's inputs, and reroute hands them to the spare
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=400, flip=1)
+    toggle = (450, "fuel_press_ok", 1 - START_PERMITTED["fuel_press_ok"])
+    sc = edg_scenario(faults=[fault], run_until=600, stimulus_extra=[toggle])
+    res = run_raw(sc)
+    s = metrics(res.trace).syndromes[0]
+    assert (s.deactivate_time, s.reroute_time) == (435, 470)
+    assert last_press_ok(res.trace) == last_press_ok(run_raw(sc.without_faults()).trace)
+
+
+def last_press_ok(trace):
+    return [r.value for r in trace.records if r.signal == "fn.press_ok"][-1]
+
+
+def reroutes_match_selector_walk(program, sc) -> int:
+    """Run ``sc`` and check the spare's ports against the selector walk
+    at every reroute; returns the number of reroutes."""
+    engine = Engine(program, sc)
+    fabric = engine.fabric
+    reroute = fabric.reroute
+    count = 0
+
+    def checked_reroute(syndrome):
+        nonlocal count
+        reroute(syndrome)
+        fn_idx, t = syndrome.function_index, engine._now[0]
+        spare = fabric.cells[str(syndrome.chosen_spare)]
+        assert spare.registers.values == selector_walk(engine.trace, program, fn_idx, t)
+        assert fabric.sinks[fn_idx] is spare
+        count += 1
+
+    fabric.reroute = checked_reroute
+    engine.run()
+    return count
+
+
+def test_reroute_copies_what_the_selectors_draw_in_bundled_scenarios():
+    scenarios = [load_scenario(name) for name in BUNDLED_SCENARIOS]
+    reroutes = sum(
+        reroutes_match_selector_walk(resolve_application(sc.application), sc) for sc in scenarios
+    )
+    assert reroutes == 5  # edg_permanent_bt 2, edg_multifault4 2, ccs_fc16_permanent 1
+
+
+def test_reroute_copies_what_the_selectors_draw():
+    # the property holds only as far as its cases reach, so they must reroute
+    reroutes = []
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(faulted_scenarios())
+    def check(case):
+        reroutes.append(reroutes_match_selector_walk(*case))
+
+    check()
+    assert sum(reroutes) > 0
+
+
+def test_fabric_run_state_is_the_documented_fields():
+    # what a checkpoint of a run copies: a new run-state field must also
+    # join the snapshot list of ROADMAP.md's checkpoint item
+    assert set(vars(Fabric(resolve_application("edg")))) == {
+        "program", "readers", "binding", "cells", "spares", "sinks", "published", "fail_safe",
+    }
