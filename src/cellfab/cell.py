@@ -301,23 +301,14 @@ class FunctionalCell:
         mismatched and the dissent masks in PORT_ORDER.  Must not be called
         on a deactivated cell; the fabric drives safe 0 for those.
 
-        A cell whose ports have not changed since its last evaluation and
-        that holds no fault state (no overlay port, no injected permanent
-        fault) returns its last output unevaluated, with a clean check and
-        no dissent, as an evaluation would.  A DELAY always evaluates: its
-        pipeline shifts at every clock.
+        ``step`` always evaluates.  It clears the bank's ``changed`` flag
+        and keeps the output as ``last_output`` (not for a DELAY, whose
+        pipeline shifts at every clock), so that the kernel can tell a
+        quiet cell and skip the call (``Engine._evaluate_cell``).
         """
         if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
         registers = self.registers
-        last = self.last_output
-        if (
-            last is not None
-            and not registers.changed
-            and not registers.overlay
-            and self.injected_permanent is None
-        ):
-            return last, False, NO_MASKS
         registers.changed = False
         config = self.config
         if registers.overlay:

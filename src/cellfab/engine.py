@@ -9,8 +9,13 @@ A fault is re-evaluated at injection only once the cell's wave slot of
 the current period has passed; before that, the pending wave evaluation
 sees it, so the cell never publishes a mid-wave value.  A cell whose
 inputs have not changed since its last evaluation and that holds no
-fault state returns its last output (``FunctionalCell.step``); it is
-published and recorded all the same.
+fault state returns its last output without a ``FunctionalCell.step``
+call (the test is at the top of ``Engine._evaluate_cell``); it is
+published and recorded all the same.  A publish is recorded always but
+routed to the readers only when it changes the function's value, since
+every reader's port already holds the last one.  The exception is a run
+whose expanded faults include a transient: there every publish is
+routed, because a write, even of an equal value, drops a corrupted port.
 Events are totally ordered by (time, sequence number), so two runs of
 the same scenario produce byte-identical traces.
 
@@ -312,6 +317,9 @@ class Engine:
         self.scenario = scenario
         self.timing = scenario.timing
         self.faults = expand_faults(scenario.faults, scenario.run_until)
+        # an unchanged write drops a transient's corrupted port, so a run
+        # that injects one routes every publish
+        self._route_repeats = any(f.kind == FaultKind.TRANSIENT_REGISTER for f in self.faults)
         netlist = program.netlist
         self.trace = Trace(
             scenario_name=scenario.name,
@@ -505,11 +513,29 @@ class Engine:
 
     def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check; a streak of
-        ``check_threshold`` mismatches raises a syndrome."""
+        ``check_threshold`` mismatches raises a syndrome.
+
+        A quiet cell, one whose ports have not changed since its last
+        evaluation and that holds no fault state (no overlay port, no
+        injected permanent fault), returns its last output unevaluated:
+        a clean check with no dissent, as ``step`` would give.  A DELAY
+        keeps no last output, so it always evaluates.
+        """
+        registers = cell.registers
+        last = cell.last_output
+        if (
+            last is not None
+            and not registers.changed
+            and not registers.overlay
+            and cell.injected_permanent is None
+        ):
+            if cell.health is SUSPECT_TRANSIENT:
+                cell.health = HEALTHY
+            return last
         primary, mismatch, masks = cell.step()
         cid = cell.cell_id
         three_way = False
-        if cell.registers.overlay:  # only overlay ports can dissent
+        if registers.overlay:  # only overlay ports can dissent
             for port, mask in zip(PORT_ORDER, masks):
                 if mask:
                     self.trace.add(t, f"cell.{cid}.{port.value}", mask, "masked_transient")
@@ -575,20 +601,29 @@ class Engine:
     # ---- value propagation ----------------------------------------------
 
     def _publish(self, fn_idx: int, value: int, t: int, cascade: bool) -> None:
+        """Record a function's value and route it to its readers.
+
+        Every reader's sink port already holds ``published[fn_idx]``, so
+        an unchanged value is routed only in a run with transients, where
+        the write drops a corrupted port (see the module docstring)."""
         fabric = self.fabric
         if fabric.fail_safe and fn_idx in self.program.output_binding.values():
             value = 0
-        changed = fabric.published[fn_idx] != value
-        fabric.published[fn_idx] = value
+        records = self.trace.records
         for name in self._signals[fn_idx]:
-            self.trace.add(t, name, value, "data")
-        readers = fabric.route(fn_idx, value)
-        if cascade and changed:
-            # a reader with several ports is scheduled once: _schedule_eval
-            # merges evaluations of one function at one time
-            for reader, _port in readers:
-                if fabric.binding[reader].health is not FAULTY_DEACTIVATED:
-                    self._schedule_eval(reader, t + self.timing.cell_delay)
+            records.append(TraceRecord(t, name, value, "data"))
+        published = fabric.published
+        if published[fn_idx] != value:
+            published[fn_idx] = value
+            readers = fabric.route(fn_idx, value)
+            if cascade:
+                # a reader with several ports is scheduled once: _schedule_eval
+                # merges evaluations of one function at one time
+                for reader, _port in readers:
+                    if fabric.binding[reader].health is not FAULTY_DEACTIVATED:
+                        self._schedule_eval(reader, t + self.timing.cell_delay)
+        elif self._route_repeats:
+            fabric.route(fn_idx, value)
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:

@@ -123,13 +123,15 @@ def from_csv(text: str) -> Trace:
 # ---- VCD ----------------------------------------------------------------
 
 
+_VCD_ID_CHARS = [chr(c) for c in range(33, 127)]  # the printable ASCII of a VCD identifier
+
+
 def _vcd_id(index: int) -> str:
-    chars = [chr(c) for c in range(33, 127)]
     out = ""
     index += 1
     while index:
-        index, rem = divmod(index - 1, len(chars))
-        out = chars[rem] + out
+        index, rem = divmod(index - 1, len(_VCD_ID_CHARS))
+        out = _VCD_ID_CHARS[rem] + out
     return out
 
 
@@ -234,6 +236,29 @@ def _data_samples(trace: Trace) -> dict[str, list[tuple[int, int]]]:
         if r.annotation == "data":
             samples.setdefault(r.signal, []).append((r.time, r.value))
     return samples
+
+
+def _count_erroneous(samples: list[tuple[int, int]], golden: list[tuple[int, int]]) -> int:
+    """How many ``samples`` differ from the golden value held at their time.
+
+    The held value is that of the last golden sample at or before ``t``
+    (None before the first), as ``_held_value`` reads it, found by one
+    forward walk over ``golden`` while the samples' times do not go back.
+    """
+    count = 0
+    i = 0
+    held = None
+    previous = None
+    for t, v in samples:
+        if previous is not None and t < previous:  # out of time order: walk again
+            i, held = 0, None
+        previous = t
+        while i < len(golden) and golden[i][0] <= t:
+            held = golden[i][1]
+            i += 1
+        if held != v:
+            count += 1
+    return count
 
 
 def _held_value(samples: list[tuple[int, int]], t: int) -> Optional[int]:
@@ -370,7 +395,7 @@ def _compare_with_golden(
         golden = Engine(program, scenario.without_faults()).run().trace
     golden_samples = samples if golden is trace else _data_samples(golden)
     m.erroneous_output_samples = sum(
-        _held_value(golden_samples.get(o, []), t) != v for o in outputs for t, v in samples[o]
+        _count_erroneous(samples[o], golden_samples.get(o, [])) for o in outputs
     )
 
     detected = 0

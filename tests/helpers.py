@@ -20,6 +20,15 @@ class AlwaysEvaluateEngine(Engine):
         return super()._evaluate_cell(fn_idx, cell, t)
 
 
+class AlwaysRouteEngine(Engine):
+    """The kernel routing every publish, as a run with transients does,
+    not only those that change the function's value."""
+
+    def __init__(self, program, scenario):
+        super().__init__(program, scenario)
+        self._route_repeats = True
+
+
 def selector_walk(trace: Trace, program: FabricProgram, fn_idx: int, t: int) -> list[int]:
     """The values a function's ports draw at ``t``, walked from its selectors.
 

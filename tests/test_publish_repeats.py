@@ -1,0 +1,164 @@
+"""A publish that repeats its function's value is recorded but not routed.
+
+Every reader's sink port already holds the function's published value,
+so writing it again changes nothing, except that a write drops a
+transient's corrupted port.  ``Engine._publish`` therefore routes an
+unchanged value only in a run whose expanded faults hold a transient.
+The reference, ``helpers.AlwaysRouteEngine``, routes every publish; the
+two must leave equal traces and equal cell state.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+from cellfab.apps import resolve_application
+from cellfab.cell import CellId, Port
+from cellfab.engine import Engine, FaultSpec, Scenario
+from cellfab.fabric import Fabric
+from cellfab.netlist import parse_netlist
+from cellfab.place import compile_netlist
+from cellfab.scenarios import load_scenario
+
+from helpers import AlwaysRouteEngine
+from test_selective_eval import cell_state, faulted_scenarios
+from test_wave_paths import scenarios
+
+
+def assert_same_as_always_routing(program, sc: Scenario):
+    engine = Engine(program, sc)
+    res = engine.run()
+    reference = AlwaysRouteEngine(program, sc).run()
+    assert res.trace.records == reference.trace.records
+    assert res.plant_log == reference.plant_log
+    assert cell_state(res.fabric) == cell_state(reference.fabric)
+    return engine, res
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(scenarios())
+def test_skipping_repeats_matches_always_routing(case):
+    assert_same_as_always_routing(*case)
+
+
+def test_skipping_repeats_matches_always_routing_under_faults():
+    # a run with a transient routes every publish on both sides, so the
+    # cases must also mismatch, heal and run out of spares without one
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(faulted_scenarios())
+    def check(case):
+        engine, res = assert_same_as_always_routing(*case)
+        if not engine._route_repeats:
+            seen.update(r.annotation for r in res.trace.records)
+            if any(r.signal.endswith(".restore") for r in res.trace.records):
+                seen.add("healed")
+
+    check()
+    assert {"mismatch", "syndrome_action", "alarm", "healed"} <= seen
+
+
+def assert_readers_hold_published(fabric: Fabric) -> None:
+    for fn_idx, value in enumerate(fabric.published):
+        if value is None:
+            continue
+        for reader, port in fabric.readers[fn_idx]:
+            assert fabric.sinks[reader].registers.values[port] == value, (fn_idx, reader, port)
+
+
+class CheckingEngine(Engine):
+    """An engine that checks, at every clock, that each reader's sink port
+    holds the value its function last published."""
+
+    def _handle_clock(self, t, assignments):
+        assert_readers_hold_published(self.fabric)
+        super()._handle_clock(t, assignments)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(faulted_scenarios())
+def test_every_reader_holds_the_published_value(case):
+    res = CheckingEngine(*case).run()
+    assert_readers_hold_published(res.fabric)
+
+
+@pytest.mark.parametrize("replicas, samples", [
+    ((0,), [(70, 8), (100, 8), (370, 8), (670, 8), (970, 8)]),
+    # two replicas flipped alike out-vote the third: the cell reads 6 ^ 255
+    ((1, 2), [(70, 8), (100, 251), (370, 8), (670, 8), (970, 8)]),
+])
+def test_an_unchanged_republish_drops_a_transient(replicas, samples):
+    # y (L0.F1) reads x on its N port.  The transient at 100 is voted at
+    # once; the wave at 300 republishes x = 6 unchanged, and that write
+    # drops the corrupted port, so y is not voted again in later waves
+    nl = parse_netlist(
+        "input a : int16\nnode x = ADD(a, imm) imm=1\nnode y = ADD(x, imm) imm=2\noutput o = y\n"
+    )
+    program = compile_netlist(nl)
+    faults = [
+        FaultSpec(kind="transient_register", cell=CellId(0, 1, "F"), time=100,
+                  port=Port.NORTH, replica=replica, flip=255)
+        for replica in replicas
+    ]
+    sc = Scenario(name="pinned", application="inline", stimulus=[(0, "a", 5)],
+                  faults=faults, run_until=1200)
+    res = Engine(program, sc).run()
+    records = res.trace.records
+    assert [(r.time, r.value) for r in records if r.signal == "fn.x"] == [
+        (35, 6), (335, 6), (635, 6), (935, 6),
+    ]
+    assert [(r.time, r.signal) for r in records if r.annotation == "masked_transient"] == [
+        (100, "cell.L0.F1.N"),
+    ]
+    assert [(r.time, r.value) for r in records if r.signal == "o"] == samples
+    assert res.fabric.cells["L0.F1"].registers.overlay == {}
+
+
+def count_routes(monkeypatch, sc: Scenario):
+    """The run's result and its number of ``Fabric.route`` calls."""
+    calls = []
+    route = Fabric.route
+
+    def counting_route(self, source, value):
+        calls.append(source)
+        return route(self, source, value)
+
+    monkeypatch.setattr(Fabric, "route", counting_route)
+    res = Engine(resolve_application(sc.application), sc).run()
+    return res, len(calls)
+
+
+def publish_counts(res) -> tuple[int, int, int]:
+    """(input assignments, publishes, publishes that changed the value),
+    read from the trace: a function publishes one record per signal."""
+    program = res.trace.program
+    firsts = {names[0] for names in program.signals.values()}
+    inputs = publishes = changed = 0
+    last = {}
+    for r in res.trace.records:
+        if r.annotation != "data":
+            continue
+        if r.signal.startswith("in."):
+            inputs += 1
+        elif r.signal in firsts:
+            publishes += 1
+            changed += last.get(r.signal) != r.value
+            last[r.signal] = r.value
+    return inputs, publishes, changed
+
+
+def test_a_fault_free_run_routes_only_changes(monkeypatch):
+    res, routes = count_routes(monkeypatch, load_scenario("ccs_step"))
+    inputs, publishes, changed = publish_counts(res)
+    assert routes == inputs + changed
+    assert changed < publishes  # the guard has repeats to skip
+
+
+def test_a_run_with_a_transient_routes_every_publish(monkeypatch):
+    sc = load_scenario("ccs_step")
+    sc.faults = [FaultSpec(kind="transient_register", cell=CellId(1, 0, "F"), time=5000,
+                           port=Port.NORTH, replica=0, flip=1)]
+    res, routes = count_routes(monkeypatch, sc)
+    inputs, publishes, changed = publish_counts(res)
+    assert routes == inputs + publishes
+    assert changed < publishes

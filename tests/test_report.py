@@ -3,11 +3,15 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
 from cellfab.cell import CellId, WidthMode
 from cellfab.engine import FaultSpec, Scenario, TimingParams, Trace
 from cellfab.report import (
+    _count_erroneous,
+    _held_value,
+    _vcd_id,
     format_metrics,
     from_csv,
     metrics,
@@ -255,3 +259,29 @@ class TestMetrics:
             "OpenAirStartFuel_Valves": WidthMode.BIT,
         }
         assert list(faultfree.trace.inputs)[:2] == ["fuel_press_ok", "lube_press_ok"]
+
+
+def test_vcd_ids_count_in_printable_ascii():
+    assert [_vcd_id(i) for i in (0, 1, 93, 94, 95, 94 + 94 * 94)] == [
+        "!", '"', "~", "!!", '!"', "!!!",
+    ]
+
+
+@st.composite
+def sample_lists(draw):
+    """A golden sample list in time order (times may repeat) and samples to
+    compare with it, mostly in time order as a trace records them."""
+    golden = sorted(draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)))),
+                    key=lambda s: s[0])
+    samples = draw(st.lists(st.tuples(st.integers(-1, 45), st.integers(0, 3))))
+    if draw(st.booleans()):
+        samples.sort(key=lambda s: s[0])
+    return samples, golden
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(sample_lists())
+def test_erroneous_count_reads_the_last_golden_sample_at_or_before(case):
+    samples, golden = case
+    expected = sum(_held_value(golden, t) != v for t, v in samples)
+    assert _count_erroneous(samples, golden) == expected

@@ -1,7 +1,8 @@
 """A cell evaluated only when its inputs changed leaves the trace of one evaluated always.
 
-``step`` returns a cell's last output unevaluated when no port changed
-since its last evaluation and the cell holds no fault state.  The
+``Engine._evaluate_cell`` returns a cell's last output without calling
+``step`` when no port changed since its last evaluation and the cell
+holds no fault state; ``step`` itself always evaluates.  The
 reference, ``helpers.AlwaysEvaluateEngine``, marks every bank changed
 before each step, so it evaluates every cell at every wave and local
 event; the two must leave equal traces and equal cell state.
@@ -22,10 +23,13 @@ from test_wave_paths import scenarios
 
 
 def cell_state(fabric) -> dict[str, tuple]:
-    return {
-        name: (cell.health, cell.mismatch_streak, cell.pipeline)
-        for name, cell in fabric.cells.items()
-    }
+    """Each cell's health, streak, pipeline and register bank."""
+    state = {}
+    for name, cell in fabric.cells.items():
+        bank = cell.registers
+        registers = None if bank is None else (bank.values, bank.overlay, bank.changed)
+        state[name] = (cell.health, cell.mismatch_streak, cell.pipeline, registers)
+    return state
 
 
 def assert_same_as_always_evaluating(program, sc: Scenario):
