@@ -19,4 +19,4 @@ program = build_routing(nl, placement)
 print(dump_program(program))
 
 print(f"{len(program.configs)} worker configurations, "
-      f"{len(program.spare_codes())} pre-generated spare codes")
+      f"{len(program.spare_codes)} pre-generated spare codes")

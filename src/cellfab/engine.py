@@ -51,8 +51,9 @@ from .cell import (
     wrap16,
 )
 from .fabric import Fabric, HealAction, HealthSyndrome
+from .genetic import NOP_CONFIG
 from .netlist import Netlist
-from .place import FabricProgram
+from .place import FabricProgram, SLOTS_PER_LAYER
 
 
 @dataclass(frozen=True)
@@ -386,9 +387,9 @@ class Engine:
             if str(fault.cell) not in self.fabric.cells:
                 raise ValueError(f"fault on unknown cell {fault.cell}")
             # an idle spare has no width yet; it is pre-loaded with the code
-            # of the worker in its own slot
-            layer = self.program.layers[fault.cell.layer]
-            width = layer.worker_configs[fault.cell.slot].width_mode
+            # of the worker in its own slot, the NOP filler's on an empty one
+            fn_idx = fault.cell.layer * SLOTS_PER_LAYER + fault.cell.slot
+            width = self.program.configs.get(fn_idx, NOP_CONFIG).width_mode
             if fault.flip is not None:  # a mask of the cell's bits
                 key, value = "flip", fault.flip
                 fits = 0 <= value <= (1 if width is WidthMode.BIT else 0xFFFF)

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Optional
 
 from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank
+from .genetic import NOP_CONFIG
 from .place import FabricProgram, SLOTS_PER_LAYER
 
 
@@ -55,20 +56,21 @@ class Fabric:
     def __init__(self, program: FabricProgram):
         self.program = program
         self.readers = program.readers
-        slots = len(program.layers) * SLOTS_PER_LAYER
+        configs = program.configs
+        slots = program.placement.layer_count * SLOTS_PER_LAYER
         self.binding: list[Optional[FunctionalCell]] = [None] * slots
         self.cells: dict[str, FunctionalCell] = {}
         self.spares: list[FunctionalCell] = []
-        for lp in program.layers:
-            for slot in range(SLOTS_PER_LAYER):
-                fcell = FunctionalCell(CellId(lp.index, slot, "F"))
-                fcell.configure(lp.worker_configs[slot])
-                if lp.worker_nodes[slot] is not None:
-                    self.binding[lp.index * SLOTS_PER_LAYER + slot] = fcell
-                self.cells[str(fcell.cell_id)] = fcell
-                rcell = FunctionalCell(CellId(lp.index, slot, "R"), health=CellHealth.SPARE_IDLE)
-                self.spares.append(rcell)
-                self.cells[str(rcell.cell_id)] = rcell
+        for fn_idx in range(slots):
+            layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
+            fcell = FunctionalCell(CellId(layer, slot, "F"))
+            fcell.configure(configs.get(fn_idx, NOP_CONFIG))
+            if fn_idx in configs:
+                self.binding[fn_idx] = fcell
+            self.cells[str(fcell.cell_id)] = fcell
+            rcell = FunctionalCell(CellId(layer, slot, "R"), health=CellHealth.SPARE_IDLE)
+            self.spares.append(rcell)
+            self.cells[str(rcell.cell_id)] = rcell
         self.sinks = list(self.binding)
         self.published: list[Optional[int]] = [None] * slots
         self.fail_safe = False  # latched once no spare is left for a syndrome

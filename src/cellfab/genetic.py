@@ -90,14 +90,10 @@ class CellConfig:
             raise InvalidCodeError("delay_cycles must be 0 for non-DELAY opcodes")
 
 
-def nop_config(width_mode: WidthMode = WidthMode.BIT) -> CellConfig:
-    """Safe filler configuration for unoccupied worker slots."""
-    return CellConfig(
-        opcode=Opcode.NOP,
-        selectors=(UNUSED, UNUSED, UNUSED, UNUSED),
-        output_enable=False,
-        width_mode=width_mode,
-    )
+# safe filler configuration for unoccupied worker slots
+NOP_CONFIG = CellConfig(
+    opcode=Opcode.NOP, selectors=(UNUSED, UNUSED, UNUSED, UNUSED), output_enable=False
+)
 
 
 def _parity_bits(word_without_parity: int) -> int:
@@ -171,9 +167,13 @@ def to_hex(word: int) -> str:
 
 
 def from_hex(text: str) -> int:
+    """The word of exactly 17 hex digits (either case, no sign, no ``_``)."""
     text = text.strip().lower()
     if len(text) != HEX_DIGITS:
         raise InvalidCodeError(f"expected {HEX_DIGITS} hex digits, got {len(text)}")
+    bad = [c for c in text if c not in "0123456789abcdef"]
+    if bad:
+        raise InvalidCodeError(f"not a hex digit: {bad[0]!r}")
     word = int(text, 16)
     if word >= (1 << WORD_BITS):
         raise InvalidCodeError("top container bits must be zero")

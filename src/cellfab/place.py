@@ -14,10 +14,10 @@ from .cell import Opcode
 from .genetic import (
     CellConfig,
     InputSelector,
+    NOP_CONFIG,
     SelectorKind,
     UNUSED,
     encode_genetic,
-    nop_config,
     to_hex,
 )
 from .netlist import IMM_REF, Netlist, NetlistError
@@ -34,7 +34,6 @@ class PlacementError(ValueError):
 class Placement:
     layer_count: int
     slots: dict[str, tuple[int, int]]  # node id -> (layer, worker slot)
-    input_binding: dict[str, int]  # primary input name -> global input index
 
     def function_index(self, node_id: str) -> int:
         layer, slot = self.slots[node_id]
@@ -42,40 +41,30 @@ class Placement:
 
 
 @dataclass
-class LayerProgram:
-    """Configuration payload for one critical-service layer."""
-
-    index: int
-    worker_nodes: list[str | None]  # slot -> node id (None = filler)
-    worker_configs: list[CellConfig]
-    spare_codes: list[int]  # slot r mirrors worker slot r at load time
-
-
-@dataclass
 class FabricProgram:
     """A compiled application: every table a run reads and none it writes.
 
     Built once by ``build_routing`` and shared by every run of the
-    application.  The per-function tables are keyed by function index,
-    ascending, over the placed nodes only: ``configs``, wave
-    ``levels`` (the node's depth; 0 marks a DELAY, which captures on the
-    clock) and trace ``signals`` (the function's output names, else
-    ``fn.<node>``).  ``readers[source]`` lists the ``(fn_idx, port)``
-    pairs that read a source, an input name or a function index, with
-    ports as indices in PORT_ORDER.
+    application.  The per-function tables are keyed by function index
+    (``layer * 4 + slot``), ascending, over the placed nodes only:
+    ``configs``, wave ``levels`` (the node's depth; 0 marks a DELAY,
+    which captures on the clock) and trace ``signals`` (the function's
+    output names, else ``fn.<node>``).  An empty worker slot has no
+    entry; its cell holds ``NOP_CONFIG``.  ``spare_codes[fn_idx]`` is
+    the genetic code pre-loaded into the spare beside every slot of the
+    fabric, the NOP filler's on an empty one.  ``readers[source]``
+    lists the ``(fn_idx, port)`` pairs that read a source, an input
+    name or a function index, with ports as indices in PORT_ORDER.
     """
 
     netlist: Netlist
     placement: Placement
-    layers: list[LayerProgram] = field(default_factory=list)
     output_binding: dict[str, int] = field(default_factory=dict)  # name -> fn index
     configs: dict[int, CellConfig] = field(default_factory=dict)
     levels: dict[int, int] = field(default_factory=dict)
     readers: dict[str | int, list[tuple[int, int]]] = field(default_factory=dict)
     signals: dict[int, list[str]] = field(default_factory=dict)
-
-    def spare_codes(self) -> list[int]:
-        return [code for layer in self.layers for code in layer.spare_codes]
+    spare_codes: list[int] = field(default_factory=list)
 
 
 def place(nl: Netlist) -> Placement:
@@ -98,80 +87,65 @@ def place(nl: Netlist) -> Placement:
         raise PlacementError(
             f"netlist needs {layer_count} layers, fabric holds {MAX_LAYERS}"
         )
-    input_binding = {name: i for i, (name, _) in enumerate(nl.inputs)}
-    if len(input_binding) > 64:
+    if len(nl.inputs) > 64:
         raise PlacementError("more than 64 primary inputs")
-    return Placement(layer_count=layer_count, slots=slots, input_binding=input_binding)
+    return Placement(layer_count=layer_count, slots=slots)
 
 
-def _selector_for(ref: str, nl: Netlist, placement: Placement) -> InputSelector:
+def _selector_for(ref: str, inputs: dict[str, int], placement: Placement) -> InputSelector:
     if ref == IMM_REF:
         return InputSelector(SelectorKind.CONSTANT)
-    if ref in placement.input_binding:
-        return InputSelector(SelectorKind.PRIMARY_INPUT, placement.input_binding[ref])
+    if ref in inputs:
+        return InputSelector(SelectorKind.PRIMARY_INPUT, inputs[ref])
     return InputSelector(SelectorKind.CELL_OUTPUT, placement.function_index(ref))
 
 
 def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
     """Resolve operand references into port selectors and readers, pack
-    genetic codes, and fill the per-function tables."""
+    genetic codes, and fill the per-function tables.
+
+    Nodes are taken in (layer, slot) order, so every table and reader
+    list comes out the same whatever the order of ``placement.slots``.
+    """
     program = FabricProgram(netlist=nl, placement=placement)
     nodes = {node.name: node for node in nl.nodes}
-    by_layer: dict[int, dict[int, str]] = {}
-    for name, (layer, slot) in placement.slots.items():
-        by_layer.setdefault(layer, {})[slot] = name
+    inputs = {name: i for i, name in enumerate(nl.input_names())}  # selector index
     output_names: dict[str, list[str]] = {}
     for out_name, node_id in nl.outputs.items():
         output_names.setdefault(node_id, []).append(out_name)
-    readers = program.readers
-    for source in [*nl.input_names(), *map(placement.function_index, placement.slots)]:
-        readers[source] = []
-
-    for layer_idx in range(placement.layer_count):
-        worker_nodes: list[str | None] = [None] * SLOTS_PER_LAYER
-        worker_configs: list[CellConfig] = []
-        for slot in range(SLOTS_PER_LAYER):
-            name = by_layer.get(layer_idx, {}).get(slot)
-            worker_nodes[slot] = name
-            if name is None:
-                worker_configs.append(nop_config())
-                continue
-            node = nodes[name]
-            if len(node.operands) > 4:
-                raise NetlistError("operand fan-in exceeds the cell's 4 ports", node.line)
-            selectors = [_selector_for(ref, nl, placement) for ref in node.operands]
-            fn_idx = layer_idx * SLOTS_PER_LAYER + slot
-            for port, sel in enumerate(selectors):  # in PORT_ORDER
-                if sel.kind is SelectorKind.PRIMARY_INPUT:
-                    readers[node.operands[port]].append((fn_idx, port))
-                elif sel.kind is SelectorKind.CELL_OUTPUT:
-                    readers[sel.index].append((fn_idx, port))
-            while len(selectors) < 4:
-                selectors.append(UNUSED)
-            config = CellConfig(
-                opcode=node.opcode,
-                selectors=tuple(selectors),
-                immediate=node.immediate,
-                delay_cycles=node.delay_cycles,
-                output_enable=True,
-                width_mode=nl.widths[name],
-            )
-            worker_configs.append(config)
-            program.configs[fn_idx] = config
-            program.levels[fn_idx] = 0 if node.opcode is Opcode.DELAY else nl.depth[name]
-            program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
-        spare_codes = [encode_genetic(cfg) for cfg in worker_configs]
-        program.layers.append(
-            LayerProgram(
-                index=layer_idx,
-                worker_nodes=worker_nodes,
-                worker_configs=worker_configs,
-                spare_codes=spare_codes,
-            )
-        )
-
-    for out_name, node_id in nl.outputs.items():
         program.output_binding[out_name] = placement.function_index(node_id)
+    placed = sorted((placement.function_index(name), name) for name in placement.slots)
+    readers = program.readers
+    for source in [*inputs, *(fn_idx for fn_idx, _ in placed)]:
+        readers[source] = []
+    spare_codes = program.spare_codes = (
+        [encode_genetic(NOP_CONFIG)] * (placement.layer_count * SLOTS_PER_LAYER)
+    )
+
+    for fn_idx, name in placed:
+        node = nodes[name]
+        if len(node.operands) > 4:
+            raise NetlistError("operand fan-in exceeds the cell's 4 ports", node.line)
+        selectors = [_selector_for(ref, inputs, placement) for ref in node.operands]
+        for port, sel in enumerate(selectors):  # in PORT_ORDER
+            if sel.kind is SelectorKind.PRIMARY_INPUT:
+                readers[node.operands[port]].append((fn_idx, port))
+            elif sel.kind is SelectorKind.CELL_OUTPUT:
+                readers[sel.index].append((fn_idx, port))
+        while len(selectors) < 4:
+            selectors.append(UNUSED)
+        config = CellConfig(
+            opcode=node.opcode,
+            selectors=tuple(selectors),
+            immediate=node.immediate,
+            delay_cycles=node.delay_cycles,
+            output_enable=True,
+            width_mode=nl.widths[name],
+        )
+        program.configs[fn_idx] = config
+        spare_codes[fn_idx] = encode_genetic(config)
+        program.levels[fn_idx] = 0 if node.opcode is Opcode.DELAY else nl.depth[name]
+        program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
     return program
 
 
@@ -181,22 +155,24 @@ def compile_netlist(nl: Netlist) -> FabricProgram:
 
 def dump_program(program: FabricProgram) -> str:
     """Deterministic text listing: layer.slot kind opcode selectors code=<hex>."""
+    names = {program.placement.function_index(name): name for name in program.placement.slots}
+    codes = [to_hex(code) for code in program.spare_codes]
     lines = []
-    for layer in program.layers:
+    for layer in range(program.placement.layer_count):
+        first = layer * SLOTS_PER_LAYER
         for slot in range(SLOTS_PER_LAYER):
-            cfg = layer.worker_configs[slot]
-            node = layer.worker_nodes[slot]
+            fn_idx = first + slot
+            cfg = program.configs.get(fn_idx, NOP_CONFIG)
             sels = ",".join(
                 f"{port}={_fmt_selector(sel)}"
                 for port, sel in zip("NWES", cfg.selectors)
             )
-            code = to_hex(encode_genetic(cfg))
-            label = node or "-"
+            label = names.get(fn_idx, "-")
             lines.append(
-                f"{layer.index}.{slot} F {cfg.opcode.name:<5} {label:<16} {sels} code={code}"
+                f"{layer}.{slot} F {cfg.opcode.name:<5} {label:<16} {sels} code={codes[fn_idx]}"
             )
-        for slot, code in enumerate(layer.spare_codes):
-            lines.append(f"{layer.index}.{slot} R spare mirrors F{slot} code={to_hex(code)}")
+        for slot in range(SLOTS_PER_LAYER):
+            lines.append(f"{layer}.{slot} R spare mirrors F{slot} code={codes[first + slot]}")
     return "\n".join(lines) + "\n"
 
 

@@ -79,8 +79,9 @@ def _header_value(key: str, value: str):
 def from_csv(text: str) -> Trace:
     """Parse a CSV export back into a trace (header metadata included).
 
-    A malformed line raises ValueError naming its line number, and so
-    does a missing ``# inputs:`` or ``# outputs:`` line.
+    A malformed line, or a row earlier than the row before it, raises
+    ValueError naming its line number, and so does a missing
+    ``# inputs:`` or ``# outputs:`` line.
     """
     meta = {}
     records = []
@@ -101,7 +102,10 @@ def from_csv(text: str) -> Trace:
             t, signal, value, annotation = line.split(",")
             if annotation not in ANNOTATIONS:
                 raise ValueError(f"unknown annotation {annotation!r}")
-            records.append(TraceRecord(int(t), signal, int(value), annotation))
+            record = TraceRecord(int(t), signal, int(value), annotation)
+            if records and record.time < records[-1].time:
+                raise ValueError(f"time {t} is before the previous row's {records[-1].time}")
+            records.append(record)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     for key in ("inputs", "outputs"):
@@ -229,15 +233,6 @@ class HealingMetrics:
     heal_ratio: Optional[float] = None
 
 
-def _data_samples(trace: Trace) -> dict[str, list[tuple[int, int]]]:
-    """(time, value) data samples per signal, in trace (time) order."""
-    samples: dict[str, list[tuple[int, int]]] = {}
-    for r in trace.records:
-        if r.annotation == "data":
-            samples.setdefault(r.signal, []).append((r.time, r.value))
-    return samples
-
-
 def _count_erroneous(samples: list[tuple[int, int]], golden: list[tuple[int, int]]) -> int:
     """How many ``samples`` differ from the golden value held at their time.
 
@@ -271,7 +266,8 @@ def _held_value(samples: list[tuple[int, int]], t: int) -> Optional[int]:
 class _TraceScan:
     """What metrics reads of a trace's records, gathered in one pass.
 
-    ``samples`` is ``_data_samples`` (``fault.*`` rows included);
+    ``samples`` holds the (time, value) data samples per signal, in
+    time order (``fault.*`` rows included);
     ``mismatch`` and ``masked`` hold the record times per cell
     (``L0.F1``) and per cell port (``L0.F1.N``); ``syndromes`` follow
     the order of each cell's first ``syndrome_action``.
@@ -393,7 +389,7 @@ def _compare_with_golden(
         faults = expand_faults(scenario.faults, scenario.run_until)
     if golden is None:
         golden = Engine(program, scenario.without_faults()).run().trace
-    golden_samples = samples if golden is trace else _data_samples(golden)
+    golden_samples = samples if golden is trace else _scan(golden).samples
     m.erroneous_output_samples = sum(
         _count_erroneous(samples[o], golden_samples.get(o, [])) for o in outputs
     )

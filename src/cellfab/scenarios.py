@@ -4,7 +4,8 @@ A scenario file is JSON with sections ``application``, ``timing``,
 ``stimulus`` (list of {t, name, value}), ``faults`` (list of fault
 records), ``run_until`` and ``seed``; closed-loop runs add an optional
 ``plant`` section wiring one output back into one input through the
-demo vehicle model.
+demo vehicle model.  A key the schema does not name is rejected, in the
+document and in every section and entry.
 """
 
 from __future__ import annotations
@@ -44,13 +45,23 @@ def _typed(value, what: str, kind: type = int):
     return value
 
 
+_SCENARIO_KEYS = ("application", "timing", "stimulus", "faults", "run_until", "seed", "plant")
+_STIMULUS_KEYS = ("t", "name", "value")
+_FAULT_KEYS = ("kind", "cell", "t", "port", "replica", "flip", "stuck", "period", "count")
+
+
+def _known(data: dict, keys, section: str) -> None:
+    """Reject a key of ``data`` that is not one of ``keys``."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {section} key {unknown[0]!r}")
+
+
 def _section(cls, data: dict, section: str):
     """Build a dataclass of int and str fields from one scenario section,
     rejecting unknown and missing keys and values of another type."""
     _typed(data, section, dict)
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {section} key {unknown[0]!r}")
+    _known(data, [f.name for f in fields(cls)], section)
     for f in fields(cls):
         if f.name in data or f.default is MISSING:
             kind = int if f.type == "int" else str
@@ -67,6 +78,7 @@ def _key(data: dict, key: str, section: str):
 
 def _fault_from_dict(d: dict) -> FaultSpec:
     _typed(d, "fault entry", dict)
+    _known(d, _FAULT_KEYS, "fault")
     for key in ("t", "replica", "flip", "stuck", "period", "count"):
         if key in d:
             _typed(d[key], f"fault {key}")
@@ -103,11 +115,13 @@ def _fault_to_dict(f: FaultSpec) -> dict:
 def scenario_from_dict(data: dict, name: str) -> Scenario:
     if type(data) is not dict:
         raise ValueError("scenario is not a JSON object")
+    _known(data, _SCENARIO_KEYS, "scenario")
     timing = _section(TimingParams, data.get("timing", {}), "timing")
     stimulus = []
     for s in _typed(data.get("stimulus", []), "scenario stimulus", list):
         _typed(s, "stimulus entry", dict)
-        t, signal, value = (_key(s, key, "stimulus") for key in ("t", "name", "value"))
+        _known(s, _STIMULUS_KEYS, "stimulus")
+        t, signal, value = (_key(s, key, "stimulus") for key in _STIMULUS_KEYS)
         stimulus.append((_typed(t, "stimulus t"), _typed(signal, "stimulus name", str), value))
     faults = [
         _fault_from_dict(f) for f in _typed(data.get("faults", []), "scenario faults", list)

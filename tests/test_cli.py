@@ -3,7 +3,7 @@
 import pytest
 
 from cellfab.cli import main
-from cellfab.genetic import encode_genetic, nop_config, to_hex
+from cellfab.genetic import NOP_CONFIG, encode_genetic, to_hex
 
 
 @pytest.fixture()
@@ -121,7 +121,7 @@ def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, unreadabl
 
 
 def test_disasm_roundtrip(capsys):
-    word = to_hex(encode_genetic(nop_config()))
+    word = to_hex(encode_genetic(NOP_CONFIG))
     rc = main(["disasm", word])
     assert rc == 0
     out = capsys.readouterr().out
@@ -129,7 +129,7 @@ def test_disasm_roundtrip(capsys):
 
 
 def test_disasm_flipped_bit_diagnostic(capsys):
-    word = encode_genetic(nop_config()) ^ (1 << 40)
+    word = encode_genetic(NOP_CONFIG) ^ (1 << 40)
     rc = main(["disasm", format(word, "017x")])
     assert rc == 1
     assert "parity" in capsys.readouterr().err
@@ -139,6 +139,17 @@ def test_disasm_wrong_length_usage_error(capsys):
     rc = main(["disasm", "123"])
     assert rc == 2
     assert "17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "word", ["zzzzzzzzzzzzzzzzz", "+0000000000000000", "0_000000000000000"],
+    ids=["letters", "sign", "underscore"],
+)
+def test_disasm_non_hex_word_usage_error(capsys, word):
+    rc = main(["disasm", word])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: not a hex digit") and err.count("\n") == 1
 
 
 def test_report_from_csv(out_dir, capsys):
@@ -318,6 +329,12 @@ def _ccs_step_plant(data, **plant):
         (lambda d: d.update(stimulus={}), "scenario stimulus {} is not a list"),
         (lambda d: d.update(faults=5), "scenario faults 5 is not a list"),
         (lambda d: d["timing"].update(check_threshold=0), "check_threshold must be >= 1"),
+        (lambda d: d.update(plnat={"input_name": "actual_speed"}),
+         "unknown scenario key 'plnat'"),
+        (lambda d: _stimulus(d, "estop").update(vlaue=1), "unknown stimulus key 'vlaue'"),
+        (lambda d: d.update(faults=[
+            {"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": 1, "tme": 500}]),
+         "unknown fault key 'tme'"),
     ],
     ids=[
         "unknown_timing_key",
@@ -348,6 +365,9 @@ def _ccs_step_plant(data, **plant):
         "object_stimulus",
         "int_faults",
         "zero_check_threshold",
+        "unknown_scenario_key",
+        "unknown_stimulus_key",
+        "unknown_fault_key",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
@@ -365,6 +385,14 @@ def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1 and message in err
 
 
+def _rows_reversed(text):
+    """``text`` with its CSV rows in reverse time order; read so, a faulted
+    trace's figures would come out wrong with no error."""
+    lines = text.splitlines()
+    first = lines.index("time_ns,signal,value,annotation") + 1
+    return "\n".join(lines[:first] + lines[first:][::-1]) + "\n"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -379,9 +407,10 @@ def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
          "line 7: unknown width 'int8' of 'EngineStart'"),
         (lambda text: text.replace("# outputs:", "# outputs: ghost:bit"),
          "trace has no sample of output 'ghost'"),
+        (_rows_reversed, "is before the previous row's"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
-         "unknown_width", "output_without_data"],
+         "unknown_width", "output_without_data", "rows_back_in_time"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0

@@ -159,7 +159,7 @@ EDG_SPARES = EDG_FABRIC.spares
 @given(
     st.lists(st.sampled_from(["idle", "active", "claimed"]),
              min_size=len(EDG_SPARES), max_size=len(EDG_SPARES)),
-    st.integers(0, len(EDG_FABRIC.program.layers) - 1),
+    st.integers(0, EDG_FABRIC.program.placement.layer_count - 1),
 )
 def test_allocate_spare_is_nearest_free_spare(states, from_layer):
     fabric = EDG_FABRIC

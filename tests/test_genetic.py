@@ -16,8 +16,8 @@ from cellfab.genetic import (
     decode_genetic,
     encode_genetic,
     format_config,
+    NOP_CONFIG,
     from_hex,
-    nop_config,
     to_hex,
 )
 
@@ -100,7 +100,7 @@ class TestDecode:
             assert decode_genetic(encode_genetic(cfg)) == cfg
 
     def test_flip_of_bit_65_detected(self):
-        word = encode_genetic(nop_config())
+        word = encode_genetic(NOP_CONFIG)
         with pytest.raises(CorruptedCodeError):
             decode_genetic(word ^ (1 << 65))
 
@@ -113,7 +113,7 @@ class TestDecode:
                     decode_genetic(word ^ (1 << bit))
 
     def test_parity_bit_flips_also_detected(self):
-        word = encode_genetic(nop_config())
+        word = encode_genetic(NOP_CONFIG)
         for bit in (0, 1):
             with pytest.raises(CorruptedCodeError):
                 decode_genetic(word ^ (1 << bit))
@@ -139,7 +139,7 @@ class TestHexDump:
             assert int(text, 16) < (1 << 66)
 
     def test_hex_roundtrip(self):
-        word = encode_genetic(nop_config())
+        word = encode_genetic(NOP_CONFIG)
         assert from_hex(to_hex(word)) == word
 
     def test_wrong_length_rejected(self):
@@ -151,6 +151,6 @@ class TestHexDump:
             from_hex("f" * 17)
 
     def test_format_config_lists_fields(self):
-        text = format_config(nop_config())
+        text = format_config(NOP_CONFIG)
         assert "opcode        NOP" in text
         assert "width_mode    BIT" in text

@@ -59,7 +59,9 @@ def test_bundled_metrics_equal_a_freshly_compiled_twin(name):
 
 
 PLACED = [CellId(layer, slot, "F") for layer, slot in sorted(EDG.placement.slots.values())]
-SPARES = [CellId(layer, slot, "R") for layer in range(len(EDG.layers)) for slot in range(4)]
+SPARES = [
+    CellId(layer, slot, "R") for layer in range(EDG.placement.layer_count) for slot in range(4)
+]
 
 
 @st.composite
@@ -178,7 +180,7 @@ def test_program_reused_after_a_healed_run_gives_the_same_twin(name):
     # no run writes the program it shares
     for table in ("configs", "levels", "readers", "signals", "output_binding"):
         assert getattr(program, table) == getattr(compiled, table), table
-    assert program.spare_codes() == compiled.spare_codes()
+    assert program.spare_codes == compiled.spare_codes
     reused = Engine(program, sc.without_faults()).run().trace
     fresh = Engine(compiled, sc.without_faults()).run().trace
     assert reused.records == fresh.records

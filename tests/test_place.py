@@ -1,18 +1,23 @@
 """Placement and routing: layer packing, selectors, spare pre-generation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_netlist
 from cellfab.cell import Opcode
-from cellfab.genetic import SelectorKind, decode_genetic
+from cellfab.fabric import Fabric
+from cellfab.genetic import NOP_CONFIG, SelectorKind, decode_genetic
 from cellfab.netlist import parse_netlist
 from cellfab.place import (
+    Placement,
     PlacementError,
     build_routing,
     compile_netlist,
     dump_program,
     place,
 )
+
+from test_wave_paths import scenarios
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +75,7 @@ def test_selectors_operand_order():
         "output y = g2\n"
     )
     program = compile_netlist(nl)
-    cfg = None
-    for layer in program.layers:
-        for slot, name in enumerate(layer.worker_nodes):
-            if name == "g2":
-                cfg = layer.worker_configs[slot]
+    cfg = program.configs[program.placement.function_index("g2")]
     n, w, e, s = cfg.selectors
     assert n.kind is SelectorKind.PRIMARY_INPUT and n.index == 0
     assert w.kind is SelectorKind.CELL_OUTPUT
@@ -83,32 +84,35 @@ def test_selectors_operand_order():
 
 def test_every_code_decodes_to_its_config(edg):
     program = compile_netlist(edg)
-    for layer in program.layers:
-        for slot in range(4):
-            cfg = layer.worker_configs[slot]
-            assert decode_genetic(layer.spare_codes[slot]) == cfg
+    for fn_idx, code in enumerate(program.spare_codes):
+        cfg = program.configs.get(fn_idx, NOP_CONFIG)
+        assert decode_genetic(code) == cfg
 
 
 def test_edg_build_counts(edg):
     program = compile_netlist(edg)
     assert len(program.configs) == 14
-    assert len(program.spare_codes()) == 16
+    assert len(program.spare_codes) == 16
 
 
 def test_spare_mirrors_worker_slot(edg):
     program = compile_netlist(edg)
-    for layer in program.layers:
+    fabric = Fabric(program)
+    for layer in range(program.placement.layer_count):
         for slot in range(4):
-            mirrored = decode_genetic(layer.spare_codes[slot])
-            assert mirrored == layer.worker_configs[slot]
+            mirrored = decode_genetic(program.spare_codes[layer * 4 + slot])
+            assert mirrored == fabric.cells[f"L{layer}.F{slot}"].config
 
 
 def test_unfilled_slots_are_safe_nops(edg):
     program = compile_netlist(edg)
-    last = program.layers[-1]
-    assert last.worker_nodes[2] is None and last.worker_nodes[3] is None
+    last = program.placement.layer_count - 1
+    placed = set(program.placement.slots.values())
+    assert (last, 2) not in placed and (last, 3) not in placed
+    fabric = Fabric(program)
     for slot in (2, 3):
-        cfg = last.worker_configs[slot]
+        assert last * 4 + slot not in program.configs
+        cfg = fabric.cells[f"L{last}.F{slot}"].config
         assert cfg.opcode is Opcode.NOP and not cfg.output_enable
 
 
@@ -126,3 +130,32 @@ def test_dump_program_deterministic_text(edg):
     assert text == dump_program(compile_netlist(resolve_netlist("edg")))
     first = text.splitlines()[0]
     assert first.startswith("0.0 F AND") and "code=" in first
+
+
+def test_fabric_program_is_the_documented_fields(edg):
+    # each static fact once: a spare's code is spare_codes[fn_idx], a
+    # worker's configuration configs[fn_idx], an input's selector index
+    # its position in the netlist's inputs
+    assert set(vars(compile_netlist(edg))) == {
+        "netlist", "placement", "output_binding", "configs", "levels", "readers",
+        "signals", "spare_codes",
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scenarios(), st.data())
+def test_program_does_not_depend_on_the_order_of_the_slots(case, data):
+    program, _ = case
+    nl, placement = program.netlist, program.placement
+    shuffled = data.draw(st.permutations(list(placement.slots.items())))
+    other = build_routing(nl, Placement(placement.layer_count, dict(shuffled)))
+    assert list(other.readers.items()) == list(program.readers.items())
+    assert other.configs == program.configs
+    assert other.spare_codes == program.spare_codes
+    assert dump_program(other) == dump_program(program)
+    # the spare beside every slot holds the code of the worker cell there
+    fabric = Fabric(other)
+    assert len(other.spare_codes) == placement.layer_count * 4
+    for fn_idx, code in enumerate(other.spare_codes):
+        layer, slot = divmod(fn_idx, 4)
+        assert decode_genetic(code) == fabric.cells[f"L{layer}.F{slot}"].config

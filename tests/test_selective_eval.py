@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cellfab import cell as cell_module
 from cellfab.cell import CellId, Opcode, Port, WidthMode, gfb_eval
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
+from cellfab.genetic import NOP_CONFIG
 from cellfab.netlist import parse_netlist
 from cellfab.place import SLOTS_PER_LAYER, compile_netlist
 
@@ -88,7 +89,7 @@ def faulted_scenarios(draw):
     program, sc = draw(scenarios())
 
     def bit(cell):  # a spare has the width of the worker in its slot
-        config = program.layers[cell.layer].worker_configs[cell.slot]
+        config = program.configs.get(cell.layer * SLOTS_PER_LAYER + cell.slot, NOP_CONFIG)
         return config.width_mode is WidthMode.BIT
 
     def flip(cell):
@@ -101,7 +102,7 @@ def faulted_scenarios(draw):
     workers = [CellId(layer, slot, "F") for layer, slot in sorted(program.placement.slots.values())]
     spares = [
         CellId(layer, slot, "R")
-        for layer in range(len(program.layers)) for slot in range(SLOTS_PER_LAYER)
+        for layer in range(program.placement.layer_count) for slot in range(SLOTS_PER_LAYER)
     ]
     faults = list(sc.faults)
     for _ in range(draw(st.integers(0, 1))):
