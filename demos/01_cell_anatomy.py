@@ -6,15 +6,15 @@ replica never changes what the cell computes, and a duplicated checker
 path flags any corruption of the logic itself.
 """
 
-from cellfab import (
+from cellfab.cell import (
     CellId,
     FunctionalCell,
     Opcode,
+    StuckBehavior,
     WidthMode,
     gfb_eval,
     vote,
 )
-from cellfab.cell import StuckBehavior
 from cellfab.genetic import CellConfig, InputSelector, SelectorKind, UNUSED
 
 # --- the ten operations ----------------------------------------------------

@@ -5,7 +5,7 @@ immediate constant, delay stages, output enable and width mode, sealed
 with two parity bits so a corrupted word is rejected instead of loaded.
 """
 
-from cellfab import Opcode, WidthMode
+from cellfab.cell import Opcode, WidthMode
 from cellfab.genetic import (
     CellConfig,
     CorruptedCodeError,

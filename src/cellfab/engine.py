@@ -521,6 +521,12 @@ class Engine:
         injected permanent fault), returns its last output unevaluated:
         a clean check with no dissent, as ``step`` would give.  A DELAY
         keeps no last output, so it always evaluates.
+
+        A quiet cell is never SUSPECT_TRANSIENT, so its health needs no
+        update.  A cell turns suspect on a mismatch, which needs an
+        injected permanent fault, and that is never cleared; or on a
+        three-way dissent, which needs an overlay port, and only a
+        ``write`` drops one, which also sets ``changed``.
         """
         registers = cell.registers
         last = cell.last_output
@@ -530,8 +536,6 @@ class Engine:
             and not registers.overlay
             and cell.injected_permanent is None
         ):
-            if cell.health is SUSPECT_TRANSIENT:
-                cell.health = HEALTHY
             return last
         primary, mismatch, masks = cell.step()
         cid = cell.cell_id

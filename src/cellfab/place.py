@@ -20,7 +20,7 @@ from .genetic import (
     encode_genetic,
     to_hex,
 )
-from .netlist import IMM_REF, Netlist, NetlistError
+from .netlist import IMM_REF, Netlist
 
 SLOTS_PER_LAYER = 4
 MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 addressable functions
@@ -68,13 +68,16 @@ class FabricProgram:
 
 
 def place(nl: Netlist) -> Placement:
-    """Assign every node a (layer, slot); deterministic for a given netlist."""
+    """Assign every node a (layer, slot); deterministic for a given netlist.
+
+    ``nl`` must have passed ``validate_netlist`` (``parse_netlist`` runs
+    it): the placer reads its ``depth`` and relies on its partition check
+    of at most four nodes per layer.
+    """
     slots: dict[str, tuple[int, int]] = {}
     if nl.partition:
         for layer_idx, names in enumerate(nl.partition):
             for slot_idx, name in enumerate(names):
-                if slot_idx >= SLOTS_PER_LAYER:
-                    raise PlacementError(f"partition layer {layer_idx} over capacity")
                 slots[name] = (layer_idx, slot_idx)
         layer_count = len(nl.partition)
     else:
@@ -104,8 +107,11 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
     """Resolve operand references into port selectors and readers, pack
     genetic codes, and fill the per-function tables.
 
-    Nodes are taken in (layer, slot) order, so every table and reader
-    list comes out the same whatever the order of ``placement.slots``.
+    ``nl`` must have passed ``validate_netlist``: its ``depth`` and
+    ``widths`` are read here, and its arity check keeps every node
+    within the cell's four ports.  Nodes are taken in (layer, slot)
+    order, so every table and reader list comes out the same whatever
+    the order of ``placement.slots``.
     """
     program = FabricProgram(netlist=nl, placement=placement)
     nodes = {node.name: node for node in nl.nodes}
@@ -124,8 +130,6 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
 
     for fn_idx, name in placed:
         node = nodes[name]
-        if len(node.operands) > 4:
-            raise NetlistError("operand fan-in exceeds the cell's 4 ports", node.line)
         selectors = [_selector_for(ref, inputs, placement) for ref in node.operands]
         for port, sel in enumerate(selectors):  # in PORT_ORDER
             if sel.kind is SelectorKind.PRIMARY_INPUT:

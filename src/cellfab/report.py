@@ -10,9 +10,8 @@ the healing of every syndrome.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import re
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional
 
 from .apps import resolve_application
@@ -62,7 +61,9 @@ def _header_value(key: str, value: str):
         return int(value)
     if key == "timing":
         pairs = (part.split("=") for part in value.split())
-        return _section(TimingParams, {k: int(v) for k, v in pairs}, "timing")
+        timing = _section(TimingParams, {k: int(v) for k, v in pairs}, "timing")
+        timing.validate()
+        return timing
     if key in ("inputs", "outputs"):
         table: dict[str, WidthMode] = {}
         for entry in value.split():
@@ -233,33 +234,24 @@ class HealingMetrics:
     heal_ratio: Optional[float] = None
 
 
-def _count_erroneous(samples: list[tuple[int, int]], golden: list[tuple[int, int]]) -> int:
-    """How many ``samples`` differ from the golden value held at their time.
+def _held_values(
+    samples: list[tuple[int, int]], golden: list[tuple[int, int]]
+) -> list[Optional[int]]:
+    """The golden value held at each sample's time: that of the last golden
+    sample at or before it, None before the first.
 
-    The held value is that of the last golden sample at or before ``t``
-    (None before the first), as ``_held_value`` reads it, found by one
-    forward walk over ``golden`` while the samples' times do not go back.
+    One forward walk over ``golden``: both lists must be in time order,
+    as a trace records them (``from_csv`` rejects a row back in time).
     """
-    count = 0
+    held_values = []
     i = 0
     held = None
-    previous = None
-    for t, v in samples:
-        if previous is not None and t < previous:  # out of time order: walk again
-            i, held = 0, None
-        previous = t
+    for t, _ in samples:
         while i < len(golden) and golden[i][0] <= t:
             held = golden[i][1]
             i += 1
-        if held != v:
-            count += 1
-    return count
-
-
-def _held_value(samples: list[tuple[int, int]], t: int) -> Optional[int]:
-    """Value of the last sample at or before ``t`` (None before the first)."""
-    i = bisect_right(samples, t, key=itemgetter(0))
-    return samples[i - 1][1] if i else None
+        held_values.append(held)
+    return held_values
 
 
 @dataclass
@@ -280,7 +272,15 @@ class _TraceScan:
     alarm: bool = False
 
 
+# heal.<cell id>.<action>, as Engine._handle_heal writes it
+_HEAL_SIGNAL = re.compile(
+    r"heal\.(L[0-9]+\.[FR][0-9]+)\.(" + "|".join(a.value for a in HealAction) + ")"
+)
+
+
 def _scan(trace: Trace) -> _TraceScan:
+    """Gather a trace's ``_TraceScan``; a ``syndrome_action`` record whose
+    signal is not ``heal.<cell id>.<action>`` raises ValueError."""
     scan = _TraceScan()
     samples = scan.samples
     for r in trace.records:
@@ -292,7 +292,10 @@ def _scan(trace: Trace) -> _TraceScan:
         elif annotation == "mismatch":
             scan.mismatch.setdefault(r.signal[5:], []).append(r.time)
         elif annotation == "syndrome_action":
-            cell, action = r.signal.removeprefix("heal.").rsplit(".", 1)
+            heal = _HEAL_SIGNAL.fullmatch(r.signal)
+            if heal is None:
+                raise ValueError(f"bad heal record signal {r.signal!r}")
+            cell, action = heal.groups()
             s = scan.syndromes.get(cell)
             if s is None:
                 s = scan.syndromes[cell] = SyndromeMetrics(
@@ -302,7 +305,7 @@ def _scan(trace: Trace) -> _TraceScan:
                 s.deactivate_time = r.time
             elif action == HealAction.REROUTE.value:
                 s.reroute_time = r.time
-            elif action == HealAction.RESTORE.value:
+            else:
                 s.restore_time = r.time
         elif annotation == "alarm":
             scan.alarm = True
@@ -391,7 +394,9 @@ def _compare_with_golden(
         golden = Engine(program, scenario.without_faults()).run().trace
     golden_samples = samples if golden is trace else _scan(golden).samples
     m.erroneous_output_samples = sum(
-        _count_erroneous(samples[o], golden_samples.get(o, [])) for o in outputs
+        v != held
+        for o in outputs
+        for (_, v), held in zip(samples[o], _held_values(samples[o], golden_samples.get(o, [])))
     )
 
     detected = 0
@@ -416,8 +421,9 @@ def _compare_with_golden(
         if s.restore_time is None or s.function_index not in program.signals:
             continue
         signal = program.signals[s.function_index][0]
-        for t, v in samples.get(signal, []):
-            if t >= s.restore_time and _held_value(golden_samples.get(signal, []), t) == v:
+        served = samples.get(signal, [])
+        for (t, v), held in zip(served, _held_values(served, golden_samples.get(signal, []))):
+            if t >= s.restore_time and held == v:
                 s.heal_complete = t
                 healed += 1
                 break

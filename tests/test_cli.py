@@ -67,6 +67,14 @@ def test_unwritable_export_is_one_line_error(out_dir, capsys):
     assert (out_dir / "edg_transient3.csv").exists()
 
 
+def test_uncreatable_out_dir_is_one_line_error(tmp_path, capsys):
+    (tmp_path / "a_file").write_text("")
+    rc = main(["run", "edg_faultfree", "--out", str(tmp_path / "a_file" / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+
+
 def test_validate_edg(tmp_path, capsys):
     nl_path = tmp_path / "edg.nl"
     from cellfab.apps import netlist_text
@@ -99,16 +107,43 @@ def test_validate_cyclic_netlist(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("input a : bit\nnode g = NOT(a) foo=1\noutput y = g\n", "unknown attribute 'foo'"),
+        ("input imm : bit\nnode g = NOT(imm)\noutput y = g\n", "input name 'imm' is reserved"),
+        ("input a : bit\nnode imm = NOT(a)\noutput y = imm\n", "node name 'imm' is reserved"),
+        ("input a : int16\nnode g = ADD(a, imm) imm=40000\noutput y = g\n",
+         "immediate out of int16 range"),
+        ("input a : bit\n" + "".join(f"node g{i} = NOT(a)\n" for i in range(5))
+         + "output y = g0\n# partition 0: g0 g1 g2 g3 g4\n",
+         "partition layer 0 exceeds 4 worker slots"),
+        ("".join(f"input i{i} : bit\n" for i in range(65)) + "node g = NOT(i0)\noutput y = g\n",
+         "more than 64 primary inputs"),
+    ],
+    ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
+         "five_in_a_layer", "65_inputs"],
+)
+def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
+    nl_path = tmp_path / "bad.nl"
+    nl_path.write_text(text)
+    rc = main(["validate", str(nl_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "report"])
 @pytest.mark.parametrize(
     "unreadable, message",
-    [("a_directory", "Is a directory"), ("latin1.nl", "can't decode")],
+    [("a_directory", "Is a directory"), ("latin1.nl", "can't decode"),
+     ("missing.nl", "not found")],
 )
 def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, unreadable, message):
     path = tmp_path / unreadable
     if unreadable == "a_directory":
         path.mkdir()
-    else:
+    elif unreadable == "latin1.nl":
         path.write_bytes("input a : bit  # \xe9\n".encode("latin-1"))
     argv = [command, str(path)]
     if command == "run":
@@ -126,6 +161,29 @@ def test_disasm_roundtrip(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "opcode        NOP" in out
+
+
+@pytest.mark.parametrize(
+    "node, ports",
+    [
+        ("fc5", ["port N         primary_input[0]", "port W         cell_output[5]",
+                 "port E         primary_input[5]", "port S         unused"]),
+        ("fc7", ["port N         cell_output[3]", "port W         cell_output[4]",
+                 "port E         constant(immediate)", "port S         unused"]),
+    ],
+)
+def test_disasm_lists_each_selector_kind(capsys, node, ports):
+    # the bundled edg wires no port to a constant, so the codes are ccs's
+    from cellfab.apps import resolve_application
+    from cellfab.place import dump_program
+
+    line = next(
+        line for line in dump_program(resolve_application("ccs")).splitlines()
+        if f" {node} " in line
+    )
+    rc = main(["disasm", line.rpartition("code=")[2]])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1:5] == ports
 
 
 def test_disasm_flipped_bit_diagnostic(capsys):
@@ -254,11 +312,22 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
         ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": ["N"],
           "replica": 0, "flip": 1}, "unknown port ['N']"),
         (5, "fault entry 5 is not an object"),
+        ({"kind": "cosmic_ray", "cell": "L0.F0", "t": 400, "flip": 1},
+         "unknown fault kind 'cosmic_ray'"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": -5, "flip": 1},
+         "fault time must be >= 0"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": 1, "stuck": 0},
+         "exactly one of flip/stuck must be set"),
+        ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "flip": 1},
+         "register faults need a port and replica 0..2"),
+        ({"kind": "intermittent_burst", "cell": "L0.F0", "t": 100, "port": "N",
+          "replica": 0, "flip": 1}, "burst needs period > 0 and count >= 1"),
     ],
     ids=[
         "unknown_cell", "bad_cell_id", "unknown_port", "after_run_until",
         "str_flip", "str_time", "wide_flip", "negative_flip", "wide_transient_stuck",
-        "wide_spare_stuck", "list_port", "int_fault_entry",
+        "wide_spare_stuck", "list_port", "int_fault_entry", "unknown_kind",
+        "negative_time", "flip_and_stuck", "register_without_port", "burst_without_period",
     ],
 )
 def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, message):
@@ -335,6 +404,13 @@ def _ccs_step_plant(data, **plant):
         (lambda d: d.update(faults=[
             {"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": 1, "tme": 500}]),
          "unknown fault key 'tme'"),
+        (lambda d: d["timing"].update(cell_delay=0), "all delays must be > 0"),
+        (lambda d: d["timing"].update(stimulus_period=0), "stimulus_period must be > 0"),
+        (lambda d: d.update(run_until=0), "run_until must be > 0"),
+        (lambda d: d["stimulus"].append({"t": -5, "name": "estop", "value": 1}),
+         "stimulus time must be >= 0"),
+        (lambda d: d["stimulus"].append({"t": 0, "name": "ghost", "value": 1}),
+         "unknown input 'ghost' in stimulus"),
     ],
     ids=[
         "unknown_timing_key",
@@ -368,6 +444,11 @@ def _ccs_step_plant(data, **plant):
         "unknown_scenario_key",
         "unknown_stimulus_key",
         "unknown_fault_key",
+        "zero_cell_delay",
+        "zero_stimulus_period",
+        "zero_run_until",
+        "negative_stimulus_time",
+        "unknown_stimulus_input",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
@@ -393,6 +474,12 @@ def _rows_reversed(text):
     return "\n".join(lines[:first] + lines[first:][::-1]) + "\n"
 
 
+def _with_heal_row(text, signal):
+    """``text`` with one more ``syndrome_action`` row, at the last row's time."""
+    last_time = text.splitlines()[-1].split(",")[0]
+    return text + f"{last_time},{signal},0,syndrome_action\n"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -408,9 +495,15 @@ def _rows_reversed(text):
         (lambda text: text.replace("# outputs:", "# outputs: ghost:bit"),
          "trace has no sample of output 'ghost'"),
         (_rows_reversed, "is before the previous row's"),
+        (lambda text: _with_heal_row(text, "heal.L0.F0.explode"),
+         "bad heal record signal 'heal.L0.F0.explode'"),
+        (lambda text: _with_heal_row(text, "heal"), "bad heal record signal 'heal'"),
+        (lambda text: text.replace("cell_delay=35", "cell_delay=0"),
+         "line 3: all delays must be > 0"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
-         "unknown_width", "output_without_data", "rows_back_in_time"],
+         "unknown_width", "output_without_data", "rows_back_in_time",
+         "unknown_heal_action", "bare_heal_signal", "zero_cell_delay"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0

@@ -1,6 +1,7 @@
 """Genetic code packing: roundtrips, parity protection, diagnostics."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,20 @@ class TestEncode:
             encode_genetic(cfg)
         cfg = CellConfig(Opcode.AND, (UNUSED,) * 4, delay_cycles=3)
         with pytest.raises(InvalidCodeError, match="delay"):
+            encode_genetic(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("immediate", 32768, "immediate out of range: 32768"),
+            ("immediate", -32769, "immediate out of range: -32769"),
+            ("delay_cycles", 256, "delay_cycles out of range: 256"),
+            ("delay_cycles", -1, "delay_cycles out of range: -1"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value, message):
+        cfg = replace(CellConfig(Opcode.DELAY, (UNUSED,) * 4, delay_cycles=1), **{field: value})
+        with pytest.raises(InvalidCodeError, match=f"^{message}$"):
             encode_genetic(cfg)
 
     def test_selector_canonical_form(self):

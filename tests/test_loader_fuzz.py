@@ -126,6 +126,22 @@ def test_unmutated_documents_load():
         from_csv(CSV_TEXT.replace("data", "dat", 1))
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        {"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": "N", "replica": 1,
+         "flip": 1},
+        {"kind": "permanent_gfb", "cell": "L1.F2", "t": 400, "stuck": 0},
+        {"kind": "intermittent_burst", "cell": "L0.F1", "t": 100, "port": "W", "replica": 2,
+         "stuck": 1, "period": 50, "count": 3},
+    ],
+    ids=lambda fault: fault["kind"],
+)
+def test_scenario_document_round_trips_each_fault_kind(fault):
+    data = scenario_to_dict(load_scenario("edg_faultfree")) | {"faults": [fault]}
+    assert scenario_to_dict(scenario_from_dict(data, "round_trip")) == data
+
+
 SCENARIOS = [
     scenario_to_dict(load_scenario(name)) | {"run_until": 600}
     for name in ("edg_multifault4", "ccs_step")  # ccs_step has a plant section
