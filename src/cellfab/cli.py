@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .apps import BUNDLED, resolve_netlist
+from .engine import TimingParams
 from .genetic import GeneticCodeError, decode_genetic, format_config, from_hex
 from .netlist import NetlistError, parse_netlist
 from .place import PlacementError, place
@@ -84,15 +85,9 @@ def cmd_run(args) -> int:
             status = 2
             continue
         overrides = {
-            k: getattr(args, k)
-            for k in (
-                "cell_delay",
-                "check_threshold",
-                "reroute_delay",
-                "restore_delay",
-                "stimulus_period",
-            )
-            if getattr(args, k, None) is not None
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(TimingParams)
+            if getattr(args, f.name) is not None
         }
         if overrides:
             scenario = dataclasses.replace(

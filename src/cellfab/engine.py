@@ -30,13 +30,12 @@ holds is dropped: the wave evaluates it there anyway.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
 from . import __version__
 from .cell import (
-    CellHealth,
     CellId,
     FAULTY_DEACTIVATED,
     FunctionalCell,
@@ -52,7 +51,6 @@ from .cell import (
 )
 from .fabric import Fabric, HealAction, HealthSyndrome
 from .genetic import NOP_CONFIG
-from .netlist import Netlist
 from .place import FabricProgram, SLOTS_PER_LAYER
 
 
@@ -81,11 +79,7 @@ class TimingParams:
             raise ValueError("check_threshold must be >= 1")
 
     def describe(self) -> str:
-        return (
-            f"cell_delay={self.cell_delay} check_threshold={self.check_threshold} "
-            f"reroute_delay={self.reroute_delay} restore_delay={self.restore_delay} "
-            f"stimulus_period={self.stimulus_period}"
-        )
+        return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
 
 class FaultKind(str, Enum):
@@ -112,6 +106,9 @@ class FaultSpec:
     before its reroute a transient is a no-op too (the spare holds no
     data and reroute loads every port), while a permanent fault is
     installed and stays latent until the spare takes over a function.
+
+    A fault is checked only as part of its scenario
+    (``Scenario.validate``); ``expand_faults`` then splits its bursts.
     """
 
     kind: str
@@ -126,7 +123,8 @@ class FaultSpec:
 
     def validate(self, run_until: int) -> None:
         """Check the fault on its own; no fault, and no transient of a
-        burst, may start after ``run_until``."""
+        burst, may start after ``run_until``.  ``Scenario.validate``
+        calls it, then checks the fault's cell and width."""
         if self.kind not in tuple(FaultKind):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.time < 0:
@@ -145,29 +143,11 @@ class FaultSpec:
             raise ValueError(f"fault on {self.cell} at t={last} is after run_until={run_until}")
 
 
-def inject(fault: FaultSpec, fabric: Fabric, t: int) -> bool:
-    """Apply one expanded fault to its cell; False when it lands nowhere.
+def expand_faults(faults: list[FaultSpec]) -> list[FaultSpec]:
+    """Expand intermittent bursts into their individual transients.
 
-    Bursts must already be expanded (``expand_faults``).  ``t`` is the
-    injection time; the fault itself does not depend on it.
-    """
-    cell = fabric.cells[str(fault.cell)]
-    if cell.health is CellHealth.FAULTY_DEACTIVATED:
-        return False
-    if fault.kind == FaultKind.PERMANENT_GFB:
-        cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
-        return True
-    if cell.registers is None:
-        return False  # a spare before its reroute: no data held, reroute loads every port
-    cell.registers.corrupt(PORT_ORDER.index(fault.port), fault.replica, fault.flip, fault.stuck)
-    return True
-
-
-def expand_faults(faults: list[FaultSpec], run_until: int) -> list[FaultSpec]:
-    """Validate the faults of a run stopping at ``run_until``, then expand
-    intermittent bursts into their individual transients."""
-    for f in faults:
-        f.validate(run_until)
+    The faults must be checked already (``Scenario.validate``): a burst's
+    ``count`` is only bounded by its last transient's ``run_until``."""
     out: list[FaultSpec] = []
     for f in faults:
         if f.kind == FaultKind.INTERMITTENT_BURST:
@@ -213,8 +193,16 @@ class Scenario:
     seed: int = 0  # recorded in the trace header; nothing random consumes it
     plant: Optional[PlantFeedback] = None
 
-    def validate(self, netlist: Netlist) -> None:
-        """Check the scenario against the application's inputs and outputs."""
+    def validate(self, program: FabricProgram) -> None:
+        """The one check of a scenario, against the compiled application it
+        runs on: timing, ``run_until``, stimulus, plant, then each fault
+        (``FaultSpec.validate``, then that its cell is a cell of the
+        fabric and its value fits that cell), in that order; the first
+        error raises ValueError.  ``Engine`` calls it before it builds
+        anything, and ``metrics`` for a scenario the trace did not run, so
+        ``cellfab run`` and ``cellfab report --scenario`` refuse the same
+        scenarios."""
+        netlist = program.netlist
         self.timing.validate()
         if self.run_until <= 0:
             raise ValueError("run_until must be > 0")
@@ -236,6 +224,24 @@ class Scenario:
             raise ValueError(f"plant input {self.plant.input_name!r} is not an int16 input")
         if self.plant is not None and self.plant.output_name not in netlist.outputs:
             raise ValueError(f"unknown plant output {self.plant.output_name!r}")
+        for fault in self.faults:
+            fault.validate(self.run_until)
+            if not program.has_cell(fault.cell):
+                raise ValueError(f"fault on unknown cell {fault.cell}")
+            # an idle spare has no width yet; it is pre-loaded with the code
+            # of the worker in its own slot, the NOP filler's on an empty one
+            fn_idx = fault.cell.layer * SLOTS_PER_LAYER + fault.cell.slot
+            width = program.configs.get(fn_idx, NOP_CONFIG).width_mode
+            if fault.flip is not None:  # a mask of the cell's bits
+                key, value = "flip", fault.flip
+                fits = 0 <= value <= (1 if width is WidthMode.BIT else 0xFFFF)
+            else:  # one of the cell's values
+                key, value = "stuck", fault.stuck
+                fits = fit(width, value) == value
+            if not fits:
+                raise ValueError(
+                    f"fault {key}={value} on {fault.cell} does not fit {width.name.lower()}"
+                )
 
     def without_faults(self) -> "Scenario":
         return replace(self, faults=[], name=self.name + "+golden")
@@ -309,15 +315,21 @@ class RunResult:
 
 
 class Engine:
-    """One scenario run over one fabric; single-threaded, deterministic."""
+    """One scenario run over one fabric; single-threaded, deterministic.
+
+    The scenario is checked against ``program`` (``Scenario.validate``)
+    before any table is built, so a bad one raises ValueError from the
+    constructor and ``run`` checks nothing.
+    """
 
     def __init__(self, program: FabricProgram, scenario: Scenario):
+        scenario.validate(program)
         self.program = program
         self.fabric = Fabric(program)
         self._signals = program.signals
         self.scenario = scenario
         self.timing = scenario.timing
-        self.faults = expand_faults(scenario.faults, scenario.run_until)
+        self.faults = expand_faults(scenario.faults)
         # an unchanged write drops a transient's corrupted port, so a run
         # that injects one routes every publish
         self._route_repeats = any(f.kind == FaultKind.TRANSIENT_REGISTER for f in self.faults)
@@ -382,24 +394,6 @@ class Engine:
 
     def run(self) -> RunResult:
         scenario = self.scenario
-        scenario.validate(self.program.netlist)
-        for fault in self.faults:
-            if str(fault.cell) not in self.fabric.cells:
-                raise ValueError(f"fault on unknown cell {fault.cell}")
-            # an idle spare has no width yet; it is pre-loaded with the code
-            # of the worker in its own slot, the NOP filler's on an empty one
-            fn_idx = fault.cell.layer * SLOTS_PER_LAYER + fault.cell.slot
-            width = self.program.configs.get(fn_idx, NOP_CONFIG).width_mode
-            if fault.flip is not None:  # a mask of the cell's bits
-                key, value = "flip", fault.flip
-                fits = 0 <= value <= (1 if width is WidthMode.BIT else 0xFFFF)
-            else:  # one of the cell's values
-                key, value = "stuck", fault.stuck
-                fits = fit(width, value) == value
-            if not fits:
-                raise ValueError(
-                    f"fault {key}={value} on {fault.cell} does not fit {width.name.lower()}"
-                )
         timeline: dict[int, list[tuple[str, int]]] = {}
         for t, name, value in scenario.stimulus:
             timeline.setdefault(t, []).append((name, value))
@@ -491,12 +485,24 @@ class Engine:
         del self._wave_base[clock]
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
+        """Apply one expanded fault to its cell.  It lands nowhere, and is
+        recorded with value 0, on a deactivated cell, and as a transient
+        on a spare before its reroute: that holds no data, and reroute
+        loads every port."""
         fabric = self.fabric
-        applied = inject(fault, fabric, t)
+        cell = fabric.cells[str(fault.cell)]
+        permanent = fault.kind == FaultKind.PERMANENT_GFB
+        applied = cell.health is not FAULTY_DEACTIVATED and (
+            permanent or cell.registers is not None
+        )
         self.trace.add(t, f"fault.{fault.cell}", 1 if applied else 0, "data")
         if not applied:
             return
-        cell = fabric.cells[str(fault.cell)]
+        if permanent:
+            cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
+        else:
+            port = PORT_ORDER.index(fault.port)
+            cell.registers.corrupt(port, fault.replica, fault.flip, fault.stuck)
         fn_idx = next((i for i, bound in enumerate(fabric.binding) if bound is cell), None)
         if fn_idx is None:
             return

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cell import Opcode
+from .cell import CellId, Opcode
 from .genetic import (
     CellConfig,
     InputSelector,
@@ -65,6 +65,14 @@ class FabricProgram:
     readers: dict[str | int, list[tuple[int, int]]] = field(default_factory=dict)
     signals: dict[int, list[str]] = field(default_factory=dict)
     spare_codes: list[int] = field(default_factory=list)
+
+    def has_cell(self, cell: CellId) -> bool:
+        """Whether ``cell`` is a worker (F) or spare (R) of the fabric."""
+        return (
+            cell.kind in ("F", "R")
+            and 0 <= cell.layer < self.placement.layer_count
+            and 0 <= cell.slot < SLOTS_PER_LAYER
+        )
 
 
 def place(nl: Netlist) -> Placement:

@@ -11,11 +11,11 @@ the healing of every syndrome.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .apps import resolve_application
-from .cell import WidthMode
+from .cell import CellId, WidthMode
 from .engine import (
     ANNOTATIONS,
     Engine,
@@ -331,7 +331,10 @@ def metrics(
     faults counted as detected and healed are the run's own.
     Any other trace (parsed from CSV, or passed with a different or
     merely equal scenario) gets a twin simulated from a fresh compile of
-    ``scenario.application``, and the faults of ``scenario``.
+    ``scenario.application`` at the trace's own timing, and the faults
+    of ``scenario``; the scenario must pass ``Scenario.validate`` on
+    that program.  Either way every syndrome must name a cell of the
+    program's fabric and a function it places, else ValueError.
     """
     if not trace.complete:
         raise ValueError("trace incomplete: run did not reach its stop time")
@@ -389,9 +392,18 @@ def _compare_with_golden(
             golden = trace
     else:
         program = resolve_application(scenario.application)
-        faults = expand_faults(scenario.faults, scenario.run_until)
+        scenario.validate(program)
+        faults = expand_faults(scenario.faults)
+    for s in m.syndromes:
+        if not program.has_cell(CellId.parse(s.cell)):
+            raise ValueError(f"syndrome on unknown cell {s.cell}")
+        if s.function_index not in program.configs:
+            raise ValueError(f"syndrome on {s.cell} names unplaced function {s.function_index}")
     if golden is None:
-        golden = Engine(program, scenario.without_faults()).run().trace
+        # the twin runs at the timing the trace records, which a run's
+        # timing overrides may have changed from the scenario's
+        twin = replace(scenario.without_faults(), timing=trace.timing)
+        golden = Engine(program, twin).run().trace
     golden_samples = samples if golden is trace else _scan(golden).samples
     m.erroneous_output_samples = sum(
         v != held
@@ -418,7 +430,7 @@ def _compare_with_golden(
     # a syndrome is healed at the first post-restore sample of the function
     # it serves that matches the golden twin
     for s in m.syndromes:
-        if s.restore_time is None or s.function_index not in program.signals:
+        if s.restore_time is None:
             continue
         signal = program.signals[s.function_index][0]
         served = samples.get(signal, [])

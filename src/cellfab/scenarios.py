@@ -11,7 +11,7 @@ document and in every section and entry.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -48,6 +48,7 @@ def _typed(value, what: str, kind: type = int):
 _SCENARIO_KEYS = ("application", "timing", "stimulus", "faults", "run_until", "seed", "plant")
 _STIMULUS_KEYS = ("t", "name", "value")
 _FAULT_KEYS = ("kind", "cell", "t", "port", "replica", "flip", "stuck", "period", "count")
+_FAULT_INTS = _FAULT_KEYS[4:]  # the optional int keys, each a FaultSpec field of its name
 
 
 def _known(data: dict, keys, section: str) -> None:
@@ -79,7 +80,7 @@ def _key(data: dict, key: str, section: str):
 def _fault_from_dict(d: dict) -> FaultSpec:
     _typed(d, "fault entry", dict)
     _known(d, _FAULT_KEYS, "fault")
-    for key in ("t", "replica", "flip", "stuck", "period", "count"):
+    for key in ("t", *_FAULT_INTS):
         if key in d:
             _typed(d[key], f"fault {key}")
     return FaultSpec(
@@ -87,11 +88,7 @@ def _fault_from_dict(d: dict) -> FaultSpec:
         cell=CellId.parse(_key(d, "cell", "fault")),
         time=_key(d, "t", "fault"),
         port=_port(d["port"]) if "port" in d else None,
-        replica=d.get("replica"),
-        flip=d.get("flip"),
-        stuck=d.get("stuck"),
-        period=d.get("period"),
-        count=d.get("count"),
+        **{key: d.get(key) for key in _FAULT_INTS},
     )
 
 
@@ -99,16 +96,9 @@ def _fault_to_dict(f: FaultSpec) -> dict:
     d: dict = {"kind": f.kind, "cell": str(f.cell), "t": f.time}
     if f.port is not None:
         d["port"] = f.port.value
-    if f.replica is not None:
-        d["replica"] = f.replica
-    if f.flip is not None:
-        d["flip"] = f.flip
-    if f.stuck is not None:
-        d["stuck"] = f.stuck
-    if f.period is not None:
-        d["period"] = f.period
-    if f.count is not None:
-        d["count"] = f.count
+    for key in _FAULT_INTS:
+        if getattr(f, key) is not None:
+            d[key] = getattr(f, key)
     return d
 
 
@@ -142,13 +132,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict:
     data: dict = {
         "application": scenario.application,
-        "timing": {
-            "cell_delay": scenario.timing.cell_delay,
-            "check_threshold": scenario.timing.check_threshold,
-            "reroute_delay": scenario.timing.reroute_delay,
-            "restore_delay": scenario.timing.restore_delay,
-            "stimulus_period": scenario.timing.stimulus_period,
-        },
+        "timing": asdict(scenario.timing),
         "stimulus": [
             {"t": t, "name": n, "value": v} for t, n, v in scenario.stimulus
         ],
@@ -157,15 +141,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "seed": scenario.seed,
     }
     if scenario.plant is not None:
-        p = scenario.plant
-        data["plant"] = {
-            "input_name": p.input_name,
-            "output_name": p.output_name,
-            "v0": p.v0,
-            "gain": p.gain,
-            "drag": p.drag,
-            "dt": p.dt,
-        }
+        data["plant"] = asdict(scenario.plant)
     return data
 
 

@@ -1,14 +1,25 @@
 """Command-line interface behaviour and exit codes."""
 
+from dataclasses import fields
+
 import pytest
 
 from cellfab.cli import main
+from cellfab.engine import TimingParams
 from cellfab.genetic import NOP_CONFIG, encode_genetic, to_hex
 
 
 @pytest.fixture()
 def out_dir(tmp_path):
     return tmp_path / "out"
+
+
+@pytest.fixture(scope="module")
+def faultfree_csv(tmp_path_factory):
+    """The CSV export of ``edg_faultfree``, written once per module."""
+    out = tmp_path_factory.mktemp("faultfree")
+    assert main(["run", "edg_faultfree", "--out", str(out), "--format", "csv"]) == 0
+    return out / "edg_faultfree.csv"
 
 
 def test_run_faultfree_writes_artifacts(out_dir, capsys):
@@ -330,7 +341,10 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
         "negative_time", "flip_and_stuck", "register_without_port", "burst_without_period",
     ],
 )
-def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, message):
+def test_fault_on_unknown_cell_is_one_line_error(
+    tmp_path, capsys, faultfree_csv, fault, message
+):
+    # run and report --scenario refuse the same scenario with the same line
     import json
 
     from cellfab.scenarios import load_scenario, scenario_to_dict
@@ -339,11 +353,16 @@ def test_fault_on_unknown_cell_is_one_line_error(tmp_path, capsys, fault, messag
     data["faults"] = [fault]
     scn = tmp_path / "ghost.scn"
     scn.write_text(json.dumps(data))
+    capsys.readouterr()
     rc = main(["run", str(scn), "--out", str(tmp_path), "--format", "csv"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "ghost.csv").exists()
+    assert main(["report", str(faultfree_csv), "--scenario", str(scn)]) == 2
+    report_err = capsys.readouterr().err
+    assert report_err.count("\n") == 1
+    assert err.endswith(": " + report_err.removeprefix("error: "))
 
 
 def _stimulus(data, name):
@@ -574,3 +593,50 @@ def test_faulted_run_compiles_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cellfab.apps, "compile_netlist", counting_compile)
     assert main(["run", "edg_permanent_bt", "--out", str(tmp_path), "--format", "csv"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("heal.L99.F7.deactivate,999", "syndrome on unknown cell L99.F7"),
+        ("heal.L99.F7.deactivate,0", "syndrome on unknown cell L99.F7"),
+        ("heal.L0.F1.deactivate,999", "syndrome on L0.F1 names unplaced function 999"),
+    ],
+    ids=["unknown_cell", "unknown_cell_placed_function", "unplaced_function"],
+)
+def test_report_scenario_refuses_a_heal_row_the_program_has_no_place_for(
+    tmp_path, capsys, row, message
+):
+    assert main(["run", "edg_multifault4", "--out", str(tmp_path), "--format", "csv"]) == 0
+    csv = tmp_path / "edg_multifault4.csv"
+    text = csv.read_text()
+    last_time = text.splitlines()[-1].split(",")[0]
+    csv.write_text(text + f"{last_time},{row},syndrome_action\n")
+    capsys.readouterr()
+    assert main(["report", str(csv), "--scenario", "edg_multifault4"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    # without a scenario no program is compiled: only the row's shape is checked
+    assert main(["report", str(csv)]) == 0
+    assert "alarm degraded" in capsys.readouterr().out
+
+
+def test_report_scenario_runs_the_twin_at_the_trace_timing(tmp_path, capsys):
+    # the scenario file says cell_delay=35; the trace, and so its twin, 20
+    argv = ["run", "edg_multifault4", "--out", str(tmp_path), "--format", "csv"]
+    assert main(argv + ["--timing.cell_delay", "20"]) == 0
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "edg_multifault4.csv"),
+                 "--scenario", "edg_multifault4"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "edg_multifault4.metrics.txt").read_text()
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TimingParams)])
+def test_every_timing_field_has_its_override_flag(tmp_path, capsys, name):
+    flag = "--timing." + {"check_threshold": "threshold"}.get(name, name)
+    value = getattr(TimingParams(), name) + 1
+    argv = ["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]
+    assert main(argv + [flag, str(value)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    timing = next(line for line in out if line.startswith("timing "))
+    assert f"{name}={value}" in timing.split()

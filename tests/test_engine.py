@@ -146,11 +146,13 @@ def test_burst_expands_to_spaced_transients():
         kind="intermittent_burst", cell=CellId(0, 0, "F"), time=180,
         port=Port.NORTH, replica=0, flip=1, period=60, count=3,
     )
-    expanded = expand_faults([burst], 300)
+    expanded = expand_faults([burst])
     assert [f.time for f in expanded] == [180, 240, 300]
     assert all(f.kind == "transient_register" for f in expanded)
+    program = resolve_application("edg")
     with pytest.raises(ValueError, match="at t=300 is after run_until=299"):
-        expand_faults([burst], 299)  # its last transient comes too late
+        # its last transient comes too late: the scenario check refuses it
+        Engine(program, edg_scenario(faults=[burst], run_until=299))
 
 
 def test_inject_into_deactivated_cell_is_noop():

@@ -12,6 +12,8 @@ missing netlist file may also end in an ``OSError``.
 """
 
 import copy
+import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 from cellfab.apps import netlist_text
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId
-from cellfab.engine import FaultSpec, Scenario
+from cellfab.engine import FaultSpec, PlantFeedback, Scenario, TimingParams
 from cellfab.genetic import decode_genetic, encode_genetic, from_hex, to_hex
 from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
-from cellfab.report import from_csv, metrics, to_csv
+from cellfab.report import _header_value, from_csv, metrics, to_csv
 from cellfab.scenarios import load_scenario, scenario_from_dict, scenario_to_dict
 from cellfab.sim import run, run_raw
 
@@ -140,6 +142,21 @@ def test_unmutated_documents_load():
 def test_scenario_document_round_trips_each_fault_kind(fault):
     data = scenario_to_dict(load_scenario("edg_faultfree")) | {"faults": [fault]}
     assert scenario_to_dict(scenario_from_dict(data, "round_trip")) == data
+
+
+TIMINGS = st.builds(TimingParams, **{f.name: st.integers(1) for f in fields(TimingParams)})
+PLANTS = st.builds(PlantFeedback, **{
+    f.name: st.integers() if f.type == "int" else st.text() for f in fields(PlantFeedback)
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(TIMINGS, st.none() | PLANTS)
+def test_timing_and_plant_round_trip_through_json_and_the_csv_header(timing, plant):
+    sc = replace(load_scenario("ccs_step"), timing=timing, plant=plant)
+    data = json.loads(json.dumps(scenario_to_dict(sc)))
+    assert scenario_from_dict(data, sc.name) == sc
+    assert _header_value("timing", timing.describe()) == timing
 
 
 SCENARIOS = [
