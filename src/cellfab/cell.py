@@ -178,11 +178,11 @@ class InputRegisterBank:
 
     ``values`` holds each port's agreed value.  ``corrupt`` moves a port
     into ``overlay``, which holds its three replicas until the next
-    ``write`` to that port drops it again.  ``changed`` says whether the
-    voted inputs may differ from those of the cell's last evaluation: a
-    write sets it when it changes a value or drops an overlay port (the
-    last output may come from a corrupted majority), and the cell clears
-    it when it evaluates.
+    ``write`` to that port drops it again.  ``changed`` is the one flag
+    that says the cell must evaluate at its next step: a write sets it
+    when it changes a value or drops an overlay port (the last output
+    may come from a corrupted majority), ``corrupt`` sets it, and a step
+    clears it only once the cell holds no fault state.
     """
 
     width_mode: WidthMode
@@ -205,6 +205,7 @@ class InputRegisterBank:
             replicas = self.overlay[port] = [self.values[port]] * 3
         raw = replicas[replica] ^ flip if flip is not None else stuck
         replicas[replica] = fit(self.width_mode, raw)
+        self.changed = True
 
     def voted(self) -> tuple[list[int], tuple[int, int, int, int]]:
         """Port values and dissent masks in PORT_ORDER; overlay ports are voted."""
@@ -271,11 +272,9 @@ class FunctionalCell:
     health: CellHealth = CellHealth.HEALTHY
     mismatch_streak: int = 0  # consecutive self-check mismatches
     injected_permanent: Optional[StuckBehavior] = None
-    last_output: Optional[int] = None  # of the last evaluation; None: evaluate
 
     def configure(self, config) -> None:
         self.config = config
-        self.last_output = None
         self.registers = InputRegisterBank(config.width_mode)
         # constant-wired ports hold the immediate from configuration time on;
         # kind checked by name to keep cell free of the genetic-code module
@@ -301,15 +300,14 @@ class FunctionalCell:
         mismatched and the dissent masks in PORT_ORDER.  Must not be called
         on a deactivated cell; the fabric drives safe 0 for those.
 
-        ``step`` always evaluates.  It clears the bank's ``changed`` flag
-        and keeps the output as ``last_output`` (not for a DELAY, whose
-        pipeline shifts at every clock), so that the kernel can tell a
-        quiet cell and skip the call (``Engine._evaluate_cell``).
+        ``step`` always evaluates.  It leaves the bank's ``changed`` flag
+        set while the cell holds fault state (an overlay port or an
+        injected permanent fault) and clears it otherwise, so that the
+        kernel can skip the call for a quiet cell (``Engine._evaluate_cell``).
         """
         if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
         registers = self.registers
-        registers.changed = False
         config = self.config
         if registers.overlay:
             inputs, masks = registers.voted()
@@ -324,6 +322,5 @@ class FunctionalCell:
             self.mismatch_streak = self.mismatch_streak + 1 if mismatch else 0
         if not config.output_enable:
             primary = 0
-        if config.opcode is not OP_DELAY:
-            self.last_output = primary
+        registers.changed = bool(registers.overlay) or self.injected_permanent is not None
         return primary, mismatch, masks

@@ -7,17 +7,18 @@ Fault injections and healing steps run as local events that re-evaluate
 one cell and cascade downstream only when its output actually changed.
 A fault is re-evaluated at injection only once the cell's wave slot of
 the current period has passed; before that, the pending wave evaluation
-sees it, so the cell never publishes a mid-wave value.  A cell whose
-inputs have not changed since its last evaluation and that holds no
-fault state returns its last output without a ``FunctionalCell.step``
-call (the test is at the top of ``Engine._evaluate_cell``); it is
-published and recorded all the same.  A publish is recorded always but
-routed to the readers only when it changes the function's value, since
-every reader's port already holds the last one.  The exception is a run
-whose expanded faults include a transient: there every publish is
-routed, because a write, even of an equal value, drops a corrupted port.
-Events are totally ordered by (time, sequence number), so two runs of
-the same scenario produce byte-identical traces.
+sees it, so the cell never publishes a mid-wave value.  One flag, its
+register bank's ``changed``, says a cell must evaluate, and it stays set
+while the cell holds fault state; with it clear, ``Engine._evaluate_cell``
+returns the function's ``published`` value without a
+``FunctionalCell.step`` call, and that is published and recorded all the
+same.  A publish is recorded always but routed to the readers only when
+it changes the function's value, since every reader's port already
+holds the last one.  The exception is a run whose expanded faults
+include a transient: there every publish is routed, because a write,
+even of an equal value, drops a corrupted port.  Events are totally
+ordered by (time, sequence number), so two runs of the same scenario
+produce byte-identical traces.
 
 A wave is one heap event.  Its evaluations run in (level, function
 index) order, each at its slot without cascading, under sequence numbers
@@ -447,6 +448,7 @@ class Engine:
             cell = fabric.binding[fn_idx]
             if cell.health is FAULTY_DEACTIVATED:
                 continue
+            cell.registers.changed = True  # the pipeline shifts at every clock
             shifted.append((fn_idx, self._evaluate_cell(fn_idx, cell, t)))
         for fn_idx, value in shifted:
             self._publish(fn_idx, value, t, cascade=False)
@@ -500,6 +502,8 @@ class Engine:
             return
         if permanent:
             cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
+            if cell.registers is not None:  # an idle spare gets a new bank at reroute
+                cell.registers.changed = True
         else:
             port = PORT_ORDER.index(fault.port)
             cell.registers.corrupt(port, fault.replica, fault.flip, fault.stuck)
@@ -522,27 +526,18 @@ class Engine:
         """Monitored evaluation: vote, evaluate, self-check; a streak of
         ``check_threshold`` mismatches raises a syndrome.
 
-        A quiet cell, one whose ports have not changed since its last
-        evaluation and that holds no fault state (no overlay port, no
-        injected permanent fault), returns its last output unevaluated:
-        a clean check with no dissent, as ``step`` would give.  A DELAY
-        keeps no last output, so it always evaluates.
-
-        A quiet cell is never SUSPECT_TRANSIENT, so its health needs no
-        update.  A cell turns suspect on a mismatch, which needs an
-        injected permanent fault, and that is never cleared; or on a
-        three-way dissent, which needs an overlay port, and only a
-        ``write`` drops one, which also sets ``changed``.
+        A quiet cell, one whose bank's ``changed`` flag is clear, returns
+        ``published[fn_idx]`` unevaluated, a clean check with no dissent:
+        for a live bound cell that is its last output, or the 0 that
+        fail-safe forces on an output anyway.  A quiet cell is never
+        SUSPECT_TRANSIENT, so its health needs no update: a cell turns
+        suspect on a mismatch, which needs an injected permanent fault, or
+        on a three-way dissent, which needs an overlay port, and either
+        keeps the flag set (``FunctionalCell.step``).
         """
         registers = cell.registers
-        last = cell.last_output
-        if (
-            last is not None
-            and not registers.changed
-            and not registers.overlay
-            and cell.injected_permanent is None
-        ):
-            return last
+        if not registers.changed:
+            return self.fabric.published[fn_idx]
         primary, mismatch, masks = cell.step()
         cid = cell.cell_id
         three_way = False

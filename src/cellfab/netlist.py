@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .cell import INT16_MAX, INT16_MIN, Opcode, OPCODE_ARITY, INT16_ONLY_OPCODES, WidthMode
 
 IMM_REF = "imm"
+MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 addressable functions
 
 
 class NetlistError(ValueError):
@@ -66,7 +67,7 @@ _NODE_RE = re.compile(
     r"^node\s+(\w+)\s*=\s*([A-Z]+)\s*\(\s*([^)]*)\s*\)\s*((?:\w+=-?\d+\s*)*)$"
 )
 _OUTPUT_RE = re.compile(r"^output\s+(\w+)\s*=\s*(\w+)$")
-_PARTITION_RE = re.compile(r"^#\s*partition\s+(\d+)\s*:\s*(.+)$")
+_PARTITION_RE = re.compile(r"^#\s*partition\s+0*(\d+)\s*:\s*(.+)$")
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
@@ -76,9 +77,15 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         pm = _PARTITION_RE.match(raw.strip())
         if pm:
-            idx = int(pm.group(1))
+            # refused before any per-layer list is built; compared as text
+            # first, since int() refuses a string of over 4300 digits
+            layer = pm.group(1)
+            if len(layer) > len(str(MAX_LAYERS)) or int(layer) >= MAX_LAYERS:
+                raise NetlistError(
+                    f"partition layer {layer} is beyond the fabric's {MAX_LAYERS} layers", lineno
+                )
             ids = pm.group(2).replace(",", " ").split()
-            partition.setdefault(idx, []).extend(ids)
+            partition.setdefault(int(layer), []).extend(ids)
             continue
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -20,10 +20,9 @@ from .genetic import (
     encode_genetic,
     to_hex,
 )
-from .netlist import IMM_REF, Netlist
+from .netlist import IMM_REF, MAX_LAYERS, Netlist
 
 SLOTS_PER_LAYER = 4
-MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 addressable functions
 
 
 class PlacementError(ValueError):

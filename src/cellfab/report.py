@@ -32,6 +32,7 @@ from .scenarios import _section
 # ---- CSV ----------------------------------------------------------------
 
 _WIDTHS = {mode.name.lower(): mode for mode in WidthMode}  # the netlist's spelling
+_HEADER_KEYS = ("scenario", "application", "timing", "seed", "version", "inputs", "outputs")
 
 
 def _signal_table(table: dict[str, WidthMode]) -> str:
@@ -59,6 +60,10 @@ def _header_value(key: str, value: str):
     """One header comment's value, typed where the trace needs it."""
     if key == "seed":
         return int(value)
+    if key == "version":
+        if not value.startswith("cellfab "):
+            raise ValueError(f"bad version {value!r}")
+        return value.removeprefix("cellfab ")
     if key == "timing":
         pairs = (part.split("=") for part in value.split())
         timing = _section(TimingParams, {k: int(v) for k, v in pairs}, "timing")
@@ -80,9 +85,9 @@ def _header_value(key: str, value: str):
 def from_csv(text: str) -> Trace:
     """Parse a CSV export back into a trace (header metadata included).
 
-    A malformed line, or a row earlier than the row before it, raises
-    ValueError naming its line number, and so does a missing
-    ``# inputs:`` or ``# outputs:`` line.
+    A malformed line, an unknown or repeated header key, or a row earlier
+    than the row before it raises ValueError naming its line number; a
+    missing one of the seven header lines raises ValueError naming it.
     """
     meta = {}
     records = []
@@ -90,8 +95,12 @@ def from_csv(text: str) -> Trace:
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             if line.startswith("#"):
-                key, _, value = line[1:].strip().partition(":")
-                meta[key.strip()] = _header_value(key.strip(), value.strip())
+                key, _, value = map(str.strip, line[1:].partition(":"))
+                if key not in _HEADER_KEYS:
+                    raise ValueError(f"unknown header key {key!r}")
+                if key in meta:
+                    raise ValueError(f"repeated header key {key!r}")
+                meta[key] = _header_value(key, value)
                 continue
             if not line.strip():
                 continue
@@ -109,20 +118,11 @@ def from_csv(text: str) -> Trace:
             records.append(record)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    for key in ("inputs", "outputs"):
+    for key in _HEADER_KEYS:
         if key not in meta:
             raise ValueError(f"missing '# {key}:' header line")
-    trace = Trace(
-        scenario_name=meta.get("scenario", "unknown"),
-        application=meta.get("application", "unknown"),
-        timing=meta.get("timing", TimingParams()),
-        seed=meta.get("seed", 0),
-        inputs=meta["inputs"],
-        outputs=meta["outputs"],
-        records=records,
-    )
-    trace.complete = True
-    return trace
+    meta["scenario_name"] = meta.pop("scenario")  # every other key is its Trace field
+    return Trace(**meta, records=records, complete=True)
 
 
 # ---- VCD ----------------------------------------------------------------

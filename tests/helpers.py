@@ -13,7 +13,8 @@ from cellfab.place import FabricProgram
 
 class AlwaysEvaluateEngine(Engine):
     """The kernel with selective evaluation off: each cell's register bank
-    is marked changed before every step, so every step evaluates."""
+    gets its ``changed`` flag, the one quiet test, set before every step,
+    so no step returns the ``published`` value unevaluated."""
 
     def _evaluate_cell(self, fn_idx, cell, t):
         cell.registers.changed = True

@@ -221,18 +221,40 @@ class TestRegisterBank:
         assert bank.overlay == {}
         assert bank.changed is True
 
+    def test_corrupting_a_port_marks_the_bank_changed(self):
+        bank = InputRegisterBank(WidthMode.INT16)
+        bank.changed = False
+        bank.corrupt(S, 2, flip=1, stuck=None)
+        assert bank.changed is True
+
     def test_configure_evaluates_on_the_next_step(self):
         cell = and_cell()
         cell.registers.write(N, 1)
         cell.registers.write(W, 1)
         assert cell.step() == (1, False, (0, 0, 0, 0))
-        assert (cell.last_output, cell.registers.changed) == (1, False)
+        assert cell.registers.changed is False
         registers = cell.registers
         cell.configure(cell.config)
-        assert cell.last_output is None  # a new bank, and no cached output
+        assert cell.registers.changed is True  # a new bank: evaluate
         cell.registers = registers  # as a restore keeps the routed data
         registers.values[N] = 0  # behind the flag's back: only an evaluation sees it
         assert cell.step() == (0, False, (0, 0, 0, 0))
+
+    def test_a_step_keeps_the_flag_while_fault_state_lasts(self):
+        # an overlay port or an injected fault makes every step an
+        # evaluation: the flag is cleared only once both are gone
+        cell = and_cell()
+        cell.registers.corrupt(N, 0, flip=1, stuck=None)
+        cell.step()
+        assert cell.registers.changed is True
+        cell.registers.write(N, 0)  # drops the overlay port
+        cell.step()
+        assert cell.registers.changed is False
+        cell.injected_permanent = StuckBehavior(stuck=1)
+        cell.registers.changed = True  # as the injection sets it
+        cell.step()
+        cell.step()
+        assert cell.registers.changed is True
 
     def test_write_repair_randomized(self):
         rng = random.Random(7)

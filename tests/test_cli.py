@@ -131,14 +131,22 @@ def test_validate_cyclic_netlist(tmp_path, capsys):
          "partition layer 0 exceeds 4 worker slots"),
         ("".join(f"input i{i} : bit\n" for i in range(65)) + "node g = NOT(i0)\noutput y = g\n",
          "more than 64 primary inputs"),
+        ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition 999999999999: n\n",
+         "line 4: partition layer 999999999999 is beyond the fabric's 16 layers"),
+        ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition " + "9" * 5000 + ": n\n",
+         "is beyond the fabric's 16 layers"),  # more digits than int() converts
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
-         "five_in_a_layer", "65_inputs"],
+         "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_of_5000_digits"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
+    import time
+
     nl_path = tmp_path / "bad.nl"
     nl_path.write_text(text)
+    t0 = time.perf_counter()
     rc = main(["validate", str(nl_path)])
+    assert time.perf_counter() - t0 < 1.0  # refused before anything per layer is built
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and err.count("\n") == 1 and message in err
@@ -519,10 +527,18 @@ def _with_heal_row(text, signal):
         (lambda text: _with_heal_row(text, "heal"), "bad heal record signal 'heal'"),
         (lambda text: text.replace("cell_delay=35", "cell_delay=0"),
          "line 3: all delays must be > 0"),
+        (lambda text: text.replace(text.splitlines()[2] + "\n", ""),
+         "missing '# timing:' header line"),
+        (lambda text: text.replace(text.splitlines()[0] + "\n", ""),
+         "missing '# scenario:' header line"),
+        (lambda text: "# bogus: 1\n" + text, "line 1: unknown header key 'bogus'"),
+        (lambda text: text.replace(text.splitlines()[3], text.splitlines()[3] + "\n# seed: 7"),
+         "line 5: repeated header key 'seed'"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
          "unknown_width", "output_without_data", "rows_back_in_time",
-         "unknown_heal_action", "bare_heal_signal", "zero_cell_delay"],
+         "unknown_heal_action", "bare_heal_signal", "zero_cell_delay",
+         "no_timing_line", "no_scenario_line", "unknown_header_key", "repeated_header_key"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0

@@ -326,3 +326,15 @@ def test_fabric_run_state_is_the_documented_fields():
     assert set(vars(Fabric(resolve_application("edg")))) == {
         "program", "readers", "binding", "cells", "spares", "sinks", "published", "fail_safe",
     }
+
+
+def test_cell_run_state_is_the_documented_fields():
+    # the per-cell part of the same snapshot: a bank's ``changed`` flag is
+    # the one quiet test, so no cached output needs copying beside it
+    fabric = Fabric(resolve_application("edg"))
+    cell = fabric.binding[0]
+    assert set(vars(cell)) == {
+        "cell_id", "config", "registers", "pipeline", "health", "mismatch_streak",
+        "injected_permanent",
+    }
+    assert set(vars(cell.registers)) == {"width_mode", "values", "overlay", "changed"}

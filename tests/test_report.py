@@ -101,6 +101,14 @@ class TestCsv:
         assert list(back.inputs.items()) == list(faultfree.trace.inputs.items())
         assert list(back.outputs.items()) == list(faultfree.trace.outputs.items())
 
+    def test_roundtrip_keeps_the_version_the_file_names(self, faultfree):
+        lines = to_csv(faultfree.trace).splitlines()
+        lines[4] = "# version: cellfab 0.0.9"
+        text = "\n".join(lines) + "\n"
+        back = from_csv(text)
+        assert back.version == "0.0.9"
+        assert to_csv(back) == text
+
     def test_signal_table_follows_the_version_line(self, faultfree):
         lines = to_csv(faultfree.trace).splitlines()
         assert lines[4].startswith("# version: ")

@@ -1,11 +1,13 @@
 """A cell evaluated only when its inputs changed leaves the trace of one evaluated always.
 
-``Engine._evaluate_cell`` returns a cell's last output without calling
-``step`` when no port changed since its last evaluation and the cell
-holds no fault state; ``step`` itself always evaluates.  The
-reference, ``helpers.AlwaysEvaluateEngine``, marks every bank changed
-before each step, so it evaluates every cell at every wave and local
-event; the two must leave equal traces and equal cell state.
+One flag decides whether a cell evaluates: its register bank's
+``changed``, which ``FunctionalCell.step`` keeps set while the cell
+holds fault state (an overlay port or an injected permanent fault).
+With the flag clear, ``Engine._evaluate_cell`` returns the function's
+``published`` value without calling ``step``; ``step`` itself always
+evaluates.  The reference, ``helpers.AlwaysEvaluateEngine``, sets every
+bank's flag before each step, so it evaluates every cell at every wave
+and local event; the two must leave equal traces and equal cell state.
 """
 
 from dataclasses import replace
@@ -40,6 +42,14 @@ def assert_same_as_always_evaluating(program, sc: Scenario):
     assert selective.plant_log == reference.plant_log
     assert cell_state(selective.fabric) == cell_state(reference.fabric)
     return selective
+
+
+def assert_fault_state_keeps_the_flag(fabric):
+    """Every bank whose cell holds fault state must evaluate at its next step."""
+    for name, cell in fabric.cells.items():
+        bank = cell.registers
+        if bank is not None and (bank.overlay or cell.injected_permanent is not None):
+            assert bank.changed, name
 
 
 def test_rewriting_a_corrupted_majority_port_evaluates_again():
@@ -147,6 +157,7 @@ def test_selective_evaluation_matches_always_evaluating():
     @given(faulted_scenarios())
     def check(case):
         res = assert_same_as_always_evaluating(*case)
+        assert_fault_state_keeps_the_flag(res.fabric)
         seen.update(r.annotation for r in res.trace.records)
         if any(r.signal.endswith(".restore") for r in res.trace.records):
             seen.add("healed")
