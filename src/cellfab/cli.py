@@ -24,7 +24,7 @@ from .apps import BUNDLED, resolve_netlist
 from .engine import TimingParams
 from .genetic import GeneticCodeError, decode_genetic, format_config, from_hex
 from .netlist import NetlistError, parse_netlist
-from .place import PlacementError, place
+from .place import place
 from .report import format_metrics, from_csv, metrics, to_csv, to_vcd
 from .scenarios import BUNDLED_SCENARIOS, load_scenario
 from .sim import run
@@ -102,7 +102,7 @@ def cmd_run(args) -> int:
                 Path(f"{base}.vcd").write_text(to_vcd(trace))
             report_text = format_metrics(m, scenario.timing)
             Path(f"{base}.metrics.txt").write_text(report_text)
-        except (OSError, ValueError) as exc:  # also NetlistError, PlacementError, an export
+        except (OSError, ValueError) as exc:  # also NetlistError, an export
             print(f"error: {scenario.name}: {exc}", file=sys.stderr)
             status = 2
             continue
@@ -123,10 +123,10 @@ def cmd_validate(args) -> int:
         return 2
     try:
         nl = parse_netlist(text, path.stem)
-        placement = place(nl)
-    except (NetlistError, PlacementError) as exc:
+    except NetlistError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
+    placement = place(nl)
     print(
         f"{len(nl.nodes)} nodes, depth {nl.critical_path}, "
         f"{placement.layer_count} layers"

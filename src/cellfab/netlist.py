@@ -8,9 +8,11 @@ Line-oriented text format ('#' starts a comment):
     # partition <layer>: <id> <id> ...
 
 An operand reference is an input name, a node id, or the reserved word
-``imm`` which wires the port to the node's immediate constant.  The
+``imm`` which wires the port to the node's immediate constant.
+Attributes are whitespace-separated ``key=value`` pairs.  The
 ``# partition`` pragma pins nodes to fabric layers; without it the
-placer packs nodes by depth.
+placer packs nodes by depth.  ``validate_netlist`` alone bounds a netlist
+by the fabric (64 nodes in 16 layers, 64 inputs), before any graph pass.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from dataclasses import dataclass, field
 from .cell import INT16_MAX, INT16_MIN, Opcode, OPCODE_ARITY, INT16_ONLY_OPCODES, WidthMode
 
 IMM_REF = "imm"
-MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 addressable functions
+SLOTS_PER_LAYER = 4
+MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 functions and 64 inputs
+_VALUE_DIGITS = 5  # no in-range imm or delay value has more significant digits
 
 
 class NetlistError(ValueError):
@@ -63,11 +67,11 @@ class Netlist:
 
 
 _INPUT_RE = re.compile(r"^input\s+(\w+)\s*:\s*(bit|int16)$")
-_NODE_RE = re.compile(
-    r"^node\s+(\w+)\s*=\s*([A-Z]+)\s*\(\s*([^)]*)\s*\)\s*((?:\w+=-?\d+\s*)*)$"
-)
+# no two adjacent quantifiers match the same text, so matching is linear
+_NODE_RE = re.compile(r"^node\s+(\w+)\s*=\s*([A-Z]+)\s*\(([^)]*)\)(.*)$")
+_ATTR_RE = re.compile(r"(\w+)=(-?)(\d+)")
 _OUTPUT_RE = re.compile(r"^output\s+(\w+)\s*=\s*(\w+)$")
-_PARTITION_RE = re.compile(r"^#\s*partition\s+0*(\d+)\s*:\s*(.+)$")
+_PARTITION_RE = re.compile(r"^#\s*partition\s+(\d+)\s*:\s*(.+)$")
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
@@ -79,7 +83,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
         if pm:
             # refused before any per-layer list is built; compared as text
             # first, since int() refuses a string of over 4300 digits
-            layer = pm.group(1)
+            layer = pm.group(1).lstrip("0") or "0"
             if len(layer) > len(str(MAX_LAYERS)) or int(layer) >= MAX_LAYERS:
                 raise NetlistError(
                     f"partition layer {layer} is beyond the fabric's {MAX_LAYERS} layers", lineno
@@ -106,18 +110,21 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             operands = tuple(
                 o.strip() for o in operand_text.split(",") if o.strip()
             )
-            immediate = 0
-            delay = 0
+            values = {"imm": 0, "delay": 0}
             for attr in attr_text.split():
-                key, _, val = attr.partition("=")
-                if key == "imm":
-                    immediate = int(val)
-                elif key == "delay":
-                    delay = int(val)
-                else:
+                am = _ATTR_RE.fullmatch(attr)
+                if not am:
+                    raise NetlistError(f"syntax error: {line!r}", lineno)
+                key, sign, digits = am.groups()
+                if key not in values:
                     raise NetlistError(f"unknown attribute {key!r}", lineno)
+                # compared as text first, like the partition layer
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > _VALUE_DIGITS:
+                    raise NetlistError(f"{key} value of {len(digits)} digits is out of range", lineno)
+                values[key] = int(sign + digits)
             nl.nodes.append(
-                NetNode(node_name, opcode, operands, immediate, delay, lineno)
+                NetNode(node_name, opcode, operands, values["imm"], values["delay"], lineno)
             )
             continue
         m = _OUTPUT_RE.match(line)
@@ -174,8 +181,15 @@ def validate_netlist(nl: Netlist) -> None:
         if sorted(placed) != sorted(node_names):
             raise NetlistError("partition pragma must cover every node exactly once")
         for i, layer in enumerate(nl.partition):
-            if len(layer) > 4:
-                raise NetlistError(f"partition layer {i} exceeds 4 worker slots")
+            if len(layer) > SLOTS_PER_LAYER:
+                raise NetlistError(f"partition layer {i} exceeds {SLOTS_PER_LAYER} worker slots")
+
+    # the fabric's capacity bounds every graph pass below and the placer
+    layers = len(nl.partition) or -(-len(nl.nodes) // SLOTS_PER_LAYER)
+    if layers > MAX_LAYERS:
+        raise NetlistError(f"netlist needs {layers} layers, fabric holds {MAX_LAYERS}")
+    if len(nl.inputs) > 64:
+        raise NetlistError("more than 64 primary inputs")
 
     _order_by_depth(nl)
     _resolve_widths(nl)

@@ -20,13 +20,7 @@ from .genetic import (
     encode_genetic,
     to_hex,
 )
-from .netlist import IMM_REF, MAX_LAYERS, Netlist
-
-SLOTS_PER_LAYER = 4
-
-
-class PlacementError(ValueError):
-    pass
+from .netlist import IMM_REF, SLOTS_PER_LAYER, Netlist
 
 
 @dataclass
@@ -78,8 +72,8 @@ def place(nl: Netlist) -> Placement:
     """Assign every node a (layer, slot); deterministic for a given netlist.
 
     ``nl`` must have passed ``validate_netlist`` (``parse_netlist`` runs
-    it): the placer reads its ``depth`` and relies on its partition check
-    of at most four nodes per layer.
+    it): the placer reads its ``depth`` and relies on its checks of at
+    most four nodes per partition layer and of the fabric's capacity.
     """
     slots: dict[str, tuple[int, int]] = {}
     if nl.partition:
@@ -93,12 +87,6 @@ def place(nl: Netlist) -> Placement:
         for i, node in enumerate(ordered):
             slots[node.name] = (i // SLOTS_PER_LAYER, i % SLOTS_PER_LAYER)
         layer_count = (len(ordered) + SLOTS_PER_LAYER - 1) // SLOTS_PER_LAYER
-    if layer_count > MAX_LAYERS:
-        raise PlacementError(
-            f"netlist needs {layer_count} layers, fabric holds {MAX_LAYERS}"
-        )
-    if len(nl.inputs) > 64:
-        raise PlacementError("more than 64 primary inputs")
     return Placement(layer_count=layer_count, slots=slots)
 
 

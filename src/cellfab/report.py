@@ -175,7 +175,7 @@ def to_vcd(trace: Trace) -> str:
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
-    # fold records into per-time change sets, first-sample-wins per time
+    # fold records into per-time change sets; of two samples at one time the last wins
     last: dict[str, Optional[int]] = {s: None for s in signals}
     changes: dict[int, dict[str, int]] = {}
     for r in data:

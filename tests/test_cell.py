@@ -1,6 +1,7 @@
 """Cell-level semantics: function block ops, voting, registers, mismatch streaks."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -321,6 +322,20 @@ class TestSelfCheck:
             expected = n & w
             assert out == stuck
             assert mismatch == (stuck != expected)
+
+    @pytest.mark.parametrize(
+        "injected, n, mismatch", [(None, 1, False), (StuckBehavior(stuck=1), 0, True)],
+        ids=["fault_free", "stuck_at_1"],
+    )
+    def test_a_disabled_output_reads_0_and_the_check_still_runs(self, injected, n, mismatch):
+        # enabled, each cell would output 1: AND(1, 1), or AND(0, 1) stuck at 1
+        cell = and_cell()
+        cell.configure(replace(cell.config, output_enable=False))
+        cell.injected_permanent = injected
+        cell.registers.write(N, n)
+        cell.registers.write(W, 1)
+        assert cell.step()[:2] == (0, mismatch)
+        assert cell.mismatch_streak == int(mismatch)
 
     def test_masked_register_corruption_keeps_output(self):
         cell = and_cell()

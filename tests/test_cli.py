@@ -118,6 +118,15 @@ def test_validate_cyclic_netlist(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+# each node reads the one declared after it, so a depth-first walk of the
+# graph recurses once per node
+REVERSE_CHAIN = (
+    "input a : bit\n"
+    + "".join(f"node g{i} = NOT(g{i + 1})\n" for i in range(2999))
+    + "node g2999 = NOT(a)\noutput y = g0\n"
+)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -133,11 +142,37 @@ def test_validate_cyclic_netlist(tmp_path, capsys):
          "more than 64 primary inputs"),
         ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition 999999999999: n\n",
          "line 4: partition layer 999999999999 is beyond the fabric's 16 layers"),
+        ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition 0016: n\n",
+         "line 4: partition layer 16 is beyond the fabric's 16 layers"),
         ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition " + "9" * 5000 + ": n\n",
          "is beyond the fabric's 16 layers"),  # more digits than int() converts
+        ("input a : bit\n" + "".join(f"node g{i} = NOT(a)\n" for i in range(65))
+         + "output y = g0\n", "netlist needs 17 layers, fabric holds 16"),
+        (REVERSE_CHAIN, "netlist needs 750 layers, fabric holds 16"),
+        ("input a : bit\n" + "".join(f"node g{i} = NOT(g{(i + 1) % 65})\n" for i in range(65))
+         + "output y = g0\n", "netlist needs 17 layers, fabric holds 16"),
+        ("input a : bit\nnode g = NOT(a) " + "x=11" * 20 + "!\noutput y = g\n",
+         "line 2: syntax error: "),
+        ("input a : bit\nnode g = NOT(a) " + "x=11" * 500 + "!\noutput y = g\n",
+         "line 2: syntax error: "),
+        ("input a : bit\nnode g = NOT(" + " " * 1000 + "x\noutput y = g\n",
+         "line 2: syntax error: "),
+        ("input a : bit\nnode g = NOT(" + " " * 4000 + "x\noutput y = g\n",
+         "line 2: syntax error: "),
+        ("input a : int16\nnode n = ADD(a, imm) imm=" + "9" * 5000 + "\noutput y = n\n",
+         "line 2: imm value of 5000 digits is out of range"),
+        ("input a : int16\nnode n = DELAY(a) delay=" + "9" * 5000 + "\noutput y = n\n",
+         "line 2: delay value of 5000 digits is out of range"),
+        ("input a : int16\nnode n = ADD(a, imm) imm=3delay=2\noutput y = n\n",
+         "line 2: syntax error: "),
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
-         "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_of_5000_digits"],
+         "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_0016",
+         "layer_of_5000_digits",
+         "65_nodes", "reverse_chain_of_3000", "over_capacity_and_cyclic",
+         "20_run_together_attributes", "500_run_together_attributes",
+         "1000_spaces_in_operands", "4000_spaces_in_operands",
+         "imm_of_5000_digits", "delay_of_5000_digits", "run_together_imm_and_delay"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
     import time
@@ -150,6 +185,20 @@ def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, mess
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and err.count("\n") == 1 and message in err
+
+
+def test_run_of_a_scenario_naming_an_over_capacity_netlist_is_one_line_error(tmp_path, capsys):
+    import json
+
+    nl_path = tmp_path / "chain.nl"
+    nl_path.write_text(REVERSE_CHAIN)
+    scn = tmp_path / "chain.scn"
+    scn.write_text(json.dumps({"application": str(nl_path), "stimulus": [], "run_until": 100}))
+    rc = main(["run", str(scn), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "netlist needs 750 layers, fabric holds 16" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "report"])
@@ -534,11 +583,20 @@ def _with_heal_row(text, signal):
         (lambda text: "# bogus: 1\n" + text, "line 1: unknown header key 'bogus'"),
         (lambda text: text.replace(text.splitlines()[3], text.splitlines()[3] + "\n# seed: 7"),
          "line 5: repeated header key 'seed'"),
+        (lambda text: text.replace("# inputs: ", "# inputs: estop:bit "),
+         "line 6: bad inputs entry 'estop:bit'"),
+        (lambda text: text.replace("# inputs: ", "# inputs: :bit "),
+         "line 6: bad inputs entry ':bit'"),
+        (lambda text: text.replace("# outputs: ", "# outputs: EngineStart:bit "),
+         "line 7: bad outputs entry 'EngineStart:bit'"),
+        (lambda text: text.replace("# outputs: ", "# outputs: :bit "),
+         "line 7: bad outputs entry ':bit'"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
          "unknown_width", "output_without_data", "rows_back_in_time",
          "unknown_heal_action", "bare_heal_signal", "zero_cell_delay",
-         "no_timing_line", "no_scenario_line", "unknown_header_key", "repeated_header_key"],
+         "no_timing_line", "no_scenario_line", "unknown_header_key", "repeated_header_key",
+         "repeated_input", "unnamed_input", "repeated_output", "unnamed_output"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0

@@ -3,10 +3,13 @@
 Each loader is fed mutations of a valid document: spliced characters from
 the format's own alphabet, deleted or duplicated lines.  Whatever the
 mutation, the loader either accepts the text or raises a ``ValueError``
-subclass (``NetlistError``, ``PlacementError``, ``GeneticCodeError``, or a
-plain ``ValueError`` naming the CSV line or the missing header line); a
-``TypeError``, ``KeyError`` or ``IndexError`` escaping would reach the
-command line as a traceback.  A CSV trace that loads is also measured.
+subclass (``GeneticCodeError``, or a plain ``ValueError`` naming the CSV
+line or the missing header line); a ``TypeError``, ``KeyError`` or
+``IndexError`` escaping would reach the command line as a traceback.  A
+netlist either compiles or raises ``NetlistError`` alone, which is all
+``cellfab validate`` catches, also when a long run of digits, spaces or
+run-together attributes is spliced in.  A CSV trace that loads is also
+measured.
 A scenario document is mutated as JSON instead, and run when it loads; a
 missing netlist file may also end in an ``OSError``.
 """
@@ -24,7 +27,7 @@ from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId
 from cellfab.engine import FaultSpec, PlantFeedback, Scenario, TimingParams
 from cellfab.genetic import decode_genetic, encode_genetic, from_hex, to_hex
-from cellfab.netlist import parse_netlist
+from cellfab.netlist import NetlistError, parse_netlist
 from cellfab.place import compile_netlist
 from cellfab.report import _header_value, from_csv, metrics, to_csv
 from cellfab.scenarios import load_scenario, scenario_from_dict, scenario_to_dict
@@ -56,13 +59,32 @@ def mutated(draw, text: str, alphabet: str):
 NETLIST_ALPHABET = "abinoptuwyz_019 :=(),#\n\t-ANDORTMUXCPSBLYE"
 
 
+@st.composite
+def with_long_run(draw, text: str):
+    """``text`` with a run of up to 5,000 characters of one unit spliced
+    into a node line: after its ``(`` or its last ``=``, or at its end."""
+    lines = text.splitlines()
+    nodes = [i for i, line in enumerate(lines) if line.startswith("node")]
+    if not nodes:
+        return text
+    i = draw(st.sampled_from(nodes))
+    line = lines[i]
+    at = draw(st.sampled_from([line.find("(") + 1, line.rfind("=") + 1, len(line)]))
+    unit = draw(st.sampled_from(["x=11", "9", "0", " "]))
+    longest = 5000 // len(unit)
+    count = draw(st.integers(1, longest) | st.just(longest))
+    lines[i] = line[:at] + unit * count + line[at:]
+    return "\n".join(lines) + "\n"
+
+
 @FUZZ
 @given(st.sampled_from([netlist_text("edg"), netlist_text("ccs")]).flatmap(
-    lambda text: mutated(text, NETLIST_ALPHABET)))
+    lambda text: mutated(text, NETLIST_ALPHABET) | with_long_run(text)
+    | mutated(text, NETLIST_ALPHABET).flatmap(with_long_run)))
 def test_netlist_loader_raises_only_value_errors(text):
     try:
         compile_netlist(parse_netlist(text))
-    except ValueError:
+    except NetlistError:
         pass
 
 

@@ -1,10 +1,13 @@
 """Netlist parsing, validation diagnostics, and depth analysis."""
 
-import pytest
+import time
 
-from cellfab.cell import WidthMode
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cellfab.cell import Opcode, WidthMode
 from cellfab.engine import Engine, Scenario
-from cellfab.netlist import NetlistError, parse_netlist
+from cellfab.netlist import Netlist, NetlistError, NetNode, parse_netlist, validate_netlist
 from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist
 
@@ -202,6 +205,85 @@ def test_duplicate_names_rejected():
 def test_output_must_reference_node():
     with pytest.raises(NetlistError, match="output"):
         parse_netlist("input a : bit\nnode g = NOT(a)\noutput y = nothere\n")
+
+
+SPACE = st.text(" \t", max_size=3)
+
+
+@st.composite
+def imm_attributes(draw):
+    """Whitespace-separated ``imm=`` attributes, values with leading zeros,
+    and the value the last of them sets."""
+    values = draw(st.lists(st.integers(-32768, 32767), min_size=1, max_size=3))
+    attrs = [
+        f"imm={'-' if v < 0 else ''}{'0' * draw(st.integers(0, 3))}{abs(v)}" for v in values
+    ]
+    gaps = [draw(SPACE)] + [draw(st.text(" \t", min_size=1, max_size=3)) for _ in attrs[1:]]
+    return "".join(gap + attr for gap, attr in zip(gaps, attrs)) + draw(SPACE), values[-1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(SPACE, min_size=8, max_size=8), imm_attributes())
+def test_node_line_loads_in_every_spacing(spaces, attributes):
+    s = spaces
+    attr_text, immediate = attributes
+    line = (
+        f"node {s[0]}g{s[1]}={s[2]}ADD{s[3]}({s[4]}a{s[5]},{s[6]}imm{s[7]}){attr_text}"
+    )
+    nl = parse_netlist(f"input a : int16\n{line}\noutput y = g\n")
+    assert nl.nodes == [NetNode("g", Opcode.ADD, ("a", "imm"), immediate, 0, 2)]
+
+
+@pytest.mark.parametrize(
+    "attrs", ["imm=", "imm", "=3", "imm=+3", "imm=3)", "imm=3 !"],
+)
+def test_malformed_attribute_is_a_syntax_error(attrs):
+    with pytest.raises(NetlistError, match="^line 2: syntax error: "):
+        parse_netlist(f"input a : int16\nnode g = ADD(a, imm) {attrs}\noutput y = g\n")
+
+
+@pytest.mark.parametrize("key", ["imm", "delay"])
+def test_a_value_of_more_digits_than_any_in_range_is_refused_as_text(key):
+    node = "ADD(a, imm)" if key == "imm" else "DELAY(a)"
+    text = f"input a : int16\nnode g = {node} {key}=-000{'9' * 5000}\noutput y = g\n"
+    with pytest.raises(NetlistError, match=f"^line 2: {key} value of 5000 digits is out of range$"):
+        parse_netlist(text)
+    # leading zeros are not digits of the value
+    zeros = "0" * 5000
+    nl = parse_netlist(text.replace(f"-000{'9' * 5000}", f"{zeros}7"))
+    assert (nl.nodes[0].immediate, nl.nodes[0].delay_cycles) == ((7, 0) if key == "imm" else (0, 7))
+
+
+@pytest.mark.parametrize("layer, index", [("0", 0), ("000", 0), ("0001", 1), ("0015", 15)])
+def test_partition_layer_drops_leading_zeros(layer, index):
+    nl = parse_netlist(f"input a : bit\nnode g = NOT(a)\noutput y = g\n# partition {layer}: g\n")
+    assert nl.partition[index] == ["g"]
+
+
+def test_a_long_run_of_zeros_in_a_pragma_parses_in_linear_time():
+    # without a colon the line is a plain comment
+    text = "input a : bit\nnode g = NOT(a)\noutput y = g\n# partition " + "0" * 20000 + " g\n"
+    t0 = time.perf_counter()
+    assert parse_netlist(text).partition == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_fabric_holds_64_nodes_and_64_inputs():
+    inputs = "".join(f"input i{i} : bit\n" for i in range(64))
+    nodes = "".join(f"node g{i} = NOT(i{i})\n" for i in range(64))
+    nl = parse_netlist(inputs + nodes + "output y = g0\n")
+    assert compile_netlist(nl).placement.layer_count == 16
+
+
+def test_capacity_counts_the_layers_a_partition_names():
+    # parse_netlist refuses a pragma layer past 15; a netlist built in code
+    # can still name one, and validate_netlist counts it
+    nl = Netlist(
+        "far", inputs=[("a", WidthMode.BIT)], nodes=[NetNode("g", Opcode.NOT, ("a",))],
+        outputs={"y": "g"}, partition=[[] for _ in range(16)] + [["g"]],
+    )
+    with pytest.raises(NetlistError, match="^netlist needs 17 layers, fabric holds 16$"):
+        validate_netlist(nl)
 
 
 def test_syntax_error_line_number():

@@ -7,10 +7,9 @@ from cellfab.apps import resolve_netlist
 from cellfab.cell import Opcode
 from cellfab.fabric import Fabric
 from cellfab.genetic import NOP_CONFIG, SelectorKind, decode_genetic
-from cellfab.netlist import parse_netlist
+from cellfab.netlist import NetlistError, parse_netlist
 from cellfab.place import (
     Placement,
-    PlacementError,
     build_routing,
     compile_netlist,
     dump_program,
@@ -62,9 +61,8 @@ def test_capacity_error():
     lines = ["input a : bit"] + [
         f"node g{i} = NOT(a)" for i in range(65)
     ] + ["output y = g0"]
-    nl = parse_netlist("\n".join(lines))
-    with pytest.raises(PlacementError, match="layers"):
-        place(nl)
+    with pytest.raises(NetlistError, match="^netlist needs 17 layers, fabric holds 16$"):
+        parse_netlist("\n".join(lines))
 
 
 def test_selectors_operand_order():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
 from cellfab.cell import CellId, WidthMode
-from cellfab.engine import FaultSpec, Scenario, TimingParams, Trace
+from cellfab.engine import FaultSpec, Scenario, TimingParams, Trace, TraceRecord
 from cellfab.report import (
     _held_values,
     _vcd_id,
@@ -161,6 +161,21 @@ class TestVcd:
                 expected.setdefault(r.signal, []).append((r.time, r.value))
                 seen[r.signal] = r.value
         assert by_name["EngineStart"][1:] == expected["EngineStart"]
+
+    def test_the_last_sample_at_a_time_wins(self):
+        # ccs_fc16_permanent's throttle reads 31, then 0, at 250535 ns
+        trace = run_raw(load_scenario("ccs_fc16_permanent")).trace
+        samples = [r.value for r in trace.records if (r.time, r.signal) == (250535, "throttle")]
+        assert samples == [31, 0]
+        vars_, changes = parse_vcd(to_vcd(trace))
+        throttle_id = next(i for i, (n, _) in vars_.items() if n == "throttle")
+        assert [v for t, i, v in changes if (t, i) == (250535, throttle_id)] == [0]
+        # there 31 repeats the value before it; here the first sample is a change too
+        trace = empty_trace()
+        trace.outputs = {"y": WidthMode.INT16}
+        trace.records = [TraceRecord(t, "y", v, "data") for t, v in [(0, 0), (10, 5), (10, 7)]]
+        _, changes = parse_vcd(to_vcd(trace))
+        assert [v for t, _, v in changes if t == 10] == [7]
 
     def test_transient_masked_wave_identical_to_golden(self):
         masked = run_raw(load_scenario("edg_transient3"))
