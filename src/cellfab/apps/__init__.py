@@ -7,6 +7,7 @@ benchmark; running an application does not import them.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 
@@ -34,4 +35,16 @@ def resolve_netlist(application: str) -> Netlist:
 
 
 def resolve_application(application: str) -> FabricProgram:
+    """The compiled program of an application name or netlist path.
+
+    A bundled application is compiled once per process and its program
+    shared by every later call, as no run writes a program.  A netlist
+    path is compiled on every call, since the file can change."""
+    if application in BUNDLED:
+        return _compile_bundled(application)
     return compile_netlist(resolve_netlist(application))
+
+
+@functools.cache
+def _compile_bundled(name: str) -> FabricProgram:
+    return compile_netlist(resolve_netlist(name))

@@ -29,11 +29,12 @@ class WidthMode(Enum):
 
 
 # The per-evaluation path compares against module-level names bound to
-# enum members (BIT here, OP_* and the health names below), not against
-# ``<Enum>.<MEMBER>``: on CPython before 3.12 such a class attribute read
-# goes through EnumType.__getattr__, several times the cost of a global
-# read.  Each name is the member object itself, so ``is`` tests hold.
-BIT = WidthMode.BIT
+# enum members (BIT and INT16 here, OP_* and the health names below), not
+# against ``<Enum>.<MEMBER>``: on CPython before 3.12 such a class
+# attribute read goes through EnumType.__getattr__, several times the cost
+# of a global read.  Each name is the member object itself, so ``is``
+# tests hold.
+BIT, INT16 = WidthMode.BIT, WidthMode.INT16
 
 
 class Port(Enum):
@@ -111,6 +112,31 @@ def fit(width_mode: WidthMode, raw: int) -> int:
     return wrap16(raw)
 
 
+# One definition per opcode and width: the output of one evaluation,
+# f(n, w, e), on the voted N, W, E port values.  DELAY is absent: it
+# shifts the cell's pipeline, which only ``gfb_eval`` holds.  The kernel
+# evaluates a cell with no fault state through these entries directly.
+OPCODE_FUNCTIONS = {
+    (OP_AND, BIT): lambda n, w, e: n & w & 1,
+    (OP_AND, INT16): lambda n, w, e: wrap16(n & w),
+    (OP_OR, BIT): lambda n, w, e: (n | w) & 1,
+    (OP_OR, INT16): lambda n, w, e: wrap16(n | w),
+    (OP_NOT, BIT): lambda n, w, e: ~n & 1,
+    (OP_NOT, INT16): lambda n, w, e: wrap16(~n),
+}
+# the other opcodes read the same in either width
+for _op, _function in {
+    OP_NOP: lambda n, w, e: 0,
+    OP_ADD: lambda n, w, e: wrap16(n + w),
+    OP_SUB: lambda n, w, e: wrap16(n - w),
+    OP_MUL: lambda n, w, e: qmul(n, w),
+    OP_CMP: lambda n, w, e: 1 if n >= w else 0,
+    OP_MUX: lambda n, w, e: w if n == 0 else e,
+}.items():
+    OPCODE_FUNCTIONS[_op, BIT] = OPCODE_FUNCTIONS[_op, INT16] = _function
+del _op, _function
+
+
 def gfb_eval(
     op: Opcode,
     width_mode: WidthMode,
@@ -122,7 +148,8 @@ def gfb_eval(
     Pure function: identical (op, width_mode, inputs, state) always yields
     the identical (output, state').  ``inputs`` are the voted port values
     in N, W, E, S order.  ``state`` is the delay pipeline and is only
-    advanced by DELAY; every other opcode passes it through.
+    advanced by DELAY; every other opcode passes it through and takes
+    its output from ``OPCODE_FUNCTIONS``.
 
     DELAY shifts the North sample through a k-stage pipeline.  Because the
     input register itself adds one cycle of capture latency, the pipeline
@@ -130,28 +157,13 @@ def gfb_eval(
     delay seen at the output is exactly k stimulus periods.
     """
     n, w, e, _ = inputs
-    if op is OP_NOP:
-        return 0, state
-    if op is OP_AND:
-        return fit(width_mode, n & w), state
-    if op is OP_OR:
-        return fit(width_mode, n | w), state
-    if op is OP_NOT:
-        return fit(width_mode, ~n), state
-    if op is OP_ADD:
-        return wrap16(n + w), state
-    if op is OP_SUB:
-        return wrap16(n - w), state
-    if op is OP_MUL:
-        return qmul(n, w), state
-    if op is OP_CMP:
-        return (1 if n >= w else 0), state
-    if op is OP_MUX:
-        return (w if n == 0 else e), state
     if op is OP_DELAY:
         new_state = state[1:] + (n,)
         return new_state[0], new_state
-    raise ValueError(f"unknown opcode {op}")
+    function = OPCODE_FUNCTIONS.get((op, width_mode))
+    if function is None:
+        raise ValueError(f"unknown opcode {op}")
+    return function(n, w, e), state
 
 
 def vote(a: int, b: int, c: int) -> tuple[int, int]:
@@ -303,7 +315,9 @@ class FunctionalCell:
         ``step`` always evaluates.  It leaves the bank's ``changed`` flag
         set while the cell holds fault state (an overlay port or an
         injected permanent fault) and clears it otherwise, so that the
-        kernel can skip the call for a quiet cell (``Engine._evaluate_cell``).
+        kernel can skip the call for a quiet cell, and call the opcode's
+        ``OPCODE_FUNCTIONS`` entry alone for a cell with no fault state
+        (``Engine._handle_wave``).
         """
         if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")

@@ -9,16 +9,13 @@ A fault is re-evaluated at injection only once the cell's wave slot of
 the current period has passed; before that, the pending wave evaluation
 sees it, so the cell never publishes a mid-wave value.  One flag, its
 register bank's ``changed``, says a cell must evaluate, and it stays set
-while the cell holds fault state; with it clear, ``Engine._evaluate_cell``
-returns the function's ``published`` value without a
-``FunctionalCell.step`` call, and that is published and recorded all the
-same.  A publish is recorded always but routed to the readers only when
-it changes the function's value, since every reader's port already
-holds the last one.  The exception is a run whose expanded faults
-include a transient: there every publish is routed, because a write,
-even of an equal value, drops a corrupted port.  Events are totally
-ordered by (time, sequence number), so two runs of the same scenario
-produce byte-identical traces.
+while the cell holds fault state.  A publish is recorded always but
+routed to the readers only when it changes the function's value, since
+every reader's port already holds the last one.  The exception is a run
+whose expanded faults include a transient: there every publish is
+routed, because a write, even of an equal value, drops a corrupted port.
+Events are totally ordered by (time, sequence number), so two runs of
+the same scenario produce byte-identical traces.
 
 A wave is one heap event.  Its evaluations run in (level, function
 index) order, each at its slot without cascading, under sequence numbers
@@ -26,6 +23,22 @@ taken at the clock; before each one the wave yields to any event that
 sorts first, so every evaluation keeps the place it would have as an
 event of its own.  A local evaluation of a slot that an open wave still
 holds is dropped: the wave evaluates it there anyway.
+
+A wave slot is one of three kinds, told apart by the cell it finds:
+
+- quiet: the bank's ``changed`` flag is clear, and the slot republishes
+  the function's ``published`` value unevaluated;
+- clean: the flag is set and the cell holds no fault state (no overlay
+  port, no injected permanent fault, not suspect), and the slot calls
+  the function's entry of ``cell.OPCODE_FUNCTIONS`` on the bank's port
+  values, which is all that ``FunctionalCell.step`` would do there;
+- monitored: any other cell takes ``Engine._evaluate_cell``, which
+  votes, self-checks and raises syndromes through ``FunctionalCell.step``.
+
+Each slot runs in one iteration of ``Engine._handle_wave`` on entries
+``Engine.__init__`` builds once per function.  Local evaluations and
+delay registers always take ``_evaluate_cell``, which keeps the quiet
+test too.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from .cell import (
     FAULTY_DEACTIVATED,
     FunctionalCell,
     HEALTHY,
+    OPCODE_FUNCTIONS,
     PORT_ORDER,
     Port,
     SUSPECT_TRANSIENT,
@@ -356,12 +370,22 @@ class Engine:
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
         self._delays = [i for i, level in program.levels.items() if level == 0]
-        # (slot offset, fn index, n) of every combinational function, in
-        # (level, fn index) order: the wave order, n counting from 0
+        # one entry per combinational function, in (level, fn index)
+        # order, the wave order, n counting from 0: (slot offset, fn
+        # index, n, signal names, output flag, opcode function).  Placement
+        # enables every function's output, so the opcode alone gives it
         levels = sorted((level, i) for i, level in program.levels.items() if level)
         delta = self.timing.cell_delay
-        self._wave = [(level * delta, i, n) for n, (level, i) in enumerate(levels)]
-        self._wave_entry = {i: (offset, n) for offset, i, n in self._wave}
+        outputs = set(program.output_binding.values())
+        configs = program.configs
+        self._wave = [
+            (
+                level * delta, i, n, program.signals[i], i in outputs,
+                OPCODE_FUNCTIONS[configs[i].opcode, configs[i].width_mode],
+            )
+            for n, (level, i) in enumerate(levels)
+        ]
+        self._wave_entry = {i: (offset, n) for offset, i, n, *_ in self._wave}
 
     # ---- scheduling ----------------------------------------------------
 
@@ -468,20 +492,47 @@ class Engine:
 
     def _handle_wave(self, clock: int, seq: int) -> None:
         """Run the clock's wave from evaluation ``seq`` on until an event on
-        the heap comes first; evaluation n has sequence number base + n."""
+        the heap comes first; evaluation n has sequence number base + n.
+
+        A slot is quiet, clean or monitored (see the module docstring);
+        its value is then published as ``_publish`` publishes one without
+        a cascade."""
         heap = self._heap
-        binding = self.fabric.binding
+        fabric = self.fabric
+        binding, published = fabric.binding, fabric.published
+        records = self.trace.records
+        route_repeats = self._route_repeats
         base = self._wave_base[clock]
-        for offset, fn_idx, n in self._wave[seq - base:]:
+        for offset, fn_idx, n, names, output, evaluate in self._wave[seq - base:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
                 self._push(slot, _WAVE, clock, seq=base + n)
                 return
             cell = binding[fn_idx]
-            if cell.health is not FAULTY_DEACTIVATED:
+            health = cell.health
+            if health is FAULTY_DEACTIVATED:
+                continue
+            registers = cell.registers
+            if not registers.changed:
+                value = published[fn_idx]
+            elif (
+                registers.overlay
+                or cell.injected_permanent is not None
+                or health is SUSPECT_TRANSIENT
+            ):
                 value = self._evaluate_cell(fn_idx, cell, slot)
-                self._publish(fn_idx, value, slot, cascade=False)
+            else:
+                values = registers.values
+                value = evaluate(values[0], values[1], values[2])
+                registers.changed = False
+            if output and fabric.fail_safe:
+                value = 0
+            for name in names:
+                records.append(TraceRecord(slot, name, value, "data"))
+            if route_repeats or published[fn_idx] != value:
+                published[fn_idx] = value
+                fabric.route(fn_idx, value)
         # no later event sorts before the wave's last evaluation, so no
         # hold check can match the wave's keys again
         del self._wave_base[clock]

@@ -175,7 +175,9 @@ def to_vcd(trace: Trace) -> str:
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
-    # fold records into per-time change sets; of two samples at one time the last wins
+    # fold records into per-time change sets; of two samples at one time the
+    # last wins, and below it is written only if it differs from the value
+    # held before that time
     last: dict[str, Optional[int]] = {s: None for s in signals}
     changes: dict[int, dict[str, int]] = {}
     for r in data:
@@ -192,10 +194,16 @@ def to_vcd(trace: Trace) -> str:
         else:
             lines.append(f"bx {ids[s]}" if widths[s] > 1 else f"x{ids[s]}")
     lines.append("$end")
+    held = {s: at_zero.get(s) for s in signals}
     for t in sorted(changes):
         lines.append(f"#{t}")
+        stamped = len(lines)
         for s, v in changes[t].items():
-            lines.append(_vcd_change(s, v, widths, ids))
+            if v != held[s]:  # else it changed and changed back at t
+                held[s] = v
+                lines.append(_vcd_change(s, v, widths, ids))
+        if len(lines) == stamped:
+            lines.pop()
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from cellfab.engine import Engine, Trace
+from cellfab.cell import FAULTY_DEACTIVATED
+from cellfab.engine import _WAVE, Engine, Trace
 from cellfab.genetic import SelectorKind
 from cellfab.netlist import Netlist
 from cellfab.oracle import NetlistOracle
@@ -14,11 +15,29 @@ from cellfab.place import FabricProgram
 class AlwaysEvaluateEngine(Engine):
     """The kernel with selective evaluation off: each cell's register bank
     gets its ``changed`` flag, the one quiet test, set before every step,
-    so no step returns the ``published`` value unevaluated."""
+    so no step returns the ``published`` value unevaluated.  Its wave
+    runs every slot through the monitored ``_evaluate_cell`` and
+    ``_publish``, so every evaluation is a ``FunctionalCell.step``."""
 
     def _evaluate_cell(self, fn_idx, cell, t):
         cell.registers.changed = True
         return super()._evaluate_cell(fn_idx, cell, t)
+
+    def _handle_wave(self, clock, seq):
+        heap = self._heap
+        binding = self.fabric.binding
+        base = self._wave_base[clock]
+        for offset, fn_idx, n, *_ in self._wave[seq - base:]:
+            slot = clock + offset
+            top = heap[0]
+            if top[0] <= slot and (top[0] < slot or top[1] < base + n):
+                self._push(slot, _WAVE, clock, seq=base + n)
+                return
+            cell = binding[fn_idx]
+            if cell.health is not FAULTY_DEACTIVATED:
+                value = self._evaluate_cell(fn_idx, cell, slot)
+                self._publish(fn_idx, value, slot, cascade=False)
+        del self._wave_base[clock]
 
 
 class AlwaysRouteEngine(Engine):

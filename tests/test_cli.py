@@ -165,6 +165,17 @@ REVERSE_CHAIN = (
          "line 2: delay value of 5000 digits is out of range"),
         ("input a : int16\nnode n = ADD(a, imm) imm=3delay=2\noutput y = n\n",
          "line 2: syntax error: "),
+        # a refused line or token is quoted to its first 40 characters
+        ("input a : bit\nnode g = NOT(" + " " * 4000 + "x\noutput y = g\n",
+         "line 2: syntax error: 'node g = NOT(" + " " * 26 + "...\n"),
+        ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition " + "9" * 5000 + ": n\n",
+         "line 4: partition layer " + "9" * 40 + "... is beyond the fabric's 16 layers\n"),
+        ("input a : bit\nnode g = " + "A" * 5000 + "(a)\noutput y = g\n",
+         "line 2: unknown opcode '" + "A" * 39 + "...\n"),
+        ("input a : bit\nnode g = NOT(" + "b" * 5000 + ")\noutput y = g\n",
+         "line 2: dangling reference '" + "b" * 39 + "...\n"),
+        (("input " + "a" * 5000 + " : bit\n") * 2 + "node g = NOT(a)\noutput y = g\n",
+         "duplicate input '" + "a" * 39 + "...\n"),
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
          "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_0016",
@@ -172,7 +183,9 @@ REVERSE_CHAIN = (
          "65_nodes", "reverse_chain_of_3000", "over_capacity_and_cyclic",
          "20_run_together_attributes", "500_run_together_attributes",
          "1000_spaces_in_operands", "4000_spaces_in_operands",
-         "imm_of_5000_digits", "delay_of_5000_digits", "run_together_imm_and_delay"],
+         "imm_of_5000_digits", "delay_of_5000_digits", "run_together_imm_and_delay",
+         "4000_spaces_quoted_in_part", "layer_of_5000_digits_quoted_in_part",
+         "opcode_of_5000_letters", "reference_of_5000_letters", "input_name_of_5000_letters"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
     import time
@@ -185,6 +198,7 @@ def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, mess
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and err.count("\n") == 1 and message in err
+    assert len(err.encode()) < 200  # a bounded excerpt of the input, not the whole line
 
 
 def test_run_of_a_scenario_naming_an_over_capacity_netlist_is_one_line_error(tmp_path, capsys):
@@ -654,9 +668,11 @@ def test_run_simulates_golden_twin_only_for_faulted_scenarios(
 
 
 def test_faulted_run_compiles_once(tmp_path, monkeypatch):
-    # the golden twin runs on the program the faulted run compiled
+    # the golden twin runs on the program the faulted run compiled; the
+    # cache of bundled programs is cleared, so the run compiles from cold
     import cellfab.apps
 
+    cellfab.apps._compile_bundled.cache_clear()
     calls = []
     compile_netlist = cellfab.apps.compile_netlist
 

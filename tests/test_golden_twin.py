@@ -1,7 +1,9 @@
 """The golden twin inside ``metrics``: a trace an Engine ran on the very
 scenario object passed in needs no compile, and a fault-free one is its
-own twin; every other trace gets a twin simulated from a fresh compile.
-Either way the metrics equal those against a freshly compiled twin."""
+own twin; every other trace gets a twin simulated from the application's
+program.  Either way the metrics equal those against a freshly compiled
+twin.  ``resolve_application`` compiles a bundled application once per
+process, so each compile count starts from a cleared cache."""
 
 import copy
 import dataclasses
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellfab.apps
-from cellfab.apps import resolve_application
+from cellfab.apps import resolve_application, resolve_netlist
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId, Port
 from cellfab.engine import Engine, FaultKind, FaultSpec, Scenario
+from cellfab.place import compile_netlist
 from cellfab.report import from_csv, metrics, to_csv
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
@@ -24,14 +27,16 @@ EDG_PERIOD = 300
 
 def fresh_twin_metrics(trace, scenario):
     """Metrics against a twin simulated from a program compiled anew."""
-    fresh = resolve_application(scenario.application)
+    fresh = compile_netlist(resolve_netlist(scenario.application))
     golden = Engine(fresh, scenario.without_faults()).run().trace
     return metrics(trace, scenario, golden=golden)
 
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Counts of ``Engine.run`` and ``compile_netlist`` calls from here on."""
+    """Counts of ``Engine.run`` and ``compile_netlist`` calls from here on.
+
+    A test zeroes them with ``from_cold`` before the call it counts."""
     counts = {"run": 0, "compile": 0}
     engine_run = Engine.run
     compile_netlist = cellfab.apps.compile_netlist
@@ -47,6 +52,35 @@ def counters(monkeypatch):
     monkeypatch.setattr(Engine, "run", counting_run)
     monkeypatch.setattr(cellfab.apps, "compile_netlist", counting_compile)
     return counts
+
+
+def from_cold(counters):
+    """Zero the counts and clear the cache of bundled programs, so that
+    a compile the counted call needs is counted."""
+    cellfab.apps._compile_bundled.cache_clear()
+    counters.update(run=0, compile=0)
+
+
+def test_a_bundled_application_compiles_once(counters):
+    from_cold(counters)
+    edg = resolve_application("edg")
+    assert counters["compile"] == 1
+    assert resolve_application("edg") is edg
+    assert counters["compile"] == 1
+    assert resolve_application("ccs") is not edg
+    assert counters["compile"] == 2
+
+
+def test_a_netlist_path_compiles_on_every_call(counters, tmp_path):
+    path = tmp_path / "chain.nl"
+    path.write_text("input a : bit\nnode g = NOT(a)\noutput y = g\n")
+    from_cold(counters)
+    first = resolve_application(str(path))
+    assert resolve_application(str(path)) is not first
+    assert counters["compile"] == 2
+    path.write_text("input a : bit\nnode g = NOT(a)\nnode h = NOT(g)\noutput y = h\n")
+    assert len(resolve_application(str(path)).configs) == 2  # the edited file
+    assert counters["compile"] == 3
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
@@ -108,7 +142,7 @@ def test_generated_metrics_equal_a_freshly_compiled_twin(sc):
 def test_fault_free_metrics_neither_runs_nor_compiles(counters):
     sc = load_scenario("ccs_step")
     result = run_raw(sc)
-    counters.update(run=0, compile=0)
+    from_cold(counters)
     m = metrics(result.trace, sc)
     assert counters == {"run": 0, "compile": 0}
     assert m.erroneous_output_samples == 0
@@ -117,7 +151,7 @@ def test_fault_free_metrics_neither_runs_nor_compiles(counters):
 def test_faulted_metrics_runs_the_twin_without_compiling(counters):
     sc = load_scenario("edg_permanent_bt")
     result = run_raw(sc)
-    counters.update(run=0, compile=0)
+    from_cold(counters)
     metrics(result.trace, sc)
     assert counters == {"run": 1, "compile": 0}
 
@@ -133,7 +167,7 @@ def test_csv_trace_gets_a_simulated_twin(counters):
     lines[i] = ",".join((t, signal, str(1 - int(value)), annotation))
     parsed = from_csv("\n".join(lines) + "\n")
     assert parsed.program is None and parsed.scenario is None
-    counters.update(run=0, compile=0)
+    from_cold(counters)
     m = metrics(parsed, sc)
     assert counters == {"run": 1, "compile": 1}
     assert m.erroneous_output_samples == 1
@@ -146,7 +180,7 @@ def test_equal_but_distinct_scenario_gets_a_simulated_twin(counters):
     sample.value = 1 - sample.value
     twin = copy.deepcopy(sc)
     assert twin == sc and twin is not sc
-    counters.update(run=0, compile=0)
+    from_cold(counters)
     m = metrics(trace, twin)
     assert counters == {"run": 1, "compile": 1}
     assert m.erroneous_output_samples == 1
@@ -176,7 +210,7 @@ def test_program_reused_after_a_healed_run_gives_the_same_twin(name):
     program = resolve_application(sc.application)
     healed = Engine(program, sc).run()
     assert healed.syndromes
-    compiled = resolve_application(sc.application)
+    compiled = compile_netlist(resolve_netlist(sc.application))
     # no run writes the program it shares
     for table in ("configs", "levels", "readers", "signals", "output_binding"):
         assert getattr(program, table) == getattr(compiled, table), table

@@ -177,6 +177,25 @@ class TestVcd:
         _, changes = parse_vcd(to_vcd(trace))
         assert [v for t, _, v in changes if t == 10] == [7]
 
+    def test_a_change_reverted_at_its_time_is_no_change(self):
+        # y is 0 before 10 and 0 at its end: #10 must not repeat it
+        trace = empty_trace()
+        trace.outputs = {"y": WidthMode.BIT}
+        trace.records = [TraceRecord(t, "y", v, "data") for t, v in [(0, 0), (10, 1), (10, 0)]]
+        text = to_vcd(trace)
+        assert "#10" not in text.splitlines()
+        _, changes = parse_vcd(text)
+        assert [(t, v) for t, _, v in changes] == [(0, 0)]
+        # a signal that changes for good keeps its change beside a reverted one
+        trace.outputs["z"] = WidthMode.BIT
+        trace.records = [
+            TraceRecord(t, name, v, "data")
+            for t, name, v in [(0, "y", 0), (0, "z", 0), (10, "y", 1), (10, "z", 1), (10, "y", 0)]
+        ]
+        vars_, changes = parse_vcd(to_vcd(trace))
+        z_id = next(i for i, (n, _) in vars_.items() if n == "z")
+        assert [(t, i, v) for t, i, v in changes if t == 10] == [(10, z_id, 1)]
+
     def test_transient_masked_wave_identical_to_golden(self):
         masked = run_raw(load_scenario("edg_transient3"))
         golden = run_raw(load_scenario("edg_faultfree"))

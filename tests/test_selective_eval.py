@@ -3,11 +3,12 @@
 One flag decides whether a cell evaluates: its register bank's
 ``changed``, which ``FunctionalCell.step`` keeps set while the cell
 holds fault state (an overlay port or an injected permanent fault).
-With the flag clear, ``Engine._evaluate_cell`` returns the function's
-``published`` value without calling ``step``; ``step`` itself always
+With the flag clear, the kernel republishes the function's
+``published`` value without an evaluation; ``step`` itself always
 evaluates.  The reference, ``helpers.AlwaysEvaluateEngine``, sets every
-bank's flag before each step, so it evaluates every cell at every wave
-and local event; the two must leave equal traces and equal cell state.
+bank's flag before each step and runs every wave slot through ``step``,
+so it evaluates every cell at every wave and local event; the two must
+leave equal traces and equal cell state.
 """
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from cellfab import cell as cell_module
-from cellfab.cell import CellId, Opcode, Port, WidthMode, gfb_eval
+from cellfab.cell import CellId, Opcode, Port, WidthMode
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
 from cellfab.genetic import NOP_CONFIG
 from cellfab.netlist import parse_netlist
@@ -75,18 +76,22 @@ def test_rewriting_a_corrupted_majority_port_evaluates_again():
 
 def test_unchanged_inputs_skip_the_evaluation(monkeypatch):
     # the same input every period: after the first wave no port of the
-    # ADD cell changes, so it is never evaluated again, yet it publishes
+    # ADD cell changes, so it is never evaluated again, yet it publishes.
+    # Both evaluation paths, the wave's clean branch and gfb_eval, call
+    # the opcode's one entry in OPCODE_FUNCTIONS, so it counts them all
     evaluated = []
+    key = (Opcode.ADD, WidthMode.INT16)
+    add = cell_module.OPCODE_FUNCTIONS[key]
 
-    def counting_eval(op, *args):
-        evaluated.append(op)
-        return gfb_eval(op, *args)
+    def counting_add(n, w, e):
+        evaluated.append((n, w))
+        return add(n, w, e)
 
-    monkeypatch.setattr(cell_module, "gfb_eval", counting_eval)
+    monkeypatch.setitem(cell_module.OPCODE_FUNCTIONS, key, counting_add)
     nl = parse_netlist("input a : int16\nnode y = ADD(a, imm) imm=1\noutput o = y\n")
     sc = Scenario(name="steady", application="inline", stimulus=[(0, "a", 5)], run_until=1200)
     res = Engine(compile_netlist(nl), sc).run()
-    assert evaluated == [Opcode.ADD]
+    assert evaluated == [(5, 1)]
     assert [(r.time, r.value) for r in res.trace.records if r.signal == "o"] == [
         (35, 6), (335, 6), (635, 6), (935, 6),
     ]
