@@ -21,6 +21,13 @@ from typing import Optional, Sequence
 
 INT16_MIN = -32768
 INT16_MAX = 32767
+_EXCERPT = 40  # an error quotes at most this many characters of its input
+
+
+def excerpt(text: str) -> str:
+    """``text`` as an error quotes it: whole up to 40 characters, else its
+    first 40 and ``...``, so that an error on any input is one short line."""
+    return text if len(text) <= _EXCERPT else text[:_EXCERPT] + "..."
 
 
 class WidthMode(Enum):
@@ -254,7 +261,7 @@ class CellId:
     def parse(text: str) -> "CellId":
         m = re.fullmatch(r"L([0-9]+)\.([FR])([0-9]+)", text) if isinstance(text, str) else None
         if m is None:
-            raise ValueError(f"bad cell id {text!r}")
+            raise ValueError(f"bad cell id {excerpt(repr(text))}")
         return CellId(int(m[1]), int(m[3]), m[2])
 
 

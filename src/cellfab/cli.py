@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .apps import BUNDLED, resolve_netlist
+from .cell import excerpt
 from .engine import TimingParams
 from .genetic import GeneticCodeError, decode_genetic, format_config, from_hex
 from .netlist import NetlistError, parse_netlist
@@ -161,8 +162,8 @@ def cmd_report(args) -> int:
         scenario = load_scenario(args.scenario) if args.scenario else None
         if scenario is not None and scenario.application != trace.application:
             raise ValueError(
-                f"scenario application {scenario.application!r} is not"
-                f" the trace's {trace.application!r}"
+                f"scenario application {excerpt(repr(scenario.application))} is not"
+                f" the trace's {excerpt(repr(trace.application))}"
             )
         m = metrics(trace, scenario)
     except (OSError, ValueError) as exc:

@@ -35,10 +35,10 @@ A wave slot is one of three kinds, told apart by the cell it finds:
 - monitored: any other cell takes ``Engine._evaluate_cell``, which
   votes, self-checks and raises syndromes through ``FunctionalCell.step``.
 
-Each slot runs in one iteration of ``Engine._handle_wave`` on entries
-``Engine.__init__`` builds once per function.  Local evaluations and
-delay registers always take ``_evaluate_cell``, which keeps the quiet
-test too.
+Each slot runs in one iteration of ``Engine._handle_wave`` on the
+compiled program's ``FabricProgram.wave``, whose levels ``Engine``
+scales by the cell delay into slot offsets.  ``_handle_eval`` makes the
+quiet test for a local evaluation; a delay register steps at every clock.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ from .cell import (
     FAULTY_DEACTIVATED,
     FunctionalCell,
     HEALTHY,
-    OPCODE_FUNCTIONS,
     PORT_ORDER,
     Port,
     SUSPECT_TRANSIENT,
     StuckBehavior,
     WidthMode,
+    excerpt,
     fit,
     qmul,
     wrap16,
@@ -141,7 +141,7 @@ class FaultSpec:
         burst, may start after ``run_until``.  ``Scenario.validate``
         calls it, then checks the fault's cell and width."""
         if self.kind not in tuple(FaultKind):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
+            raise ValueError(f"unknown fault kind {excerpt(repr(self.kind))}")
         if self.time < 0:
             raise ValueError("fault time must be >= 0")
         if (self.flip is None) == (self.stuck is None):
@@ -155,7 +155,9 @@ class FaultSpec:
                 raise ValueError("burst needs period > 0 and count >= 1")
             last += (self.count - 1) * self.period
         if last > run_until:
-            raise ValueError(f"fault on {self.cell} at t={last} is after run_until={run_until}")
+            raise ValueError(
+                f"fault on {self.cell} at t={excerpt(str(last))} is after run_until={run_until}"
+            )
 
 
 def expand_faults(faults: list[FaultSpec]) -> list[FaultSpec]:
@@ -225,24 +227,29 @@ class Scenario:
         at_zero = {name for t, name, _ in self.stimulus if t == 0}
         missing = [n for n in widths if n not in at_zero]
         if missing:
-            raise ValueError(f"stimulus must cover all primary inputs at t=0: {missing}")
+            raise ValueError(
+                f"stimulus must cover all primary inputs at t=0: {excerpt(str(missing))}"
+            )
         for t, name, value in self.stimulus:
             if t < 0:
                 raise ValueError("stimulus time must be >= 0")
             if name not in widths:
-                raise ValueError(f"unknown input {name!r} in stimulus")
+                raise ValueError(f"unknown input {excerpt(repr(name))} in stimulus")
             if type(value) is not int or fit(widths[name], value) != value:
                 raise ValueError(
-                    f"stimulus {name}={value!r} at t={t} does not fit {widths[name].name.lower()}"
+                    f"stimulus {excerpt(name)}={excerpt(repr(value))} at t={excerpt(str(t))}"
+                    f" does not fit {widths[name].name.lower()}"
                 )
         if self.plant is not None and widths.get(self.plant.input_name) is not WidthMode.INT16:
-            raise ValueError(f"plant input {self.plant.input_name!r} is not an int16 input")
+            raise ValueError(
+                f"plant input {excerpt(repr(self.plant.input_name))} is not an int16 input"
+            )
         if self.plant is not None and self.plant.output_name not in netlist.outputs:
-            raise ValueError(f"unknown plant output {self.plant.output_name!r}")
+            raise ValueError(f"unknown plant output {excerpt(repr(self.plant.output_name))}")
         for fault in self.faults:
             fault.validate(self.run_until)
             if not program.has_cell(fault.cell):
-                raise ValueError(f"fault on unknown cell {fault.cell}")
+                raise ValueError(f"fault on unknown cell {excerpt(str(fault.cell))}")
             # an idle spare has no width yet; it is pre-loaded with the code
             # of the worker in its own slot, the NOP filler's on an empty one
             fn_idx = fault.cell.layer * SLOTS_PER_LAYER + fault.cell.slot
@@ -255,7 +262,8 @@ class Scenario:
                 fits = fit(width, value) == value
             if not fits:
                 raise ValueError(
-                    f"fault {key}={value} on {fault.cell} does not fit {width.name.lower()}"
+                    f"fault {key}={excerpt(str(value))} on {fault.cell}"
+                    f" does not fit {width.name.lower()}"
                 )
 
     def without_faults(self) -> "Scenario":
@@ -369,21 +377,13 @@ class Engine:
         self._last_clock = 0
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self.plant_log: list[tuple[int, int]] = []
-        self._delays = [i for i, level in program.levels.items() if level == 0]
-        # one entry per combinational function, in (level, fn index)
-        # order, the wave order, n counting from 0: (slot offset, fn
-        # index, n, signal names, output flag, opcode function).  Placement
-        # enables every function's output, so the opcode alone gives it
-        levels = sorted((level, i) for i, level in program.levels.items() if level)
+        self._delays = program.delays
+        # the program's wave at this run's timing, n counting from 0: (slot
+        # offset, fn index, n, signal names, output flag, opcode function)
         delta = self.timing.cell_delay
-        outputs = set(program.output_binding.values())
-        configs = program.configs
         self._wave = [
-            (
-                level * delta, i, n, program.signals[i], i in outputs,
-                OPCODE_FUNCTIONS[configs[i].opcode, configs[i].width_mode],
-            )
-            for n, (level, i) in enumerate(levels)
+            (level * delta, i, n, names, output, evaluate)
+            for n, (level, i, names, output, evaluate) in enumerate(program.wave)
         ]
         self._wave_entry = {i: (offset, n) for offset, i, n, *_ in self._wave}
 
@@ -472,7 +472,6 @@ class Engine:
             cell = fabric.binding[fn_idx]
             if cell.health is FAULTY_DEACTIVATED:
                 continue
-            cell.registers.changed = True  # the pipeline shifts at every clock
             shifted.append((fn_idx, self._evaluate_cell(fn_idx, cell, t)))
         for fn_idx, value in shifted:
             self._publish(fn_idx, value, t, cascade=False)
@@ -559,36 +558,33 @@ class Engine:
             port = PORT_ORDER.index(fault.port)
             cell.registers.corrupt(port, fault.replica, fault.flip, fault.stuck)
         fn_idx = next((i for i, bound in enumerate(fabric.binding) if bound is cell), None)
-        if fn_idx is None:
-            return
-        if t < self._last_clock + self.program.levels[fn_idx] * self.timing.cell_delay:
-            return  # this period's wave evaluation is still pending and sees it
-        self._schedule_eval(fn_idx, t)
+        entry = self._wave_entry.get(fn_idx)
+        # an unbound cell and a delay register have no wave slot; before its
+        # slot, this period's wave evaluation is still pending and sees it
+        if entry is not None and t >= self._last_clock + entry[0]:
+            self._schedule_eval(fn_idx, t)
 
     def _handle_eval(self, t: int, fn_idx: int) -> None:
+        """A local evaluation.  A quiet cell (its bank's ``changed`` clear)
+        republishes ``published[fn_idx]`` unevaluated, a clean check with no
+        dissent; it is never SUSPECT_TRANSIENT, since a mismatch and a
+        three-way dissent keep the flag set (``FunctionalCell.step``)."""
         self._pending_evals.remove((fn_idx, t))
         cell = self.fabric.binding[fn_idx]
         if cell.health is FAULTY_DEACTIVATED:
             return
-        value = self._evaluate_cell(fn_idx, cell, t)
+        if cell.registers.changed:
+            value = self._evaluate_cell(fn_idx, cell, t)
+        else:
+            value = self.fabric.published[fn_idx]
         self._publish(fn_idx, value, t, cascade=True)
 
     def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check; a streak of
-        ``check_threshold`` mismatches raises a syndrome.
-
-        A quiet cell, one whose bank's ``changed`` flag is clear, returns
-        ``published[fn_idx]`` unevaluated, a clean check with no dissent:
-        for a live bound cell that is its last output, or the 0 that
-        fail-safe forces on an output anyway.  A quiet cell is never
-        SUSPECT_TRANSIENT, so its health needs no update: a cell turns
-        suspect on a mismatch, which needs an injected permanent fault, or
-        on a three-way dissent, which needs an overlay port, and either
-        keeps the flag set (``FunctionalCell.step``).
-        """
+        ``check_threshold`` mismatches raises a syndrome.  It always steps:
+        the wave and ``_handle_eval`` skip a quiet cell before the call,
+        and a delay register shifts at every clock."""
         registers = cell.registers
-        if not registers.changed:
-            return self.fabric.published[fn_idx]
         primary, mismatch, masks = cell.step()
         cid = cell.cell_id
         three_way = False

@@ -20,19 +20,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .cell import INT16_MAX, INT16_MIN, Opcode, OPCODE_ARITY, INT16_ONLY_OPCODES, WidthMode
+from .cell import INT16_MAX, INT16_MIN, Opcode, OPCODE_ARITY, INT16_ONLY_OPCODES, WidthMode, excerpt
 
 IMM_REF = "imm"
 SLOTS_PER_LAYER = 4
 MAX_LAYERS = 16  # selector indices are 6 bits: at most 64 functions and 64 inputs
 _VALUE_DIGITS = 5  # no in-range imm or delay value has more significant digits
-_EXCERPT = 40  # an error quotes at most this many characters of its input
-
-
-def _excerpt(text: str) -> str:
-    """``text`` as an error quotes it: whole up to 40 characters, else its
-    first 40 and ``...``, so that an error on any input is one short line."""
-    return text if len(text) <= _EXCERPT else text[:_EXCERPT] + "..."
+_CYCLE_NAMES = 3  # a cycle error lists at most this many of its names
 
 
 class NetlistError(ValueError):
@@ -93,7 +87,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             layer = pm.group(1).lstrip("0") or "0"
             if len(layer) > len(str(MAX_LAYERS)) or int(layer) >= MAX_LAYERS:
                 raise NetlistError(
-                    f"partition layer {_excerpt(layer)} is beyond the fabric's "
+                    f"partition layer {excerpt(layer)} is beyond the fabric's "
                     f"{MAX_LAYERS} layers",
                     lineno,
                 )
@@ -115,7 +109,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             try:
                 opcode = Opcode[op_name]
             except KeyError:
-                raise NetlistError(f"unknown opcode {_excerpt(repr(op_name))}", lineno) from None
+                raise NetlistError(f"unknown opcode {excerpt(repr(op_name))}", lineno) from None
             operands = tuple(
                 o.strip() for o in operand_text.split(",") if o.strip()
             )
@@ -123,10 +117,10 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             for attr in attr_text.split():
                 am = _ATTR_RE.fullmatch(attr)
                 if not am:
-                    raise NetlistError(f"syntax error: {_excerpt(repr(line))}", lineno)
+                    raise NetlistError(f"syntax error: {excerpt(repr(line))}", lineno)
                 key, sign, digits = am.groups()
                 if key not in values:
-                    raise NetlistError(f"unknown attribute {_excerpt(repr(key))}", lineno)
+                    raise NetlistError(f"unknown attribute {excerpt(repr(key))}", lineno)
                 # compared as text first, like the partition layer
                 digits = digits.lstrip("0") or "0"
                 if len(digits) > _VALUE_DIGITS:
@@ -140,7 +134,7 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
         if m:
             nl.outputs[m.group(1)] = m.group(2)
             continue
-        raise NetlistError(f"syntax error: {_excerpt(repr(line))}", lineno)
+        raise NetlistError(f"syntax error: {excerpt(repr(line))}", lineno)
     if partition:
         nl.partition = [partition.get(i, []) for i in range(max(partition) + 1)]
     validate_netlist(nl)
@@ -153,12 +147,12 @@ def validate_netlist(nl: Netlist) -> None:
         if iname == IMM_REF:
             raise NetlistError(f"input name {IMM_REF!r} is reserved")
         if iname in input_names:
-            raise NetlistError(f"duplicate input {_excerpt(repr(iname))}")
+            raise NetlistError(f"duplicate input {excerpt(repr(iname))}")
         input_names.add(iname)
     node_names = set()
     for node in nl.nodes:
         if node.name in node_names or node.name in input_names:
-            raise NetlistError(f"duplicate name {_excerpt(repr(node.name))}", node.line)
+            raise NetlistError(f"duplicate name {excerpt(repr(node.name))}", node.line)
         if node.name == IMM_REF:
             raise NetlistError(f"node name {IMM_REF!r} is reserved", node.line)
         node_names.add(node.name)
@@ -172,7 +166,7 @@ def validate_netlist(nl: Netlist) -> None:
             )
         for ref in node.operands:
             if ref != IMM_REF and ref not in input_names and ref not in node_names:
-                raise NetlistError(f"dangling reference {_excerpt(repr(ref))}", node.line)
+                raise NetlistError(f"dangling reference {excerpt(repr(ref))}", node.line)
         if not (INT16_MIN <= node.immediate <= INT16_MAX):
             raise NetlistError("immediate out of int16 range", node.line)
         if node.opcode is Opcode.DELAY:
@@ -184,7 +178,7 @@ def validate_netlist(nl: Netlist) -> None:
     for oname, target in nl.outputs.items():
         if target not in node_names:
             raise NetlistError(
-                f"output {_excerpt(repr(oname))} references unknown node {_excerpt(repr(target))}"
+                f"output {excerpt(repr(oname))} references unknown node {excerpt(repr(target))}"
             )
 
     if nl.partition:
@@ -286,7 +280,9 @@ def _order_by_depth(nl: Netlist) -> None:
         if name in depths:
             return
         if name in stack:
-            cycle = stack[stack.index(name):]
+            cycle = [excerpt(n) for n in stack[stack.index(name):]]
+            if len(cycle) > _CYCLE_NAMES:
+                cycle[_CYCLE_NAMES:] = ["..."]
             raise NetlistError(
                 "combinational cycle through: " + " -> ".join(cycle), lines[name]
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cell import CellId, Opcode
+from .cell import CellId, OPCODE_FUNCTIONS, Opcode
 from .genetic import (
     CellConfig,
     InputSelector,
@@ -40,10 +40,13 @@ class FabricProgram:
     Built once by ``build_routing`` and shared by every run of the
     application.  The per-function tables are keyed by function index
     (``layer * 4 + slot``), ascending, over the placed nodes only:
-    ``configs``, wave ``levels`` (the node's depth; 0 marks a DELAY,
-    which captures on the clock) and trace ``signals`` (the function's
-    output names, else ``fn.<node>``).  An empty worker slot has no
-    entry; its cell holds ``NOP_CONFIG``.  ``spare_codes[fn_idx]`` is
+    ``configs`` and trace ``signals`` (the function's output names, else
+    ``fn.<node>``).  An empty worker slot has no entry; its cell holds
+    ``NOP_CONFIG``.  ``wave`` holds one entry per combinational function
+    in (level, fn index) order, the level being the node's depth: (level,
+    fn index, signal names, output flag, opcode function from
+    ``OPCODE_FUNCTIONS``).  ``delays`` lists the DELAY functions, which
+    capture on the clock, in index order.  ``spare_codes[fn_idx]`` is
     the genetic code pre-loaded into the spare beside every slot of the
     fabric, the NOP filler's on an empty one.  ``readers[source]``
     lists the ``(fn_idx, port)`` pairs that read a source, an input
@@ -54,10 +57,11 @@ class FabricProgram:
     placement: Placement
     output_binding: dict[str, int] = field(default_factory=dict)  # name -> fn index
     configs: dict[int, CellConfig] = field(default_factory=dict)
-    levels: dict[int, int] = field(default_factory=dict)
     readers: dict[str | int, list[tuple[int, int]]] = field(default_factory=dict)
     signals: dict[int, list[str]] = field(default_factory=dict)
     spare_codes: list[int] = field(default_factory=list)
+    wave: list[tuple] = field(default_factory=list)
+    delays: list[int] = field(default_factory=list)
 
     def has_cell(self, cell: CellId) -> bool:
         """Whether ``cell`` is a worker (F) or spare (R) of the fabric."""
@@ -143,8 +147,15 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
         )
         program.configs[fn_idx] = config
         spare_codes[fn_idx] = encode_genetic(config)
-        program.levels[fn_idx] = 0 if node.opcode is Opcode.DELAY else nl.depth[name]
-        program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
+        signals = program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
+        if node.opcode is Opcode.DELAY:
+            program.delays.append(fn_idx)
+        else:  # placement enables every output, so the opcode alone gives it
+            program.wave.append((
+                nl.depth[name], fn_idx, signals, name in output_names,
+                OPCODE_FUNCTIONS[node.opcode, config.width_mode],
+            ))
+    program.wave.sort(key=lambda entry: entry[:2])
     return program
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .apps import resolve_application
-from .cell import CellId, WidthMode
+from .cell import CellId, WidthMode, excerpt
 from .engine import (
     ANNOTATIONS,
     Engine,
@@ -62,7 +62,7 @@ def _header_value(key: str, value: str):
         return int(value)
     if key == "version":
         if not value.startswith("cellfab "):
-            raise ValueError(f"bad version {value!r}")
+            raise ValueError(f"bad version {excerpt(repr(value))}")
         return value.removeprefix("cellfab ")
     if key == "timing":
         pairs = (part.split("=") for part in value.split())
@@ -74,9 +74,11 @@ def _header_value(key: str, value: str):
         for entry in value.split():
             name, _, width = entry.partition(":")
             if not name or name in table:
-                raise ValueError(f"bad {key} entry {entry!r}")
+                raise ValueError(f"bad {key} entry {excerpt(repr(entry))}")
             if width not in _WIDTHS:
-                raise ValueError(f"unknown width {width!r} of {name!r}")
+                raise ValueError(
+                    f"unknown width {excerpt(repr(width))} of {excerpt(repr(name))}"
+                )
             table[name] = _WIDTHS[width]
         return table
     return value
@@ -97,7 +99,7 @@ def from_csv(text: str) -> Trace:
             if line.startswith("#"):
                 key, _, value = map(str.strip, line[1:].partition(":"))
                 if key not in _HEADER_KEYS:
-                    raise ValueError(f"unknown header key {key!r}")
+                    raise ValueError(f"unknown header key {excerpt(repr(key))}")
                 if key in meta:
                     raise ValueError(f"repeated header key {key!r}")
                 meta[key] = _header_value(key, value)
@@ -106,15 +108,17 @@ def from_csv(text: str) -> Trace:
                 continue
             if not header_seen:
                 if line != "time_ns,signal,value,annotation":
-                    raise ValueError(f"unexpected CSV header {line!r}")
+                    raise ValueError(f"unexpected CSV header {excerpt(repr(line))}")
                 header_seen = True
                 continue
             t, signal, value, annotation = line.split(",")
             if annotation not in ANNOTATIONS:
-                raise ValueError(f"unknown annotation {annotation!r}")
+                raise ValueError(f"unknown annotation {excerpt(repr(annotation))}")
             record = TraceRecord(int(t), signal, int(value), annotation)
             if records and record.time < records[-1].time:
-                raise ValueError(f"time {t} is before the previous row's {records[-1].time}")
+                raise ValueError(
+                    f"time {excerpt(t)} is before the previous row's {records[-1].time}"
+                )
             records.append(record)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
@@ -302,7 +306,7 @@ def _scan(trace: Trace) -> _TraceScan:
         elif annotation == "syndrome_action":
             heal = _HEAL_SIGNAL.fullmatch(r.signal)
             if heal is None:
-                raise ValueError(f"bad heal record signal {r.signal!r}")
+                raise ValueError(f"bad heal record signal {excerpt(repr(r.signal))}")
             cell, action = heal.groups()
             s = scan.syndromes.get(cell)
             if s is None:
@@ -351,7 +355,7 @@ def metrics(
     outputs = list(trace.outputs)
     for o in outputs:
         if o not in samples:
-            raise ValueError(f"trace has no sample of output {o!r}")
+            raise ValueError(f"trace has no sample of output {excerpt(repr(o))}")
     fault_free_latency = max((samples[o][0][0] for o in outputs), default=None)
 
     alarm = "none"

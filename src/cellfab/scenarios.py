@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 
-from .cell import CellId, Port
+from .cell import CellId, Port, excerpt
 from .engine import FaultSpec, PlantFeedback, Scenario, TimingParams
 
 BUNDLED_SCENARIOS = (
@@ -33,7 +33,7 @@ _KINDS = {int: "an int", str: "a string", list: "a list", dict: "an object"}
 
 def _port(name) -> Port:
     if type(name) is not str or name not in _PORTS:
-        raise ValueError(f"unknown port {name!r}")
+        raise ValueError(f"unknown port {excerpt(repr(name))}")
     return _PORTS[name]
 
 
@@ -41,7 +41,7 @@ def _typed(value, what: str, kind: type = int):
     """``value`` itself if its type is exactly ``kind`` (a bool is no int);
     never coerced."""
     if type(value) is not kind:
-        raise ValueError(f"{what} {value!r} is not {_KINDS[kind]}")
+        raise ValueError(f"{what} {excerpt(repr(value))} is not {_KINDS[kind]}")
     return value
 
 
@@ -55,7 +55,7 @@ def _known(data: dict, keys, section: str) -> None:
     """Reject a key of ``data`` that is not one of ``keys``."""
     unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ValueError(f"unknown {section} key {unknown[0]!r}")
+        raise ValueError(f"unknown {section} key {excerpt(repr(unknown[0]))}")
 
 
 def _section(cls, data: dict, section: str):

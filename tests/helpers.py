@@ -13,15 +13,17 @@ from cellfab.place import FabricProgram
 
 
 class AlwaysEvaluateEngine(Engine):
-    """The kernel with selective evaluation off: each cell's register bank
-    gets its ``changed`` flag, the one quiet test, set before every step,
-    so no step returns the ``published`` value unevaluated.  Its wave
+    """The kernel with selective evaluation off: a local evaluation sets
+    its cell's ``changed`` flag, the one quiet test, before the test, so
+    it never republishes the ``published`` value unevaluated.  Its wave
     runs every slot through the monitored ``_evaluate_cell`` and
     ``_publish``, so every evaluation is a ``FunctionalCell.step``."""
 
-    def _evaluate_cell(self, fn_idx, cell, t):
-        cell.registers.changed = True
-        return super()._evaluate_cell(fn_idx, cell, t)
+    def _handle_eval(self, t, fn_idx):
+        cell = self.fabric.binding[fn_idx]
+        if cell.health is not FAULTY_DEACTIVATED:
+            cell.registers.changed = True
+        super()._handle_eval(t, fn_idx)
 
     def _handle_wave(self, clock, seq):
         heap = self._heap

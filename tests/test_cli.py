@@ -176,6 +176,9 @@ REVERSE_CHAIN = (
          "line 2: dangling reference '" + "b" * 39 + "...\n"),
         (("input " + "a" * 5000 + " : bit\n") * 2 + "node g = NOT(a)\noutput y = g\n",
          "duplicate input '" + "a" * 39 + "...\n"),
+        ("input a : bit\nnode " + "p" * 5000 + " = AND(a, " + "q" * 5000 + ")\nnode "
+         + "q" * 5000 + " = NOT(" + "p" * 5000 + ")\noutput y = " + "p" * 5000 + "\n",
+         "line 2: combinational cycle through: " + "p" * 40 + "... -> " + "q" * 40 + "...\n"),
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
          "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_0016",
@@ -185,7 +188,8 @@ REVERSE_CHAIN = (
          "1000_spaces_in_operands", "4000_spaces_in_operands",
          "imm_of_5000_digits", "delay_of_5000_digits", "run_together_imm_and_delay",
          "4000_spaces_quoted_in_part", "layer_of_5000_digits_quoted_in_part",
-         "opcode_of_5000_letters", "reference_of_5000_letters", "input_name_of_5000_letters"],
+         "opcode_of_5000_letters", "reference_of_5000_letters", "input_name_of_5000_letters",
+         "cycle_of_two_5000_letter_names"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
     import time
@@ -313,6 +317,33 @@ def test_report_rejects_a_scenario_of_another_application(out_dir, capsys):
     assert "'ccs'" in captured.err and "'edg'" in captured.err
 
 
+def test_report_quotes_a_long_application_in_part(out_dir, capsys):
+    import json
+
+    main(["run", "edg_faultfree", "--out", str(out_dir), "--format", "csv"])
+    scn = out_dir / "long.scn"
+    scn.write_text(json.dumps({"application": "a" * 5000, "run_until": 100}))
+    capsys.readouterr()
+    assert main(["report", str(out_dir / "edg_faultfree.csv"), "--scenario", str(scn)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario application '" + "a" * 39 + "... is not the trace's 'edg'\n"
+    )
+
+
+def test_stimulus_missing_a_long_input_name_is_one_short_line(tmp_path, capsys):
+    import json
+
+    name = "a" * 5000
+    nl = tmp_path / "long.nl"
+    nl.write_text(f"input {name} : bit\nnode g = NOT({name})\noutput y = g\n")
+    scn = tmp_path / "long.scn"
+    scn.write_text(json.dumps({"application": str(nl), "run_until": 100}))
+    assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: long: stimulus must cover all primary inputs at t=0: ['" + "a" * 38 + "...\n"
+    )
+
+
 def test_report_without_scenario(out_dir, capsys):
     main(["run", "edg_multifault4", "--out", str(out_dir), "--format", "csv"])
     capsys.readouterr()
@@ -404,12 +435,32 @@ def test_fail_safe_still_exits_zero(tmp_path, capsys):
          "register faults need a port and replica 0..2"),
         ({"kind": "intermittent_burst", "cell": "L0.F0", "t": 100, "port": "N",
           "replica": 0, "flip": 1}, "burst needs period > 0 and count >= 1"),
+        # a long token is quoted to its first 40 characters
+        ({"kind": "permanent_gfb", "cell": "L" + "9" * 3000 + ".F0", "t": 400, "flip": 1},
+         "fault on unknown cell L" + "9" * 39 + "...\n"),
+        ({"kind": "permanent_gfb", "cell": "x" * 5000, "t": 400, "flip": 1},
+         "bad cell id '" + "x" * 39 + "...\n"),
+        ({"kind": "transient_register", "cell": "L0.F0", "t": 400, "port": "Q" * 5000,
+          "replica": 0, "flip": 1}, "unknown port '" + "Q" * 39 + "...\n"),
+        ({"kind": "k" * 5000, "cell": "L0.F0", "t": 400, "flip": 1},
+         "unknown fault kind '" + "k" * 39 + "...\n"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": 1, "f" * 5000: 1},
+         "unknown fault key '" + "f" * 39 + "...\n"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": "1" * 5000},
+         "fault flip '" + "1" * 39 + "... is not an int\n"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 400, "flip": 10 ** 3999},
+         "fault flip=1" + "0" * 39 + "... on L0.F0 does not fit bit\n"),
+        ({"kind": "permanent_gfb", "cell": "L0.F0", "t": 10 ** 3999, "flip": 1},
+         "fault on L0.F0 at t=1" + "0" * 39 + "... is after run_until=600\n"),
     ],
     ids=[
         "unknown_cell", "bad_cell_id", "unknown_port", "after_run_until",
         "str_flip", "str_time", "wide_flip", "negative_flip", "wide_transient_stuck",
         "wide_spare_stuck", "list_port", "int_fault_entry", "unknown_kind",
         "negative_time", "flip_and_stuck", "register_without_port", "burst_without_period",
+        "layer_of_3000_digits", "cell_id_of_5000_letters", "port_of_5000_letters",
+        "kind_of_5000_letters", "fault_key_of_5000_letters", "str_flip_of_5000_digits",
+        "flip_of_4000_digits", "time_of_4000_digits",
     ],
 )
 def test_fault_on_unknown_cell_is_one_line_error(
@@ -429,6 +480,7 @@ def test_fault_on_unknown_cell_is_one_line_error(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert len(err.encode()) < 200  # a bounded excerpt of the scenario, not the whole token
     assert not (tmp_path / "ghost.csv").exists()
     assert main(["report", str(faultfree_csv), "--scenario", str(scn)]) == 2
     report_err = capsys.readouterr().err
@@ -501,6 +553,20 @@ def _ccs_step_plant(data, **plant):
          "stimulus time must be >= 0"),
         (lambda d: d["stimulus"].append({"t": 0, "name": "ghost", "value": 1}),
          "unknown input 'ghost' in stimulus"),
+        # a long token is quoted to its first 40 characters
+        (lambda d: d["stimulus"].append({"t": 0, "name": "g" * 5000, "value": 1}),
+         "unknown input '" + "g" * 39 + "... in stimulus\n"),
+        (lambda d: d.update({"k" * 5000: 1}), "unknown scenario key '" + "k" * 39 + "...\n"),
+        (lambda d: d.update(run_until="9" * 5000),
+         "scenario run_until '" + "9" * 39 + "... is not an int\n"),
+        (lambda d: _stimulus(d, "estop").update(value=10 ** 3999),
+         "stimulus estop=1" + "0" * 39 + "... at t=0 does not fit bit\n"),
+        (lambda d: d["stimulus"].append({"t": 10 ** 3999, "name": "estop", "value": 7}),
+         "stimulus estop=7 at t=1" + "0" * 39 + "... does not fit bit\n"),
+        (lambda d: d.update(plant={"input_name": "i" * 5000, "output_name": "speed"}),
+         "plant input '" + "i" * 39 + "... is not an int16 input\n"),
+        (lambda d: _ccs_step_plant(d, output_name="o" * 5000),
+         "unknown plant output '" + "o" * 39 + "...\n"),
     ],
     ids=[
         "unknown_timing_key",
@@ -539,6 +605,13 @@ def _ccs_step_plant(data, **plant):
         "zero_run_until",
         "negative_stimulus_time",
         "unknown_stimulus_input",
+        "stimulus_name_of_5000_letters",
+        "scenario_key_of_5000_letters",
+        "str_run_until_of_5000_digits",
+        "stimulus_value_of_4000_digits",
+        "stimulus_time_of_4000_digits",
+        "plant_input_of_5000_letters",
+        "plant_output_of_5000_letters",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
@@ -554,6 +627,7 @@ def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert len(err.encode()) < 200  # a bounded excerpt of the scenario, not the whole token
 
 
 def _rows_reversed(text):
@@ -605,12 +679,33 @@ def _with_heal_row(text, signal):
          "line 7: bad outputs entry 'EngineStart:bit'"),
         (lambda text: text.replace("# outputs: ", "# outputs: :bit "),
          "line 7: bad outputs entry ':bit'"),
+        # a long token is quoted to its first 40 characters
+        (lambda text: text + "0,in.a,1," + "z" * 5000 + "\n",
+         "line {rows}: unknown annotation '" + "z" * 39 + "...\n"),
+        (lambda text: "# " + "k" * 5000 + ": 1\n" + text,
+         "line 1: unknown header key '" + "k" * 39 + "...\n"),
+        (lambda text: text.replace("# inputs: ", "# inputs: :" + "b" * 5000 + " "),
+         "line 6: bad inputs entry ':" + "b" * 38 + "...\n"),
+        (lambda text: text.replace("EngineStart:bit", "EngineStart:" + "w" * 5000),
+         "line 7: unknown width '" + "w" * 39 + "... of 'EngineStart'\n"),
+        (lambda text: text.replace("# outputs:", "# outputs: " + "o" * 5000 + ":bit"),
+         "trace has no sample of output '" + "o" * 39 + "...\n"),
+        (lambda text: text.replace("time_ns,signal,value,annotation", "t" * 5000),
+         "line 8: unexpected CSV header '" + "t" * 39 + "...\n"),
+        (lambda text: text.replace("cellfab 0", "v" * 5000),
+         "line 5: bad version '" + "v" * 39 + "...\n"),
+        (lambda text: _with_heal_row(text, "heal." + "h" * 5000),
+         "bad heal record signal 'heal." + "h" * 34 + "...\n"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
          "unknown_width", "output_without_data", "rows_back_in_time",
          "unknown_heal_action", "bare_heal_signal", "zero_cell_delay",
          "no_timing_line", "no_scenario_line", "unknown_header_key", "repeated_header_key",
-         "repeated_input", "unnamed_input", "repeated_output", "unnamed_output"],
+         "repeated_input", "unnamed_input", "repeated_output", "unnamed_output",
+         "annotation_of_5000_letters", "header_key_of_5000_letters",
+         "input_entry_of_5000_letters", "width_of_5000_letters", "output_of_5000_letters",
+         "csv_header_of_5000_letters", "version_of_5000_letters",
+         "heal_signal_of_5000_letters"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
@@ -622,6 +717,7 @@ def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message)
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert message.format(rows=len(text.splitlines())) in err
+    assert len(err.encode()) < 200  # a bounded excerpt of the trace, not the whole token
 
 
 def test_endless_burst_is_one_line_error_on_run_and_report(tmp_path, capsys):

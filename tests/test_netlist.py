@@ -55,6 +55,14 @@ def test_cycle_error_names_the_line_where_the_cycle_starts():
     assert str(exc.value) == "line 4: combinational cycle through: g2 -> g1"
 
 
+def test_cycle_error_lists_the_first_three_names():
+    # a ring of five NOTs: the walk enters it at g0 and lists g0 to g2
+    text = "input a : bit\n" + "".join(f"node g{i} = NOT(g{(i + 1) % 5})\n" for i in range(5))
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(text + "output y = g0\n")
+    assert str(exc.value) == "line 2: combinational cycle through: g0 -> g1 -> g2 -> ..."
+
+
 def test_delay_breaks_cycle():
     text = (
         "input a : int16\n"
@@ -167,7 +175,11 @@ def test_delay_edges_break_depth():
     assert nl.depth["s"] == 1  # reg contributes 0 as a register output
     assert nl.depth["t"] == 2
     program = compile_netlist(nl)
-    assert program.levels[program.placement.function_index("reg")] == 0
+    reg = program.placement.function_index("reg")
+    assert program.delays == [reg]  # a register captures on the clock, outside the wave
+    assert [(level, i) for level, i, *_ in program.wave] == sorted(
+        (nl.depth[name], program.placement.function_index(name)) for name in ("s", "t")
+    )
 
 
 def test_partition_pragma():

@@ -135,8 +135,8 @@ def test_fabric_program_is_the_documented_fields(edg):
     # worker's configuration configs[fn_idx], an input's selector index
     # its position in the netlist's inputs
     assert set(vars(compile_netlist(edg))) == {
-        "netlist", "placement", "output_binding", "configs", "levels", "readers",
-        "signals", "spare_codes",
+        "netlist", "placement", "output_binding", "configs", "readers",
+        "signals", "spare_codes", "wave", "delays",
     }
 
 
@@ -150,6 +150,8 @@ def test_program_does_not_depend_on_the_order_of_the_slots(case, data):
     assert list(other.readers.items()) == list(program.readers.items())
     assert other.configs == program.configs
     assert other.spare_codes == program.spare_codes
+    assert other.wave == program.wave
+    assert other.delays == program.delays
     assert dump_program(other) == dump_program(program)
     # the spare beside every slot holds the code of the worker cell there
     fabric = Fabric(other)

@@ -5,10 +5,10 @@ One flag decides whether a cell evaluates: its register bank's
 holds fault state (an overlay port or an injected permanent fault).
 With the flag clear, the kernel republishes the function's
 ``published`` value without an evaluation; ``step`` itself always
-evaluates.  The reference, ``helpers.AlwaysEvaluateEngine``, sets every
-bank's flag before each step and runs every wave slot through ``step``,
-so it evaluates every cell at every wave and local event; the two must
-leave equal traces and equal cell state.
+evaluates.  The reference, ``helpers.AlwaysEvaluateEngine``, sets the
+flag before a local evaluation's quiet test and runs every wave slot
+through ``step``, so it evaluates every cell at every wave and local
+event; the two must leave equal traces and equal cell state.
 """
 
 from dataclasses import replace

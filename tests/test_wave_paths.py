@@ -41,7 +41,7 @@ def clock_times(sc: Scenario) -> list[int]:
 
 
 def wave_levels(program) -> list[int]:
-    return sorted({level for level in program.levels.values() if level})
+    return sorted({level for level, *_ in program.wave})
 
 
 def noop_transients(program, sc: Scenario, spare: CellId) -> list[FaultSpec]:
