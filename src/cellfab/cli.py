@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .apps import BUNDLED, resolve_netlist
+from .apps import BUNDLED, read_source, resolve_netlist
 from .cell import excerpt
 from .engine import TimingParams
 from .genetic import GeneticCodeError, decode_genetic, format_config, from_hex
@@ -75,14 +75,15 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        print(f"error: cannot create output directory {excerpt(args.out)}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     status = 0
     for source in args.scenarios:
         try:
             scenario = load_scenario(source)
         except (OSError, ValueError) as exc:
-            print(f"error: {source}: {exc}", file=sys.stderr)
+            print(f"error: {excerpt(source)}: {exc}", file=sys.stderr)
             status = 2
             continue
         overrides = {
@@ -104,7 +105,9 @@ def cmd_run(args) -> int:
             report_text = format_metrics(m, scenario.timing)
             Path(f"{base}.metrics.txt").write_text(report_text)
         except (OSError, ValueError) as exc:  # also NetlistError, an export
-            print(f"error: {scenario.name}: {exc}", file=sys.stderr)
+            if getattr(exc, "filename", None):  # an export it cannot write
+                exc = f"cannot write {excerpt(exc.filename)}: {exc.strerror}"
+            print(f"error: {excerpt(scenario.name)}: {exc}", file=sys.stderr)
             status = 2
             continue
         print(f"== {scenario.name}")
@@ -113,17 +116,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.netlist)
-    if not path.exists():
-        print(f"error: netlist file not found: {path}", file=sys.stderr)
+    try:
+        text, name = read_source(args.netlist, "netlist file")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        text = path.read_text()
-    except (OSError, ValueError) as exc:  # a directory, or not UTF-8
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        nl = parse_netlist(text, path.stem)
+        nl = parse_netlist(text, name)
     except NetlistError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
@@ -153,12 +152,8 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_report(args) -> int:
-    path = Path(args.trace)
-    if not path.exists():
-        print(f"error: trace file not found: {path}", file=sys.stderr)
-        return 2
     try:
-        trace = from_csv(path.read_text())
+        trace = from_csv(read_source(args.trace, "trace file")[0])
         scenario = load_scenario(args.scenario) if args.scenario else None
         if scenario is not None and scenario.application != trace.application:
             raise ValueError(

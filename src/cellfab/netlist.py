@@ -70,7 +70,7 @@ class Netlist:
 _INPUT_RE = re.compile(r"^input\s+(\w+)\s*:\s*(bit|int16)$")
 # no two adjacent quantifiers match the same text, so matching is linear
 _NODE_RE = re.compile(r"^node\s+(\w+)\s*=\s*([A-Z]+)\s*\(([^)]*)\)(.*)$")
-_ATTR_RE = re.compile(r"(\w+)=(-?)(\d+)")
+_ATTR_RE = re.compile(r"(\w+)=(-?)([0-9]+)")  # not \d, which also matches non-ASCII digits
 _OUTPUT_RE = re.compile(r"^output\s+(\w+)\s*=\s*(\w+)$")
 _PARTITION_RE = re.compile(r"^#\s*partition\s+(\d+)\s*:\s*(.+)$")
 

@@ -33,6 +33,7 @@ from .scenarios import _section
 
 _WIDTHS = {mode.name.lower(): mode for mode in WidthMode}  # the netlist's spelling
 _HEADER_KEYS = ("scenario", "application", "timing", "seed", "version", "inputs", "outputs")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def _signal_table(table: dict[str, WidthMode]) -> str:
@@ -56,17 +57,28 @@ def to_csv(trace: Trace) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _int(text: str, what: str) -> int:
+    """``text`` as an int if it is ASCII digits after an optional minus;
+    never coerced, as ``int()`` alone also reads ``1_0``, ``+1``, a padded
+    or a non-ASCII digit."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"{what} {excerpt(repr(text))} is not an integer")
+    return int(text)
+
+
 def _header_value(key: str, value: str):
     """One header comment's value, typed where the trace needs it."""
     if key == "seed":
-        return int(value)
+        return _int(value, "seed")
     if key == "version":
         if not value.startswith("cellfab "):
             raise ValueError(f"bad version {excerpt(repr(value))}")
         return value.removeprefix("cellfab ")
     if key == "timing":
         pairs = (part.split("=") for part in value.split())
-        timing = _section(TimingParams, {k: int(v) for k, v in pairs}, "timing")
+        timing = _section(
+            TimingParams, {k: _int(v, f"timing {excerpt(k)}") for k, v in pairs}, "timing"
+        )
         timing.validate()
         return timing
     if key in ("inputs", "outputs"):
@@ -114,7 +126,7 @@ def from_csv(text: str) -> Trace:
             t, signal, value, annotation = line.split(",")
             if annotation not in ANNOTATIONS:
                 raise ValueError(f"unknown annotation {excerpt(repr(annotation))}")
-            record = TraceRecord(int(t), signal, int(value), annotation)
+            record = TraceRecord(_int(t, "time"), signal, _int(value, "value"), annotation)
             if records and record.time < records[-1].time:
                 raise ValueError(
                     f"time {excerpt(t)} is before the previous row's {records[-1].time}"

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, fields
-from importlib import resources
 from pathlib import Path
 
+from .apps import read_source
 from .cell import CellId, Port, excerpt
 from .engine import FaultSpec, PlantFeedback, Scenario, TimingParams
 
@@ -147,11 +147,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario(source: str | Path) -> Scenario:
     """Load a scenario by bundled name or file path."""
-    name = str(source)
-    if name in BUNDLED_SCENARIOS:
-        text = resources.files("cellfab.data").joinpath(name + ".scn").read_text()
-        return scenario_from_dict(json.loads(text), name)
-    path = Path(source)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario not found: {source}")
-    return scenario_from_dict(json.loads(path.read_text()), path.stem)
+    text, name = read_source(source, "scenario", BUNDLED_SCENARIOS, ".scn")
+    try:
+        data = json.loads(text)
+    except RecursionError:  # json recurses once per nested array or object
+        raise ValueError("scenario is nested too deeply") from None
+    return scenario_from_dict(data, name)

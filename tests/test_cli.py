@@ -179,6 +179,11 @@ REVERSE_CHAIN = (
         ("input a : bit\nnode " + "p" * 5000 + " = AND(a, " + "q" * 5000 + ")\nnode "
          + "q" * 5000 + " = NOT(" + "p" * 5000 + ")\noutput y = " + "p" * 5000 + "\n",
          "line 2: combinational cycle through: " + "p" * 40 + "... -> " + "q" * 40 + "...\n"),
+        # an attribute value is ASCII digits; Arabic-Indic twelve and two are not
+        ("input a : int16\nnode n = ADD(a, imm) imm=\u0661\u0662\noutput y = n\n",
+         "line 2: syntax error: "),
+        ("input a : int16\nnode n = DELAY(a) delay=\u0662\noutput y = n\n",
+         "line 2: syntax error: "),
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
          "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_0016",
@@ -189,7 +194,8 @@ REVERSE_CHAIN = (
          "imm_of_5000_digits", "delay_of_5000_digits", "run_together_imm_and_delay",
          "4000_spaces_quoted_in_part", "layer_of_5000_digits_quoted_in_part",
          "opcode_of_5000_letters", "reference_of_5000_letters", "input_name_of_5000_letters",
-         "cycle_of_two_5000_letter_names"],
+         "cycle_of_two_5000_letter_names", "imm_of_arabic_indic_digits",
+         "delay_of_an_arabic_indic_digit"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
     import time
@@ -223,7 +229,8 @@ def test_run_of_a_scenario_naming_an_over_capacity_netlist_is_one_line_error(tmp
 @pytest.mark.parametrize(
     "unreadable, message",
     [("a_directory", "Is a directory"), ("latin1.nl", "can't decode"),
-     ("missing.nl", "not found")],
+     ("missing.nl", "not found"),
+     pytest.param("n" * 300, "File name too long", id="name_of_300_letters")],
 )
 def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, unreadable, message):
     path = tmp_path / unreadable
@@ -239,6 +246,63 @@ def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, unreadabl
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert len(err.encode()) < 200  # the name is quoted in part
+
+
+def _scenario_naming(tmp_path, application):
+    import json
+
+    scn = tmp_path / "long.scn"
+    scn.write_text(json.dumps({"application": application, "run_until": 100}))
+    return str(scn)
+
+
+def _out_dir_of_4086_characters(tmp_path):
+    """A directory the OS can create, but not a file in it named like an export."""
+    out = str(tmp_path)
+    while len(out) < 4085:
+        out += "/" + "d" * min(200, 4085 - len(out))
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp, csv: ["report", str(csv), "--scenario", str(tmp / ("s" * 300))],
+         "error: cannot read scenario "),
+        (lambda tmp, csv: ["run", "edg_faultfree", "--out", str(tmp / ("o" * 300) / "out")],
+         "error: cannot create output directory "),
+        (lambda tmp, csv: ["run", "edg_faultfree", "--out", _out_dir_of_4086_characters(tmp)],
+         "error: edg_faultfree: cannot write "),
+        (lambda tmp, csv: ["run", _scenario_naming(tmp, "a" * 5000), "--out", str(tmp)],
+         "error: long: unknown application '" + "a" * 39 + "...\n"),
+        (lambda tmp, csv: ["run", _scenario_naming(tmp, "a/" * 2000 + "x.nl"), "--out", str(tmp)],
+         "error: long: netlist file not found: " + "a/" * 20 + "...\n"),
+    ],
+    ids=["report_scenario_of_300_letters", "out_dir_of_300_letters",
+         "export_path_of_4104_characters", "application_of_5000_letters",
+         "application_path_of_4000_letters"],
+)
+def test_a_long_name_is_quoted_in_part(tmp_path, capsys, faultfree_csv, argv, message):
+    capsys.readouterr()
+    assert main(argv(tmp_path, faultfree_csv)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("opening", ["[", '{"a": '], ids=["arrays", "objects"])
+def test_deeply_nested_scenario_is_one_line_error_on_run_and_report(
+    tmp_path, capsys, faultfree_csv, opening
+):
+    scn = tmp_path / "deep.scn"
+    scn.write_text(opening * 100_000)
+    capsys.readouterr()
+    for argv in (["run", str(scn), "--out", str(tmp_path)],
+                 ["report", str(faultfree_csv), "--scenario", str(scn)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("scenario is nested too deeply\n")
 
 
 def test_disasm_roundtrip(capsys):
@@ -696,6 +760,19 @@ def _with_heal_row(text, signal):
          "line 5: bad version '" + "v" * 39 + "...\n"),
         (lambda text: _with_heal_row(text, "heal." + "h" * 5000),
          "bad heal record signal 'heal." + "h" * 34 + "...\n"),
+        # an integer is ASCII digits after an optional minus, never coerced
+        (lambda text: text + "0,in.a,1_0,data\n", "line {rows}: value '1_0' is not an integer"),
+        (lambda text: text + "0,in.a, 1,data\n", "line {rows}: value ' 1' is not an integer"),
+        (lambda text: text + "0,in.a,+1,data\n", "line {rows}: value '+1' is not an integer"),
+        (lambda text: text + "0,in.a,\u0661,data\n",
+         "line {rows}: value '\u0661' is not an integer"),
+        (lambda text: text + "0,in.a," + "x" * 5000 + ",data\n",
+         "line {rows}: value '" + "x" * 39 + "... is not an integer\n"),
+        (lambda text: text + "1_0,in.a,1,data\n", "line {rows}: time '1_0' is not an integer"),
+        (lambda text: text.replace("cell_delay=35", "cell_delay=3_5"),
+         "line 3: timing cell_delay '3_5' is not an integer"),
+        (lambda text: text.replace("# seed: 1", "# seed: +1"),
+         "line 4: seed '+1' is not an integer"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
          "unknown_width", "output_without_data", "rows_back_in_time",
@@ -705,7 +782,9 @@ def _with_heal_row(text, signal):
          "annotation_of_5000_letters", "header_key_of_5000_letters",
          "input_entry_of_5000_letters", "width_of_5000_letters", "output_of_5000_letters",
          "csv_header_of_5000_letters", "version_of_5000_letters",
-         "heal_signal_of_5000_letters"],
+         "heal_signal_of_5000_letters", "value_with_an_underscore", "padded_value",
+         "value_with_a_plus", "arabic_indic_value", "value_of_5000_letters",
+         "time_with_an_underscore", "timing_with_an_underscore", "seed_with_a_plus"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
