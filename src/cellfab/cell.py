@@ -30,6 +30,23 @@ def excerpt(text: str) -> str:
     return text if len(text) <= _EXCERPT else text[:_EXCERPT] + "..."
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+_MAX_DIGITS = 4300  # Python's own limit on int() of a decimal string
+
+
+def parse_int(text: str, what: str) -> int:
+    """``text`` as an int if it is ASCII digits after an optional minus,
+    at most 4,300 of them: the one rule for an integer read from text.
+    Never coerced: ``int()`` alone also reads ``1_0``, ``+1``, a padded or
+    a non-ASCII digit, and refuses more digits in a long message of its own."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"{what} {excerpt(repr(text))} is not an integer")
+    digits = len(text) - text.startswith("-")
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"{what} {excerpt(text)} of {digits} digits is out of range")
+    return int(text)
+
+
 class WidthMode(Enum):
     BIT = 0
     INT16 = 1
@@ -262,7 +279,7 @@ class CellId:
         m = re.fullmatch(r"L([0-9]+)\.([FR])([0-9]+)", text) if isinstance(text, str) else None
         if m is None:
             raise ValueError(f"bad cell id {excerpt(repr(text))}")
-        return CellId(int(m[1]), int(m[3]), m[2])
+        return CellId(parse_int(m[1], "layer"), parse_int(m[3], "slot"), m[2])
 
 
 @dataclass

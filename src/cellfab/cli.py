@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
 from . import __version__
 from .apps import BUNDLED, read_source, resolve_netlist
-from .cell import excerpt
+from .cell import excerpt, parse_int
 from .engine import TimingParams
 from .genetic import GeneticCodeError, decode_genetic, format_config, from_hex
 from .netlist import NetlistError, parse_netlist
@@ -31,12 +32,23 @@ from .scenarios import BUNDLED_SCENARIOS, load_scenario
 from .sim import run
 
 
+def _flag_int(text: str) -> int:
+    """A flag's integer, by ``cell.parse_int``.  Its error goes to argparse
+    as an ArgumentTypeError, since argparse words a ValueError itself,
+    quoting the whole value."""
+    try:
+        return parse_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_timing_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timing.cell_delay", type=int, dest="cell_delay", metavar="NS")
-    parser.add_argument("--timing.threshold", type=int, dest="check_threshold", metavar="K")
-    parser.add_argument("--timing.reroute_delay", type=int, dest="reroute_delay", metavar="NS")
-    parser.add_argument("--timing.restore_delay", type=int, dest="restore_delay", metavar="NS")
-    parser.add_argument("--timing.stimulus_period", type=int, dest="stimulus_period", metavar="NS")
+    add = functools.partial(parser.add_argument, type=_flag_int)
+    add("--timing.cell_delay", dest="cell_delay", metavar="NS")
+    add("--timing.threshold", dest="check_threshold", metavar="K")
+    add("--timing.reroute_delay", dest="reroute_delay", metavar="NS")
+    add("--timing.restore_delay", dest="restore_delay", metavar="NS")
+    add("--timing.stimulus_period", dest="stimulus_period", metavar="NS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +95,9 @@ def cmd_run(args) -> int:
         try:
             scenario = load_scenario(source)
         except (OSError, ValueError) as exc:
-            print(f"error: {excerpt(source)}: {exc}", file=sys.stderr)
+            # read_source's OSError names the file itself
+            where = "" if isinstance(exc, OSError) else f"{excerpt(source)}: "
+            print(f"error: {where}{exc}", file=sys.stderr)
             status = 2
             continue
         overrides = {

@@ -11,11 +11,11 @@ sees it, so the cell never publishes a mid-wave value.  One flag, its
 register bank's ``changed``, says a cell must evaluate, and it stays set
 while the cell holds fault state.  A publish is recorded always but
 routed to the readers only when it changes the function's value, since
-every reader's port already holds the last one.  The exception is a run
-whose expanded faults include a transient: there every publish is
-routed, because a write, even of an equal value, drops a corrupted port.
+every reader's port already holds the last one, or while a sink's bank
+holds an overlay port, which a write of even an equal value drops.
 Events are totally ordered by (time, sequence number), so two runs of
-the same scenario produce byte-identical traces.
+the same scenario produce byte-identical traces; ``Engine.run`` pops
+each and calls its kind's handler at its one dispatch point.
 
 A wave is one heap event.  Its evaluations run in (level, function
 index) order, each at its slot without cascading, under sequence numbers
@@ -28,12 +28,14 @@ A wave slot is one of three kinds, told apart by the cell it finds:
 
 - quiet: the bank's ``changed`` flag is clear, and the slot republishes
   the function's ``published`` value unevaluated;
-- clean: the flag is set and the cell holds no fault state (no overlay
-  port, no injected permanent fault, not suspect), and the slot calls
-  the function's entry of ``cell.OPCODE_FUNCTIONS`` on the bank's port
-  values, which is all that ``FunctionalCell.step`` would do there;
-- monitored: any other cell takes ``Engine._evaluate_cell``, which
-  votes, self-checks and raises syndromes through ``FunctionalCell.step``.
+- clean: the flag is set and the cell is a healthy worker with no fault
+  state (no overlay port, no injected permanent fault), and the slot
+  calls the function's entry of ``cell.OPCODE_FUNCTIONS`` on the bank's
+  port values, which is all that ``FunctionalCell.step`` would do there;
+- monitored: any other cell, a restored spare too, whose configuration
+  is decoded from its genetic code, takes ``Engine._evaluate_cell``,
+  which votes, self-checks and raises syndromes through
+  ``FunctionalCell.step``.
 
 Each slot runs in one iteration of ``Engine._handle_wave`` on the
 compiled program's ``FabricProgram.wave``, whose levels ``Engine``
@@ -318,13 +320,9 @@ class Trace:
         return [r for r in self.records if r.annotation == "data" and r.signal in outputs]
 
 
-# event kinds, processed in (time, seq) order
-_CLOCK = 0
-_INJECT = 1
-_EVAL = 2
-_WAVE = 3
-_HEAL = 4
-_STOP = 5
+# event kinds, processed in (time, seq) order; a heap entry is (time, seq,
+# kind, payload), and run() calls handlers[kind](time, payload)
+_CLOCK, _INJECT, _EVAL, _WAVE, _HEAL, _STOP = range(6)
 
 _STOP_SEQ = 1 << 62
 
@@ -353,9 +351,9 @@ class Engine:
         self.scenario = scenario
         self.timing = scenario.timing
         self.faults = expand_faults(scenario.faults)
-        # an unchanged write drops a transient's corrupted port, so a run
-        # that injects one routes every publish
-        self._route_repeats = any(f.kind == FaultKind.TRANSIENT_REGISTER for f in self.faults)
+        # an unchanged write drops a corrupted port: set when a transient
+        # lands, cleared at the first clock at which no sink's bank holds one
+        self._route_repeats = False
         netlist = program.netlist
         self.trace = Trace(
             scenario_name=scenario.name,
@@ -431,22 +429,15 @@ class Engine:
             self._push(fault.time, _INJECT, fault)
         self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
 
+        handlers = (self._handle_clock, self._handle_inject, self._handle_eval,
+                    self._handle_wave, self._handle_heal)  # in kind order
         while self._heap:
             # the stop event sorts before every event after run_until
             time, seq, kind, payload = heapq.heappop(self._heap)
-            self._now = (time, seq)
             if kind == _STOP:
                 break
-            if kind == _CLOCK:
-                self._handle_clock(time, payload)
-            elif kind == _INJECT:
-                self._handle_inject(time, payload)
-            elif kind == _WAVE:
-                self._handle_wave(payload, seq)
-            elif kind == _EVAL:
-                self._handle_eval(time, payload)
-            elif kind == _HEAL:
-                self._handle_heal(time, payload)
+            self._now = (time, seq)
+            handlers[kind](time, payload)
         self.trace.complete = True
         return RunResult(self.trace, self.fabric, self.syndromes, self.plant_log)
 
@@ -455,6 +446,8 @@ class Engine:
     def _handle_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
         fabric = self.fabric
         self._last_clock = t
+        if self._route_repeats:
+            self._route_repeats = any(s is not None and s.registers.overlay for s in fabric.sinks)
         assignments = list(assignments)
         plant = self.scenario.plant
         if plant is not None and t > 0:
@@ -489,9 +482,9 @@ class Engine:
             self._seq += len(self._wave)
             self._push(t + self._wave[0][0], _WAVE, t, seq=base)
 
-    def _handle_wave(self, clock: int, seq: int) -> None:
-        """Run the clock's wave from evaluation ``seq`` on until an event on
-        the heap comes first; evaluation n has sequence number base + n.
+    def _handle_wave(self, t: int, clock: int) -> None:
+        """Run the clock's wave from its evaluation at ``t`` on until an event
+        on the heap comes first; evaluation n has sequence number base + n.
 
         A slot is quiet, clean or monitored (see the module docstring);
         its value is then published as ``_publish`` publishes one without
@@ -502,7 +495,8 @@ class Engine:
         records = self.trace.records
         route_repeats = self._route_repeats
         base = self._wave_base[clock]
-        for offset, fn_idx, n, names, output, evaluate in self._wave[seq - base:]:
+        # the event's own sequence number is that of the evaluation to resume at
+        for offset, fn_idx, n, names, output, evaluate in self._wave[self._now[1] - base:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
@@ -518,7 +512,7 @@ class Engine:
             elif (
                 registers.overlay
                 or cell.injected_permanent is not None
-                or health is SUSPECT_TRANSIENT
+                or health is not HEALTHY
             ):
                 value = self._evaluate_cell(fn_idx, cell, slot)
             else:
@@ -557,6 +551,7 @@ class Engine:
         else:
             port = PORT_ORDER.index(fault.port)
             cell.registers.corrupt(port, fault.replica, fault.flip, fault.stuck)
+            self._route_repeats = True
         fn_idx = next((i for i, bound in enumerate(fabric.binding) if bound is cell), None)
         entry = self._wave_entry.get(fn_idx)
         # an unbound cell and a delay register have no wave slot; before its
@@ -614,15 +609,14 @@ class Engine:
         cid = cell.cell_id
         syndrome = HealthSyndrome(cell_id=cid, detect_time=t, function_index=fn_idx)
         self.syndromes.append(syndrome)
+        self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
         spare = fabric.allocate_spare(cid.layer)
         if spare is None:
-            self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
             self._fail_safe(t)
             return
         syndrome.chosen_spare = spare
         reroute_t = t + self.timing.reroute_delay
         restore_t = reroute_t + self.timing.restore_delay
-        self._push(t, _HEAL, (syndrome, HealAction.DEACTIVATE))
         self._push(reroute_t, _HEAL, (syndrome, HealAction.REROUTE))
         self._push(restore_t, _HEAL, (syndrome, HealAction.RESTORE))
 
@@ -657,8 +651,8 @@ class Engine:
         """Record a function's value and route it to its readers.
 
         Every reader's sink port already holds ``published[fn_idx]``, so
-        an unchanged value is routed only in a run with transients, where
-        the write drops a corrupted port (see the module docstring)."""
+        an unchanged value is routed only while a sink may hold a corrupted
+        port, which the write drops (see the module docstring)."""
         fabric = self.fabric
         if fabric.fail_safe and fn_idx in self.program.output_binding.values():
             value = 0

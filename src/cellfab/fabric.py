@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Optional
 
 from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank
-from .genetic import NOP_CONFIG
+from .genetic import NOP_CONFIG, decode_genetic
 from .place import FabricProgram, SLOTS_PER_LAYER
 
 
@@ -128,9 +128,12 @@ class Fabric:
         self.sinks[fn_idx] = spare
 
     def restore(self, syndrome: HealthSyndrome) -> None:
+        """Configure the spare from its function's genetic code, decoded
+        and parity-checked here, and make it the function's evaluated
+        cell; the data routed in since reroute stays in its ports."""
         fn_idx = syndrome.function_index
         spare = self.cells[str(syndrome.chosen_spare)]
-        registers = spare.registers  # keep the data routed in since reroute
-        spare.configure(self.program.configs[fn_idx])
+        registers = spare.registers
+        spare.configure(decode_genetic(self.program.spare_codes[fn_idx]))
         spare.registers = registers
         self.binding[fn_idx] = spare

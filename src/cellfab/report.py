@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .apps import resolve_application
-from .cell import CellId, WidthMode, excerpt
+from .cell import CellId, WidthMode, excerpt, fit, parse_int
 from .engine import (
     ANNOTATIONS,
     Engine,
@@ -33,7 +33,6 @@ from .scenarios import _section
 
 _WIDTHS = {mode.name.lower(): mode for mode in WidthMode}  # the netlist's spelling
 _HEADER_KEYS = ("scenario", "application", "timing", "seed", "version", "inputs", "outputs")
-_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def _signal_table(table: dict[str, WidthMode]) -> str:
@@ -57,19 +56,10 @@ def to_csv(trace: Trace) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _int(text: str, what: str) -> int:
-    """``text`` as an int if it is ASCII digits after an optional minus;
-    never coerced, as ``int()`` alone also reads ``1_0``, ``+1``, a padded
-    or a non-ASCII digit."""
-    if not _INT_RE.fullmatch(text):
-        raise ValueError(f"{what} {excerpt(repr(text))} is not an integer")
-    return int(text)
-
-
 def _header_value(key: str, value: str):
     """One header comment's value, typed where the trace needs it."""
     if key == "seed":
-        return _int(value, "seed")
+        return parse_int(value, "seed")
     if key == "version":
         if not value.startswith("cellfab "):
             raise ValueError(f"bad version {excerpt(repr(value))}")
@@ -77,7 +67,7 @@ def _header_value(key: str, value: str):
     if key == "timing":
         pairs = (part.split("=") for part in value.split())
         timing = _section(
-            TimingParams, {k: _int(v, f"timing {excerpt(k)}") for k, v in pairs}, "timing"
+            TimingParams, {k: parse_int(v, f"timing {excerpt(k)}") for k, v in pairs}, "timing"
         )
         timing.validate()
         return timing
@@ -99,12 +89,15 @@ def _header_value(key: str, value: str):
 def from_csv(text: str) -> Trace:
     """Parse a CSV export back into a trace (header metadata included).
 
-    A malformed line, an unknown or repeated header key, or a row earlier
-    than the row before it raises ValueError naming its line number; a
-    missing one of the seven header lines raises ValueError naming it.
+    A malformed line, an unknown or repeated header key, a row earlier
+    than the row before it, or a data row of a declared input or output
+    whose value does not fit its width raises ValueError naming its line
+    number; a missing one of the seven header lines raises ValueError
+    naming it.  Header lines may come anywhere, so widths are checked last.
     """
     meta = {}
     records = []
+    linenos = []  # each record's line
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -126,17 +119,28 @@ def from_csv(text: str) -> Trace:
             t, signal, value, annotation = line.split(",")
             if annotation not in ANNOTATIONS:
                 raise ValueError(f"unknown annotation {excerpt(repr(annotation))}")
-            record = TraceRecord(_int(t, "time"), signal, _int(value, "value"), annotation)
+            record = TraceRecord(
+                parse_int(t, "time"), signal, parse_int(value, "value"), annotation
+            )
             if records and record.time < records[-1].time:
                 raise ValueError(
                     f"time {excerpt(t)} is before the previous row's {records[-1].time}"
                 )
             records.append(record)
+            linenos.append(lineno)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     for key in _HEADER_KEYS:
         if key not in meta:
             raise ValueError(f"missing '# {key}:' header line")
+    widths = {f"in.{name}": mode for name, mode in meta["inputs"].items()} | meta["outputs"]
+    for lineno, r in zip(linenos, records):
+        mode = widths.get(r.signal) if r.annotation == "data" else None
+        if mode is not None and fit(mode, r.value) != r.value:
+            raise ValueError(
+                f"line {lineno}: {excerpt(r.signal)}={excerpt(str(r.value))}"
+                f" does not fit {mode.name.lower()}"
+            )
     meta["scenario_name"] = meta.pop("scenario")  # every other key is its Trace field
     return Trace(**meta, records=records, complete=True)
 

@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .apps import read_source
-from .cell import CellId, Port, excerpt
+from .cell import CellId, Port, excerpt, parse_int
 from .engine import FaultSpec, PlantFeedback, Scenario, TimingParams
 
 BUNDLED_SCENARIOS = (
@@ -146,10 +146,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_scenario(source: str | Path) -> Scenario:
-    """Load a scenario by bundled name or file path."""
+    """Load a scenario by bundled name or file path.  Its JSON numbers are
+    read by ``cell.parse_int``, so one of over 4,300 digits is one short error."""
     text, name = read_source(source, "scenario", BUNDLED_SCENARIOS, ".scn")
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=lambda digits: parse_int(digits, "number"))
     except RecursionError:  # json recurses once per nested array or object
         raise ValueError("scenario is nested too deeply") from None
     return scenario_from_dict(data, name)

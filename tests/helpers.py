@@ -25,11 +25,11 @@ class AlwaysEvaluateEngine(Engine):
             cell.registers.changed = True
         super()._handle_eval(t, fn_idx)
 
-    def _handle_wave(self, clock, seq):
+    def _handle_wave(self, t, clock):
         heap = self._heap
         binding = self.fabric.binding
         base = self._wave_base[clock]
-        for offset, fn_idx, n, *_ in self._wave[seq - base:]:
+        for offset, fn_idx, n, *_ in self._wave[self._now[1] - base:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
@@ -43,12 +43,11 @@ class AlwaysEvaluateEngine(Engine):
 
 
 class AlwaysRouteEngine(Engine):
-    """The kernel routing every publish, as a run with transients does,
-    not only those that change the function's value."""
+    """The kernel routing every publish at every event, not only those
+    that change the function's value or land while a sink holds a
+    corrupted port: its flag reads True whatever the kernel sets."""
 
-    def __init__(self, program, scenario):
-        super().__init__(program, scenario)
-        self._route_repeats = True
+    _route_repeats = property(lambda self: True, lambda self, value: None)
 
 
 def selector_walk(trace: Trace, program: FabricProgram, fn_idx: int, t: int) -> list[int]:

@@ -22,6 +22,7 @@ from cellfab.cell import (
     WidthMode,
     fit,
     gfb_eval,
+    parse_int,
     qmul,
     vote,
     wrap16,
@@ -528,3 +529,16 @@ def test_gfb_eval_equals_the_oracle_on_a_one_node_netlist(case):
     oracle = NetlistOracle(parse_netlist(text))
     expected = oracle.outputs(oracle.step(dict(zip(names, inputs))))["o"]
     assert gfb_eval(op, wm, inputs, state) == (expected, state)
+
+
+def test_parse_int_reads_plain_decimal_text_of_at_most_4300_digits():
+    # 4,300 digits is int()'s own limit, so no value int() reads is refused
+    assert parse_int("-" + "9" * 4300, "v") == -int("9" * 4300)
+    assert parse_int("007", "v") == 7
+    for text in ("1_0", "+1", " 1", "1 ", "\u0661", "", "-", "0x1"):
+        with pytest.raises(ValueError, match=r"^v '.*' is not an integer$"):
+            parse_int(text, "v")
+    with pytest.raises(ValueError, match=r"^v 1{40}\.\.\. of 4301 digits is out of range$"):
+        parse_int("1" * 4301, "v")
+    with pytest.raises(ValueError, match=r"^layer 1{40}\.\.\. of 5000 digits is out of range$"):
+        CellId.parse("L" + "1" * 5000 + ".F0")

@@ -43,7 +43,8 @@ def test_run_multifault_metrics(out_dir, capsys):
 def test_run_missing_scenario_nonzero(out_dir, capsys):
     rc = main(["run", "missing.scn", "--out", str(out_dir)])
     assert rc != 0
-    assert "not found" in capsys.readouterr().err
+    # the reader's error names the file; it is not prefixed with the name again
+    assert capsys.readouterr().err == "error: scenario not found: missing.scn\n"
 
 
 def test_run_timing_override(out_dir, capsys):
@@ -631,6 +632,9 @@ def _ccs_step_plant(data, **plant):
          "plant input '" + "i" * 39 + "... is not an int16 input\n"),
         (lambda d: _ccs_step_plant(d, output_name="o" * 5000),
          "unknown plant output '" + "o" * 39 + "...\n"),
+        (lambda d: d.update(faults=[
+            {"kind": "permanent_gfb", "cell": "L" + "1" * 5000 + ".F0", "t": 400, "flip": 1}]),
+         "layer " + "1" * 40 + "... of 5000 digits is out of range\n"),
     ],
     ids=[
         "unknown_timing_key",
@@ -676,6 +680,7 @@ def _ccs_step_plant(data, **plant):
         "stimulus_time_of_4000_digits",
         "plant_input_of_5000_letters",
         "plant_output_of_5000_letters",
+        "fault_cell_layer_of_5000_digits",
     ],
 )
 def test_unknown_timing_key_is_one_line_error(tmp_path, capsys, edit, message):
@@ -700,6 +705,22 @@ def _rows_reversed(text):
     lines = text.splitlines()
     first = lines.index("time_ns,signal,value,annotation") + 1
     return "\n".join(lines[:first] + lines[first:][::-1]) + "\n"
+
+
+def _with_data_row(text, signal, value):
+    """``text`` with one more data row, at the last row's time."""
+    last_time = text.splitlines()[-1].split(",")[0]
+    return text + f"{last_time},{signal},{value},data\n"
+
+
+def _misfit_row_before_the_signal_tables(text):
+    """``text`` with its ``# inputs:`` and ``# outputs:`` lines moved to the
+    end and a first row, line 7, that does not fit its declared width."""
+    lines = text.splitlines()
+    tables = lines[5:7]
+    rest = lines[:5] + lines[7:]
+    first = rest.index("time_ns,signal,value,annotation") + 1
+    return "\n".join(rest[:first] + ["0,in.estop,7,data"] + rest[first:] + tables) + "\n"
 
 
 def _with_heal_row(text, signal):
@@ -773,6 +794,15 @@ def _with_heal_row(text, signal):
          "line 3: timing cell_delay '3_5' is not an integer"),
         (lambda text: text.replace("# seed: 1", "# seed: +1"),
          "line 4: seed '+1' is not an integer"),
+        (lambda text: text + "0,in.a," + "1" * 5000 + ",data\n",
+         "line {rows}: value " + "1" * 40 + "... of 5000 digits is out of range\n"),
+        # a declared input's or output's value fits its width, wherever the
+        # signal tables stand in the file
+        (lambda text: _with_data_row(text, "EngineStart", 70000),
+         "line {rows}: EngineStart=70000 does not fit bit\n"),
+        (lambda text: _with_data_row(text, "in.estop", 7),
+         "line {rows}: in.estop=7 does not fit bit\n"),
+        (_misfit_row_before_the_signal_tables, "line 7: in.estop=7 does not fit bit\n"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
          "unknown_width", "output_without_data", "rows_back_in_time",
@@ -784,7 +814,9 @@ def _with_heal_row(text, signal):
          "csv_header_of_5000_letters", "version_of_5000_letters",
          "heal_signal_of_5000_letters", "value_with_an_underscore", "padded_value",
          "value_with_a_plus", "arabic_indic_value", "value_of_5000_letters",
-         "time_with_an_underscore", "timing_with_an_underscore", "seed_with_a_plus"],
+         "time_with_an_underscore", "timing_with_an_underscore", "seed_with_a_plus",
+         "value_of_5000_digits", "bit_output_of_70000", "bit_input_of_7",
+         "misfit_row_before_the_signal_tables"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
@@ -905,3 +937,52 @@ def test_every_timing_field_has_its_override_flag(tmp_path, capsys, name):
     out = capsys.readouterr().out.splitlines()
     timing = next(line for line in out if line.startswith("timing "))
     assert f"{name}={value}" in timing.split()
+
+
+@pytest.mark.parametrize("key", ["run_until", "seed"])
+def test_scenario_number_of_over_4300_digits_is_one_line_error(
+    tmp_path, capsys, faultfree_csv, key
+):
+    # json.dumps cannot write such a number, so it is written into the text
+    import json
+    import re
+
+    from cellfab.scenarios import load_scenario, scenario_to_dict
+
+    text = json.dumps(scenario_to_dict(load_scenario("edg_faultfree")))
+    scn = tmp_path / "big.scn"
+    scn.write_text(re.sub(f'"{key}": [0-9]+', f'"{key}": ' + "9" * 5000, text))
+    capsys.readouterr()
+    for argv in (["run", str(scn), "--out", str(tmp_path)],
+                 ["report", str(faultfree_csv), "--scenario", str(scn)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith("number " + "9" * 40 + "... of 5000 digits is out of range\n")
+        assert len(err.encode()) < 200
+
+
+_TIMING_FLAGS = ["--timing.cell_delay", "--timing.threshold", "--timing.reroute_delay",
+                 "--timing.restore_delay", "--timing.stimulus_period"]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("1_0", "'1_0' is not an integer"), ("+35", "'+35' is not an integer"),
+     (" 35", "' 35' is not an integer"), ("\u0661\u0662", "'\u0661\u0662' is not an integer"),
+     ("1" * 5000, "1" * 40 + "... of 5000 digits is out of range")],
+    ids=["underscore", "plus", "padded", "arabic_indic", "5000_digits"],
+)
+@pytest.mark.parametrize("flag", _TIMING_FLAGS)
+def test_a_timing_flag_takes_plain_decimal_digits_only(tmp_path, capsys, flag, value, message):
+    # int() would read each of these but the last, and word that one in
+    # thousands of bytes; the rule is cell.parse_int's, as for CSV and JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "edg_faultfree", "--out", str(tmp_path), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"cellfab run: error: argument {flag}: value {message}"]
+    assert len(errors[0].encode()) < 200
+    assert not (tmp_path / "edg_faultfree.csv").exists()

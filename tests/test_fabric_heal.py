@@ -1,14 +1,17 @@
 """Healing layers: local spares, global migration, fail-safe posture."""
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
-from cellfab.cell import CellHealth, CellId
+from cellfab.cell import CellHealth, CellId, Opcode
 from cellfab.engine import Engine, FaultSpec, Scenario
 from cellfab.fabric import Fabric
+from cellfab.genetic import CorruptedCodeError, encode_genetic
 from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
 from cellfab.report import metrics
@@ -49,6 +52,38 @@ def test_local_heal_uses_lowest_spare_and_reloads_code():
     spare = res.fabric.cells["L0.R0"]
     assert spare.health is CellHealth.SPARE_ACTIVE
     assert spare.config == res.trace.program.configs[s.function_index]
+
+
+def _y_healed_from(code_of):
+    """A run in which y (L0.F1) heals onto L0.R0, on a fresh compile whose
+    spare code for y is ``code_of(program)``: the program of a bundled
+    application is shared, and no test may write it."""
+    nl = parse_netlist(
+        "input a : int16\nnode x = ADD(a, imm) imm=1\nnode y = ADD(x, imm) imm=2\noutput o = y\n"
+    )
+    program = compile_netlist(nl)
+    program.spare_codes[1] = code_of(program)
+    fault = FaultSpec(kind="permanent_gfb", cell=CellId(0, 1, "F"), time=100, stuck=0)
+    sc = Scenario(name="t", application="inline", faults=[fault], run_until=1800,
+                  stimulus=[(0, "a", 5), (900, "a", 10), (1500, "a", 20)])
+    return Engine(program, sc).run()
+
+
+def test_restore_configures_the_spare_from_its_genetic_code():
+    # the stored code is SUB's, so from the restore at 205 on, in its local
+    # evaluation and in every wave after it, o = y = x - 2, not x + 2
+    res = _y_healed_from(lambda p: encode_genetic(replace(p.configs[1], opcode=Opcode.SUB)))
+    assert [(r.time, r.value) for r in res.trace.records if r.signal == "o" and r.time >= 205] == [
+        (205, 4), (370, 4), (670, 4), (970, 9), (1270, 9), (1570, 19),
+    ]
+    assert res.fabric.cells["L0.R0"].config.opcode is Opcode.SUB
+
+
+def test_restore_checks_the_parity_of_the_spare_code():
+    # no fault kind corrupts a stored code yet; one flipped bit is caught
+    # by the decode that configures the spare
+    with pytest.raises(CorruptedCodeError):
+        _y_healed_from(lambda p: p.spare_codes[1] ^ (1 << 40))
 
 
 def test_action_order_timestamps():

@@ -29,9 +29,9 @@ class CountingEngine(Engine):
         super().__init__(program, scenario)
         self.wave_pops = Counter()
 
-    def _handle_wave(self, clock, seq):
+    def _handle_wave(self, t, clock):
         self.wave_pops[clock] += 1
-        super()._handle_wave(clock, seq)
+        super()._handle_wave(t, clock)
 
 
 def clock_times(sc: Scenario) -> list[int]:
