@@ -41,6 +41,15 @@ Each slot runs in one iteration of ``Engine._handle_wave`` on the
 compiled program's ``FabricProgram.wave``, whose levels ``Engine``
 scales by the cell delay into slot offsets.  ``_handle_eval`` makes the
 quiet test for a local evaluation; a delay register steps at every clock.
+
+A run is pristine until it handles its first inject event, applied or
+not: until then no cell holds fault state, no local evaluation or heal
+is pending, nothing is in fail-safe, repeats are not routed and every
+sink is its bound cell, with the bank ``Fabric`` built.  A pristine
+clock whose wave's last slot and sequence number sort before the heap's
+first event runs whole in ``Engine._pristine_clock``, in the event
+path's order, writing each reader's port directly; it takes the wave's
+sequence numbers too, so every later key and every record is the same.
 """
 
 from __future__ import annotations
@@ -384,6 +393,10 @@ class Engine:
             for n, (level, i, names, output, evaluate) in enumerate(program.wave)
         ]
         self._wave_entry = {i: (offset, n) for offset, i, n, *_ in self._wave}
+        self._pristine = True
+        # (offset, n) of the wave's last evaluation; with no wave, the clock
+        # waits for no event of its own time
+        self._wave_end = (self._wave[-1][0], len(self._wave) - 1) if self._wave else (0, 0)
 
     # ---- scheduling ----------------------------------------------------
 
@@ -458,6 +471,10 @@ class Engine:
             )
             self.plant_log.append((t, self.plant_speed))
             assignments.append((plant.input_name, self.plant_speed))
+        offset, n = self._wave_end
+        if self._pristine and self._heap[0] > (t + offset, self._seq + n):
+            self._pristine_clock(t, assignments)
+            return
 
         # phase 1: clock every delay register off last period's port values
         shifted: list[tuple[int, int]] = []
@@ -481,6 +498,40 @@ class Engine:
             base = self._wave_base[t] = self._seq
             self._seq += len(self._wave)
             self._push(t + self._wave[0][0], _WAVE, t, seq=base)
+
+    def _pristine_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
+        """Phases 1 to 3 of a pristine clock in one pass (see the module
+        docstring): no event comes between its evaluations, and a publish
+        is routed only when it changes the function's value."""
+        fabric = self.fabric
+        binding, readers, published = fabric.binding, fabric.readers, fabric.published
+        records = self.trace.records
+        signals = self._signals
+        shifted = [binding[fn_idx].step()[0] for fn_idx in self._delays]
+        for fn_idx, value in zip(self._delays, shifted):
+            for name in signals[fn_idx]:
+                records.append(TraceRecord(t, name, value, "data"))
+            if published[fn_idx] != value:
+                published[fn_idx] = value
+                _write_ports(binding, readers[fn_idx], value)
+        for name, value in assignments:
+            records.append(TraceRecord(t, f"in.{name}", value, "data"))
+            _write_ports(binding, readers[name], value)
+        for offset, fn_idx, _n, names, _output, evaluate in self._wave:
+            registers = binding[fn_idx].registers
+            if registers.changed:
+                values = registers.values
+                value = evaluate(values[0], values[1], values[2])
+                registers.changed = False
+                if published[fn_idx] != value:
+                    published[fn_idx] = value
+                    _write_ports(binding, readers[fn_idx], value)
+            else:
+                value = published[fn_idx]
+            slot = t + offset
+            for name in names:
+                records.append(TraceRecord(slot, name, value, "data"))
+        self._seq += len(self._wave)
 
     def _handle_wave(self, t: int, clock: int) -> None:
         """Run the clock's wave from its evaluation at ``t`` on until an event
@@ -535,6 +586,7 @@ class Engine:
         recorded with value 0, on a deactivated cell, and as a transient
         on a spare before its reroute: that holds no data, and reroute
         loads every port."""
+        self._pristine = False
         fabric = self.fabric
         cell = fabric.cells[str(fault.cell)]
         permanent = fault.kind == FaultKind.PERMANENT_GFB
@@ -671,6 +723,17 @@ class Engine:
                         self._schedule_eval(reader, t + self.timing.cell_delay)
         elif self._route_repeats:
             fabric.route(fn_idx, value)
+
+
+def _write_ports(binding: list, readers: list[tuple[int, int]], value: int) -> None:
+    """Route a pristine run's value: every sink is its function's bound
+    cell, and no bank holds an overlay port yet."""
+    for fn_idx, port in readers:
+        registers = binding[fn_idx].registers
+        values = registers.values
+        if values[port] != value:
+            values[port] = value
+            registers.changed = True
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:

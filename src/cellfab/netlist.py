@@ -10,9 +10,10 @@ Line-oriented text format ('#' starts a comment):
 An operand reference is an input name, a node id, or the reserved word
 ``imm`` which wires the port to the node's immediate constant.
 Attributes are whitespace-separated ``key=value`` pairs.  The
-``# partition`` pragma pins nodes to fabric layers; without it the
-placer packs nodes by depth.  ``validate_netlist`` alone bounds a netlist
-by the fabric (64 nodes in 16 layers, 64 inputs), before any graph pass.
+``# partition`` pragma pins nodes to fabric layers, each numbered in
+ASCII digits; without it the placer packs nodes by depth.
+``validate_netlist`` alone bounds a netlist by the fabric (64 nodes in
+16 layers, 64 inputs), before any graph pass.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ _INPUT_RE = re.compile(r"^input\s+(\w+)\s*:\s*(bit|int16)$")
 _NODE_RE = re.compile(r"^node\s+(\w+)\s*=\s*([A-Z]+)\s*\(([^)]*)\)(.*)$")
 _ATTR_RE = re.compile(r"(\w+)=(-?)([0-9]+)")  # not \d, which also matches non-ASCII digits
 _OUTPUT_RE = re.compile(r"^output\s+(\w+)\s*=\s*(\w+)$")
-_PARTITION_RE = re.compile(r"^#\s*partition\s+(\d+)\s*:\s*(.+)$")
+# a layer, ASCII digits, is checked after the match, so that any other text
+# before the colon is refused, not read as a comment
+_PARTITION_RE = re.compile(r"^#\s*partition(\s[^:]*):\s*(.+)$")
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
@@ -82,9 +85,14 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         pm = _PARTITION_RE.match(raw.strip())
         if pm:
+            layer = pm.group(1).strip()
+            if not re.fullmatch("[0-9]+", layer):
+                raise NetlistError(
+                    f"partition layer {excerpt(repr(layer))} is not ASCII digits", lineno
+                )
             # refused before any per-layer list is built; compared as text
             # first, since int() refuses a string of over 4300 digits
-            layer = pm.group(1).lstrip("0") or "0"
+            layer = layer.lstrip("0") or "0"
             if len(layer) > len(str(MAX_LAYERS)) or int(layer) >= MAX_LAYERS:
                 raise NetlistError(
                     f"partition layer {excerpt(layer)} is beyond the fabric's "

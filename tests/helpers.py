@@ -12,12 +12,20 @@ from cellfab.oracle import NetlistOracle
 from cellfab.place import FabricProgram
 
 
-class AlwaysEvaluateEngine(Engine):
+class EventPathEngine(Engine):
+    """The kernel with the pristine clock off: every clock takes the event
+    path, as a reference for the pass and a base for the references below."""
+
+    _pristine = property(lambda self: False, lambda self, value: None)
+
+
+class AlwaysEvaluateEngine(EventPathEngine):
     """The kernel with selective evaluation off: a local evaluation sets
     its cell's ``changed`` flag, the one quiet test, before the test, so
     it never republishes the ``published`` value unevaluated.  Its wave
     runs every slot through the monitored ``_evaluate_cell`` and
-    ``_publish``, so every evaluation is a ``FunctionalCell.step``."""
+    ``_publish``, so every evaluation is a ``FunctionalCell.step``; it is
+    never pristine, so every clock takes that wave."""
 
     def _handle_eval(self, t, fn_idx):
         cell = self.fabric.binding[fn_idx]
@@ -42,10 +50,11 @@ class AlwaysEvaluateEngine(Engine):
         del self._wave_base[clock]
 
 
-class AlwaysRouteEngine(Engine):
+class AlwaysRouteEngine(EventPathEngine):
     """The kernel routing every publish at every event, not only those
     that change the function's value or land while a sink holds a
-    corrupted port: its flag reads True whatever the kernel sets."""
+    corrupted port: its flag reads True whatever the kernel sets, and it
+    is never pristine, as a pristine clock routes changes only."""
 
     _route_repeats = property(lambda self: True, lambda self, value: None)
 

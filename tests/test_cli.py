@@ -185,6 +185,11 @@ REVERSE_CHAIN = (
          "line 2: syntax error: "),
         ("input a : int16\nnode n = DELAY(a) delay=\u0662\noutput y = n\n",
          "line 2: syntax error: "),
+        # so is a partition layer, and a pragma naming none is not a comment
+        ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition \u0661: n\n",
+         "line 4: partition layer '\u0661' is not ASCII digits"),
+        ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition x: n\n",
+         "line 4: partition layer 'x' is not ASCII digits"),
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
          "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_0016",
@@ -196,7 +201,8 @@ REVERSE_CHAIN = (
          "4000_spaces_quoted_in_part", "layer_of_5000_digits_quoted_in_part",
          "opcode_of_5000_letters", "reference_of_5000_letters", "input_name_of_5000_letters",
          "cycle_of_two_5000_letter_names", "imm_of_arabic_indic_digits",
-         "delay_of_an_arabic_indic_digit"],
+         "delay_of_an_arabic_indic_digit", "layer_of_an_arabic_indic_digit",
+         "layer_of_a_letter"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
     import time
@@ -224,6 +230,23 @@ def test_run_of_a_scenario_naming_an_over_capacity_netlist_is_one_line_error(tmp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "netlist needs 750 layers, fabric holds 16" in err
+
+
+@pytest.mark.parametrize("layer", ["\u0661", "x"])
+def test_run_of_a_netlist_with_a_partition_layer_not_in_ascii_digits_exits_2(
+    tmp_path, capsys, layer
+):
+    import json
+
+    nl_path = tmp_path / "layer.nl"
+    nl_path.write_text(f"input a : bit\nnode n = NOT(a)\noutput y = n\n# partition {layer}: n\n")
+    scn = tmp_path / "layer.scn"
+    scn.write_text(json.dumps({"application": str(nl_path), "stimulus": [], "run_until": 100}))
+    rc = main(["run", str(scn), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"line 4: partition layer {layer!r} is not ASCII digits" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "report"])

@@ -21,6 +21,8 @@ HOT_PATH = [
     ("cellfab.cell", "FunctionalCell.step"),
     ("cellfab.engine", "Engine._handle_clock"),
     ("cellfab.engine", "Engine._handle_wave"),
+    ("cellfab.engine", "Engine._pristine_clock"),
+    ("cellfab.engine", "_write_ports"),
     ("cellfab.engine", "Engine._handle_eval"),
     ("cellfab.engine", "Engine._evaluate_cell"),
     ("cellfab.engine", "Engine._publish"),

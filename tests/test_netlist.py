@@ -272,6 +272,14 @@ def test_partition_layer_drops_leading_zeros(layer, index):
     assert nl.partition[index] == ["g"]
 
 
+@pytest.mark.parametrize("layer", ["\u0661", "x", "-1", "1 2", ""])
+def test_a_partition_layer_is_ascii_digits(layer):
+    # int() reads the Arabic-Indic one as 1; a letter made the line a comment
+    text = f"input a : bit\nnode h = NOT(a)\noutput y = h\n# partition {layer}: h\n"
+    with pytest.raises(NetlistError, match=f"^line 4: partition layer {layer!r} is not ASCII digits$"):
+        parse_netlist(text)
+
+
 def test_a_long_run_of_zeros_in_a_pragma_parses_in_linear_time():
     # without a colon the line is a plain comment
     text = "input a : bit\nnode g = NOT(a)\noutput y = g\n# partition " + "0" * 20000 + " g\n"

@@ -12,6 +12,7 @@ equal traces and equal cell state.
 import pytest
 from hypothesis import given, settings
 
+from cellfab import engine as engine_module
 from cellfab.apps import resolve_application
 from cellfab.cell import CellId, Port
 from cellfab.engine import Engine, FaultSpec, Scenario
@@ -114,15 +115,23 @@ def test_an_unchanged_republish_drops_a_transient(replicas, samples):
 
 
 def count_routes(monkeypatch, sc: Scenario):
-    """The run's result and its number of ``Fabric.route`` calls."""
+    """The run's result and its number of routed publishes: the event
+    path's ``Fabric.route`` calls and the pristine clock's
+    ``engine._write_ports`` calls."""
     calls = []
     route = Fabric.route
+    write_ports = engine_module._write_ports
 
     def counting_route(self, source, value):
         calls.append(source)
         return route(self, source, value)
 
+    def counting_write_ports(binding, readers, value):
+        calls.append(readers)
+        write_ports(binding, readers, value)
+
     monkeypatch.setattr(Fabric, "route", counting_route)
+    monkeypatch.setattr(engine_module, "_write_ports", counting_write_ports)
     res = Engine(resolve_application(sc.application), sc).run()
     return res, len(calls)
 

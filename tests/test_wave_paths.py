@@ -23,7 +23,8 @@ from test_acceptance import random_netlist, random_vector
 
 
 class CountingEngine(Engine):
-    """An engine that counts the pops of each clock's wave event."""
+    """An engine that counts the pops of each clock's wave event; a
+    pristine clock runs its whole wave in one pass, and counts as one."""
 
     def __init__(self, program, scenario):
         super().__init__(program, scenario)
@@ -32,6 +33,11 @@ class CountingEngine(Engine):
     def _handle_wave(self, t, clock):
         self.wave_pops[clock] += 1
         super()._handle_wave(t, clock)
+
+    def _pristine_clock(self, t, assignments):
+        if self._wave:
+            self.wave_pops[t] += 1
+        super()._pristine_clock(t, assignments)
 
 
 def clock_times(sc: Scenario) -> list[int]:
