@@ -42,14 +42,17 @@ compiled program's ``FabricProgram.wave``, whose levels ``Engine``
 scales by the cell delay into slot offsets.  ``_handle_eval`` makes the
 quiet test for a local evaluation; a delay register steps at every clock.
 
-A run is pristine until it handles its first inject event, applied or
-not: until then no cell holds fault state, no local evaluation or heal
-is pending, nothing is in fail-safe, repeats are not routed and every
-sink is its bound cell, with the bank ``Fabric`` built.  A pristine
-clock whose wave's last slot and sequence number sort before the heap's
-first event runs whole in ``Engine._pristine_clock``, in the event
-path's order, writing each reader's port directly; it takes the wave's
-sequence numbers too, so every later key and every record is the same.
+A run is pristine until it applies a fault (an inject that lands
+nowhere leaves it so), and again from the first clock at which no
+permanent fault has been applied, repeats are not routed and every bound
+cell is ``HEALTHY``: a suspect or deactivated cell or a restored spare
+keeps it on the event path, so a healed run stays there.  While pristine
+no cell holds fault state, nothing is in fail-safe and every sink is its
+bound cell.  A pristine clock whose wave's last slot and sequence number
+sort before the heap's first event runs whole in
+``Engine._pristine_clock``, in the event path's order, writing each
+reader's port directly; it takes the wave's sequence numbers too, so
+every later key and every record is the same.
 """
 
 from __future__ import annotations
@@ -223,7 +226,7 @@ class Scenario:
 
     def validate(self, program: FabricProgram) -> None:
         """The one check of a scenario, against the compiled application it
-        runs on: timing, ``run_until``, stimulus, plant, then each fault
+        runs on: timing, ``run_until``, stimulus up to ``run_until``, plant, then each fault
         (``FaultSpec.validate``, then that its cell is a cell of the
         fabric and its value fits that cell), in that order; the first
         error raises ValueError.  ``Engine`` calls it before it builds
@@ -250,6 +253,11 @@ class Scenario:
                 raise ValueError(
                     f"stimulus {excerpt(name)}={excerpt(repr(value))} at t={excerpt(str(t))}"
                     f" does not fit {widths[name].name.lower()}"
+                )
+            if t > self.run_until:
+                raise ValueError(
+                    f"stimulus {excerpt(name)} at t={excerpt(str(t))}"
+                    f" is after run_until={excerpt(str(self.run_until))}"
                 )
         if self.plant is not None and widths.get(self.plant.input_name) is not WidthMode.INT16:
             raise ValueError(
@@ -320,9 +328,6 @@ class Trace:
     scenario: Optional[Scenario] = field(default=None, repr=False, compare=False)
     faults: Optional[list[FaultSpec]] = field(default=None, repr=False, compare=False)
 
-    def add(self, time: int, signal: str, value: int, annotation: str) -> None:
-        self.records.append(TraceRecord(time, signal, value, annotation))
-
     def output_records(self) -> list[TraceRecord]:
         """The primary-output data samples only (the comparable output trace)."""
         outputs = self.outputs
@@ -336,20 +341,13 @@ _CLOCK, _INJECT, _EVAL, _WAVE, _HEAL, _STOP = range(6)
 _STOP_SEQ = 1 << 62
 
 
-@dataclass
-class RunResult:
-    trace: Trace
-    fabric: Fabric
-    syndromes: list[HealthSyndrome]
-    plant_log: list[tuple[int, int]] = field(default_factory=list)  # (t, speed)
-
-
 class Engine:
     """One scenario run over one fabric; single-threaded, deterministic.
 
     The scenario is checked against ``program`` (``Scenario.validate``)
     before any table is built, so a bad one raises ValueError from the
-    constructor and ``run`` checks nothing.
+    constructor and ``run`` checks nothing.  ``run`` returns the engine:
+    its ``trace`` (the run's one log), ``fabric`` and ``syndromes``.
     """
 
     def __init__(self, program: FabricProgram, scenario: Scenario):
@@ -383,7 +381,6 @@ class Engine:
         self._now = (0, 0)  # (time, seq) of the event being handled
         self._last_clock = 0
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
-        self.plant_log: list[tuple[int, int]] = []
         self._delays = program.delays
         # the program's wave at this run's timing, n counting from 0: (slot
         # offset, fn index, n, signal names, output flag, opcode function)
@@ -394,6 +391,7 @@ class Engine:
         ]
         self._wave_entry = {i: (offset, n) for offset, i, n, *_ in self._wave}
         self._pristine = True
+        self._permanent = False  # a permanent fault was applied
         # (offset, n) of the wave's last evaluation; with no wave, the clock
         # waits for no event of its own time
         self._wave_end = (self._wave[-1][0], len(self._wave) - 1) if self._wave else (0, 0)
@@ -428,16 +426,14 @@ class Engine:
 
     # ---- run loop -------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> Engine:
         scenario = self.scenario
         timeline: dict[int, list[tuple[str, int]]] = {}
         for t, name, value in scenario.stimulus:
             timeline.setdefault(t, []).append((name, value))
-        clock_times = set(range(0, scenario.run_until + 1, self.timing.stimulus_period))
-        clock_times.update(timeline)
-        for t in sorted(clock_times):
-            if t <= scenario.run_until:
-                self._push(t, _CLOCK, timeline.get(t, []))
+        period = self.timing.stimulus_period
+        for t in sorted({*range(0, scenario.run_until + 1, period), *timeline}):
+            self._push(t, _CLOCK, timeline.get(t, []))
         for fault in self.faults:
             self._push(fault.time, _INJECT, fault)
         self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
@@ -452,7 +448,7 @@ class Engine:
             self._now = (time, seq)
             handlers[kind](time, payload)
         self.trace.complete = True
-        return RunResult(self.trace, self.fabric, self.syndromes, self.plant_log)
+        return self
 
     # ---- handlers -------------------------------------------------------
 
@@ -461,7 +457,8 @@ class Engine:
         self._last_clock = t
         if self._route_repeats:
             self._route_repeats = any(s is not None and s.registers.overlay for s in fabric.sinks)
-        assignments = list(assignments)
+        if not (self._pristine or self._route_repeats or self._permanent):
+            self._pristine = all(c.health is HEALTHY for c in fabric.binding if c is not None)
         plant = self.scenario.plant
         if plant is not None and t > 0:
             out_fn = self.program.output_binding[plant.output_name]
@@ -469,8 +466,7 @@ class Engine:
             self.plant_speed = plant_step_raw(
                 self.plant_speed, throttle, plant.gain, plant.drag, plant.dt
             )
-            self.plant_log.append((t, self.plant_speed))
-            assignments.append((plant.input_name, self.plant_speed))
+            assignments = assignments + [(plant.input_name, self.plant_speed)]
         offset, n = self._wave_end
         if self._pristine and self._heap[0] > (t + offset, self._seq + n):
             self._pristine_clock(t, assignments)
@@ -487,8 +483,9 @@ class Engine:
             self._publish(fn_idx, value, t, cascade=False)
 
         # phase 2: apply stimulus
+        records = self.trace.records
         for name, value in assignments:
-            self.trace.add(t, f"in.{name}", value, "data")
+            records.append(TraceRecord(t, f"in.{name}", value, "data"))
             fabric.route(name, value)
 
         # phase 3: one wave, each combinational cell at its level; no local
@@ -585,18 +582,19 @@ class Engine:
         """Apply one expanded fault to its cell.  It lands nowhere, and is
         recorded with value 0, on a deactivated cell, and as a transient
         on a spare before its reroute: that holds no data, and reroute
-        loads every port."""
-        self._pristine = False
+        loads every port.  Only an applied fault ends a pristine run."""
         fabric = self.fabric
         cell = fabric.cells[str(fault.cell)]
         permanent = fault.kind == FaultKind.PERMANENT_GFB
         applied = cell.health is not FAULTY_DEACTIVATED and (
             permanent or cell.registers is not None
         )
-        self.trace.add(t, f"fault.{fault.cell}", 1 if applied else 0, "data")
+        self.trace.records.append(TraceRecord(t, f"fault.{fault.cell}", int(applied), "data"))
         if not applied:
             return
+        self._pristine = False
         if permanent:
+            self._permanent = True
             cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
             if cell.registers is not None:  # an idle spare gets a new bank at reroute
                 cell.registers.changed = True
@@ -638,10 +636,11 @@ class Engine:
         if registers.overlay:  # only overlay ports can dissent
             for port, mask in zip(PORT_ORDER, masks):
                 if mask:
-                    self.trace.add(t, f"cell.{cid}.{port.value}", mask, "masked_transient")
+                    signal = f"cell.{cid}.{port.value}"
+                    self.trace.records.append(TraceRecord(t, signal, mask, "masked_transient"))
                     three_way = three_way or mask == 0b111
         if mismatch:
-            self.trace.add(t, f"cell.{cid}", 1, "mismatch")
+            self.trace.records.append(TraceRecord(t, f"cell.{cid}", 1, "mismatch"))
             if cell.mismatch_streak >= self.timing.check_threshold:
                 self._raise_syndrome(fn_idx, cell, t)
                 return primary
@@ -676,8 +675,8 @@ class Engine:
         syndrome, action = payload
         fabric = self.fabric
         fn_idx = syndrome.function_index
-        self.trace.add(
-            t, f"heal.{syndrome.cell_id}.{action.value}", fn_idx, "syndrome_action"
+        self.trace.records.append(
+            TraceRecord(t, f"heal.{syndrome.cell_id}.{action.value}", fn_idx, "syndrome_action")
         )
         if action is HealAction.DEACTIVATE:
             fabric.deactivate(syndrome)
@@ -693,7 +692,7 @@ class Engine:
         if fabric.fail_safe:
             return
         fabric.fail_safe = True
-        self.trace.add(t, "alarm", 2, "alarm")
+        self.trace.records.append(TraceRecord(t, "alarm", 2, "alarm"))
         for fn_idx in sorted(set(self.program.output_binding.values())):
             self._publish(fn_idx, 0, t, cascade=False)
 

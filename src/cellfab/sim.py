@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from .apps import resolve_application
-from .engine import Engine, RunResult, Scenario, Trace
+from .engine import Engine, Scenario, Trace
 from .report import HealingMetrics, metrics
 
 
-def run_raw(scenario: Scenario) -> RunResult:
-    """Run a scenario and return the full result (trace, fabric, syndromes)."""
+def run_raw(scenario: Scenario) -> Engine:
+    """Run a scenario; its engine's trace, fabric and syndromes are the result."""
     program = resolve_application(scenario.application)
     return Engine(program, scenario).run()
 

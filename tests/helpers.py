@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from cellfab.cell import FAULTY_DEACTIVATED
-from cellfab.engine import _WAVE, Engine, Trace
+from cellfab.engine import _WAVE, Engine, PlantFeedback, Trace
 from cellfab.genetic import SelectorKind
 from cellfab.netlist import Netlist
 from cellfab.oracle import NetlistOracle
@@ -57,6 +57,17 @@ class AlwaysRouteEngine(EventPathEngine):
     is never pristine, as a pristine clock routes changes only."""
 
     _route_repeats = property(lambda self: True, lambda self, value: None)
+
+
+def plant_speeds(trace: Trace, plant: Optional[PlantFeedback]) -> list[tuple[int, int]]:
+    """The plant's (time, speed) at each clock after 0: that clock's last
+    ``in.<plant input>`` sample, which the plant writes after the
+    stimulus; empty for a run with no plant."""
+    if plant is None:
+        return []
+    signal = f"in.{plant.input_name}"
+    speeds = {r.time: r.value for r in trace.records if r.signal == signal and r.time > 0}
+    return list(speeds.items())
 
 
 def selector_walk(trace: Trace, program: FabricProgram, fn_idx: int, t: int) -> list[int]:

@@ -26,7 +26,7 @@ from cellfab.report import metrics, to_csv, to_vcd
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state
+from helpers import compare_steady_state, plant_speeds
 from test_genetic import random_config
 
 
@@ -350,7 +350,8 @@ def test_criterion_10_ccs_healing_transparency():
     faulted = run_raw(load_scenario("ccs_fc16_permanent"))
     assert len(faulted.syndromes) == 1
     restore = max(restore_times(faulted))
-    gv, fv = dict(golden.plant_log), dict(faulted.plant_log)
+    gv = dict(plant_speeds(golden.trace, golden.scenario.plant))
+    fv = dict(plant_speeds(faulted.trace, faulted.scenario.plant))
     assert set(gv) == set(fv)
     post = [t for t in gv if t >= restore]
     assert post and all(gv[t] == fv[t] for t in post)

@@ -18,6 +18,8 @@ from cellfab.place import place
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
 
+from helpers import plant_speeds
+
 
 # ---- structure -----------------------------------------------------------
 
@@ -205,7 +207,7 @@ def ccs_run():
 
 
 def test_closed_loop_converges_to_set_speed(ccs_run):
-    speed = dict(ccs_run.plant_log)
+    speed = dict(plant_speeds(ccs_run.trace, ccs_run.scenario.plant))
     target = {r.time // 1000: r.value for r in ccs_run.trace.records
               if r.signal == "active" and r.annotation == "data"}
     set_period = 170

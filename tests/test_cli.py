@@ -651,6 +651,10 @@ def _ccs_step_plant(data, **plant):
          "stimulus estop=1" + "0" * 39 + "... at t=0 does not fit bit\n"),
         (lambda d: d["stimulus"].append({"t": 10 ** 3999, "name": "estop", "value": 7}),
          "stimulus estop=7 at t=1" + "0" * 39 + "... does not fit bit\n"),
+        (lambda d: d["stimulus"].append({"t": 10 ** 3999, "name": "estop", "value": 1}),
+         "stimulus estop at t=1" + "0" * 39 + "... is after run_until=600\n"),
+        (lambda d: d["stimulus"].append({"t": 601, "name": "estop", "value": 1}),
+         "stimulus estop at t=601 is after run_until=600\n"),
         (lambda d: d.update(plant={"input_name": "i" * 5000, "output_name": "speed"}),
          "plant input '" + "i" * 39 + "... is not an int16 input\n"),
         (lambda d: _ccs_step_plant(d, output_name="o" * 5000),
@@ -701,6 +705,8 @@ def _ccs_step_plant(data, **plant):
         "str_run_until_of_5000_digits",
         "stimulus_value_of_4000_digits",
         "stimulus_time_of_4000_digits",
+        "late_stimulus_time_of_4000_digits",
+        "stimulus_after_run_until",
         "plant_input_of_5000_letters",
         "plant_output_of_5000_letters",
         "fault_cell_layer_of_5000_digits",

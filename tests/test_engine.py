@@ -185,6 +185,17 @@ def test_scenario_requires_full_t0_stimulus():
         run_raw(sc)
 
 
+def test_stimulus_after_run_until_is_refused():
+    # checked last for its entry: a value that does not fit reports its width first
+    program = resolve_application("edg")
+    late = edg_scenario(stimulus_extra=[(601, "estop", 1)])
+    with pytest.raises(ValueError, match=r"^stimulus estop at t=601 is after run_until=600$"):
+        late.validate(program)
+    with pytest.raises(ValueError, match="does not fit bit"):
+        edg_scenario(stimulus_extra=[(601, "estop", 2)]).validate(program)
+    edg_scenario(stimulus_extra=[(600, "estop", 1)]).validate(program)  # at run_until: a clock
+
+
 def test_unknown_application():
     sc = Scenario(name="bad", application="nope", stimulus=[], run_until=100)
     with pytest.raises((ValueError, FileNotFoundError)):

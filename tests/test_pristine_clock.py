@@ -1,12 +1,14 @@
 """A pristine clock runs as one pass and leaves the trace of the event path.
 
-Until a run handles its first inject event it holds no fault state, and
-a clock whose wave ends before the heap's next event runs whole in
-``Engine._pristine_clock``.  A transient on a spare that holds no data
-lands nowhere, so adding one at a drawn time ends the pristine prefix
-there and changes nothing else: the clocks after it take the event path,
-and the run must leave the plain run's records, plant log and cell
-state, apart from its ``fault.`` row.
+Until a run applies a fault it holds no fault state, and it is pristine
+again from the first clock at which no permanent fault has been applied,
+no sink's bank holds a corrupted port and every bound cell is healthy; a
+pristine clock whose wave ends before the heap's next event runs whole
+in ``Engine._pristine_clock``.  A transient on a spare that holds no data
+lands nowhere, so adding one at a drawn time sends at most the clocks
+whose waves it falls in to the event path and changes nothing else: the
+run must leave the plain run's records, plant speeds and cell state,
+apart from its ``fault.`` row.
 """
 
 from dataclasses import replace
@@ -15,13 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
-from cellfab.cell import CellId, Opcode, Port, WidthMode
-from cellfab.engine import Engine, FaultSpec, Scenario
+from cellfab.cell import HEALTHY, CellId, Opcode, Port, WidthMode
+from cellfab.engine import _STOP, Engine, FaultSpec, Scenario
 from cellfab.netlist import parse_netlist
 from cellfab.place import SLOTS_PER_LAYER, compile_netlist
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 
-from helpers import EventPathEngine
+from helpers import EventPathEngine, plant_speeds
 from test_selective_eval import cell_state, faulted_scenarios
 from test_wave_paths import clock_times, edg_scenario, scenarios
 
@@ -42,22 +44,42 @@ def last_offset(program, sc: Scenario) -> int:
     return max((level for level, *_ in program.wave), default=0) * sc.timing.cell_delay
 
 
-def expected_pristine(program, sc: Scenario) -> list[int]:
-    """The clocks whose wave ends before the first fault's time, the next
-    clock and the stop, and starts after the previous clock's wave ended.
+class RuleEngine(EventPathEngine):
+    """The event-path reference, listing the clocks at which the pristine
+    rule holds on its own state: no permanent fault has been applied, no
+    sink's bank holds an overlay port, every bound cell is ``HEALTHY``,
+    and no event but the stop comes at or before the wave's last slot,
+    which is at or before the stop.  Every event on the heap then took
+    its sequence number before the clock's wave did, so an event at that
+    slot sorts first; the stop sorts after every evaluation."""
 
-    An inject or clock at a wave's last slot sorts before it, since its
-    sequence number was taken at the start of the run; the stop sorts
-    after every evaluation of its own time."""
-    last = last_offset(program, sc)
-    end = min([f.time for f in sc.faults] + [sc.run_until + 1])
-    clocks = clock_times(sc)
-    return [
-        c for i, c in enumerate(clocks)
-        if c + last < end
-        and (i == 0 or clocks[i - 1] + last < c)
-        and (i + 1 == len(clocks) or c + last < clocks[i + 1])
-    ]
+    def __init__(self, program, scenario):
+        super().__init__(program, scenario)
+        self.pristine = []
+        self.permanent = False
+        self.last = last_offset(program, scenario)
+
+    def _handle_inject(self, t, fault):
+        super()._handle_inject(t, fault)
+        applied = self.trace.records[-1].value == 1
+        self.permanent = self.permanent or (applied and fault.kind == "permanent_gfb")
+
+    def _handle_clock(self, t, assignments):
+        fabric, end = self.fabric, t + self.last
+        if (
+            not self.permanent
+            and not any(s is not None and s.registers.overlay for s in fabric.sinks)
+            and all(c is None or c.health is HEALTHY for c in fabric.binding)
+            and end <= self.scenario.run_until
+            and all(time > end for time, _, kind, _ in self._heap if kind != _STOP)
+        ):
+            self.pristine.append(t)
+        super()._handle_clock(t, assignments)
+
+
+def expected_pristine(program, sc: Scenario) -> list[int]:
+    """The clocks at which the rule holds on the event path's state."""
+    return RuleEngine(program, sc).run().pristine
 
 
 def noop_transient(program, plain, t: int, index: int = 0) -> FaultSpec:
@@ -79,39 +101,35 @@ def noop_transient(program, plain, t: int, index: int = 0) -> FaultSpec:
                      port=Port.NORTH, replica=0, flip=1)
 
 
-def without_fault_rows(res):
-    return [r for r in res.trace.records if not r.signal.startswith("fault.")]
+def without_fault_rows(engine):
+    return [r for r in engine.trace.records if not r.signal.startswith("fault.")]
 
 
 def assert_same_as_event_path(program, sc: Scenario):
     """Run ``sc`` with and without the pristine pass; the two must leave
-    the same records, plant log and cell state, and take the same number
-    of sequence numbers."""
-    engine = PristineEngine(program, sc)
-    res = engine.run()
-    reference_engine = EventPathEngine(program, sc)
-    reference = reference_engine.run()
-    assert res.trace.records == reference.trace.records
-    assert res.plant_log == reference.plant_log
-    assert cell_state(res.fabric) == cell_state(reference.fabric)
-    assert engine._seq == reference_engine._seq
-    return engine, res
+    the same records, plant speeds and cell state, and take the same
+    number of sequence numbers, and the pass must take exactly the
+    clocks the rule lists on the event path's state."""
+    engine = PristineEngine(program, sc).run()
+    reference = RuleEngine(program, sc).run()
+    assert engine.trace.records == reference.trace.records
+    assert plant_speeds(engine.trace, sc.plant) == plant_speeds(reference.trace, sc.plant)
+    assert cell_state(engine.fabric) == cell_state(reference.fabric)
+    assert engine._seq == reference._seq
+    assert engine.pristine == reference.pristine
+    return engine
 
 
 def assert_prefix_end_changes_nothing(program, sc: Scenario, t: int, index: int = 0):
-    """Run ``sc`` as is, also on the event path alone, and with a no-op
-    transient at about ``t``; returns the pristine clocks of the first
-    and the last run."""
-    plain_engine, plain = assert_same_as_event_path(program, sc)
+    """Run ``sc`` as is and with a no-op transient at about ``t``, each
+    also on the event path alone; returns the two pristine engines."""
+    plain = assert_same_as_event_path(program, sc)
     forced_sc = replace(sc, faults=sc.faults + [noop_transient(program, plain, t, index)])
-    forced_engine = PristineEngine(program, forced_sc)
-    forced = forced_engine.run()
+    forced = assert_same_as_event_path(program, forced_sc)
     assert without_fault_rows(forced) == without_fault_rows(plain)
-    assert forced.plant_log == plain.plant_log
+    assert plant_speeds(forced.trace, sc.plant) == plant_speeds(plain.trace, sc.plant)
     assert cell_state(forced.fabric) == cell_state(plain.fabric)
-    assert plain_engine.pristine == expected_pristine(program, sc)
-    assert forced_engine.pristine == expected_pristine(program, forced_sc)
-    return plain_engine.pristine, forced_engine.pristine
+    return plain, forced
 
 
 def has_delay_loop(nl) -> bool:
@@ -143,7 +161,12 @@ def drawn_case(case, data):
 def test_the_properties_cover_what_they_must():
     seen = set()
 
-    def note(program, sc, plain, forced):
+    def note(program, sc, plain_engine, forced_engine):
+        plain, forced = plain_engine.pristine, forced_engine.pristine
+        applied = [r.time for r in plain_engine.trace.records
+                   if r.signal.startswith("fault.") and r.value == 1]
+        if plain and applied and plain[-1] > min(applied):
+            seen.add("pristine again after an applied transient")
         if len(forced) < len(plain):
             seen.add("event path where the plain run is pristine")
         if sc.run_until - last_offset(program, sc) in plain:
@@ -181,6 +204,7 @@ def test_the_properties_cover_what_they_must():
         "no pristine clock",
         "pristine int16 clock",
         "pristine clock with a DELAY loop",
+        "pristine again after an applied transient",
     }
 
 
@@ -191,31 +215,33 @@ def test_a_bundled_run_is_pristine_until_its_first_fault(name):
     program = resolve_application(sc.application)
     plain, _ = assert_prefix_end_changes_nothing(program, sc, sc.run_until // 3)
     if not sc.faults:
-        assert plain == [t for t in clock_times(sc) if t + last_offset(program, sc) <= sc.run_until]
+        last = last_offset(program, sc)
+        assert plain.pristine == [t for t in clock_times(sc) if t + last <= sc.run_until]
 
 
 @pytest.mark.parametrize("t, pristine", [
     (None, [0, 300, 600, 900, 1200, 1500, 1800]),  # the wave at 2100 passes the stop
-    (550, [0, 300]),  # after the 300 wave's last slot, at 545
-    (545, [0]),  # at that slot: the inject sorts first
-    (900, [0, 300, 600]),  # at a clock's own time: the clock is handled first
-    (0, []),
+    (550, [0, 300, 600, 900, 1200, 1500, 1800]),  # after the 300 wave's last slot, at 545
+    (545, [0, 600, 900, 1200, 1500, 1800]),  # at that slot: the inject sorts first
+    (900, [0, 300, 600, 1200, 1500, 1800]),  # at a clock's own time: the clock comes first
+    (0, [300, 600, 900, 1200, 1500, 1800]),
 ])
 def test_the_prefix_ends_at_the_first_inject(t, pristine):
+    # an inject that lands nowhere keeps the run pristine: it sends only
+    # the clock whose wave it falls in to the event path
     program = resolve_application("edg")
     sc = edg_scenario()
     if t is not None:
         # L0.R0 is an idle spare: the transient lands nowhere
         sc = edg_scenario([FaultSpec(kind="transient_register", cell=CellId(0, 0, "R"),
                                      time=t, port=Port.NORTH, replica=0, flip=1)])
-    engine = PristineEngine(program, sc)
-    res = engine.run()
+    engine = PristineEngine(program, sc).run()
     assert engine.pristine == pristine == expected_pristine(program, sc)
-    assert [(r.time, r.value) for r in res.trace.records if r.signal.startswith("fault.")] == (
+    assert [(r.time, r.value) for r in engine.trace.records if r.signal.startswith("fault.")] == (
         [] if t is None else [(t, 0)]
     )
     plain = Engine(program, edg_scenario()).run()
-    assert without_fault_rows(res) == plain.trace.records
+    assert without_fault_rows(engine) == plain.trace.records
 
 
 def test_chained_delays_shift_off_last_period_values():
@@ -227,9 +253,9 @@ def test_chained_delays_shift_off_last_period_values():
     )
     sc = Scenario(name="chain", application="inline",
                   stimulus=[(t, "a", t // 100) for t in range(0, 1000, 300)], run_until=1000)
-    engine, res = assert_same_as_event_path(compile_netlist(nl), sc)
+    engine = assert_same_as_event_path(compile_netlist(nl), sc)
     assert engine.pristine == [0, 300, 600, 900]
-    assert [(r.time, r.value) for r in res.trace.records if r.signal == "o"] == [
+    assert [(r.time, r.value) for r in engine.trace.records if r.signal == "o"] == [
         (35, 1), (335, 1), (635, 1), (935, 4),
     ]
 
@@ -239,7 +265,64 @@ def test_an_applied_fault_ends_the_prefix_for_good():
     # periods after it run flat again, but on the event path
     program = resolve_application("edg")
     sc = edg_scenario([FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=400, flip=1)])
-    engine = PristineEngine(program, sc)
-    res = engine.run()
-    assert [s.detect_time for s in res.syndromes] == [435]
+    engine = assert_same_as_event_path(program, sc)
+    assert [s.detect_time for s in engine.syndromes] == [435]
     assert engine.pristine == [0]
+
+
+def ccs_transient(cell: CellId, t: int) -> Scenario:
+    sc = load_scenario("ccs_step")
+    return replace(sc, faults=[FaultSpec(kind="transient_register", cell=cell, time=t,
+                                         port=Port.NORTH, replica=0, flip=1)])
+
+
+def test_a_noop_inject_at_zero_keeps_the_run_pristine():
+    # L0.R0 is an idle spare: only the clock at 0, whose wave the inject
+    # falls in, takes the event path; the wave at 300000 passes the stop
+    program = resolve_application("ccs")
+    engine = assert_same_as_event_path(program, ccs_transient(CellId(0, 0, "R"), 0))
+    assert engine.pristine == list(range(1000, 300000, 1000))
+    plain = Engine(program, load_scenario("ccs_step")).run()
+    assert without_fault_rows(engine) == plain.trace.records
+
+
+def test_a_run_is_pristine_again_once_a_transient_is_rewritten():
+    # port N of L1.F1 is fed by a function: the transient at 1234 comes
+    # after the cell's slot and is masked at once; the port still holds it
+    # at 2000, that wave's rewrite drops it, and the run is pristine again
+    # from 3000
+    program = resolve_application("ccs")
+    engine = assert_same_as_event_path(program, ccs_transient(CellId(1, 1, "F"), 1234))
+    assert engine.pristine == [0] + list(range(3000, 300000, 1000))
+
+
+def test_an_applied_edg_transient_is_masked_and_the_run_pristine_again():
+    # L1.F1 evaluates at 335, so the transient at 400 is masked at once;
+    # the 600 wave rewrites port N and every cell is healthy at 900
+    program = resolve_application("edg")
+    sc = edg_scenario([FaultSpec(kind="transient_register", cell=CellId(1, 1, "F"), time=400,
+                                 port=Port.NORTH, replica=1, flip=1)])
+    engine = assert_same_as_event_path(program, sc)
+    assert [(r.time, r.signal) for r in engine.trace.records if r.annotation != "data"] == [
+        (400, "cell.L1.F1.N"),
+    ]
+    assert engine.pristine == [0, 900, 1200, 1500, 1800]
+
+
+def test_a_suspect_cell_keeps_the_run_on_the_event_path():
+    # two replicas of d1's port flipped apart leave no majority: the delay
+    # register turns suspect when it steps at 300, and the stimulus there
+    # rewrites the port.  With no corrupted port left at 600, d1 is still
+    # suspect until it steps, so that clock takes the event path
+    nl = parse_netlist(
+        "input a : int16\nnode d1 = DELAY(a) delay=1\nnode y = ADD(d1, imm) imm=1\noutput o = y\n"
+    )
+    faults = [FaultSpec(kind="transient_register", cell=CellId(0, 0, "F"), time=100,
+                        port=Port.NORTH, replica=replica, flip=flip)
+              for replica, flip in ((0, 1), (1, 2))]
+    sc = Scenario(name="suspect", application="inline", faults=faults,
+                  stimulus=[(t, "a", 5) for t in range(0, 1400, 300)], run_until=1400)
+    engine = assert_same_as_event_path(compile_netlist(nl), sc)
+    assert [(r.time, r.signal, r.value) for r in engine.trace.records
+            if r.annotation == "masked_transient"] == [(300, "cell.L0.F0.N", 0b111)]
+    assert engine.pristine == [0, 900, 1200]

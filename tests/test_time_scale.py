@@ -20,6 +20,7 @@ from cellfab.apps import resolve_application
 from cellfab.engine import Engine, Scenario, TimingParams
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 
+from helpers import plant_speeds
 from test_selective_eval import cell_state, faulted_scenarios
 
 
@@ -48,7 +49,8 @@ def assert_scales(program, sc: Scenario, k: int):
         (r.time, r.signal, r.value, r.annotation) for r in big.trace.records
     ]
     assert [replace(s, detect_time=k * s.detect_time) for s in base.syndromes] == big.syndromes
-    assert [(k * t, v) for t, v in base.plant_log] == big.plant_log
+    speeds = plant_speeds(base.trace, sc.plant)
+    assert [(k * t, v) for t, v in speeds] == plant_speeds(big.trace, big.scenario.plant)
     assert cell_state(base.fabric) == cell_state(big.fabric)
     return base
 
