@@ -9,8 +9,10 @@ A fault is re-evaluated at injection only once the cell's wave slot of
 the current period has passed; before that, the pending wave evaluation
 sees it, so the cell never publishes a mid-wave value.  One flag, its
 register bank's ``changed``, says a cell must evaluate, and it stays set
-while the cell holds fault state.  A publish is recorded always but
-routed to the readers only when it changes the function's value, since
+while the cell holds fault state.  A publish of a function that drives
+a primary output is recorded always, any other function's only when it
+changes the function's published value (the first always does); a
+publish is routed to the readers only when it changes that value, since
 every reader's port already holds the last one, or while a sink's bank
 holds an overlay port, which a write of even an equal value drops.
 Events are totally ordered by (time, sequence number), so two runs of
@@ -170,7 +172,8 @@ class FaultSpec:
             last += (self.count - 1) * self.period
         if last > run_until:
             raise ValueError(
-                f"fault on {self.cell} at t={excerpt(str(last))} is after run_until={run_until}"
+                f"fault on {self.cell} at t={excerpt(str(last))}"
+                f" is after run_until={excerpt(str(run_until))}"
             )
 
 
@@ -306,7 +309,10 @@ class Trace:
 
     ``inputs`` and ``outputs`` map each primary input and output name to
     its declared width, in netlist declaration order.  Input samples are
-    recorded as ``in.<name>``, output samples under the output name.
+    recorded as ``in.<name>``, output samples under the output name, at
+    every publish.  An internal function's samples, ``fn.<node>``, are
+    recorded only when its value changes, so its value at a time is the
+    one it holds there: its last sample at or before that time.
 
     A trace an ``Engine`` returns also holds the ``program`` and the
     ``scenario`` it ran and the run's expanded ``faults``, so that
@@ -382,6 +388,9 @@ class Engine:
         self._last_clock = 0
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self._delays = program.delays
+        # the functions sampled at every publish; any other is sampled only
+        # when its published value changes
+        self._recorded_always = frozenset(program.output_binding.values())
         # the program's wave at this run's timing, n counting from 0: (slot
         # offset, fn index, n, signal names, output flag, opcode function)
         delta = self.timing.cell_delay
@@ -504,13 +513,16 @@ class Engine:
         binding, readers, published = fabric.binding, fabric.readers, fabric.published
         records = self.trace.records
         signals = self._signals
+        always = self._recorded_always
         shifted = [binding[fn_idx].step()[0] for fn_idx in self._delays]
         for fn_idx, value in zip(self._delays, shifted):
-            for name in signals[fn_idx]:
-                records.append(TraceRecord(t, name, value, "data"))
             if published[fn_idx] != value:
                 published[fn_idx] = value
                 _write_ports(binding, readers[fn_idx], value)
+            elif fn_idx not in always:
+                continue
+            for name in signals[fn_idx]:
+                records.append(TraceRecord(t, name, value, "data"))
         for name, value in assignments:
             records.append(TraceRecord(t, f"in.{name}", value, "data"))
             _write_ports(binding, readers[name], value)
@@ -523,8 +535,12 @@ class Engine:
                 if published[fn_idx] != value:
                     published[fn_idx] = value
                     _write_ports(binding, readers[fn_idx], value)
-            else:
+                elif fn_idx not in always:
+                    continue
+            elif fn_idx in always:
                 value = published[fn_idx]
+            else:
+                continue
             slot = t + offset
             for name in names:
                 records.append(TraceRecord(slot, name, value, "data"))
@@ -542,6 +558,7 @@ class Engine:
         binding, published = fabric.binding, fabric.published
         records = self.trace.records
         route_repeats = self._route_repeats
+        always = self._recorded_always
         base = self._wave_base[clock]
         # the event's own sequence number is that of the evaluation to resume at
         for offset, fn_idx, n, names, output, evaluate in self._wave[self._now[1] - base:]:
@@ -569,9 +586,11 @@ class Engine:
                 registers.changed = False
             if output and fabric.fail_safe:
                 value = 0
-            for name in names:
-                records.append(TraceRecord(slot, name, value, "data"))
-            if route_repeats or published[fn_idx] != value:
+            changed = published[fn_idx] != value
+            if changed or fn_idx in always:
+                for name in names:
+                    records.append(TraceRecord(slot, name, value, "data"))
+            if changed or route_repeats:
                 published[fn_idx] = value
                 fabric.route(fn_idx, value)
         # no later event sorts before the wave's last evaluation, so no
@@ -701,17 +720,20 @@ class Engine:
     def _publish(self, fn_idx: int, value: int, t: int, cascade: bool) -> None:
         """Record a function's value and route it to its readers.
 
-        Every reader's sink port already holds ``published[fn_idx]``, so
-        an unchanged value is routed only while a sink may hold a corrupted
-        port, which the write drops (see the module docstring)."""
+        An unchanged value is recorded only for a function sampled at
+        every publish.  Every reader's sink port already holds
+        ``published[fn_idx]``, so it is routed only while a sink may hold
+        a corrupted port, which the write drops (see the module docstring)."""
         fabric = self.fabric
         if fabric.fail_safe and fn_idx in self.program.output_binding.values():
             value = 0
-        records = self.trace.records
-        for name in self._signals[fn_idx]:
-            records.append(TraceRecord(t, name, value, "data"))
         published = fabric.published
-        if published[fn_idx] != value:
+        changed = published[fn_idx] != value
+        if changed or fn_idx in self._recorded_always:
+            records = self.trace.records
+            for name in self._signals[fn_idx]:
+                records.append(TraceRecord(t, name, value, "data"))
+        if changed:
             published[fn_idx] = value
             readers = fabric.route(fn_idx, value)
             if cascade:

@@ -245,7 +245,7 @@ class SyndromeMetrics:
     reroute_time: Optional[int] = None
     restore_time: Optional[int] = None
     detect_latency: Optional[int] = None  # vs the earliest matching fault spec
-    heal_complete: Optional[int] = None  # first correct output sample post-restore
+    heal_complete: Optional[int] = None  # first agreement with the golden twin post-restore
 
 
 @dataclass
@@ -262,24 +262,38 @@ class HealingMetrics:
     heal_ratio: Optional[float] = None
 
 
-def _held_values(
-    samples: list[tuple[int, int]], golden: list[tuple[int, int]]
-) -> list[Optional[int]]:
-    """The golden value held at each sample's time: that of the last golden
+def _held_values(times: list[int], samples: list[tuple[int, int]]) -> list[Optional[int]]:
+    """The value ``samples`` hold at each of ``times``: that of the last
     sample at or before it, None before the first.
 
-    One forward walk over ``golden``: both lists must be in time order,
+    One forward walk over ``samples``: both lists must be in time order,
     as a trace records them (``from_csv`` rejects a row back in time).
     """
     held_values = []
     i = 0
     held = None
-    for t, _ in samples:
-        while i < len(golden) and golden[i][0] <= t:
-            held = golden[i][1]
+    for t in times:
+        while i < len(samples) and samples[i][0] <= t:
+            held = samples[i][1]
             i += 1
         held_values.append(held)
     return held_values
+
+
+def _first_agreement(
+    samples: list[tuple[int, int]], golden: list[tuple[int, int]], start: int
+) -> Optional[int]:
+    """The first time t >= ``start`` at which ``samples`` and ``golden``
+    hold one value, or None; t is ``start`` or a later sample time of
+    either.  Held values make the answer the same whether a trace records
+    every sample or only changes.
+    """
+    times = sorted({start, *(t for t, _ in samples + golden if t > start)})
+    held = _held_values(times, samples)
+    for t, value, golden_value in zip(times, held, _held_values(times, golden)):
+        if value is not None and value == golden_value:
+            return t
+    return None
 
 
 @dataclass
@@ -436,7 +450,9 @@ def _compare_with_golden(
     m.erroneous_output_samples = sum(
         v != held
         for o in outputs
-        for (_, v), held in zip(samples[o], _held_values(samples[o], golden_samples.get(o, [])))
+        for (_, v), held in zip(
+            samples[o], _held_values([t for t, _ in samples[o]], golden_samples.get(o, []))
+        )
     )
 
     detected = 0
@@ -455,18 +471,16 @@ def _compare_with_golden(
             if s is not None and s.detect_latency is None:
                 s.detect_latency = s.detect_time - f.time
 
-    # a syndrome is healed at the first post-restore sample of the function
-    # it serves that matches the golden twin
+    # a syndrome is healed at the first time from its restore on at which
+    # the function it serves holds the golden twin's value
     for s in m.syndromes:
         if s.restore_time is None:
             continue
         signal = program.signals[s.function_index][0]
-        served = samples.get(signal, [])
-        for (t, v), held in zip(served, _held_values(served, golden_samples.get(signal, []))):
-            if t >= s.restore_time and held == v:
-                s.heal_complete = t
-                healed += 1
-                break
+        s.heal_complete = _first_agreement(
+            samples.get(signal, []), golden_samples.get(signal, []), s.restore_time
+        )
+        healed += s.heal_complete is not None
     m.faults_detected = detected
     m.faults_healed = healed
 

@@ -10,6 +10,7 @@ from cellfab.genetic import SelectorKind
 from cellfab.netlist import Netlist
 from cellfab.oracle import NetlistOracle
 from cellfab.place import FabricProgram
+from cellfab.report import _held_values
 
 
 class EventPathEngine(Engine):
@@ -57,6 +58,25 @@ class AlwaysRouteEngine(EventPathEngine):
     is never pristine, as a pristine clock routes changes only."""
 
     _route_repeats = property(lambda self: True, lambda self, value: None)
+
+
+class FullRecordEngine(Engine):
+    """The kernel recording every publish of every function, not only the
+    changes of a function that drives no primary output: the trace the
+    recording rule thins, as a reference for it."""
+
+    def __init__(self, program: FabricProgram, scenario):
+        super().__init__(program, scenario)
+        self._recorded_always = frozenset(program.signals)
+
+
+def held_at(trace: Trace, signal: str, times: list[int]) -> list[Optional[int]]:
+    """The value ``signal`` holds at each of ``times``, in ascending order:
+    that of its last data sample at or before the time, None before its
+    first."""
+    samples = [(r.time, r.value) for r in trace.records
+               if r.annotation == "data" and r.signal == signal]
+    return _held_values(times, samples)
 
 
 def plant_speeds(trace: Trace, plant: Optional[PlantFeedback]) -> list[tuple[int, int]]:

@@ -26,7 +26,7 @@ from cellfab.report import metrics, to_csv, to_vcd
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, plant_speeds
+from helpers import compare_steady_state, held_at, plant_speeds
 from test_genetic import random_config
 
 
@@ -327,17 +327,15 @@ def test_criterion_09_ccs_structure_and_semantics():
     assert ccs_mode(ModeCondition.DECREMENT, 55, 0) == 54
     assert ccs_mode(ModeCondition.CANCEL_BRAKE, 80, 0) == 0
 
-    res = run_raw(load_scenario("ccs_step"))
-    fc10, throttle = {}, {}
-    for r in res.trace.records:
-        if r.annotation != "data":
-            continue
-        k = r.time // 1000
-        if r.signal == "fn.fc10":
-            fc10[k] = r.value
-        elif r.signal == "throttle":
-            throttle[k] = r.value
-    ks = sorted(set(fc10) & set(throttle))
+    sc = load_scenario("ccs_step")
+    res = run_raw(sc)
+    # the values held at each period's end: fn.fc10 is sampled only when
+    # it changes, throttle at every publish
+    period = sc.timing.stimulus_period
+    ends = [k * period + period - 1 for k in range(sc.run_until // period)]
+    fc10 = held_at(res.trace, "fn.fc10", ends)
+    throttle = held_at(res.trace, "throttle", ends)
+    ks = [k for k in range(len(ends)) if fc10[k] is not None and throttle[k] is not None]
     assert len(ks) >= 299
     sim_u = [throttle[k] for k in ks]
     ref_u = pi_reference(PiParams(), [fc10[k] for k in ks])

@@ -19,9 +19,9 @@ WORKLOADS_PY = Path(__file__).resolve().parents[1] / "cellbench" / "workloads.py
 DIGEST_OPS = 32  # as in cellbench/run.py
 
 DIGESTS = {
-    "ccs_cruise": "2824f193af2048a03880462dabe39555f945be9a758f6c84e88d4c09315dc279",
-    "oracle_netlists": "b9ecd2c74e6c2f39f54f57f36c8b627b2cb3d7ab0a52fa0828bb2c78860cfe8d",
-    "edg_fault_campaign": "097e713125a117ecc48e93f42fd21c64542fe6f989d73cd487a80f582f7836d6",
+    "ccs_cruise": "6157a67af4c3c3440c1dff03f12c9074515425667afa3cc6bbc3d02b45d39d0a",
+    "oracle_netlists": "1d3842374c3762d5de03d299fd6de4de1a56f60b6aa2af81337a8da37731355b",
+    "edg_fault_campaign": "0a82872cfac6c729df1d901db486a16ebcba26d0c15f45ec4a61f6288b6ebff8",
 }
 
 

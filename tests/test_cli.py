@@ -655,6 +655,9 @@ def _ccs_step_plant(data, **plant):
          "stimulus estop at t=1" + "0" * 39 + "... is after run_until=600\n"),
         (lambda d: d["stimulus"].append({"t": 601, "name": "estop", "value": 1}),
          "stimulus estop at t=601 is after run_until=600\n"),
+        (lambda d: d.update(run_until=10 ** 300, faults=[
+            {"kind": "permanent_gfb", "cell": "L0.F0", "t": 10 ** 300 + 1, "flip": 1}]),
+         "fault on L0.F0 at t=1" + "0" * 39 + "... is after run_until=1" + "0" * 39 + "...\n"),
         (lambda d: d.update(plant={"input_name": "i" * 5000, "output_name": "speed"}),
          "plant input '" + "i" * 39 + "... is not an int16 input\n"),
         (lambda d: _ccs_step_plant(d, output_name="o" * 5000),
@@ -707,6 +710,7 @@ def _ccs_step_plant(data, **plant):
         "stimulus_time_of_4000_digits",
         "late_stimulus_time_of_4000_digits",
         "stimulus_after_run_until",
+        "fault_after_run_until_of_301_digits",
         "plant_input_of_5000_letters",
         "plant_output_of_5000_letters",
         "fault_cell_layer_of_5000_digits",

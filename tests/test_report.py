@@ -11,6 +11,7 @@ from cellfab.apps import resolve_application
 from cellfab.cell import CellId, WidthMode
 from cellfab.engine import FaultSpec, Scenario, TimingParams, Trace, TraceRecord
 from cellfab.report import (
+    _first_agreement,
     _held_values,
     _vcd_id,
     format_metrics,
@@ -333,4 +334,26 @@ def sample_lists(draw):
 @given(sample_lists())
 def test_erroneous_count_reads_the_last_golden_sample_at_or_before(case):
     samples, golden = case
-    assert _held_values(samples, golden) == [held_value(golden, t) for t, _ in samples]
+    times = [t for t, _ in samples]
+    assert _held_values(times, golden) == [held_value(golden, t) for t in times]
+
+
+def without_repeats(samples: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``samples`` without each sample that repeats the value before it."""
+    kept = []
+    for sample in samples:
+        if not kept or kept[-1][1] != sample[1]:
+            kept.append(sample)
+    return kept
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(sample_lists(), st.integers(-1, 45))
+def test_heal_time_is_the_first_held_agreement_and_ignores_repeats(case, start):
+    samples, golden = case
+    times = sorted({start, *(t for t, _ in samples + golden if t > start)})
+    expected = next((t for t in times
+                     if held_value(samples, t) is not None
+                     and held_value(samples, t) == held_value(golden, t)), None)
+    assert _first_agreement(samples, golden, start) == expected
+    assert _first_agreement(without_repeats(samples), without_repeats(golden), start) == expected
