@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from cellfab.apps import resolve_application
 from cellfab.cell import FAULTY_DEACTIVATED
 from cellfab.engine import _WAVE, Engine, PlantFeedback, Trace
 from cellfab.genetic import SelectorKind
@@ -60,14 +61,24 @@ class AlwaysRouteEngine(EventPathEngine):
     _route_repeats = property(lambda self: True, lambda self, value: None)
 
 
-class FullRecordEngine(Engine):
-    """The kernel recording every publish of every function, not only the
-    changes of a function that drives no primary output: the trace the
-    recording rule thins, as a reference for it."""
+class FullRecord:
+    """Mixed into an engine, records every publish of every function, not
+    only the changes of a function that drives no primary output, so a
+    comparison of two such engines' records covers every publish."""
 
     def __init__(self, program: FabricProgram, scenario):
         super().__init__(program, scenario)
         self._recorded_always = frozenset(program.signals)
+
+
+class FullRecordEngine(FullRecord, Engine):
+    """The kernel recording every publish: the trace the recording rule
+    thins, as a reference for it."""
+
+
+def run_full(scenario) -> Engine:
+    """``sim.run_raw`` on a ``FullRecordEngine``."""
+    return FullRecordEngine(resolve_application(scenario.application), scenario).run()
 
 
 def held_at(trace: Trace, signal: str, times: list[int]) -> list[Optional[int]]:

@@ -4,7 +4,9 @@ For seed 1, ops 0..31 of each workload in ``cellbench/workloads.py`` are
 run, checked and their exports hashed in op order, as
 ``cellbench/run.py --seed 1`` does for its ``export_sha256``.  A kernel
 change that alters a byte of these traces, VCDs or metrics reports must
-be deliberate: update the digest here and say why in CHANGES.md.
+be deliberate: update the digest here and say why in CHANGES.md.  Ops
+0..599 of seed 1 of ``edg_fault_campaign`` must also pass the workload's
+check, which fails an op whose syndrome never heals.
 """
 
 import contextlib
@@ -52,3 +54,14 @@ def test_bench_export_bytes(workloads, name):
         for text in w.exports(out):
             digest.update(text.encode())
     assert digest.hexdigest() == DIGESTS[name]
+
+
+def test_seed_1_fault_campaign_ops_pass_their_check(workloads):
+    w = workloads.WORKLOADS["edg_fault_campaign"](1)
+    outcomes = set()
+    for i in range(600):
+        inp = w.inputs(i)
+        out = w.op(inp, untraced)
+        w.check(inp, out)
+        outcomes.add(out.campaign)
+    assert outcomes == {"healed", "masked", "fail_safe"}

@@ -19,7 +19,7 @@ from cellfab.report import to_csv
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, reference_eval
+from helpers import compare_steady_state, reference_eval, run_full
 
 
 def edg_scenario(name="t", faults=(), run_until=600, stimulus_extra=()):
@@ -259,8 +259,10 @@ def test_masked_transient_never_schedules_downstream():
         kind="transient_register", cell=CellId(0, 0, "F"), time=180,
         port=Port.NORTH, replica=0, flip=1,
     )
-    res = run_raw(edg_scenario(faults=[fault]))
-    golden = run_raw(edg_scenario())
+    # both runs record every publish: a spurious downstream evaluation
+    # republishes an unchanged value, which the kernel does not record
+    res = run_full(edg_scenario(faults=[fault]))
+    golden = run_full(edg_scenario())
     faulted_fn = [r for r in res.trace.records if r.signal.startswith("fn.") and r.time not in (180,)]
     golden_fn = [r for r in golden.trace.records if r.signal.startswith("fn.")]
     assert faulted_fn == golden_fn  # only the injection-time re-evaluation differs
@@ -287,10 +289,11 @@ def test_mid_wave_transient_keeps_outputs_golden():
 def test_mid_wave_permanent_waits_for_its_slot():
     # a permanent fault injected before its cell's wave slot (475 for
     # perm_ok on L2.F2) is first evaluated at that slot, like a transient:
-    # no function publishes ahead of the golden twin
+    # no function publishes ahead of the golden twin, both recording
+    # every publish, so an early one that repeats the held value shows
     extra = [(300, "estop", 1)]
-    golden = run_raw(edg_scenario(run_until=900, stimulus_extra=extra))
+    golden = run_full(edg_scenario(run_until=900, stimulus_extra=extra))
     fault = FaultSpec(kind="permanent_gfb", cell=CellId(2, 2, "F"), time=460, stuck=0)
-    res = run_raw(edg_scenario(faults=[fault], run_until=900, stimulus_extra=extra))
+    res = run_full(edg_scenario(faults=[fault], run_until=900, stimulus_extra=extra))
     for signal in ("fn.perm_ok", "EngineStart", "OpenAirStartFuel_Valves"):
         assert samples(res.trace, signal) == samples(golden.trace, signal)

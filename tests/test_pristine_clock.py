@@ -8,7 +8,10 @@ in ``Engine._pristine_clock``.  A transient on a spare that holds no data
 lands nowhere, so adding one at a drawn time sends at most the clocks
 whose waves it falls in to the event path and changes nothing else: the
 run must leave the plain run's records, plant speeds and cell state,
-apart from its ``fault.`` row.
+apart from its ``fault.`` row.  Every engine here records every publish
+(``helpers.FullRecord``), so a pass that republishes an unchanged value
+at another time than the event path shows; ``test_change_only_samples``
+checks the rule that thins the kernel's records.
 """
 
 from dataclasses import replace
@@ -23,13 +26,14 @@ from cellfab.netlist import parse_netlist
 from cellfab.place import SLOTS_PER_LAYER, compile_netlist
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 
-from helpers import EventPathEngine, plant_speeds
+from helpers import EventPathEngine, FullRecord, FullRecordEngine, plant_speeds
 from test_selective_eval import cell_state, faulted_scenarios
 from test_wave_paths import clock_times, edg_scenario, scenarios
 
 
-class PristineEngine(Engine):
-    """An engine that lists the clocks that take the pristine pass."""
+class PristineEngine(FullRecord, Engine):
+    """An engine that lists the clocks that take the pristine pass; it
+    records every publish, as ``RuleEngine`` does."""
 
     def __init__(self, program, scenario):
         super().__init__(program, scenario)
@@ -44,8 +48,8 @@ def last_offset(program, sc: Scenario) -> int:
     return max((level for level, *_ in program.wave), default=0) * sc.timing.cell_delay
 
 
-class RuleEngine(EventPathEngine):
-    """The event-path reference, listing the clocks at which the pristine
+class RuleEngine(FullRecord, EventPathEngine):
+    """The event-path reference, recording every publish and listing the clocks at which the pristine
     rule holds on its own state: no permanent fault has been applied, no
     sink's bank holds an overlay port, every bound cell is ``HEALTHY``,
     and no event but the stop comes at or before the wave's last slot,
@@ -107,7 +111,7 @@ def without_fault_rows(engine):
 
 def assert_same_as_event_path(program, sc: Scenario):
     """Run ``sc`` with and without the pristine pass; the two must leave
-    the same records, plant speeds and cell state, and take the same
+    the same records of every publish, plant speeds and cell state, and take the same
     number of sequence numbers, and the pass must take exactly the
     clocks the rule lists on the event path's state."""
     engine = PristineEngine(program, sc).run()
@@ -240,7 +244,7 @@ def test_the_prefix_ends_at_the_first_inject(t, pristine):
     assert [(r.time, r.value) for r in engine.trace.records if r.signal.startswith("fault.")] == (
         [] if t is None else [(t, 0)]
     )
-    plain = Engine(program, edg_scenario()).run()
+    plain = FullRecordEngine(program, edg_scenario()).run()
     assert without_fault_rows(engine) == plain.trace.records
 
 
@@ -282,7 +286,7 @@ def test_a_noop_inject_at_zero_keeps_the_run_pristine():
     program = resolve_application("ccs")
     engine = assert_same_as_event_path(program, ccs_transient(CellId(0, 0, "R"), 0))
     assert engine.pristine == list(range(1000, 300000, 1000))
-    plain = Engine(program, load_scenario("ccs_step")).run()
+    plain = FullRecordEngine(program, load_scenario("ccs_step")).run()
     assert without_fault_rows(engine) == plain.trace.records
 
 

@@ -21,15 +21,20 @@ from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
 from cellfab.scenarios import load_scenario
 
-from helpers import AlwaysRouteEngine, FullRecordEngine, plant_speeds
+from helpers import AlwaysRouteEngine, FullRecord, FullRecordEngine, plant_speeds
 from test_selective_eval import cell_state, faulted_scenarios
 from test_wave_paths import scenarios
 
 
+class FullAlwaysRouteEngine(FullRecord, AlwaysRouteEngine):
+    """The always-routing reference, recording every publish."""
+
+
 def assert_same_as_always_routing(program, sc: Scenario):
-    engine = Engine(program, sc)
+    # both record every publish, so an unchanged republish must match too
+    engine = FullRecordEngine(program, sc)
     res = engine.run()
-    reference = AlwaysRouteEngine(program, sc).run()
+    reference = FullAlwaysRouteEngine(program, sc).run()
     assert res.trace.records == reference.trace.records
     assert plant_speeds(res.trace, sc.plant) == plant_speeds(reference.trace, sc.plant)
     assert cell_state(res.fabric) == cell_state(reference.fabric)

@@ -22,7 +22,7 @@ from cellfab.genetic import NOP_CONFIG
 from cellfab.netlist import parse_netlist
 from cellfab.place import SLOTS_PER_LAYER, compile_netlist
 
-from helpers import AlwaysEvaluateEngine, plant_speeds
+from helpers import AlwaysEvaluateEngine, FullRecord, FullRecordEngine, plant_speeds
 from test_wave_paths import scenarios
 
 
@@ -36,9 +36,14 @@ def cell_state(fabric) -> dict[str, tuple]:
     return state
 
 
+class FullAlwaysEvaluateEngine(FullRecord, AlwaysEvaluateEngine):
+    """The always-evaluating reference, recording every publish."""
+
+
 def assert_same_as_always_evaluating(program, sc: Scenario):
-    selective = Engine(program, sc).run()
-    reference = AlwaysEvaluateEngine(program, sc).run()
+    # both record every publish, so an unchanged republish must match too
+    selective = FullRecordEngine(program, sc).run()
+    reference = FullAlwaysEvaluateEngine(program, sc).run()
     assert selective.trace.records == reference.trace.records
     assert plant_speeds(selective.trace, sc.plant) == plant_speeds(reference.trace, sc.plant)
     assert cell_state(selective.fabric) == cell_state(reference.fabric)
