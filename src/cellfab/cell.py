@@ -339,9 +339,9 @@ class FunctionalCell:
         ``step`` always evaluates.  It leaves the bank's ``changed`` flag
         set while the cell holds fault state (an overlay port or an
         injected permanent fault) and clears it otherwise, so that the
-        kernel can skip the call for a quiet cell, and call the opcode's
-        ``OPCODE_FUNCTIONS`` entry alone for a cell with no fault state
-        (``Engine._handle_wave``).
+        kernel can skip the call for a quiet cell (``Engine._evaluate``),
+        and call the opcode's ``OPCODE_FUNCTIONS`` entry alone while no
+        cell holds fault state (``Engine._pristine_clock``).
         """
         if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")

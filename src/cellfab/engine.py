@@ -26,23 +26,19 @@ sorts first, so every evaluation keeps the place it would have as an
 event of its own.  A local evaluation of a slot that an open wave still
 holds is dropped: the wave evaluates it there anyway.
 
-A wave slot is one of three kinds, told apart by the cell it finds:
+A wave slot and a local evaluation both run ``Engine._evaluate``, which
+finds one of two kinds of cell:
 
-- quiet: the bank's ``changed`` flag is clear, and the slot republishes
-  the function's ``published`` value unevaluated;
-- clean: the flag is set and the cell is a healthy worker with no fault
-  state (no overlay port, no injected permanent fault), and the slot
-  calls the function's entry of ``cell.OPCODE_FUNCTIONS`` on the bank's
-  port values, which is all that ``FunctionalCell.step`` would do there;
-- monitored: any other cell, a restored spare too, whose configuration
-  is decoded from its genetic code, takes ``Engine._evaluate_cell``,
-  which votes, self-checks and raises syndromes through
-  ``FunctionalCell.step``.
+- quiet: the bank's ``changed`` flag is clear, and the function's
+  ``published`` value is republished unevaluated;
+- monitored: the flag is set, and ``Engine._evaluate_cell`` votes,
+  self-checks and raises syndromes through ``FunctionalCell.step``.
 
-Each slot runs in one iteration of ``Engine._handle_wave`` on the
-compiled program's ``FabricProgram.wave``, whose levels ``Engine``
-scales by the cell delay into slot offsets.  ``_handle_eval`` makes the
-quiet test for a local evaluation; a delay register steps at every clock.
+Either value is published by ``Engine._publish``, the one rule that
+records, routes and zeroes an output in fail-safe.  ``Engine._handle_wave``
+walks the compiled program's ``FabricProgram.wave``, whose levels
+``Engine`` scales by the cell delay into slot offsets, and holds only
+the yield and resume logic; a delay register steps at every clock.
 
 A run is pristine until it applies a fault (an inject that lands
 nowhere leaves it so), and again from the first clock at which no
@@ -52,8 +48,9 @@ keeps it on the event path, so a healed run stays there.  While pristine
 no cell holds fault state, nothing is in fail-safe and every sink is its
 bound cell.  A pristine clock whose wave's last slot and sequence number
 sort before the heap's first event runs whole in
-``Engine._pristine_clock``, in the event path's order, writing each
-reader's port directly; it takes the wave's sequence numbers too, so
+``Engine._pristine_clock``, in the event path's order, calling a
+changed cell's opcode function from ``FabricProgram.wave`` and writing
+each reader's port directly; it takes the wave's sequence numbers too, so
 every later key and every record is the same.
 """
 
@@ -392,11 +389,11 @@ class Engine:
         # when its published value changes
         self._recorded_always = frozenset(program.output_binding.values())
         # the program's wave at this run's timing, n counting from 0: (slot
-        # offset, fn index, n, signal names, output flag, opcode function)
+        # offset, fn index, n, signal names, opcode function)
         delta = self.timing.cell_delay
         self._wave = [
-            (level * delta, i, n, names, output, evaluate)
-            for n, (level, i, names, output, evaluate) in enumerate(program.wave)
+            (level * delta, i, n, names, evaluate)
+            for n, (level, i, names, evaluate) in enumerate(program.wave)
         ]
         self._wave_entry = {i: (offset, n) for offset, i, n, *_ in self._wave}
         self._pristine = True
@@ -526,7 +523,7 @@ class Engine:
         for name, value in assignments:
             records.append(TraceRecord(t, f"in.{name}", value, "data"))
             _write_ports(binding, readers[name], value)
-        for offset, fn_idx, _n, names, _output, evaluate in self._wave:
+        for offset, fn_idx, _n, names, evaluate in self._wave:
             registers = binding[fn_idx].registers
             if registers.changed:
                 values = registers.values
@@ -548,51 +545,18 @@ class Engine:
 
     def _handle_wave(self, t: int, clock: int) -> None:
         """Run the clock's wave from its evaluation at ``t`` on until an event
-        on the heap comes first; evaluation n has sequence number base + n.
-
-        A slot is quiet, clean or monitored (see the module docstring);
-        its value is then published as ``_publish`` publishes one without
-        a cascade."""
+        on the heap comes first; evaluation n has sequence number base + n
+        and runs ``_evaluate`` without a cascade."""
         heap = self._heap
-        fabric = self.fabric
-        binding, published = fabric.binding, fabric.published
-        records = self.trace.records
-        route_repeats = self._route_repeats
-        always = self._recorded_always
         base = self._wave_base[clock]
         # the event's own sequence number is that of the evaluation to resume at
-        for offset, fn_idx, n, names, output, evaluate in self._wave[self._now[1] - base:]:
+        for offset, fn_idx, n, *_ in self._wave[self._now[1] - base:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
                 self._push(slot, _WAVE, clock, seq=base + n)
                 return
-            cell = binding[fn_idx]
-            health = cell.health
-            if health is FAULTY_DEACTIVATED:
-                continue
-            registers = cell.registers
-            if not registers.changed:
-                value = published[fn_idx]
-            elif (
-                registers.overlay
-                or cell.injected_permanent is not None
-                or health is not HEALTHY
-            ):
-                value = self._evaluate_cell(fn_idx, cell, slot)
-            else:
-                values = registers.values
-                value = evaluate(values[0], values[1], values[2])
-                registers.changed = False
-            if output and fabric.fail_safe:
-                value = 0
-            changed = published[fn_idx] != value
-            if changed or fn_idx in always:
-                for name in names:
-                    records.append(TraceRecord(slot, name, value, "data"))
-            if changed or route_repeats:
-                published[fn_idx] = value
-                fabric.route(fn_idx, value)
+            self._evaluate(fn_idx, slot, cascade=False)
         # no later event sorts before the wave's last evaluation, so no
         # hold check can match the wave's keys again
         del self._wave_base[clock]
@@ -629,25 +593,31 @@ class Engine:
             self._schedule_eval(fn_idx, t)
 
     def _handle_eval(self, t: int, fn_idx: int) -> None:
-        """A local evaluation.  A quiet cell (its bank's ``changed`` clear)
-        republishes ``published[fn_idx]`` unevaluated, a clean check with no
-        dissent; it is never SUSPECT_TRANSIENT, since a mismatch and a
-        three-way dissent keep the flag set (``FunctionalCell.step``)."""
+        """A local evaluation: ``_evaluate`` with a cascade."""
         self._pending_evals.remove((fn_idx, t))
+        self._evaluate(fn_idx, t, cascade=True)
+
+    def _evaluate(self, fn_idx: int, t: int, cascade: bool) -> None:
+        """Evaluate and publish a function on the event path, a wave slot or
+        a local evaluation; a deactivated cell is skipped.  A quiet cell
+        (its bank's ``changed`` clear) republishes ``published[fn_idx]``
+        unevaluated, which ``_publish`` records or routes only for a
+        function sampled at every publish or while repeats are routed.  A
+        quiet cell is never SUSPECT_TRANSIENT, since a mismatch and a
+        three-way dissent keep the flag set (``FunctionalCell.step``)."""
         cell = self.fabric.binding[fn_idx]
         if cell.health is FAULTY_DEACTIVATED:
             return
         if cell.registers.changed:
-            value = self._evaluate_cell(fn_idx, cell, t)
-        else:
-            value = self.fabric.published[fn_idx]
-        self._publish(fn_idx, value, t, cascade=True)
+            self._publish(fn_idx, self._evaluate_cell(fn_idx, cell, t), t, cascade)
+        elif self._route_repeats or fn_idx in self._recorded_always:
+            self._publish(fn_idx, self.fabric.published[fn_idx], t, cascade)
 
     def _evaluate_cell(self, fn_idx: int, cell: FunctionalCell, t: int) -> int:
         """Monitored evaluation: vote, evaluate, self-check; a streak of
         ``check_threshold`` mismatches raises a syndrome.  It always steps:
-        the wave and ``_handle_eval`` skip a quiet cell before the call,
-        and a delay register shifts at every clock."""
+        ``_evaluate`` skips a quiet cell before the call, and a delay
+        register shifts at every clock."""
         registers = cell.registers
         primary, mismatch, masks = cell.step()
         cid = cell.cell_id

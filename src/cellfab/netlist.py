@@ -9,7 +9,8 @@ Line-oriented text format ('#' starts a comment):
 
 An operand reference is an input name, a node id, or the reserved word
 ``imm`` which wires the port to the node's immediate constant.
-Attributes are whitespace-separated ``key=value`` pairs.  The
+Attributes are whitespace-separated ``key=value`` pairs, and each
+input and output name is declared once.  The
 ``# partition`` pragma pins nodes to fabric layers, each numbered in
 ASCII digits; without it the placer packs nodes by depth.
 ``validate_netlist`` alone bounds a netlist by the fabric (64 nodes in
@@ -140,6 +141,8 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             continue
         m = _OUTPUT_RE.match(line)
         if m:
+            if m.group(1) in nl.outputs:
+                raise NetlistError(f"duplicate output {excerpt(repr(m.group(1)))}", lineno)
             nl.outputs[m.group(1)] = m.group(2)
             continue
         raise NetlistError(f"syntax error: {excerpt(repr(line))}", lineno)

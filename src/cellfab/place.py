@@ -44,9 +44,9 @@ class FabricProgram:
     ``fn.<node>``).  An empty worker slot has no entry; its cell holds
     ``NOP_CONFIG``.  ``wave`` holds one entry per combinational function
     in (level, fn index) order, the level being the node's depth: (level,
-    fn index, signal names, output flag, opcode function from
-    ``OPCODE_FUNCTIONS``).  ``delays`` lists the DELAY functions, which
-    capture on the clock, in index order.  ``spare_codes[fn_idx]`` is
+    fn index, signal names, opcode function from ``OPCODE_FUNCTIONS``,
+    which the pristine pass calls).  ``delays`` lists the DELAY functions,
+    which capture on the clock, in index order.  ``spare_codes[fn_idx]`` is
     the genetic code pre-loaded into the spare beside every slot of the
     fabric, the NOP filler's on an empty one.  ``readers[source]``
     lists the ``(fn_idx, port)`` pairs that read a source, an input
@@ -151,10 +151,8 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
         if node.opcode is Opcode.DELAY:
             program.delays.append(fn_idx)
         else:  # placement enables every output, so the opcode alone gives it
-            program.wave.append((
-                nl.depth[name], fn_idx, signals, name in output_names,
-                OPCODE_FUNCTIONS[node.opcode, config.width_mode],
-            ))
+            function = OPCODE_FUNCTIONS[node.opcode, config.width_mode]
+            program.wave.append((nl.depth[name], fn_idx, signals, function))
     program.wave.sort(key=lambda entry: entry[:2])
     return program
 

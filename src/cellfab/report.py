@@ -65,10 +65,15 @@ def _header_value(key: str, value: str):
             raise ValueError(f"bad version {excerpt(repr(value))}")
         return value.removeprefix("cellfab ")
     if key == "timing":
-        pairs = (part.split("=") for part in value.split())
-        timing = _section(
-            TimingParams, {k: parse_int(v, f"timing {excerpt(k)}") for k, v in pairs}, "timing"
-        )
+        data = {}
+        for part in value.split():
+            if part.count("=") != 1:
+                raise ValueError(f"timing part {excerpt(repr(part))} is not one key=value")
+            k, v = part.split("=")
+            if k in data:
+                raise ValueError(f"repeated timing part {excerpt(repr(part))}")
+            data[k] = parse_int(v, f"timing {excerpt(k)}")
+        timing = _section(TimingParams, data, "timing")
         timing.validate()
         return timing
     if key in ("inputs", "outputs"):

@@ -145,12 +145,27 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object of a scenario; a key it repeats is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated scenario key {excerpt(repr(key))}")
+        data[key] = value
+    return data
+
+
 def load_scenario(source: str | Path) -> Scenario:
     """Load a scenario by bundled name or file path.  Its JSON numbers are
-    read by ``cell.parse_int``, so one of over 4,300 digits is one short error."""
+    read by ``cell.parse_int``, so one of over 4,300 digits is one short
+    error, and a key repeated in any of its objects is refused."""
     text, name = read_source(source, "scenario", BUNDLED_SCENARIOS, ".scn")
     try:
-        data = json.loads(text, parse_int=lambda digits: parse_int(digits, "number"))
+        data = json.loads(
+            text,
+            parse_int=lambda digits: parse_int(digits, "number"),
+            object_pairs_hook=_unique_keys,
+        )
     except RecursionError:  # json recurses once per nested array or object
         raise ValueError("scenario is nested too deeply") from None
     return scenario_from_dict(data, name)

@@ -6,7 +6,7 @@ from typing import Optional
 
 from cellfab.apps import resolve_application
 from cellfab.cell import FAULTY_DEACTIVATED
-from cellfab.engine import _WAVE, Engine, PlantFeedback, Trace
+from cellfab.engine import Engine, PlantFeedback, Trace
 from cellfab.genetic import SelectorKind
 from cellfab.netlist import Netlist
 from cellfab.oracle import NetlistOracle
@@ -22,34 +22,17 @@ class EventPathEngine(Engine):
 
 
 class AlwaysEvaluateEngine(EventPathEngine):
-    """The kernel with selective evaluation off: a local evaluation sets
-    its cell's ``changed`` flag, the one quiet test, before the test, so
-    it never republishes the ``published`` value unevaluated.  Its wave
-    runs every slot through the monitored ``_evaluate_cell`` and
-    ``_publish``, so every evaluation is a ``FunctionalCell.step``; it is
-    never pristine, so every clock takes that wave."""
+    """The kernel with selective evaluation off: every wave slot and local
+    evaluation sets its live cell's ``changed`` flag, the one quiet test,
+    before the test, so it never republishes the ``published`` value
+    unevaluated and every evaluation is a ``FunctionalCell.step``; it is
+    never pristine, so every clock takes the event path."""
 
-    def _handle_eval(self, t, fn_idx):
+    def _evaluate(self, fn_idx, t, cascade):
         cell = self.fabric.binding[fn_idx]
         if cell.health is not FAULTY_DEACTIVATED:
             cell.registers.changed = True
-        super()._handle_eval(t, fn_idx)
-
-    def _handle_wave(self, t, clock):
-        heap = self._heap
-        binding = self.fabric.binding
-        base = self._wave_base[clock]
-        for offset, fn_idx, n, *_ in self._wave[self._now[1] - base:]:
-            slot = clock + offset
-            top = heap[0]
-            if top[0] <= slot and (top[0] < slot or top[1] < base + n):
-                self._push(slot, _WAVE, clock, seq=base + n)
-                return
-            cell = binding[fn_idx]
-            if cell.health is not FAULTY_DEACTIVATED:
-                value = self._evaluate_cell(fn_idx, cell, slot)
-                self._publish(fn_idx, value, slot, cascade=False)
-        del self._wave_base[clock]
+        super()._evaluate(fn_idx, t, cascade)
 
 
 class AlwaysRouteEngine(EventPathEngine):

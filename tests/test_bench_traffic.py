@@ -1,0 +1,68 @@
+"""The benchmark's fault-free workloads stay on the pristine pass.
+
+Seed-1 ops 0..19 of ``ccs_cruise`` and ``oracle_netlists`` from
+``cellbench/workloads.py`` run on an engine that counts its work.  Every
+clock but each op's last runs whole in ``Engine._pristine_clock``; the
+last one's wave lies past the stop, so no wave slot runs on the event
+path and no local evaluation runs at all.  A change that moves benchmark
+clocks off the pass then fails here, where a count does not move with
+the host, instead of hiding in timing noise.
+"""
+
+import contextlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from cellfab.engine import Engine
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "cellbench" / "workloads.py"
+OPS = 20
+
+
+def load_workloads():
+    name = "cellbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+class TrafficEngine(Engine):
+    """The kernel counting its clocks, its pristine clocks and every
+    event-path evaluation, a wave slot's or a local one's."""
+
+    def __init__(self, program, scenario):
+        super().__init__(program, scenario)
+        self.clocks, self.pristine, self.evaluations = [], [], []
+
+    def _handle_clock(self, t, assignments):
+        self.clocks.append(t)
+        super()._handle_clock(t, assignments)
+
+    def _pristine_clock(self, t, assignments):
+        self.pristine.append(t)
+        super()._pristine_clock(t, assignments)
+
+    def _evaluate(self, fn_idx, t, cascade):
+        self.evaluations.append((fn_idx, t, cascade))
+        super()._evaluate(fn_idx, t, cascade)
+
+
+@pytest.mark.parametrize("name", ["ccs_cruise", "oracle_netlists"])
+def test_benchmark_clocks_take_the_pristine_pass(monkeypatch, name):
+    workloads = load_workloads()
+    monkeypatch.setattr(workloads, "Engine", TrafficEngine)
+    w = workloads.WORKLOADS[name](1)
+    for i in range(OPS):
+        inp = w.inputs(i)
+        out = w.op(inp, lambda _name: contextlib.nullcontext())
+        w.check(inp, out)
+        engine = out.result
+        assert type(engine) is TrafficEngine
+        assert len(engine.clocks) > 1
+        assert engine.pristine == engine.clocks[:-1], f"op {i}"
+        assert engine.evaluations == [], f"op {i}"

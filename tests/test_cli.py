@@ -127,6 +127,10 @@ REVERSE_CHAIN = (
     + "node g2999 = NOT(a)\noutput y = g0\n"
 )
 
+REPEATED_OUTPUT = (
+    "input a : bit\nnode g = NOT(a)\nnode h = NOT(g)\noutput y = g\noutput y = h\n"
+)
+
 
 @pytest.mark.parametrize(
     "text, message",
@@ -190,6 +194,8 @@ REVERSE_CHAIN = (
          "line 4: partition layer '\u0661' is not ASCII digits"),
         ("input a : bit\nnode n = NOT(a)\noutput y = n\n# partition x: n\n",
          "line 4: partition layer 'x' is not ASCII digits"),
+        # an output name is declared once
+        (REPEATED_OUTPUT, "line 5: duplicate output 'y'\n"),
     ],
     ids=["unknown_attribute", "imm_input", "imm_node", "wide_immediate",
          "five_in_a_layer", "65_inputs", "layer_beyond_the_fabric", "layer_0016",
@@ -202,7 +208,7 @@ REVERSE_CHAIN = (
          "opcode_of_5000_letters", "reference_of_5000_letters", "input_name_of_5000_letters",
          "cycle_of_two_5000_letter_names", "imm_of_arabic_indic_digits",
          "delay_of_an_arabic_indic_digit", "layer_of_an_arabic_indic_digit",
-         "layer_of_a_letter"],
+         "layer_of_a_letter", "repeated_output"],
 )
 def test_validate_invalid_netlist_is_one_line_error(tmp_path, capsys, text, message):
     import time
@@ -230,6 +236,20 @@ def test_run_of_a_scenario_naming_an_over_capacity_netlist_is_one_line_error(tmp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "netlist needs 750 layers, fabric holds 16" in err
+
+
+def test_run_of_a_netlist_repeating_an_output_exits_2(tmp_path, capsys):
+    import json
+
+    nl_path = tmp_path / "outputs.nl"
+    nl_path.write_text(REPEATED_OUTPUT)
+    scn = tmp_path / "outputs.scn"
+    scn.write_text(json.dumps({"application": str(nl_path), "stimulus": [], "run_until": 100}))
+    rc = main(["run", str(scn), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("line 5: duplicate output 'y'\n")
 
 
 @pytest.mark.parametrize("layer", ["\u0661", "x"])
@@ -836,6 +856,13 @@ def _with_heal_row(text, signal):
         (lambda text: _with_data_row(text, "in.estop", 7),
          "line {rows}: in.estop=7 does not fit bit\n"),
         (_misfit_row_before_the_signal_tables, "line 7: in.estop=7 does not fit bit\n"),
+        # each timing part is one key=value, and no key comes twice
+        (lambda text: text.replace("cell_delay=35", "cell_delay=35 cell_delay=70"),
+         "line 3: repeated timing part 'cell_delay=70'\n"),
+        (lambda text: text.replace("cell_delay=35", "cell_delay"),
+         "line 3: timing part 'cell_delay' is not one key=value\n"),
+        (lambda text: text.replace("cell_delay=35", "cell_delay=3=5"),
+         "line 3: timing part 'cell_delay=3=5' is not one key=value\n"),
     ],
     ids=["bad_value", "unknown_timing_key", "no_inputs_line", "no_outputs_line",
          "unknown_width", "output_without_data", "rows_back_in_time",
@@ -849,7 +876,8 @@ def _with_heal_row(text, signal):
          "value_with_a_plus", "arabic_indic_value", "value_of_5000_letters",
          "time_with_an_underscore", "timing_with_an_underscore", "seed_with_a_plus",
          "value_of_5000_digits", "bit_output_of_70000", "bit_input_of_7",
-         "misfit_row_before_the_signal_tables"],
+         "misfit_row_before_the_signal_tables", "repeated_timing_key", "bare_timing_key",
+         "timing_part_of_two_equals"],
 )
 def test_report_malformed_csv_is_one_line_error(tmp_path, capsys, edit, message):
     assert main(["run", "edg_faultfree", "--out", str(tmp_path), "--format", "csv"]) == 0
@@ -992,6 +1020,38 @@ def test_scenario_number_of_over_4300_digits_is_one_line_error(
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.endswith("number " + "9" * 40 + "... of 5000 digits is out of range\n")
+        assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace('"run_until": 600', '"run_until": 600, "run_until": 300'),
+         "repeated scenario key 'run_until'\n"),
+        (lambda text: text.replace('"cell_delay": 35', '"cell_delay": 35, "cell_delay": 70'),
+         "repeated scenario key 'cell_delay'\n"),
+        (lambda text: text.replace('"t": 0', '"t": 0, "t": 300', 1),
+         "repeated scenario key 't'\n"),
+        (lambda text: text.replace("{", '{"' + "k" * 5000 + '": 1, "' + "k" * 5000 + '": 1, ', 1),
+         "repeated scenario key '" + "k" * 39 + "...\n"),
+    ],
+    ids=["run_until", "timing_key", "stimulus_key", "key_of_5000_letters"],
+)
+def test_scenario_repeating_a_key_is_one_line_error(tmp_path, capsys, faultfree_csv, edit, message):
+    # a repeated key would otherwise silently keep its last value
+    import json
+
+    from cellfab.scenarios import load_scenario, scenario_to_dict
+
+    scn = tmp_path / "repeated.scn"
+    scn.write_text(edit(json.dumps(scenario_to_dict(load_scenario("edg_faultfree")))))
+    capsys.readouterr()
+    for argv in (["run", str(scn), "--out", str(tmp_path)],
+                 ["report", str(faultfree_csv), "--scenario", str(scn)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(message)
         assert len(err.encode()) < 200
 
 

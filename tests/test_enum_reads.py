@@ -24,6 +24,7 @@ HOT_PATH = [
     ("cellfab.engine", "Engine._pristine_clock"),
     ("cellfab.engine", "_write_ports"),
     ("cellfab.engine", "Engine._handle_eval"),
+    ("cellfab.engine", "Engine._evaluate"),
     ("cellfab.engine", "Engine._evaluate_cell"),
     ("cellfab.engine", "Engine._publish"),
     ("cellfab.fabric", "Fabric.route"),

@@ -212,6 +212,14 @@ def test_duplicate_names_rejected():
         parse_netlist("input a : bit\ninput a : bit\n")
     with pytest.raises(NetlistError, match="duplicate"):
         parse_netlist("input a : bit\nnode a = NOT(a)\noutput y = a\n")
+    # a second output of one name would otherwise silently rebind it
+    text = "input a : bit\nnode g = NOT(a)\nnode h = NOT(g)\noutput y = g\noutput y = h\n"
+    with pytest.raises(NetlistError, match=r"^line 5: duplicate output 'y'$"):
+        parse_netlist(text)
+    # two outputs of one node are two names
+    assert parse_netlist(text.replace("output y = h", "output z = g")).outputs == {
+        "y": "g", "z": "g",
+    }
 
 
 def test_output_must_reference_node():
