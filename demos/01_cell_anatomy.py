@@ -12,21 +12,25 @@ from cellfab.cell import (
     Opcode,
     StuckBehavior,
     WidthMode,
-    gfb_eval,
     vote,
 )
 from cellfab.genetic import CellConfig, InputSelector, SelectorKind, UNUSED
 
 # --- the ten operations ----------------------------------------------------
 
-# signal values are plain ints; the port inputs come in N, W, E, S order
-inputs = (6, 4, 9, 0)
+
+def configured(op: Opcode) -> FunctionalCell:
+    """A 16-bit cell configured for ``op``; configuring binds its evaluator."""
+    cell = FunctionalCell(CellId(0, 0, "F"))
+    cell.configure(CellConfig(op, (UNUSED,) * 4, width_mode=WidthMode.INT16))
+    return cell
+
+
+# signal values are plain ints; the evaluator reads the N, W and E ports
 for op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP, Opcode.MUX):
-    out, _ = gfb_eval(op, WidthMode.INT16, inputs, ())
-    print(f"{op.name:5s} N=6 W=4 E=9 -> {out}")
+    print(f"{op.name:5s} N=6 W=4 E=9 -> {configured(op).evaluate(6, 4, 9)}")
 # MUL is a Q8.8 product: 6 * 4/256 truncates to 0; scale one side by 1.0=256
-out, _ = gfb_eval(Opcode.MUL, WidthMode.INT16, (6, 256, 9, 0), ())
-print(f"MUL   N=6 W=1.0(q8.8) -> {out}")
+print(f"MUL   N=6 W=1.0(q8.8) -> {configured(Opcode.MUL).evaluate(6, 256, 9)}")
 
 # --- triplicated storage masks register hits --------------------------------
 

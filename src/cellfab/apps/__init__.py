@@ -1,8 +1,9 @@
 """Bundled applications, and ``read_source``, the one reader of named inputs.
 
-A bundled application is its netlist, ``data/<name>.nl``.  The modules
-``edg`` and ``ccs`` hold its reference semantics for tests and the
-benchmark; running an application does not import them.
+A bundled application is its netlist, ``data/<name>.nl``.  The module
+``edg`` holds the standard stimulus of ``data/edg.nl`` for tests and the
+benchmark; running an application does not import it.  The reference
+semantics of both applications live beside the tests that check them.
 """
 
 from __future__ import annotations

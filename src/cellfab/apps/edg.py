@@ -1,4 +1,4 @@
-"""Emergency generator startup: the reference semantics of ``data/edg.nl``."""
+"""Emergency generator startup: the standard stimulus of ``data/edg.nl``."""
 
 from __future__ import annotations
 
@@ -20,27 +20,3 @@ START_PERMITTED = {
     "field_flash_ok": 1,
     "breaker_open": 1,
 }
-
-
-def reference_equations(inputs: dict[str, int]) -> dict[str, int]:
-    """The documented boolean equations, independent of the netlist."""
-    s = (
-        inputs["fuel_press_ok"]
-        & inputs["lube_press_ok"]
-        & inputs["coolant_ok"]
-        & inputs["air_press_ok"]
-        & inputs["battery_ok"]
-        & inputs["crank_relay_ok"]
-        & (
-            1
-            ^ (
-                (inputs["maint_mode"] | inputs["lockout_tripped"])
-                | (inputs["estop"] | inputs["overspeed"])
-            )
-        )
-        & (inputs["start_manual"] | inputs["start_auto"])
-    )
-    return {
-        "EngineStart": s & inputs["field_flash_ok"],
-        "OpenAirStartFuel_Valves": s & inputs["breaker_open"],
-    }

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 INT16_MIN = -32768
 INT16_MAX = 32767
@@ -138,8 +138,9 @@ def fit(width_mode: WidthMode, raw: int) -> int:
 
 # One definition per opcode and width: the output of one evaluation,
 # f(n, w, e), on the voted N, W, E port values.  DELAY is absent: it
-# shifts the cell's pipeline, which only ``gfb_eval`` holds.  The kernel
-# evaluates a cell with no fault state through these entries directly.
+# shifts the cell's pipeline instead.  ``FunctionalCell.configure`` binds
+# the entry for the cell's (opcode, width) as its ``evaluate``, which
+# ``step`` and the kernel's pristine pass both call.
 OPCODE_FUNCTIONS = {
     (OP_AND, BIT): lambda n, w, e: n & w & 1,
     (OP_AND, INT16): lambda n, w, e: wrap16(n & w),
@@ -159,35 +160,6 @@ for _op, _function in {
 }.items():
     OPCODE_FUNCTIONS[_op, BIT] = OPCODE_FUNCTIONS[_op, INT16] = _function
 del _op, _function
-
-
-def gfb_eval(
-    op: Opcode,
-    width_mode: WidthMode,
-    inputs: Sequence[int],
-    state: tuple[int, ...],
-) -> tuple[int, tuple[int, ...]]:
-    """Evaluate one generic function block operation.
-
-    Pure function: identical (op, width_mode, inputs, state) always yields
-    the identical (output, state').  ``inputs`` are the voted port values
-    in N, W, E, S order.  ``state`` is the delay pipeline and is only
-    advanced by DELAY; every other opcode passes it through and takes
-    its output from ``OPCODE_FUNCTIONS``.
-
-    DELAY shifts the North sample through a k-stage pipeline.  Because the
-    input register itself adds one cycle of capture latency, the pipeline
-    output is the element shifted in k-1 clocks ago, so the end-to-end
-    delay seen at the output is exactly k stimulus periods.
-    """
-    n, w, e, _ = inputs
-    if op is OP_DELAY:
-        new_state = state[1:] + (n,)
-        return new_state[0], new_state
-    function = OPCODE_FUNCTIONS.get((op, width_mode))
-    if function is None:
-        raise ValueError(f"unknown opcode {op}")
-    return function(n, w, e), state
 
 
 def vote(a: int, b: int, c: int) -> tuple[int, int]:
@@ -308,10 +280,17 @@ class FunctionalCell:
     health: CellHealth = CellHealth.HEALTHY
     mismatch_streak: int = 0  # consecutive self-check mismatches
     injected_permanent: Optional[StuckBehavior] = None
+    evaluate: Optional[Callable[[int, int, int], int]] = None  # set via configure()
 
     def configure(self, config) -> None:
         self.config = config
         self.registers = InputRegisterBank(config.width_mode)
+        # the cell's own evaluator, a plain function (a bound method would
+        # be a reference cycle); a DELAY has none, it shifts its pipeline
+        self.evaluate = (
+            None if config.opcode is OP_DELAY
+            else OPCODE_FUNCTIONS[config.opcode, config.width_mode]
+        )
         # constant-wired ports hold the immediate from configuration time on;
         # kind checked by name to keep cell free of the genetic-code module
         for port, sel in enumerate(config.selectors):  # in PORT_ORDER
@@ -328,20 +307,25 @@ class FunctionalCell:
     def step(self) -> tuple[int, bool, tuple[int, int, int, int]]:
         """One monitored evaluation: vote ports, evaluate, self-check.
 
-        The block is evaluated once on the voted inputs (the golden checker
-        path, which also advances the pipeline); an injected fault corrupts
-        only the primary copy of that output, and the two are compared.  A
-        mismatch extends ``mismatch_streak`` and a clean check ends it.
-        Returns the (possibly corrupted) primary output, whether the check
-        mismatched and the dissent masks in PORT_ORDER.  Must not be called
-        on a deactivated cell; the fabric drives safe 0 for those.
+        The block is evaluated once on the voted inputs, the golden
+        checker path: the cell's bound ``evaluate`` on the N, W, E values,
+        or for a DELAY a shift of the North sample through its k-stage
+        ``pipeline``.  A DELAY outputs the element shifted in k-1 clocks
+        ago; its input register adds one cycle of capture latency, so the
+        delay seen at the output is exactly k stimulus periods.  An
+        injected fault corrupts only the primary copy of that output, and
+        the two are compared.  A mismatch extends ``mismatch_streak`` and
+        a clean check ends it.  Returns the (possibly corrupted) primary
+        output, whether the check mismatched and the dissent masks in
+        PORT_ORDER.  Must not be called on a deactivated cell; the fabric
+        drives safe 0 for those.
 
         ``step`` always evaluates.  It leaves the bank's ``changed`` flag
         set while the cell holds fault state (an overlay port or an
         injected permanent fault) and clears it otherwise, so that the
         kernel can skip the call for a quiet cell (``Engine._evaluate``),
-        and call the opcode's ``OPCODE_FUNCTIONS`` entry alone while no
-        cell holds fault state (``Engine._pristine_clock``).
+        and call ``evaluate`` or shift the pipeline itself while no cell
+        holds fault state (``Engine._pristine_clock``).
         """
         if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")
@@ -351,7 +335,12 @@ class FunctionalCell:
             inputs, masks = registers.voted()
         else:
             inputs, masks = registers.values, NO_MASKS
-        primary, self.pipeline = gfb_eval(config.opcode, config.width_mode, inputs, self.pipeline)
+        evaluate = self.evaluate
+        if evaluate is None:
+            pipeline = self.pipeline = self.pipeline[1:] + (inputs[0],)
+            primary = pipeline[0]
+        else:
+            primary = evaluate(inputs[0], inputs[1], inputs[2])
         mismatch = False
         if self.injected_permanent is not None:  # else the paths cannot differ
             golden = primary

@@ -38,7 +38,9 @@ Either value is published by ``Engine._publish``, the one rule that
 records, routes and zeroes an output in fail-safe.  ``Engine._handle_wave``
 walks the compiled program's ``FabricProgram.wave``, whose levels
 ``Engine`` scales by the cell delay into slot offsets, and holds only
-the yield and resume logic; a delay register steps at every clock.
+the yield and resume logic; a delay register steps at every clock.  A
+cell evaluates with the ``evaluate`` its configuration bound, on either
+path, so a restored spare runs its own decoded code.
 
 A run is pristine until it applies a fault (an inject that lands
 nowhere leaves it so), and again from the first clock at which no
@@ -48,10 +50,15 @@ keeps it on the event path, so a healed run stays there.  While pristine
 no cell holds fault state, nothing is in fail-safe and every sink is its
 bound cell.  A pristine clock whose wave's last slot and sequence number
 sort before the heap's first event runs whole in
-``Engine._pristine_clock``, in the event path's order, calling a
-changed cell's opcode function from ``FabricProgram.wave`` and writing
-each reader's port directly; it takes the wave's sequence numbers too, so
-every later key and every record is the same.
+``Engine._pristine_clock``, in the event path's order; it takes the
+wave's sequence numbers too, so every later key and every record is the
+same.  The pass walks a table that ``Engine._bind_table`` binds once per
+run to the fabric's cells and banks: a row per DELAY, whose pipeline it
+shifts itself, the sinks of each primary input, and a row per wave slot
+with the bound cell's ``evaluate``; it writes each sink's port directly.
+The table stays valid while the pass can run, since only reroute and
+restore replace a bank and after them ``_permanent`` keeps the run off
+the pass; a healed run that returns to the pass must bind it anew.
 """
 
 from __future__ import annotations
@@ -389,13 +396,10 @@ class Engine:
         # when its published value changes
         self._recorded_always = frozenset(program.output_binding.values())
         # the program's wave at this run's timing, n counting from 0: (slot
-        # offset, fn index, n, signal names, opcode function)
+        # offset, fn index, n)
         delta = self.timing.cell_delay
-        self._wave = [
-            (level * delta, i, n, names, evaluate)
-            for n, (level, i, names, evaluate) in enumerate(program.wave)
-        ]
-        self._wave_entry = {i: (offset, n) for offset, i, n, *_ in self._wave}
+        self._wave = [(level * delta, i, n) for n, (level, i, _) in enumerate(program.wave)]
+        self._wave_entry = {i: (offset, n) for offset, i, n in self._wave}
         self._pristine = True
         self._permanent = False  # a permanent fault was applied
         # (offset, n) of the wave's last evaluation; with no wave, the clock
@@ -443,6 +447,7 @@ class Engine:
         for fault in self.faults:
             self._push(fault.time, _INJECT, fault)
         self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
+        self._table = self._bind_table()
 
         handlers = (self._handle_clock, self._handle_inject, self._handle_eval,
                     self._handle_wave, self._handle_heal)  # in kind order
@@ -502,46 +507,75 @@ class Engine:
             self._seq += len(self._wave)
             self._push(t + self._wave[0][0], _WAVE, t, seq=base)
 
-    def _pristine_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
-        """Phases 1 to 3 of a pristine clock in one pass (see the module
-        docstring): no event comes between its evaluations, and a publish
-        is routed only when it changes the function's value."""
+    def _bind_table(self) -> tuple[list, dict, list]:
+        """The pristine pass's table (see the module docstring for when it
+        stays valid), bound when the run starts, after every table it reads
+        is set.  A sink is a reader's ``(bank, bank.values, port)``.  A row
+        per DELAY: (fn index, cell, bank, values, signal names, sinks,
+        recorded always); the sinks of each primary input; a row per wave
+        slot: (offset, fn index, bank, values, signal names, the bound
+        cell's ``evaluate``, sinks, recorded always)."""
         fabric = self.fabric
-        binding, readers, published = fabric.binding, fabric.readers, fabric.published
+        cells, readers = fabric.binding, fabric.readers
+        signals, always = self._signals, self._recorded_always
+        banks = [cell and cell.registers for cell in fabric.sinks]
+
+        def sinks(source: str | int) -> list[tuple]:
+            return [(banks[i], banks[i].values, port) for i, port in readers[source]]
+
+        def own(i: int) -> tuple:  # a function's bank, its values and signals
+            bank = cells[i].registers
+            return bank, bank.values, signals[i]
+
+        delays = [(i, cells[i], *own(i), sinks(i), i in always) for i in self._delays]
+        inputs = {name: sinks(name) for name in self.trace.inputs}
+        wave = [
+            (offset, i, *own(i), cells[i].evaluate, sinks(i), i in always)
+            for offset, i, _n in self._wave
+        ]
+        return delays, inputs, wave
+
+    def _pristine_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
+        """Phases 1 to 3 of a pristine clock in one pass over the run's
+        table (see the module docstring): no event comes between its
+        evaluations, a delay register shifts its pipeline here, and a
+        publish is routed only when it changes the function's value."""
+        published = self.fabric.published
         records = self.trace.records
-        signals = self._signals
-        always = self._recorded_always
-        shifted = [binding[fn_idx].step()[0] for fn_idx in self._delays]
-        for fn_idx, value in zip(self._delays, shifted):
+        delays, input_sinks, wave = self._table
+        shifted = []
+        for _fn_idx, cell, bank, values, *_ in delays:
+            pipeline = cell.pipeline = cell.pipeline[1:] + (values[0],)
+            bank.changed = False
+            shifted.append(pipeline[0])
+        for (fn_idx, _cell, _bank, _values, names, sinks, always), value in zip(delays, shifted):
             if published[fn_idx] != value:
                 published[fn_idx] = value
-                _write_ports(binding, readers[fn_idx], value)
-            elif fn_idx not in always:
+                _write_sinks(sinks, value)
+            elif not always:
                 continue
-            for name in signals[fn_idx]:
+            for name in names:
                 records.append(TraceRecord(t, name, value, "data"))
         for name, value in assignments:
             records.append(TraceRecord(t, f"in.{name}", value, "data"))
-            _write_ports(binding, readers[name], value)
-        for offset, fn_idx, _n, names, evaluate in self._wave:
-            registers = binding[fn_idx].registers
-            if registers.changed:
-                values = registers.values
+            _write_sinks(input_sinks[name], value)
+        for offset, fn_idx, bank, values, names, evaluate, sinks, always in wave:
+            if bank.changed:
                 value = evaluate(values[0], values[1], values[2])
-                registers.changed = False
+                bank.changed = False
                 if published[fn_idx] != value:
                     published[fn_idx] = value
-                    _write_ports(binding, readers[fn_idx], value)
-                elif fn_idx not in always:
+                    _write_sinks(sinks, value)
+                elif not always:
                     continue
-            elif fn_idx in always:
+            elif always:
                 value = published[fn_idx]
             else:
                 continue
             slot = t + offset
             for name in names:
                 records.append(TraceRecord(slot, name, value, "data"))
-        self._seq += len(self._wave)
+        self._seq += len(wave)
 
     def _handle_wave(self, t: int, clock: int) -> None:
         """Run the clock's wave from its evaluation at ``t`` on until an event
@@ -550,7 +584,7 @@ class Engine:
         heap = self._heap
         base = self._wave_base[clock]
         # the event's own sequence number is that of the evaluation to resume at
-        for offset, fn_idx, n, *_ in self._wave[self._now[1] - base:]:
+        for offset, fn_idx, n in self._wave[self._now[1] - base:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
@@ -716,15 +750,14 @@ class Engine:
             fabric.route(fn_idx, value)
 
 
-def _write_ports(binding: list, readers: list[tuple[int, int]], value: int) -> None:
-    """Route a pristine run's value: every sink is its function's bound
-    cell, and no bank holds an overlay port yet."""
-    for fn_idx, port in readers:
-        registers = binding[fn_idx].registers
-        values = registers.values
+def _write_sinks(sinks: list[tuple], value: int) -> None:
+    """Route a pristine run's value to its ``(bank, values, port)`` sinks;
+    no bank holds an overlay port then, so a write that changes no value
+    changes nothing."""
+    for bank, values, port in sinks:
         if values[port] != value:
             values[port] = value
-            registers.changed = True
+            bank.changed = True
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:

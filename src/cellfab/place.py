@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cell import CellId, OPCODE_FUNCTIONS, Opcode
+from .cell import CellId, Opcode
 from .genetic import (
     CellConfig,
     InputSelector,
@@ -44,11 +44,12 @@ class FabricProgram:
     ``fn.<node>``).  An empty worker slot has no entry; its cell holds
     ``NOP_CONFIG``.  ``wave`` holds one entry per combinational function
     in (level, fn index) order, the level being the node's depth: (level,
-    fn index, signal names, opcode function from ``OPCODE_FUNCTIONS``,
-    which the pristine pass calls).  ``delays`` lists the DELAY functions,
-    which capture on the clock, in index order.  ``spare_codes[fn_idx]`` is
-    the genetic code pre-loaded into the spare beside every slot of the
-    fabric, the NOP filler's on an empty one.  ``readers[source]``
+    fn index, signal names).  It holds no evaluator: each cell binds its
+    own from its configuration, so a run evaluates what its cells hold.
+    ``delays`` lists the DELAY functions, which capture on the clock, in
+    index order.  ``spare_codes[fn_idx]`` is the genetic code pre-loaded
+    into the spare beside every slot of the fabric, the NOP filler's on an
+    empty one.  ``readers[source]``
     lists the ``(fn_idx, port)`` pairs that read a source, an input
     name or a function index, with ports as indices in PORT_ORDER.
     """
@@ -150,9 +151,8 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
         signals = program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
         if node.opcode is Opcode.DELAY:
             program.delays.append(fn_idx)
-        else:  # placement enables every output, so the opcode alone gives it
-            function = OPCODE_FUNCTIONS[node.opcode, config.width_mode]
-            program.wave.append((nl.depth[name], fn_idx, signals, function))
+        else:
+            program.wave.append((nl.depth[name], fn_idx, signals))
     program.wave.sort(key=lambda entry: entry[:2])
     return program
 

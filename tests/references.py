@@ -1,10 +1,13 @@
-"""Cruise control application: mode semantics and PI reference.
+"""Reference semantics of the bundled applications, independent of the
+netlists they check (not collected: no ``test_`` prefix).
 
-The behavioural contract for the 17-cell netlist is given by ccs_mode
-(the target-speed update rules) and pi_reference (the exact fixed-point
-controller recurrence); a scenario's ``plant`` section closes the loop
-through ``engine.plant_step_raw``, a first-order vehicle model sampled
-once per stimulus period.
+Cruise control (``data/ccs.nl``): the behavioural contract for the
+17-cell netlist is given by ``ccs_mode`` (the target-speed update rules)
+and ``pi_reference`` (the exact fixed-point controller recurrence); a
+scenario's ``plant`` section closes the loop through
+``engine.plant_step_raw``, a first-order vehicle model sampled once per
+stimulus period.  Emergency generator startup (``data/edg.nl``):
+``reference_equations``, the documented boolean equations.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..cell import qmul, wrap16
+from cellfab.cell import qmul, wrap16
 
 
 class ModeCondition(Enum):
@@ -98,3 +101,27 @@ CCS_CELL_OPCODES = {
     "fc16": "MUL",
     "fc17": "ADD",
 }
+
+
+def reference_equations(inputs: dict[str, int]) -> dict[str, int]:
+    """The documented boolean equations, independent of the netlist."""
+    s = (
+        inputs["fuel_press_ok"]
+        & inputs["lube_press_ok"]
+        & inputs["coolant_ok"]
+        & inputs["air_press_ok"]
+        & inputs["battery_ok"]
+        & inputs["crank_relay_ok"]
+        & (
+            1
+            ^ (
+                (inputs["maint_mode"] | inputs["lockout_tripped"])
+                | (inputs["estop"] | inputs["overspeed"])
+            )
+        )
+        & (inputs["start_manual"] | inputs["start_auto"])
+    )
+    return {
+        "EngineStart": s & inputs["field_flash_ok"],
+        "OpenAirStartFuel_Valves": s & inputs["breaker_open"],
+    }

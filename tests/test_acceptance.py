@@ -314,7 +314,7 @@ def test_criterion_08_genetic_code():
 def test_criterion_09_ccs_structure_and_semantics():
     from collections import Counter
 
-    from cellfab.apps.ccs import CCS_CELL_OPCODES, ModeCondition, PiParams, ccs_mode, pi_reference
+    from references import CCS_CELL_OPCODES, ModeCondition, PiParams, ccs_mode, pi_reference
 
     nl = resolve_application("ccs").netlist
     got = {n.name: n.opcode.name for n in nl.nodes}

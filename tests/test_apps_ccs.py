@@ -6,19 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cellfab.apps import resolve_netlist
-from cellfab.apps.ccs import (
-    CCS_CELL_OPCODES,
-    ModeCondition,
-    PiParams,
-    ccs_mode,
-    pi_reference,
-)
 from cellfab.engine import plant_step_raw
 from cellfab.place import place
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
 
 from helpers import plant_speeds
+from references import CCS_CELL_OPCODES, ModeCondition, PiParams, ccs_mode, pi_reference
 
 
 # ---- structure -----------------------------------------------------------

@@ -3,10 +3,12 @@
 import itertools
 
 from cellfab.apps import resolve_netlist
-from cellfab.apps.edg import reference_equations, START_PERMITTED
+from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import Opcode
 from cellfab.oracle import NetlistOracle
 from cellfab.place import place
+
+from references import reference_equations
 
 
 def test_node_count_is_fourteen():

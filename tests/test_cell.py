@@ -21,13 +21,19 @@ from cellfab.cell import (
     StuckBehavior,
     WidthMode,
     fit,
-    gfb_eval,
     parse_int,
     qmul,
     vote,
     wrap16,
 )
-from cellfab.genetic import CellConfig, InputSelector, SelectorKind, UNUSED
+from cellfab.genetic import (
+    CellConfig,
+    InputSelector,
+    SelectorKind,
+    UNUSED,
+    decode_genetic,
+    encode_genetic,
+)
 from cellfab.netlist import parse_netlist
 from cellfab.oracle import NetlistOracle
 
@@ -40,59 +46,72 @@ def ports(n, w, e=0, s=0):
     return (n, w, e, s)
 
 
+def gfb_step(op, wm, inputs, state):
+    """One evaluation of the generic function block by a configured cell:
+    (output, pipeline after) on port values ``inputs`` in N, W, E, S
+    order, from pipeline ``state``; a DELAY gets one stage per element."""
+    cell = FunctionalCell(CellId(0, 0, "F"))
+    delay = len(state) if op is Opcode.DELAY else 0
+    cell.configure(CellConfig(op, (UNUSED,) * 4, delay_cycles=delay, width_mode=wm))
+    for port, value in enumerate(inputs):
+        cell.registers.write(port, value)
+    cell.pipeline = tuple(state)
+    return cell.step()[0], cell.pipeline
+
+
 class TestGfbEval:
     def test_and_conjunction(self):
-        out, _ = gfb_eval(Opcode.AND, BIT, ports(1, 1), ())
+        out, _ = gfb_step(Opcode.AND, BIT, ports(1, 1), ())
         assert out == 1
-        assert gfb_eval(Opcode.AND, BIT, ports(1, 0), ())[0] == 0
+        assert gfb_step(Opcode.AND, BIT, ports(1, 0), ())[0] == 0
 
     def test_mux_selector_one_picks_east(self):
-        out, _ = gfb_eval(Opcode.MUX, WORD, ports(1, 5, 9), ())
+        out, _ = gfb_step(Opcode.MUX, WORD, ports(1, 5, 9), ())
         assert out == 9
 
     def test_mux_selector_zero_picks_west(self):
-        out, _ = gfb_eval(Opcode.MUX, WORD, ports(0, 5, 9), ())
+        out, _ = gfb_step(Opcode.MUX, WORD, ports(0, 5, 9), ())
         assert out == 5
 
     def test_sub_twos_complement(self):
-        out, _ = gfb_eval(Opcode.SUB, WORD, ports(3, 7), ())
+        out, _ = gfb_step(Opcode.SUB, WORD, ports(3, 7), ())
         assert out == -4
 
     def test_add_wraps(self):
-        out, _ = gfb_eval(Opcode.ADD, WORD, ports(32767, 1), ())
+        out, _ = gfb_step(Opcode.ADD, WORD, ports(32767, 1), ())
         assert out == -32768
 
     def test_not_bit_and_word(self):
-        assert gfb_eval(Opcode.NOT, BIT, ports(1, 0), ())[0] == 0
-        assert gfb_eval(Opcode.NOT, WORD, ports(0, 0), ())[0] == -1
+        assert gfb_step(Opcode.NOT, BIT, ports(1, 0), ())[0] == 0
+        assert gfb_step(Opcode.NOT, WORD, ports(0, 0), ())[0] == -1
 
     def test_cmp_greater_equal(self):
-        assert gfb_eval(Opcode.CMP, WORD, ports(5, 5), ())[0] == 1
-        assert gfb_eval(Opcode.CMP, WORD, ports(4, 5), ())[0] == 0
-        assert gfb_eval(Opcode.CMP, WORD, ports(-1, -2), ())[0] == 1
+        assert gfb_step(Opcode.CMP, WORD, ports(5, 5), ())[0] == 1
+        assert gfb_step(Opcode.CMP, WORD, ports(4, 5), ())[0] == 0
+        assert gfb_step(Opcode.CMP, WORD, ports(-1, -2), ())[0] == 1
 
     def test_mul_q88_truncates_toward_zero(self):
         # 0.5 * 3 = 1.5 -> 1; -3 * 0.5 -> -1 (not -2)
-        assert gfb_eval(Opcode.MUL, WORD, ports(3, 128), ())[0] == 1
-        assert gfb_eval(Opcode.MUL, WORD, ports(-3, 128), ())[0] == -1
+        assert gfb_step(Opcode.MUL, WORD, ports(3, 128), ())[0] == 1
+        assert gfb_step(Opcode.MUL, WORD, ports(-3, 128), ())[0] == -1
         # 1.0 multiplier is exact
-        assert gfb_eval(Opcode.MUL, WORD, ports(1234, 256), ())[0] == 1234
+        assert gfb_step(Opcode.MUL, WORD, ports(1234, 256), ())[0] == 1234
 
     def test_nop_yields_zero(self):
-        assert gfb_eval(Opcode.NOP, WORD, ports(9, 9), ())[0] == 0
+        assert gfb_step(Opcode.NOP, WORD, ports(9, 9), ())[0] == 0
 
     def test_delay_pipeline(self):
         state = (0, 0)
         outs = []
         for x in (7, 8, 9, 10):
-            out, state = gfb_eval(Opcode.DELAY, WORD, ports(x, 0), state)
+            out, state = gfb_step(Opcode.DELAY, WORD, ports(x, 0), state)
             outs.append(out)
         assert outs == [0, 7, 8, 9]
 
     def test_purity(self):
         args = (Opcode.DELAY, WORD, ports(3, 0), (1, 2))
-        assert gfb_eval(*args) == gfb_eval(*args)
-        assert gfb_eval(*args)[1] == (2, 3)
+        assert gfb_step(*args) == gfb_step(*args)
+        assert gfb_step(*args)[1] == (2, 3)
 
 
 class TestVote:
@@ -504,7 +523,7 @@ def evaluations(draw):
 @given(evaluations())
 def test_values_stay_in_their_width(case):
     wm, op, inputs, state, pos, bad = case
-    out, new_state = gfb_eval(op, wm, inputs, state)
+    out, new_state = gfb_step(op, wm, inputs, state)
     assert len(new_state) == len(state)
     for v in (out, *new_state):
         assert fit(wm, v) == v
@@ -528,7 +547,50 @@ def test_gfb_eval_equals_the_oracle_on_a_one_node_netlist(case):
     text += f"node y = {op.name}({', '.join(names)})\noutput o = y\n"
     oracle = NetlistOracle(parse_netlist(text))
     expected = oracle.outputs(oracle.step(dict(zip(names, inputs))))["o"]
-    assert gfb_eval(op, wm, inputs, state) == (expected, state)
+    assert gfb_step(op, wm, inputs, state) == (expected, state)
+
+
+@st.composite
+def configs(draw, op: Opcode, wm: WidthMode):
+    """A ``CellConfig`` of ``op`` and ``wm``, a DELAY of 1 to 3 stages,
+    any selectors and output enable, and an immediate of its width."""
+    selectors = []
+    for _ in PORT_ORDER:
+        kind = draw(st.sampled_from(list(SelectorKind)))
+        indexed = kind in (SelectorKind.PRIMARY_INPUT, SelectorKind.CELL_OUTPUT)
+        selectors.append(InputSelector(kind, draw(st.integers(0, 63)) if indexed else 0))
+    return CellConfig(
+        opcode=op,
+        selectors=tuple(selectors),
+        immediate=draw(payloads(wm)),
+        delay_cycles=draw(st.integers(1, 3)) if op is Opcode.DELAY else 0,
+        output_enable=draw(st.booleans()),
+        width_mode=wm,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.data())
+def test_a_cell_from_its_genetic_code_evaluates_as_one_from_its_config(data):
+    """A restored spare is configured from its decoded code: the evaluator
+    it binds must give the outputs and pipeline of the configuration
+    encoded.  Every example checks every opcode in every width."""
+    for op in Opcode:
+        for wm in WidthMode:
+            config = data.draw(configs(op, wm))
+            cells = [FunctionalCell(CellId(0, 0, "F")) for _ in range(2)]
+            cells[0].configure(config)
+            cells[1].configure(decode_genetic(encode_genetic(config)))
+            # a constant-wired port holds the immediate; the others are written
+            constant = SelectorKind.CONSTANT
+            ports = [p for p, sel in enumerate(config.selectors) if sel.kind is not constant]
+            for _ in range(data.draw(st.integers(1, 6))):
+                values = [data.draw(payloads(wm)) for _ in ports]
+                for cell in cells:
+                    for port, value in zip(ports, values):
+                        cell.registers.write(port, value)
+                assert cells[0].step() == cells[1].step()
+                assert cells[0].pipeline == cells[1].pipeline
 
 
 def test_parse_int_reads_plain_decimal_text_of_at_most_4300_digits():

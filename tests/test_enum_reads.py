@@ -17,12 +17,12 @@ import pytest
 
 HOT_PATH = [
     ("cellfab.cell", "fit"),
-    ("cellfab.cell", "gfb_eval"),
+    ("cellfab.cell", "FunctionalCell.configure"),
     ("cellfab.cell", "FunctionalCell.step"),
     ("cellfab.engine", "Engine._handle_clock"),
     ("cellfab.engine", "Engine._handle_wave"),
     ("cellfab.engine", "Engine._pristine_clock"),
-    ("cellfab.engine", "_write_ports"),
+    ("cellfab.engine", "_write_sinks"),
     ("cellfab.engine", "Engine._handle_eval"),
     ("cellfab.engine", "Engine._evaluate"),
     ("cellfab.engine", "Engine._evaluate_cell"),

@@ -365,11 +365,12 @@ def test_fabric_run_state_is_the_documented_fields():
 
 def test_cell_run_state_is_the_documented_fields():
     # the per-cell part of the same snapshot: a bank's ``changed`` flag is
-    # the one quiet test, so no cached output needs copying beside it
+    # the one quiet test, so no cached output needs copying beside it;
+    # ``evaluate`` is the function ``configure`` bound from ``config``
     fabric = Fabric(resolve_application("edg"))
     cell = fabric.binding[0]
     assert set(vars(cell)) == {
         "cell_id", "config", "registers", "pipeline", "health", "mismatch_streak",
-        "injected_permanent",
+        "injected_permanent", "evaluate",
     }
     assert set(vars(cell.registers)) == {"width_mode", "values", "overlay", "changed"}

@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from cellfab.apps import resolve_netlist
-from cellfab.apps.edg import START_PERMITTED, reference_equations
+from cellfab.apps.edg import START_PERMITTED
 from cellfab.netlist import parse_netlist
 from cellfab.oracle import NetlistOracle
 
 from helpers import reference_eval, settled_reference
+from references import reference_equations
 
 
 def test_single_not():

@@ -121,21 +121,21 @@ def test_an_unchanged_republish_drops_a_transient(replicas, samples):
 def count_routes(monkeypatch, sc: Scenario):
     """The run's result and its number of routed publishes: the event
     path's ``Fabric.route`` calls and the pristine clock's
-    ``engine._write_ports`` calls."""
+    ``engine._write_sinks`` calls."""
     calls = []
     route = Fabric.route
-    write_ports = engine_module._write_ports
+    write_sinks = engine_module._write_sinks
 
     def counting_route(self, source, value):
         calls.append(source)
         return route(self, source, value)
 
-    def counting_write_ports(binding, readers, value):
-        calls.append(readers)
-        write_ports(binding, readers, value)
+    def counting_write_sinks(sinks, value):
+        calls.append(sinks)
+        write_sinks(sinks, value)
 
     monkeypatch.setattr(Fabric, "route", counting_route)
-    monkeypatch.setattr(engine_module, "_write_ports", counting_write_ports)
+    monkeypatch.setattr(engine_module, "_write_sinks", counting_write_sinks)
     res = Engine(resolve_application(sc.application), sc).run()
     return res, len(calls)
 

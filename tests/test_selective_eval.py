@@ -82,8 +82,8 @@ def test_rewriting_a_corrupted_majority_port_evaluates_again():
 def test_unchanged_inputs_skip_the_evaluation(monkeypatch):
     # the same input every period: after the first wave no port of the
     # ADD cell changes, so it is never evaluated again, yet it publishes.
-    # Both evaluation paths, the pristine pass and gfb_eval, call the
-    # opcode's one entry in OPCODE_FUNCTIONS, so it counts them all
+    # Both evaluation paths, the pristine pass and FunctionalCell.step, call
+    # the evaluator the cell bound from OPCODE_FUNCTIONS, so it counts them all
     evaluated = []
     key = (Opcode.ADD, WidthMode.INT16)
     add = cell_module.OPCODE_FUNCTIONS[key]
