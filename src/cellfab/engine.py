@@ -43,22 +43,20 @@ cell evaluates with the ``evaluate`` its configuration bound, on either
 path, so a restored spare runs its own decoded code.
 
 A run is pristine until it applies a fault (an inject that lands
-nowhere leaves it so), and again from the first clock at which no
-permanent fault has been applied, repeats are not routed and every bound
-cell is ``HEALTHY``: a suspect or deactivated cell or a restored spare
-keeps it on the event path, so a healed run stays there.  While pristine
-no cell holds fault state, nothing is in fail-safe and every sink is its
-bound cell.  A pristine clock whose wave's last slot and sequence number
-sort before the heap's first event runs whole in
-``Engine._pristine_clock``, in the event path's order; it takes the
-wave's sequence numbers too, so every later key and every record is the
-same.  The pass walks a table that ``Engine._bind_table`` binds once per
-run to the fabric's cells and banks: a row per DELAY, whose pipeline it
-shifts itself, the sinks of each primary input, and a row per wave slot
-with the bound cell's ``evaluate``; it writes each sink's port directly.
-The table stays valid while the pass can run, since only reroute and
-restore replace a bank and after them ``_permanent`` keeps the run off
-the pass; a healed run that returns to the pass must bind it anew.
+nowhere leaves it so), and again from the first clock at which repeats
+are not routed and no bound cell holds an injected permanent fault or
+is ``SUSPECT_TRANSIENT``, so a healed run returns to the pass.  Then
+nothing is in fail-safe and every sink is its bound cell: a deactivated
+cell holds an injected fault, fail-safe leaves one bound, and the
+faulted cell is bound until restore.  A pristine clock whose wave's last
+slot and sequence number sort before the heap's first event runs whole
+in ``Engine._pristine_clock``, in the event path's order and with its
+sequence numbers, so every later key and record is the same.  It walks
+``Engine._bind_table``'s table of the fabric's cells and banks: a row
+per DELAY, whose pipeline it shifts itself, the sinks of each input and
+a row per wave slot with the bound cell's ``evaluate``; it writes each
+sink's port directly.  Restore, the last heal step to replace a bank,
+drops the table; the clock that finds the run pristine again rebinds it.
 """
 
 from __future__ import annotations
@@ -401,7 +399,6 @@ class Engine:
         self._wave = [(level * delta, i, n) for n, (level, i, _) in enumerate(program.wave)]
         self._wave_entry = {i: (offset, n) for offset, i, n in self._wave}
         self._pristine = True
-        self._permanent = False  # a permanent fault was applied
         # (offset, n) of the wave's last evaluation; with no wave, the clock
         # waits for no event of its own time
         self._wave_end = (self._wave[-1][0], len(self._wave) - 1) if self._wave else (0, 0)
@@ -468,8 +465,11 @@ class Engine:
         self._last_clock = t
         if self._route_repeats:
             self._route_repeats = any(s is not None and s.registers.overlay for s in fabric.sinks)
-        if not (self._pristine or self._route_repeats or self._permanent):
-            self._pristine = all(c.health is HEALTHY for c in fabric.binding if c is not None)
+        if not (self._pristine or self._route_repeats):
+            self._pristine = all(c.injected_permanent is None and c.health is not SUSPECT_TRANSIENT
+                                 for c in fabric.binding if c is not None)
+            if self._pristine and self._table is None:
+                self._table = self._bind_table()
         plant = self.scenario.plant
         if plant is not None and t > 0:
             out_fn = self.program.output_binding[plant.output_name]
@@ -509,8 +509,8 @@ class Engine:
 
     def _bind_table(self) -> tuple[list, dict, list]:
         """The pristine pass's table (see the module docstring for when it
-        stays valid), bound when the run starts, after every table it reads
-        is set.  A sink is a reader's ``(bank, bank.values, port)``.  A row
+        is bound), first when the run starts, after every table it reads is
+        set.  A sink is a reader's ``(bank, bank.values, port)``.  A row
         per DELAY: (fn index, cell, bank, values, signal names, sinks,
         recorded always); the sinks of each primary input; a row per wave
         slot: (offset, fn index, bank, values, signal names, the bound
@@ -611,7 +611,6 @@ class Engine:
             return
         self._pristine = False
         if permanent:
-            self._permanent = True
             cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
             if cell.registers is not None:  # an idle spare gets a new bank at reroute
                 cell.registers.changed = True
@@ -708,6 +707,7 @@ class Engine:
             fabric.reroute(syndrome)
         elif action is HealAction.RESTORE:
             fabric.restore(syndrome)
+            self._table = None  # its bank and evaluate are the spare's now
             self._schedule_eval(fn_idx, t)
 
     def _fail_safe(self, t: int) -> None:

@@ -7,6 +7,10 @@ last one's wave lies past the stop, so no wave slot runs on the event
 path and no local evaluation runs at all.  A change that moves benchmark
 clocks off the pass then fails here, where a count does not move with
 the host, instead of hiding in timing noise.
+
+Seed-1 ops 0..199 of ``edg_fault_campaign`` heal, exhaust spares and
+mask transients; their count of pristine clocks pins the rule by which a
+faulted run returns to the pass.
 """
 
 import contextlib
@@ -66,3 +70,19 @@ def test_benchmark_clocks_take_the_pristine_pass(monkeypatch, name):
         assert len(engine.clocks) > 1
         assert engine.pristine == engine.clocks[:-1], f"op {i}"
         assert engine.evaluations == [], f"op {i}"
+
+
+def test_campaign_clocks_that_take_the_pristine_pass(monkeypatch):
+    # a healed run takes the pass again once its restored spare holds no
+    # injected fault and no cell is suspect
+    workloads = load_workloads()
+    monkeypatch.setattr(workloads, "Engine", TrafficEngine)
+    w = workloads.WORKLOADS["edg_fault_campaign"](1)
+    clocks = pristine = 0
+    for i in range(200):
+        inp = w.inputs(i)
+        out = w.op(inp, lambda _name: contextlib.nullcontext())
+        w.check(inp, out)
+        clocks += len(out.result.clocks)
+        pristine += len(out.result.pristine)
+    assert (clocks, pristine) == (2600, 1751)

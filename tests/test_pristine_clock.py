@@ -1,10 +1,14 @@
 """A pristine clock runs as one pass and leaves the trace of the event path.
 
 Until a run applies a fault it holds no fault state, and it is pristine
-again from the first clock at which no permanent fault has been applied,
-no sink's bank holds a corrupted port and every bound cell is healthy; a
-pristine clock whose wave ends before the heap's next event runs whole
-in ``Engine._pristine_clock``.  A transient on a spare that holds no data
+again from the first clock at which no sink's bank holds a corrupted
+port and no bound cell holds an injected permanent fault or is suspect:
+a state, not a history, so a healed run returns to the pass once its
+restored spare serves, on the pass's table bound anew after the restore.
+``RuleEngine`` states the whole rule on the event path's state, fail-safe
+and every sink being its bound cell included.  A pristine clock whose
+wave ends before the heap's next event runs whole in
+``Engine._pristine_clock``.  A transient on a spare that holds no data
 lands nowhere, so adding one at a drawn time sends at most the clocks
 whose waves it falls in to the event path and changes nothing else: the
 run must leave the plain run's records, plant speeds and cell state,
@@ -20,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
-from cellfab.cell import HEALTHY, CellId, Opcode, Port, WidthMode
+from cellfab.cell import HEALTHY, CellHealth, CellId, Opcode, Port, WidthMode
 from cellfab.engine import _STOP, Engine, FaultSpec, Scenario
 from cellfab.netlist import parse_netlist
 from cellfab.place import SLOTS_PER_LAYER, compile_netlist
@@ -49,31 +53,31 @@ def last_offset(program, sc: Scenario) -> int:
 
 
 class RuleEngine(FullRecord, EventPathEngine):
-    """The event-path reference, recording every publish and listing the clocks at which the pristine
-    rule holds on its own state: no permanent fault has been applied, no
-    sink's bank holds an overlay port, every bound cell is ``HEALTHY``,
-    and no event but the stop comes at or before the wave's last slot,
-    which is at or before the stop.  Every event on the heap then took
-    its sequence number before the clock's wave did, so an event at that
-    slot sorts first; the stop sorts after every evaluation."""
+    """The event-path reference, recording every publish and listing the
+    clocks at which the pristine rule holds on its own state: the fabric
+    is not in fail-safe, no sink's bank holds an overlay port, every
+    bound cell is its function's sink, ``HEALTHY`` or ``SPARE_ACTIVE``
+    with no injected permanent fault, and no event but the stop comes at
+    or before the wave's last slot, which is at or before the stop.
+    Every event on the heap then took its sequence number before the
+    clock's wave did, so an event at that slot sorts first; the stop
+    sorts after every evaluation."""
 
     def __init__(self, program, scenario):
         super().__init__(program, scenario)
         self.pristine = []
-        self.permanent = False
         self.last = last_offset(program, scenario)
-
-    def _handle_inject(self, t, fault):
-        super()._handle_inject(t, fault)
-        applied = self.trace.records[-1].value == 1
-        self.permanent = self.permanent or (applied and fault.kind == "permanent_gfb")
 
     def _handle_clock(self, t, assignments):
         fabric, end = self.fabric, t + self.last
+        bound = [(c, s) for c, s in zip(fabric.binding, fabric.sinks) if c is not None]
         if (
-            not self.permanent
-            and not any(s is not None and s.registers.overlay for s in fabric.sinks)
-            and all(c is None or c.health is HEALTHY for c in fabric.binding)
+            not fabric.fail_safe
+            and not any(s.registers.overlay for _, s in bound)
+            and all(c is s for c, s in bound)
+            and all(c.health in (HEALTHY, CellHealth.SPARE_ACTIVE)
+                    and c.injected_permanent is None
+                    for c, _ in bound)
             and end <= self.scenario.run_until
             and all(time > end for time, _, kind, _ in self._heap if kind != _STOP)
         ):
@@ -171,6 +175,12 @@ def test_the_properties_cover_what_they_must():
                    if r.signal.startswith("fault.") and r.value == 1]
         if plain and applied and plain[-1] > min(applied):
             seen.add("pristine again after an applied transient")
+        restores = [r.time for r in plain_engine.trace.records
+                    if r.annotation == "syndrome_action" and r.signal.endswith(".restore")]
+        if plain and restores and plain[-1] > min(restores):
+            seen.add("pristine again after a restore")
+        if plain_engine.fabric.fail_safe:
+            seen.add("fail-safe")
         if len(forced) < len(plain):
             seen.add("event path where the plain run is pristine")
         if sc.run_until - last_offset(program, sc) in plain:
@@ -209,6 +219,8 @@ def test_the_properties_cover_what_they_must():
         "pristine int16 clock",
         "pristine clock with a DELAY loop",
         "pristine again after an applied transient",
+        "pristine again after a restore",
+        "fail-safe",
     }
 
 
@@ -264,14 +276,16 @@ def test_chained_delays_shift_off_last_period_values():
     ]
 
 
-def test_an_applied_fault_ends_the_prefix_for_good():
-    # L0.F0 is flipped at 400, detected at 435 and healed by 505: the
-    # periods after it run flat again, but on the event path
+def test_a_healed_run_returns_to_the_pass():
+    # L0.F0 is flipped at 400, detected at 435 and restored onto L0.R0 at
+    # 505: the restore's cascade runs into the 600 wave, and from 900 the
+    # restored spare runs on the pass
     program = resolve_application("edg")
     sc = edg_scenario([FaultSpec(kind="permanent_gfb", cell=CellId(0, 0, "F"), time=400, flip=1)])
     engine = assert_same_as_event_path(program, sc)
     assert [s.detect_time for s in engine.syndromes] == [435]
-    assert engine.pristine == [0]
+    assert engine.fabric.binding[engine.syndromes[0].function_index].cell_id == CellId(0, 0, "R")
+    assert engine.pristine == [0, 900, 1200, 1500, 1800]
 
 
 def ccs_transient(cell: CellId, t: int) -> Scenario:
