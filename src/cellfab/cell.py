@@ -291,9 +291,9 @@ class FunctionalCell:
             None if config.opcode is OP_DELAY
             else OPCODE_FUNCTIONS[config.opcode, config.width_mode]
         )
-        # constant-wired ports hold the immediate from configuration time on;
-        # kind checked by name to keep cell free of the genetic-code module
-        for port, sel in enumerate(config.selectors):  # in PORT_ORDER
+        # constant-wired ports hold a nonzero immediate from configuration time
+        # on; kind checked by name to keep cell free of the genetic-code module
+        for port, sel in enumerate(config.selectors if config.immediate else ()):  # PORT_ORDER
             if sel.kind.name == "CONSTANT":
                 if fit(config.width_mode, config.immediate) != config.immediate:
                     raise ValueError(

@@ -46,9 +46,9 @@ A run is pristine until it applies a fault (an inject that lands
 nowhere leaves it so), and again from the first clock at which repeats
 are not routed and no bound cell holds an injected permanent fault or
 is ``SUSPECT_TRANSIENT``, so a healed run returns to the pass.  Then
-nothing is in fail-safe and every sink is its bound cell: a deactivated
-cell holds an injected fault, fail-safe leaves one bound, and the
-faulted cell is bound until restore.  A pristine clock whose wave's last
+every sink is its bound cell and nothing is in fail-safe: the faulted
+cell is bound until restore, a deactivated one holds its fault, and a
+run in fail-safe, which is latched and leaves one bound, skips the test.  A pristine clock whose wave's last
 slot and sequence number sort before the heap's first event runs whole
 in ``Engine._pristine_clock``, in the event path's order and with its
 sequence numbers, so every later key and record is the same.  It walks
@@ -465,7 +465,7 @@ class Engine:
         self._last_clock = t
         if self._route_repeats:
             self._route_repeats = any(s is not None and s.registers.overlay for s in fabric.sinks)
-        if not (self._pristine or self._route_repeats):
+        if not (self._pristine or self._route_repeats or fabric.fail_safe):  # fail-safe is latched
             self._pristine = all(c.injected_permanent is None and c.health is not SUSPECT_TRANSIENT
                                  for c in fabric.binding if c is not None)
             if self._pristine and self._table is None:

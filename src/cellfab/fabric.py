@@ -19,8 +19,8 @@ from enum import Enum
 from typing import Optional
 
 from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank
-from .genetic import NOP_CONFIG, decode_genetic
-from .place import FabricProgram, SLOTS_PER_LAYER
+from .genetic import decode_genetic
+from .place import FabricProgram
 
 
 class HealAction(Enum):
@@ -43,7 +43,9 @@ class Fabric:
     """Run-time state of a configured fabric; owned by one simulation run.
 
     Every static table lives in the shared ``program``, which no run
-    writes; ``readers`` is that program's own table.  ``spares`` lists
+    writes; ``readers`` is that program's own table.  Each cell is
+    restored from the program's ``initial_state``, with a bank and
+    ``values`` list of its own, not configured.  ``spares`` lists
     the spare (R) cells in (layer, slot) order; a spare is idle until
     ``allocate_spare`` claims it.  Healing changes only which cell
     serves a function: ``binding[fn_idx]`` is the cell evaluated for
@@ -56,23 +58,19 @@ class Fabric:
     def __init__(self, program: FabricProgram):
         self.program = program
         self.readers = program.readers
-        configs = program.configs
-        slots = program.placement.layer_count * SLOTS_PER_LAYER
-        self.binding: list[Optional[FunctionalCell]] = [None] * slots
+        self.binding: list[Optional[FunctionalCell]] = []
         self.cells: dict[str, FunctionalCell] = {}
         self.spares: list[FunctionalCell] = []
-        for fn_idx in range(slots):
-            layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
-            fcell = FunctionalCell(CellId(layer, slot, "F"))
-            fcell.configure(configs.get(fn_idx, NOP_CONFIG))
-            if fn_idx in configs:
-                self.binding[fn_idx] = fcell
-            self.cells[str(fcell.cell_id)] = fcell
-            rcell = FunctionalCell(CellId(layer, slot, "R"), health=CellHealth.SPARE_IDLE)
-            self.spares.append(rcell)
-            self.cells[str(rcell.cell_id)] = rcell
+        for fn_idx, (worker_id, worker_key, config, values, pipeline, evaluate,
+                     spare_id, spare_key) in enumerate(program.initial_state):
+            bank = InputRegisterBank(config.width_mode, list(values))
+            worker = self.cells[worker_key] = FunctionalCell(
+                worker_id, config, bank, pipeline, evaluate=evaluate)
+            self.binding.append(worker if fn_idx in program.configs else None)
+            spare = self.cells[spare_key] = FunctionalCell(spare_id, health=CellHealth.SPARE_IDLE)
+            self.spares.append(spare)
         self.sinks = list(self.binding)
-        self.published: list[Optional[int]] = [None] * slots
+        self.published: list[Optional[int]] = [None] * len(self.binding)
         self.fail_safe = False  # latched once no spare is left for a syndrome
 
     # ---- wiring ------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cell import INT16_MAX, INT16_MIN, Opcode, PORT_ORDER, WidthMode
+from .cell import INT16_MAX, INT16_MIN, OP_DELAY, Opcode, PORT_ORDER, WidthMode
 
 WORD_BITS = 66
 HEX_DIGITS = 17  # 68-bit container, top two bits always zero
@@ -61,7 +61,7 @@ class InputSelector:
     def __post_init__(self):
         if not (0 <= self.index <= 63):
             raise InvalidCodeError(f"selector index out of range: {self.index}")
-        if self.kind in (SelectorKind.CONSTANT, SelectorKind.UNUSED) and self.index != 0:
+        if self.index != 0 and self.kind in (SelectorKind.CONSTANT, SelectorKind.UNUSED):
             raise InvalidCodeError(f"{self.kind.name} selector must have index 0")
 
 
@@ -84,9 +84,9 @@ class CellConfig:
             raise InvalidCodeError(f"immediate out of range: {self.immediate}")
         if not (0 <= self.delay_cycles <= 255):
             raise InvalidCodeError(f"delay_cycles out of range: {self.delay_cycles}")
-        if self.opcode is Opcode.DELAY and self.delay_cycles < 1:
+        if self.opcode is OP_DELAY and self.delay_cycles < 1:
             raise InvalidCodeError("delay_cycles must be >= 1 for DELAY")
-        if self.opcode is not Opcode.DELAY and self.delay_cycles != 0:
+        if self.opcode is not OP_DELAY and self.delay_cycles != 0:
             raise InvalidCodeError("delay_cycles must be 0 for non-DELAY opcodes")
 
 
@@ -99,8 +99,8 @@ NOP_CONFIG = CellConfig(
 def _parity_bits(word_without_parity: int) -> int:
     hi = (word_without_parity >> 34) & ((1 << 32) - 1)
     lo = (word_without_parity >> 2) & ((1 << 32) - 1)
-    p1 = bin(hi).count("1") & 1
-    p0 = bin(lo).count("1") & 1
+    p1 = hi.bit_count() & 1
+    p0 = lo.bit_count() & 1
     return (p1 << 1) | p0
 
 

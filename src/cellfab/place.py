@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cell import CellId, Opcode
+from .cell import CellId, FunctionalCell, OP_DELAY
 from .genetic import (
     CellConfig,
     InputSelector,
@@ -52,6 +52,12 @@ class FabricProgram:
     empty one.  ``readers[source]``
     lists the ``(fn_idx, port)`` pairs that read a source, an input
     name or a function index, with ports as indices in PORT_ORDER.
+
+    ``initial_state`` is derived from ``configs``: the run-start state
+    that ``Fabric`` restores, so no run configures a cell.  Per slot it
+    is (worker ``CellId``, its ``cells`` key, ``config``, port ``values``,
+    ``pipeline``, ``evaluate``, spare ``CellId``, its key), all immutable,
+    copied from a worker that ``FunctionalCell.configure`` configured.
     """
 
     netlist: Netlist
@@ -63,6 +69,7 @@ class FabricProgram:
     spare_codes: list[int] = field(default_factory=list)
     wave: list[tuple] = field(default_factory=list)
     delays: list[int] = field(default_factory=list)
+    initial_state: tuple[tuple, ...] = ()
 
     def has_cell(self, cell: CellId) -> bool:
         """Whether ``cell`` is a worker (F) or spare (R) of the fabric."""
@@ -131,11 +138,9 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
     for fn_idx, name in placed:
         node = nodes[name]
         selectors = [_selector_for(ref, inputs, placement) for ref in node.operands]
-        for port, sel in enumerate(selectors):  # in PORT_ORDER
-            if sel.kind is SelectorKind.PRIMARY_INPUT:
-                readers[node.operands[port]].append((fn_idx, port))
-            elif sel.kind is SelectorKind.CELL_OUTPUT:
-                readers[sel.index].append((fn_idx, port))
+        for port, ref in enumerate(node.operands):  # in PORT_ORDER
+            if ref != IMM_REF:  # an input's readers are keyed by name, a function's by index
+                readers[ref if ref in inputs else selectors[port].index].append((fn_idx, port))
         while len(selectors) < 4:
             selectors.append(UNUSED)
         config = CellConfig(
@@ -149,11 +154,20 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
         program.configs[fn_idx] = config
         spare_codes[fn_idx] = encode_genetic(config)
         signals = program.signals[fn_idx] = output_names.get(name, [f"fn.{name}"])
-        if node.opcode is Opcode.DELAY:
+        if node.opcode is OP_DELAY:
             program.delays.append(fn_idx)
         else:
             program.wave.append((nl.depth[name], fn_idx, signals))
     program.wave.sort(key=lambda entry: entry[:2])
+    initial = []
+    for fn_idx in range(placement.layer_count * SLOTS_PER_LAYER):
+        layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
+        worker, spare = FunctionalCell(CellId(layer, slot, "F")), CellId(layer, slot, "R")
+        worker.configure(program.configs.get(fn_idx, NOP_CONFIG))
+        initial.append((worker.cell_id, str(worker.cell_id), worker.config,
+                        tuple(worker.registers.values), worker.pipeline, worker.evaluate,
+                        spare, str(spare)))
+    program.initial_state = tuple(initial)
     return program
 
 

@@ -305,8 +305,8 @@ def _first_agreement(
 class _TraceScan:
     """What metrics reads of a trace's records, gathered in one pass.
 
-    ``samples`` holds the (time, value) data samples per signal, in
-    time order (``fault.*`` rows included);
+    ``samples`` holds the (time, value) data samples of each output and
+    ``fault.*`` row, in time order, as no other is compared;
     ``mismatch`` and ``masked`` hold the record times per cell
     (``L0.F1``) and per cell port (``L0.F1.N``); ``syndromes`` follow
     the order of each cell's first ``syndrome_action``.
@@ -329,11 +329,12 @@ def _scan(trace: Trace) -> _TraceScan:
     """Gather a trace's ``_TraceScan``; a ``syndrome_action`` record whose
     signal is not ``heal.<cell id>.<action>`` raises ValueError."""
     scan = _TraceScan()
-    samples = scan.samples
+    samples, outputs = scan.samples, trace.outputs
     for r in trace.records:
         annotation = r.annotation
         if annotation == "data":
-            samples.setdefault(r.signal, []).append((r.time, r.value))
+            if r.signal in outputs or r.signal.startswith("fault."):
+                samples.setdefault(r.signal, []).append((r.time, r.value))
         elif annotation == "masked_transient":
             scan.masked.setdefault(r.signal[5:], []).append(r.time)
         elif annotation == "mismatch":
@@ -357,6 +358,15 @@ def _scan(trace: Trace) -> _TraceScan:
         elif annotation == "alarm":
             scan.alarm = True
     return scan
+
+
+def _samples(trace: Trace, signals) -> dict[str, list[tuple[int, int]]]:
+    """The (time, value) data samples of each of ``signals``, in one pass."""
+    samples: dict[str, list[tuple[int, int]]] = {signal: [] for signal in signals}
+    for r in trace.records:
+        if r.signal in samples and r.annotation == "data":
+            samples[r.signal].append((r.time, r.value))
+    return samples
 
 
 def metrics(
@@ -451,12 +461,17 @@ def _compare_with_golden(
         # timing overrides may have changed from the scenario's
         twin = replace(scenario.without_faults(), timing=trace.timing)
         golden = Engine(program, twin).run().trace
-    golden_samples = samples if golden is trace else _scan(golden).samples
-    m.erroneous_output_samples = sum(
+    # a syndrome's function is read for its heal time only, so its samples
+    # take one more pass over each trace, and none when there is no syndrome
+    syndrome_signals = {program.signals[s.function_index][0] for s in m.syndromes}
+    if syndrome_signals:
+        samples = samples | _samples(trace, syndrome_signals)
+    golden_samples = samples if golden is trace else _samples(golden, [*outputs, *syndrome_signals])
+    m.erroneous_output_samples = 0 if golden is trace else sum(  # a trace agrees with itself
         v != held
         for o in outputs
         for (_, v), held in zip(
-            samples[o], _held_values([t for t, _ in samples[o]], golden_samples.get(o, []))
+            samples[o], _held_values([t for t, _ in samples[o]], golden_samples[o])
         )
     )
 
@@ -482,9 +497,7 @@ def _compare_with_golden(
         if s.restore_time is None:
             continue
         signal = program.signals[s.function_index][0]
-        s.heal_complete = _first_agreement(
-            samples.get(signal, []), golden_samples.get(signal, []), s.restore_time
-        )
+        s.heal_complete = _first_agreement(samples[signal], golden_samples[signal], s.restore_time)
         healed += s.heal_complete is not None
     m.faults_detected = detected
     m.faults_healed = healed

@@ -47,6 +47,7 @@ def _typed(value, what: str, kind: type = int):
 
 _SCENARIO_KEYS = ("application", "timing", "stimulus", "faults", "run_until", "seed", "plant")
 _STIMULUS_KEYS = ("t", "name", "value")
+_STIMULUS_KEYSET = frozenset(_STIMULUS_KEYS)
 _FAULT_KEYS = ("kind", "cell", "t", "port", "replica", "flip", "stuck", "period", "count")
 _FAULT_INTS = _FAULT_KEYS[4:]  # the optional int keys, each a FaultSpec field of its name
 
@@ -109,10 +110,14 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
     timing = _section(TimingParams, data.get("timing", {}), "timing")
     stimulus = []
     for s in _typed(data.get("stimulus", []), "scenario stimulus", list):
-        _typed(s, "stimulus entry", dict)
-        _known(s, _STIMULUS_KEYS, "stimulus")
-        t, signal, value = (_key(s, key, "stimulus") for key in _STIMULUS_KEYS)
-        stimulus.append((_typed(t, "stimulus t"), _typed(signal, "stimulus name", str), value))
+        if not (type(s) is dict and s.keys() == _STIMULUS_KEYSET
+                and type(s["t"]) is int and type(s["name"]) is str):
+            _typed(s, "stimulus entry", dict)  # malformed: word its first error
+            _known(s, _STIMULUS_KEYS, "stimulus")
+            t, signal, _ = (_key(s, key, "stimulus") for key in _STIMULUS_KEYS)
+            _typed(t, "stimulus t")
+            _typed(signal, "stimulus name", str)
+        stimulus.append((s["t"], s["name"], s["value"]))
     faults = [
         _fault_from_dict(f) for f in _typed(data.get("faults", []), "scenario faults", list)
     ]

@@ -11,6 +11,11 @@ the host, instead of hiding in timing noise.
 Seed-1 ops 0..199 of ``edg_fault_campaign`` heal, exhaust spares and
 mask transients; their count of pristine clocks pins the rule by which a
 faulted run returns to the pass.
+
+A run restores its fabric from the program's initial state, so once the
+bundled program is compiled ``FunctionalCell.configure`` runs only on
+the heal path: never in a fault-free op, and once per restore (a spare
+configured from its genetic code) in a campaign op.
 """
 
 import contextlib
@@ -20,6 +25,8 @@ from pathlib import Path
 
 import pytest
 
+from cellfab.apps import resolve_application
+from cellfab.cell import FunctionalCell
 from cellfab.engine import Engine
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "cellbench" / "workloads.py"
@@ -86,3 +93,42 @@ def test_campaign_clocks_that_take_the_pristine_pass(monkeypatch):
         clocks += len(out.result.clocks)
         pristine += len(out.result.pristine)
     assert (clocks, pristine) == (2600, 1751)
+
+
+@pytest.fixture
+def configured(monkeypatch):
+    """The cells ``FunctionalCell.configure`` is called on from here on;
+    both bundled programs are compiled first, as by a process's first op."""
+    for app in ("ccs", "edg"):
+        resolve_application(app)
+    cells, configure = [], FunctionalCell.configure
+
+    def counting(cell, config):
+        cells.append(cell.cell_id)
+        configure(cell, config)
+
+    monkeypatch.setattr(FunctionalCell, "configure", counting)
+    return cells
+
+
+def test_a_fault_free_op_configures_no_cell(configured):
+    w = load_workloads().WORKLOADS["ccs_cruise"](1)
+    for i in range(OPS):
+        w.op(w.inputs(i), lambda _name: contextlib.nullcontext())
+        assert configured == [], f"op {i}"
+
+
+def test_a_campaign_op_configures_one_spare_per_restore(configured):
+    w = load_workloads().WORKLOADS["edg_fault_campaign"](1)
+    total = 0
+    for i in range(200):
+        configured.clear()
+        out = w.op(w.inputs(i), lambda _name: contextlib.nullcontext())
+        restored = {r.signal for r in out.result.trace.records
+                    if r.annotation == "syndrome_action" and r.signal.endswith(".restore")}
+        # the restored syndromes' spares, in restore order
+        spares = [s.chosen_spare for s in out.result.syndromes
+                  if f"heal.{s.cell_id}.restore" in restored]
+        assert configured == spares, f"op {i}"
+        total += len(spares)
+    assert total > 0

@@ -133,10 +133,12 @@ def test_dump_program_deterministic_text(edg):
 def test_fabric_program_is_the_documented_fields(edg):
     # each static fact once: a spare's code is spare_codes[fn_idx], a
     # worker's configuration configs[fn_idx], an input's selector index
-    # its position in the netlist's inputs
+    # its position in the netlist's inputs.  ``initial_state`` is no second
+    # static fact: it is the run-start state derived from ``configs`` by
+    # ``FunctionalCell.configure``, which every run's Fabric restores
     assert set(vars(compile_netlist(edg))) == {
         "netlist", "placement", "output_binding", "configs", "readers",
-        "signals", "spare_codes", "wave", "delays",
+        "signals", "spare_codes", "wave", "delays", "initial_state",
     }
 
 
