@@ -114,17 +114,6 @@ def wrap16(x: int) -> int:
     return ((x + 32768) & 0xFFFF) - 32768
 
 
-def qmul(a: int, b: int) -> int:
-    """Q8.8 fixed-point product, truncated toward zero, wrapped to INT16.
-
-    Multiplying a plain integer by a Q8.8 constant scales it by
-    constant/256, which is how gain factors enter the datapath.
-    """
-    p = a * b
-    q = abs(p) >> 8
-    return wrap16(-q if p < 0 else q)
-
-
 def fit(width_mode: WidthMode, raw: int) -> int:
     """Reduce a raw integer to a width: the low bit, or a wrapped INT16 word.
 
@@ -140,21 +129,25 @@ def fit(width_mode: WidthMode, raw: int) -> int:
 # f(n, w, e), on the voted N, W, E port values.  DELAY is absent: it
 # shifts the cell's pipeline instead.  ``FunctionalCell.configure`` binds
 # the entry for the cell's (opcode, width) as its ``evaluate``, which
-# ``step`` and the kernel's pristine pass both call.
+# ``step`` and the kernel's pristine pass both call.  Each runs in one
+# frame: ADD, SUB and MUL wrap as ``wrap16`` does, MUL's Q8.8 product is
+# truncated toward zero (``(p + 255) >> 8`` rounds a negative one up), and
+# int16 AND, OR and NOT need no wrap, as a port holds a value of its width.
+# tests/references.py composes each from ``wrap16`` and ``qmul``.
 OPCODE_FUNCTIONS = {
     (OP_AND, BIT): lambda n, w, e: n & w & 1,
-    (OP_AND, INT16): lambda n, w, e: wrap16(n & w),
+    (OP_AND, INT16): lambda n, w, e: n & w,
     (OP_OR, BIT): lambda n, w, e: (n | w) & 1,
-    (OP_OR, INT16): lambda n, w, e: wrap16(n | w),
+    (OP_OR, INT16): lambda n, w, e: n | w,
     (OP_NOT, BIT): lambda n, w, e: ~n & 1,
-    (OP_NOT, INT16): lambda n, w, e: wrap16(~n),
+    (OP_NOT, INT16): lambda n, w, e: ~n,
 }
 # the other opcodes read the same in either width
 for _op, _function in {
     OP_NOP: lambda n, w, e: 0,
-    OP_ADD: lambda n, w, e: wrap16(n + w),
-    OP_SUB: lambda n, w, e: wrap16(n - w),
-    OP_MUL: lambda n, w, e: qmul(n, w),
+    OP_ADD: lambda n, w, e: ((n + w + 32768) & 0xFFFF) - 32768,
+    OP_SUB: lambda n, w, e: ((n - w + 32768) & 0xFFFF) - 32768,
+    OP_MUL: lambda n, w, e: (((p + 255 if (p := n * w) < 0 else p) >> 8) + 32768 & 0xFFFF) - 32768,
     OP_CMP: lambda n, w, e: 1 if n >= w else 0,
     OP_MUX: lambda n, w, e: w if n == 0 else e,
 }.items():
@@ -325,7 +318,7 @@ class FunctionalCell:
         injected permanent fault) and clears it otherwise, so that the
         kernel can skip the call for a quiet cell (``Engine._evaluate``),
         and call ``evaluate`` or shift the pipeline itself while no cell
-        holds fault state (``Engine._pristine_clock``).
+        holds fault state (the pristine pass of ``Engine._handle_clock``).
         """
         if self.health is FAULTY_DEACTIVATED:
             raise RuntimeError(f"step on deactivated cell {self.cell_id}")

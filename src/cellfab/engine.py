@@ -17,7 +17,8 @@ every reader's port already holds the last one, or while a sink's bank
 holds an overlay port, which a write of even an equal value drops.
 Events are totally ordered by (time, sequence number), so two runs of
 the same scenario produce byte-identical traces; ``Engine.run`` pops
-each and calls its kind's handler at its one dispatch point.
+each and calls its kind's handler at its one dispatch point (the
+pristine pass pops the clocks it runs back to back itself).
 
 A wave is one heap event.  Its evaluations run in (level, function
 index) order, each at its slot without cascading, under sequence numbers
@@ -48,15 +49,20 @@ are not routed and no bound cell holds an injected permanent fault or
 is ``SUSPECT_TRANSIENT``, so a healed run returns to the pass.  Then
 every sink is its bound cell and nothing is in fail-safe: the faulted
 cell is bound until restore, a deactivated one holds its fault, and a
-run in fail-safe, which is latched and leaves one bound, skips the test.  A pristine clock whose wave's last
-slot and sequence number sort before the heap's first event runs whole
-in ``Engine._pristine_clock``, in the event path's order and with its
-sequence numbers, so every later key and record is the same.  It walks
-``Engine._bind_table``'s table of the fabric's cells and banks: a row
-per DELAY, whose pipeline it shifts itself, the sinks of each input and
-a row per wave slot with the bound cell's ``evaluate``; it writes each
-sink's port directly.  Restore, the last heal step to replace a bank,
-drops the table; the clock that finds the run pristine again rebinds it.
+run in fail-safe, which is latched and leaves one bound, skips the test.
+A pristine clock whose wave's last slot and sequence number sort before
+the heap's first event runs whole in one pass of ``Engine._handle_clock``,
+in the event path's order and with its sequence numbers, so every later
+key and record is the same; while the heap's next event is a clock, the
+same loop pops it, as ``run`` would, and runs its plant step and test,
+so a fault-free stretch pays no dispatch or handler call per clock.  The
+first clock that fails the test takes the event path, ``_event_clock``.
+The pass walks ``Engine._bind_table``'s table of the fabric's cells and
+banks: a row per DELAY, whose pipeline it shifts itself, the sinks of
+each input and a row per wave slot with the bound cell's ``evaluate``;
+it writes each sink's port directly.  Restore, the last heal step to
+replace a bank, drops the table; the clock that finds the run pristine
+again rebinds it.
 """
 
 from __future__ import annotations
@@ -79,8 +85,6 @@ from .cell import (
     WidthMode,
     excerpt,
     fit,
-    qmul,
-    wrap16,
 )
 from .fabric import Fabric, HealAction, HealthSyndrome
 from .genetic import NOP_CONFIG
@@ -183,7 +187,8 @@ def expand_faults(faults: list[FaultSpec]) -> list[FaultSpec]:
     """Expand intermittent bursts into their individual transients.
 
     The faults must be checked already (``Scenario.validate``): a burst's
-    ``count`` is only bounded by its last transient's ``run_until``."""
+    ``count`` is bounded by ``MAX_CLOCKS`` and its last transient's
+    ``run_until``."""
     out: list[FaultSpec] = []
     for f in faults:
         if f.kind == FaultKind.INTERMITTENT_BURST:
@@ -218,6 +223,12 @@ class PlantFeedback:
     dt: int = 256
 
 
+# A run builds its clocks, and a burst its transients, before the first
+# event: 10**5 fault-free edg clocks peaked at 38 MB in ``cellfab run``, so
+# 10**6 take about 0.3 GB
+MAX_CLOCKS = 10**6
+
+
 @dataclass
 class Scenario:
     name: str
@@ -231,10 +242,11 @@ class Scenario:
 
     def validate(self, program: FabricProgram) -> None:
         """The one check of a scenario, against the compiled application it
-        runs on: timing, ``run_until``, stimulus up to ``run_until``, plant, then each fault
-        (``FaultSpec.validate``, then that its cell is a cell of the
-        fabric and its value fits that cell), in that order; the first
-        error raises ValueError.  ``Engine`` calls it before it builds
+        runs on: timing, ``run_until``, stimulus up to ``run_until``, plant,
+        each fault (``FaultSpec.validate``, then that its cell is a cell of
+        the fabric and its value fits that cell), then the run's clock count
+        and each burst's count against ``MAX_CLOCKS``, in that order; the
+        first error raises ValueError.  ``Engine`` calls it before it builds
         anything, and ``metrics`` for a scenario the trace did not run, so
         ``cellfab run`` and ``cellfab report --scenario`` refuse the same
         scenarios."""
@@ -289,6 +301,15 @@ class Scenario:
                     f"fault {key}={excerpt(str(value))} on {fault.cell}"
                     f" does not fit {width.name.lower()}"
                 )
+        # last, so that every refusal above keeps its line
+        clocks = self.run_until // self.timing.stimulus_period + 1
+        if clocks > MAX_CLOCKS:
+            raise ValueError(f"a run of {excerpt(str(clocks))} clocks"
+                             f" is over the limit of {MAX_CLOCKS}")
+        for fault in self.faults:
+            if fault.kind == FaultKind.INTERMITTENT_BURST and fault.count > MAX_CLOCKS:
+                raise ValueError(f"a burst on {fault.cell} of {excerpt(str(fault.count))}"
+                                 f" transients is over the limit of {MAX_CLOCKS}")
 
     def without_faults(self) -> "Scenario":
         return replace(self, faults=[], name=self.name + "+golden")
@@ -461,8 +482,10 @@ class Engine:
     # ---- handlers -------------------------------------------------------
 
     def _handle_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
-        fabric = self.fabric
-        self._last_clock = t
+        """A clock, then each next clock that the pristine pass takes, back
+        to back (see the module docstring); the first clock that fails the
+        pass test takes the event path, ``_event_clock``."""
+        fabric, heap = self.fabric, self._heap
         if self._route_repeats:
             self._route_repeats = any(s is not None and s.registers.overlay for s in fabric.sinks)
         if not (self._pristine or self._route_repeats or fabric.fail_safe):  # fail-safe is latched
@@ -470,19 +493,62 @@ class Engine:
                                  for c in fabric.binding if c is not None)
             if self._pristine and self._table is None:
                 self._table = self._bind_table()
+        published, records = fabric.published, self.trace.records
         plant = self.scenario.plant
-        if plant is not None and t > 0:
-            out_fn = self.program.output_binding[plant.output_name]
-            throttle = fabric.published[out_fn] or 0
-            self.plant_speed = plant_step_raw(
-                self.plant_speed, throttle, plant.gain, plant.drag, plant.dt
-            )
-            assignments = assignments + [(plant.input_name, self.plant_speed)]
-        offset, n = self._wave_end
-        if self._pristine and self._heap[0] > (t + offset, self._seq + n):
-            self._pristine_clock(t, assignments)
-            return
+        end_offset, end_n = self._wave_end
+        while True:
+            self._last_clock = t
+            if plant is not None and t > 0:
+                throttle = published[self.program.output_binding[plant.output_name]] or 0
+                self.plant_speed = plant_step_raw(
+                    self.plant_speed, throttle, plant.gain, plant.drag, plant.dt
+                )
+                assignments = assignments + [(plant.input_name, self.plant_speed)]
+            if not (self._pristine and heap[0] > (t + end_offset, self._seq + end_n)):
+                self._event_clock(t, assignments)
+                return
+            delays, input_sinks, wave = self._table
+            shifted = []
+            for _fn_idx, cell, bank, values, *_ in delays:
+                pipeline = cell.pipeline = cell.pipeline[1:] + (values[0],)
+                bank.changed = False
+                shifted.append(pipeline[0])
+            for (fn_idx, *_, names, sinks, always), value in zip(delays, shifted):
+                if published[fn_idx] != value:
+                    published[fn_idx] = value
+                    _write_sinks(sinks, value)
+                elif not always:
+                    continue
+                for name in names:
+                    records.append(TraceRecord(t, name, value, "data"))
+            for name, value in assignments:
+                records.append(TraceRecord(t, f"in.{name}", value, "data"))
+                _write_sinks(input_sinks[name], value)
+            for offset, fn_idx, bank, values, names, evaluate, sinks, always in wave:
+                if bank.changed:
+                    value = evaluate(values[0], values[1], values[2])
+                    bank.changed = False
+                    if published[fn_idx] != value:
+                        published[fn_idx] = value
+                        _write_sinks(sinks, value)
+                    elif not always:
+                        continue
+                elif always:
+                    value = published[fn_idx]
+                else:
+                    continue
+                slot = t + offset
+                for name in names:
+                    records.append(TraceRecord(slot, name, value, "data"))
+            self._seq += len(wave)
+            if heap[0][2] != _CLOCK:  # the rule's inputs change at other events only
+                return
+            t, seq, _kind, assignments = heapq.heappop(heap)
+            self._now = (t, seq)
 
+    def _event_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
+        """Phases 1 to 3 of a clock on the event path."""
+        fabric = self.fabric
         # phase 1: clock every delay register off last period's port values
         shifted: list[tuple[int, int]] = []
         for fn_idx in self._delays:
@@ -534,48 +600,6 @@ class Engine:
             for offset, i, _n in self._wave
         ]
         return delays, inputs, wave
-
-    def _pristine_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
-        """Phases 1 to 3 of a pristine clock in one pass over the run's
-        table (see the module docstring): no event comes between its
-        evaluations, a delay register shifts its pipeline here, and a
-        publish is routed only when it changes the function's value."""
-        published = self.fabric.published
-        records = self.trace.records
-        delays, input_sinks, wave = self._table
-        shifted = []
-        for _fn_idx, cell, bank, values, *_ in delays:
-            pipeline = cell.pipeline = cell.pipeline[1:] + (values[0],)
-            bank.changed = False
-            shifted.append(pipeline[0])
-        for (fn_idx, _cell, _bank, _values, names, sinks, always), value in zip(delays, shifted):
-            if published[fn_idx] != value:
-                published[fn_idx] = value
-                _write_sinks(sinks, value)
-            elif not always:
-                continue
-            for name in names:
-                records.append(TraceRecord(t, name, value, "data"))
-        for name, value in assignments:
-            records.append(TraceRecord(t, f"in.{name}", value, "data"))
-            _write_sinks(input_sinks[name], value)
-        for offset, fn_idx, bank, values, names, evaluate, sinks, always in wave:
-            if bank.changed:
-                value = evaluate(values[0], values[1], values[2])
-                bank.changed = False
-                if published[fn_idx] != value:
-                    published[fn_idx] = value
-                    _write_sinks(sinks, value)
-                elif not always:
-                    continue
-            elif always:
-                value = published[fn_idx]
-            else:
-                continue
-            slot = t + offset
-            for name in names:
-                records.append(TraceRecord(slot, name, value, "data"))
-        self._seq += len(wave)
 
     def _handle_wave(self, t: int, clock: int) -> None:
         """Run the clock's wave from its evaluation at ``t`` on until an event
@@ -761,6 +785,11 @@ def _write_sinks(sinks: list[tuple], value: int) -> None:
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:
-    """v' = v + (gain*u - drag*v)*dt, all factors Q8.8, truncated toward zero."""
-    return wrap16(v + qmul(dt, qmul(gain, u) - qmul(drag, v)))
+    """v' = v + (gain*u - drag*v)*dt, all factors Q8.8, truncated toward zero
+    as ``OP_MUL`` does, in one frame (tests/references.py composes it)."""
+    f, g = gain * u, drag * v
+    f = ((((f + 255 if f < 0 else f) >> 8) + 32768) & 0xFFFF) - 32768
+    g = ((((g + 255 if g < 0 else g) >> 8) + 32768) & 0xFFFF) - 32768
+    p = dt * (f - g)  # wrapping the last product adds a multiple of 2**16
+    return ((v + ((p + 255 if p < 0 else p) >> 8) + 32768) & 0xFFFF) - 32768
 

@@ -165,10 +165,6 @@ def _vcd_id(index: int) -> str:
     return out
 
 
-def _vcd_vector(value: int) -> str:
-    return format(value & 0xFFFF, "016b")
-
-
 def to_vcd(trace: Trace) -> str:
     """Value-change dump of the primary input and output waveforms.
 
@@ -179,8 +175,17 @@ def to_vcd(trace: Trace) -> str:
     """
     inputs = {f"in.{name}": mode for name, mode in trace.inputs.items()}
     declared = inputs | trace.outputs
-    data = [r for r in trace.records if r.annotation == "data" and r.signal in declared]
-    signals = dict.fromkeys(r.signal for r in data)
+    # one pass folds the records into per-time change sets; of two samples at
+    # one time the last wins, and below it is written only if it differs from
+    # the value held before that time.  ``last`` is in order of first sample
+    last: dict[str, int] = {}
+    changes: dict[int, dict[str, int]] = {}
+    for r in trace.records:
+        signal, value = r.signal, r.value
+        if signal in declared and r.annotation == "data" and last.get(signal) != value:
+            last[signal] = value
+            changes.setdefault(r.time, {})[signal] = value
+    signals = list(last)
     widths = {s: 1 if declared[s] is WidthMode.BIT else 16 for s in signals}
 
     ids = {s: _vcd_id(i) for i, s in enumerate(signals)}
@@ -200,24 +205,16 @@ def to_vcd(trace: Trace) -> str:
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
-    # fold records into per-time change sets; of two samples at one time the
-    # last wins, and below it is written only if it differs from the value
-    # held before that time
-    last: dict[str, Optional[int]] = {s: None for s in signals}
-    changes: dict[int, dict[str, int]] = {}
-    for r in data:
-        if last[r.signal] != r.value:
-            changes.setdefault(r.time, {})[r.signal] = r.value
-            last[r.signal] = r.value
-
     lines.append("#0")
     lines.append("$dumpvars")
     at_zero = changes.pop(0, {})
     for s in signals:
-        if s in at_zero:
-            lines.append(_vcd_change(s, at_zero[s], widths, ids))
-        else:
+        if s not in at_zero:
             lines.append(f"bx {ids[s]}" if widths[s] > 1 else f"x{ids[s]}")
+        elif widths[s] > 1:
+            lines.append(f"b{at_zero[s] & 0xFFFF:016b} {ids[s]}")
+        else:
+            lines.append(f"{at_zero[s] & 1}{ids[s]}")
     lines.append("$end")
     held = {s: at_zero.get(s) for s in signals}
     for t in sorted(changes):
@@ -226,16 +223,13 @@ def to_vcd(trace: Trace) -> str:
         for s, v in changes[t].items():
             if v != held[s]:  # else it changed and changed back at t
                 held[s] = v
-                lines.append(_vcd_change(s, v, widths, ids))
+                if widths[s] > 1:
+                    lines.append(f"b{v & 0xFFFF:016b} {ids[s]}")
+                else:
+                    lines.append(f"{v & 1}{ids[s]}")
         if len(lines) == stamped:
             lines.pop()
     return "\n".join(lines) + "\n"
-
-
-def _vcd_change(signal: str, value: int, widths: dict, ids: dict) -> str:
-    if widths[signal] > 1:
-        return f"b{_vcd_vector(value)} {ids[signal]}"
-    return f"{value & 1}{ids[signal]}"
 
 
 # ---- metrics ------------------------------------------------------------
@@ -329,12 +323,20 @@ def _scan(trace: Trace) -> _TraceScan:
     """Gather a trace's ``_TraceScan``; a ``syndrome_action`` record whose
     signal is not ``heal.<cell id>.<action>`` raises ValueError."""
     scan = _TraceScan()
-    samples, outputs = scan.samples, trace.outputs
+    outputs = trace.outputs
+    # each data signal's sample list, or None if it is not kept: decided once
+    kept: dict[str, Optional[list[tuple[int, int]]]] = {}
     for r in trace.records:
         annotation = r.annotation
         if annotation == "data":
-            if r.signal in outputs or r.signal.startswith("fault."):
-                samples.setdefault(r.signal, []).append((r.time, r.value))
+            signal = r.signal
+            try:
+                samples = kept[signal]
+            except KeyError:
+                keep = signal in outputs or signal.startswith("fault.")
+                samples = kept[signal] = [] if keep else None
+            if samples is not None:
+                samples.append((r.time, r.value))
         elif annotation == "masked_transient":
             scan.masked.setdefault(r.signal[5:], []).append(r.time)
         elif annotation == "mismatch":
@@ -357,6 +359,7 @@ def _scan(trace: Trace) -> _TraceScan:
                 s.restore_time = r.time
         elif annotation == "alarm":
             scan.alarm = True
+    scan.samples = {signal: samples for signal, samples in kept.items() if samples is not None}
     return scan
 
 

@@ -21,6 +21,34 @@ class EventPathEngine(Engine):
     _pristine = property(lambda self: False, lambda self, value: None)
 
 
+def clock_times(sc) -> list[int]:
+    """A run's clocks: the stimulus period's grid up to ``run_until`` and
+    every stimulus time."""
+    period = sc.timing.stimulus_period
+    times = set(range(0, sc.run_until + 1, period)) | {t for t, _, _ in sc.stimulus}
+    return sorted(times)
+
+
+class PassLog:
+    """Mixed into an engine, lists the clocks that take the event path,
+    ``Engine._event_clock``.  Every other clock takes the pristine pass,
+    which runs clocks back to back with no per-clock call to hook, so
+    ``pristine`` lists the run's clocks (``clock_times``) less those."""
+
+    def __init__(self, program: FabricProgram, scenario):
+        super().__init__(program, scenario)
+        self.event_clocks: list[int] = []
+
+    def _event_clock(self, t, assignments):
+        self.event_clocks.append(t)
+        super()._event_clock(t, assignments)
+
+    @property
+    def pristine(self) -> list[int]:
+        event_clocks = set(self.event_clocks)
+        return [t for t in clock_times(self.scenario) if t not in event_clocks]
+
+
 class AlwaysEvaluateEngine(EventPathEngine):
     """The kernel with selective evaluation off: every wave slot and local
     evaluation sets its live cell's ``changed`` flag, the one quiet test,

@@ -8,6 +8,11 @@ scenario's ``plant`` section closes the loop through
 ``engine.plant_step_raw``, a first-order vehicle model sampled once per
 stimulus period.  Emergency generator startup (``data/edg.nl``):
 ``reference_equations``, the documented boolean equations.
+
+Cell arithmetic: ``COMPOSED_FUNCTIONS`` and ``composed_plant_step`` write
+each opcode's evaluation and the plant step with ``wrap16`` and
+``qmul``, as the reference for ``cell.OPCODE_FUNCTIONS`` and
+``engine.plant_step_raw``, which inline them to run in one frame.
 """
 
 from __future__ import annotations
@@ -15,7 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from cellfab.cell import qmul, wrap16
+from cellfab.cell import Opcode, WidthMode, wrap16
+
+
+def qmul(a: int, b: int) -> int:
+    """Q8.8 fixed-point product, truncated toward zero, wrapped to INT16.
+
+    Multiplying a plain integer by a Q8.8 constant scales it by
+    constant/256, which is how gain factors enter the datapath.
+    """
+    p = a * b
+    q = abs(p) >> 8
+    return wrap16(-q if p < 0 else q)
 
 
 class ModeCondition(Enum):
@@ -125,3 +141,29 @@ def reference_equations(inputs: dict[str, int]) -> dict[str, int]:
         "EngineStart": s & inputs["field_flash_ok"],
         "OpenAirStartFuel_Valves": s & inputs["breaker_open"],
     }
+
+
+# keyed as ``cell.OPCODE_FUNCTIONS``: (opcode, width) -> f(n, w, e)
+COMPOSED_FUNCTIONS = {
+    (Opcode.AND, WidthMode.BIT): lambda n, w, e: n & w & 1,
+    (Opcode.AND, WidthMode.INT16): lambda n, w, e: wrap16(n & w),
+    (Opcode.OR, WidthMode.BIT): lambda n, w, e: (n | w) & 1,
+    (Opcode.OR, WidthMode.INT16): lambda n, w, e: wrap16(n | w),
+    (Opcode.NOT, WidthMode.BIT): lambda n, w, e: ~n & 1,
+    (Opcode.NOT, WidthMode.INT16): lambda n, w, e: wrap16(~n),
+}
+for _op, _function in {  # the same in either width
+    Opcode.NOP: lambda n, w, e: 0,
+    Opcode.ADD: lambda n, w, e: wrap16(n + w),
+    Opcode.SUB: lambda n, w, e: wrap16(n - w),
+    Opcode.MUL: lambda n, w, e: qmul(n, w),
+    Opcode.CMP: lambda n, w, e: 1 if n >= w else 0,
+    Opcode.MUX: lambda n, w, e: w if n == 0 else e,
+}.items():
+    COMPOSED_FUNCTIONS[_op, WidthMode.BIT] = COMPOSED_FUNCTIONS[_op, WidthMode.INT16] = _function
+del _op, _function
+
+
+def composed_plant_step(v: int, u: int, gain: int, drag: int, dt: int) -> int:
+    """v' = v + (gain*u - drag*v)*dt, all factors Q8.8, truncated toward zero."""
+    return wrap16(v + qmul(dt, qmul(gain, u) - qmul(drag, v)))

@@ -2,9 +2,12 @@
 
 Seed-1 ops 0..19 of ``ccs_cruise`` and ``oracle_netlists`` from
 ``cellbench/workloads.py`` run on an engine that counts its work.  Every
-clock but each op's last runs whole in ``Engine._pristine_clock``; the
-last one's wave lies past the stop, so no wave slot runs on the event
-path and no local evaluation runs at all.  A change that moves benchmark
+clock but each op's last runs whole in the pristine pass; the last one's
+wave lies past the stop, so no wave slot runs on the event path and no
+local evaluation runs at all.  The pass runs clocks back to back in
+``Engine._handle_clock``, so a run's clocks are read off the period grid
+and the stimulus times, and its pristine clocks are those that do not
+take the event path (``helpers.PassLog``).  A change that moves benchmark
 clocks off the pass then fails here, where a count does not move with
 the host, instead of hiding in timing noise.
 
@@ -29,6 +32,8 @@ from cellfab.apps import resolve_application
 from cellfab.cell import FunctionalCell
 from cellfab.engine import Engine
 
+from helpers import PassLog, clock_times
+
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "cellbench" / "workloads.py"
 OPS = 20
 
@@ -42,21 +47,14 @@ def load_workloads():
     return sys.modules[name]
 
 
-class TrafficEngine(Engine):
-    """The kernel counting its clocks, its pristine clocks and every
-    event-path evaluation, a wave slot's or a local one's."""
+class TrafficEngine(PassLog, Engine):
+    """The kernel listing its clocks, its pristine clocks (``PassLog``) and
+    every event-path evaluation, a wave slot's or a local one's."""
 
     def __init__(self, program, scenario):
         super().__init__(program, scenario)
-        self.clocks, self.pristine, self.evaluations = [], [], []
-
-    def _handle_clock(self, t, assignments):
-        self.clocks.append(t)
-        super()._handle_clock(t, assignments)
-
-    def _pristine_clock(self, t, assignments):
-        self.pristine.append(t)
-        super()._pristine_clock(t, assignments)
+        self.clocks = clock_times(scenario)
+        self.evaluations = []
 
     def _evaluate(self, fn_idx, t, cascade):
         self.evaluations.append((fn_idx, t, cascade))

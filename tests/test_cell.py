@@ -1,5 +1,6 @@
 """Cell-level semantics: function block ops, voting, registers, mismatch streaks."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from cellfab.cell import (
     INT16_MIN,
     INT16_ONLY_OPCODES,
     OPCODE_ARITY,
+    OPCODE_FUNCTIONS,
     CellHealth,
     CellId,
     FunctionalCell,
@@ -22,7 +24,6 @@ from cellfab.cell import (
     WidthMode,
     fit,
     parse_int,
-    qmul,
     vote,
     wrap16,
 )
@@ -34,8 +35,11 @@ from cellfab.genetic import (
     decode_genetic,
     encode_genetic,
 )
+from cellfab.engine import plant_step_raw
 from cellfab.netlist import parse_netlist
 from cellfab.oracle import NetlistOracle
+
+from references import COMPOSED_FUNCTIONS, composed_plant_step, qmul
 
 BIT = WidthMode.BIT
 WORD = WidthMode.INT16
@@ -508,6 +512,44 @@ LEGAL_OPS = [
 
 def payloads(wm: WidthMode):
     return st.integers(0, 1) if wm is WidthMode.BIT else st.integers(INT16_MIN, INT16_MAX)
+
+
+# int16 operands at which a wrap, a sign or a Q8.8 shift turns
+INT16_EDGES = [INT16_MIN, -1, 0, 1, 255, 256, INT16_MAX]
+
+
+def operands(wm: WidthMode):
+    """A port value of width ``wm``; an int16 one is often an edge."""
+    if wm is WidthMode.BIT:
+        return st.integers(0, 1)
+    return st.one_of(st.sampled_from(INT16_EDGES), payloads(wm))
+
+
+def test_every_opcode_function_is_its_composed_form_on_the_edges():
+    assert OPCODE_FUNCTIONS.keys() == COMPOSED_FUNCTIONS.keys()
+    for (op, wm), function in OPCODE_FUNCTIONS.items():
+        values = [0, 1] if wm is WidthMode.BIT else INT16_EDGES
+        for n, w, e in itertools.product(values, repeat=3):
+            assert function(n, w, e) == COMPOSED_FUNCTIONS[op, wm](n, w, e), (op, wm, n, w, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_every_opcode_function_is_its_composed_form(data):
+    """Each one-frame entry of ``OPCODE_FUNCTIONS`` against its form with
+    ``wrap16`` and ``qmul`` in ``references``; every example checks
+    every entry."""
+    for (op, wm), function in OPCODE_FUNCTIONS.items():
+        n, w, e = (data.draw(operands(wm)) for _ in range(3))
+        assert function(n, w, e) == COMPOSED_FUNCTIONS[op, wm](n, w, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(*[operands(WidthMode.INT16)] * 5)
+def test_plant_step_raw_is_its_composed_form(v, u, gain, drag, dt):
+    # cellbench's ccs check replays the plant with plant_step_raw itself,
+    # so only this reference can catch a fault in it
+    assert plant_step_raw(v, u, gain, drag, dt) == composed_plant_step(v, u, gain, drag, dt)
 
 
 @st.composite

@@ -916,6 +916,58 @@ def test_endless_burst_is_one_line_error_on_run_and_report(tmp_path, capsys):
         assert err.count("\n") == 1 and "after run_until=600" in err
 
 
+def _burst(count):
+    return {"kind": "intermittent_burst", "cell": "L0.F0", "t": 0, "port": "N",
+            "replica": 0, "flip": 1, "period": 1, "count": count}
+
+
+@pytest.mark.parametrize("timing, run_until, faults, message", [
+    ({"stimulus_period": 1}, 10**6, [],
+     "a run of 1000001 clocks is over the limit of 1000000"),
+    ({"stimulus_period": 10**6}, 2 * 10**6, [_burst(10**6 + 1)],
+     "a burst on L0.F0 of 1000001 transients is over the limit of 1000000"),
+])
+def test_a_run_over_the_clock_limit_is_one_line_error_on_run_and_report(
+    tmp_path, capsys, faultfree_csv, timing, run_until, faults, message
+):
+    # the limit is checked before the clocks or transients are built, so a
+    # refused scenario allocates nothing
+    import json
+    import time
+
+    from cellfab.scenarios import load_scenario, scenario_to_dict
+
+    data = scenario_to_dict(load_scenario("edg_faultfree"))
+    data["timing"].update(timing)
+    data.update(run_until=run_until, faults=faults)
+    scn = tmp_path / "long.scn"
+    scn.write_text(json.dumps(data))
+    for argv in (["run", str(scn), "--out", str(tmp_path), "--format", "csv"],
+                 ["report", str(faultfree_csv), "--scenario", str(scn)]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+
+def test_a_run_at_the_clock_limit_is_accepted():
+    # checked, not run: 10**6 clocks, and a burst of 10**6 transients
+    from dataclasses import replace
+
+    from cellfab.apps import resolve_application
+    from cellfab.engine import MAX_CLOCKS, FaultSpec
+    from cellfab.cell import CellId, Port
+    from cellfab.scenarios import load_scenario
+
+    assert MAX_CLOCKS == 10**6
+    sc = load_scenario("edg_faultfree")
+    burst = FaultSpec(kind="intermittent_burst", cell=CellId(0, 0, "F"), time=0,
+                      port=Port.NORTH, replica=0, flip=1, period=1, count=10**6)
+    replace(sc, run_until=10**6 - 1, timing=TimingParams(stimulus_period=1),
+            faults=[burst]).validate(resolve_application(sc.application))
+
+
 @pytest.mark.parametrize("name, kernel_runs", [("edg_faultfree", 1), ("edg_permanent_bt", 2)])
 def test_run_simulates_golden_twin_only_for_faulted_scenarios(
     tmp_path, monkeypatch, name, kernel_runs

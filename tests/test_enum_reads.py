@@ -21,7 +21,7 @@ HOT_PATH = [
     ("cellfab.cell", "FunctionalCell.step"),
     ("cellfab.engine", "Engine._handle_clock"),
     ("cellfab.engine", "Engine._handle_wave"),
-    ("cellfab.engine", "Engine._pristine_clock"),
+    ("cellfab.engine", "Engine._event_clock"),
     ("cellfab.engine", "_write_sinks"),
     ("cellfab.engine", "Engine._handle_eval"),
     ("cellfab.engine", "Engine._evaluate"),

@@ -7,8 +7,10 @@ a state, not a history, so a healed run returns to the pass once its
 restored spare serves, on the pass's table bound anew after the restore.
 ``RuleEngine`` states the whole rule on the event path's state, fail-safe
 and every sink being its bound cell included.  A pristine clock whose
-wave ends before the heap's next event runs whole in
-``Engine._pristine_clock``.  A transient on a spare that holds no data
+wave ends before the heap's next event runs whole in the pass of
+``Engine._handle_clock``, which runs such clocks back to back; the
+clocks that take the event path are the ones it does not run
+(``helpers.PassLog``).  A transient on a spare that holds no data
 lands nowhere, so adding one at a drawn time sends at most the clocks
 whose waves it falls in to the event path and changes nothing else: the
 run must leave the plain run's records, plant speeds and cell state,
@@ -30,22 +32,16 @@ from cellfab.netlist import parse_netlist
 from cellfab.place import SLOTS_PER_LAYER, compile_netlist
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 
-from helpers import EventPathEngine, FullRecord, FullRecordEngine, plant_speeds
+from helpers import (
+    EventPathEngine, FullRecord, FullRecordEngine, PassLog, clock_times, plant_speeds,
+)
 from test_selective_eval import cell_state, faulted_scenarios
-from test_wave_paths import clock_times, edg_scenario, scenarios
+from test_wave_paths import edg_scenario, scenarios
 
 
-class PristineEngine(FullRecord, Engine):
-    """An engine that lists the clocks that take the pristine pass; it
-    records every publish, as ``RuleEngine`` does."""
-
-    def __init__(self, program, scenario):
-        super().__init__(program, scenario)
-        self.pristine = []
-
-    def _pristine_clock(self, t, assignments):
-        self.pristine.append(t)
-        super()._pristine_clock(t, assignments)
+class PristineEngine(FullRecord, PassLog, Engine):
+    """An engine that lists the clocks that take the pristine pass
+    (``PassLog``); it records every publish, as ``RuleEngine`` does."""
 
 
 def last_offset(program, sc: Scenario) -> int:
@@ -115,15 +111,16 @@ def without_fault_rows(engine):
 
 def assert_same_as_event_path(program, sc: Scenario):
     """Run ``sc`` with and without the pristine pass; the two must leave
-    the same records of every publish, plant speeds and cell state, and take the same
-    number of sequence numbers, and the pass must take exactly the
-    clocks the rule lists on the event path's state."""
+    the same records of every publish, plant speeds and cell state, take
+    the same number of sequence numbers and end on the same last clock,
+    and the pass must take exactly the clocks the rule lists on the event
+    path's state."""
     engine = PristineEngine(program, sc).run()
     reference = RuleEngine(program, sc).run()
     assert engine.trace.records == reference.trace.records
     assert plant_speeds(engine.trace, sc.plant) == plant_speeds(reference.trace, sc.plant)
     assert cell_state(engine.fabric) == cell_state(reference.fabric)
-    assert engine._seq == reference._seq
+    assert (engine._seq, engine._last_clock) == (reference._seq, reference._last_clock)
     assert engine.pristine == reference.pristine
     return engine
 

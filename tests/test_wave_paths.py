@@ -19,10 +19,11 @@ from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
 from cellfab.netlist import Netlist, NetlistError, validate_netlist
 from cellfab.place import compile_netlist
 
+from helpers import PassLog, clock_times
 from test_acceptance import random_netlist, random_vector
 
 
-class CountingEngine(Engine):
+class CountingEngine(PassLog, Engine):
     """An engine that counts the pops of each clock's wave event; a
     pristine clock runs its whole wave in one pass, and counts as one."""
 
@@ -34,16 +35,11 @@ class CountingEngine(Engine):
         self.wave_pops[clock] += 1
         super()._handle_wave(t, clock)
 
-    def _pristine_clock(self, t, assignments):
+    def run(self):
+        super().run()
         if self._wave:
-            self.wave_pops[t] += 1
-        super()._pristine_clock(t, assignments)
-
-
-def clock_times(sc: Scenario) -> list[int]:
-    period = sc.timing.stimulus_period
-    times = set(range(0, sc.run_until + 1, period)) | {t for t, _, _ in sc.stimulus}
-    return sorted(times)
+            self.wave_pops.update(self.pristine)
+        return self
 
 
 def wave_levels(program) -> list[int]:
