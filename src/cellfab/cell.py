@@ -127,8 +127,8 @@ def fit(width_mode: WidthMode, raw: int) -> int:
 
 # One definition per opcode and width: the output of one evaluation,
 # f(n, w, e), on the voted N, W, E port values.  DELAY is absent: it
-# shifts the cell's pipeline instead.  ``FunctionalCell.configure`` binds
-# the entry for the cell's (opcode, width) as its ``evaluate``, which
+# shifts the cell's pipeline instead.  ``run_start`` picks the entry for
+# a cell's (opcode, width) as its ``evaluate``, which
 # ``step`` and the kernel's pristine pass both call.  Each runs in one
 # frame: ADD, SUB and MUL wrap as ``wrap16`` does, MUL's Q8.8 product is
 # truncated toward zero (``(p + 255) >> 8`` rounds a negative one up), and
@@ -262,6 +262,23 @@ class StuckBehavior:
         return fit(width_mode, v ^ self.flip if self.flip is not None else self.stuck)
 
 
+def run_start(config) -> tuple[tuple[int, ...], tuple[int, ...], Optional[Callable]]:
+    """A cell configured with ``config`` at run start: its port values in
+    PORT_ORDER (a constant-wired port holds the immediate, any other 0), its
+    pipeline and its ``evaluate``, a plain function (a bound method would be
+    a reference cycle), none for a DELAY.  The selector kind is read by name
+    to keep cell free of the genetic-code module."""
+    opcode, width, immediate = config.opcode, config.width_mode, config.immediate
+    evaluate = None if opcode is OP_DELAY else OPCODE_FUNCTIONS[opcode, width]
+    values = [0, 0, 0, 0]
+    for port, sel in enumerate(config.selectors if immediate else ()):  # PORT_ORDER
+        if sel.kind._name_ == "CONSTANT":
+            if fit(width, immediate) != immediate:
+                raise ValueError(f"immediate {immediate} does not fit {width.name.lower()}")
+            values[port] = immediate
+    return tuple(values), (0,) * config.delay_cycles, evaluate
+
+
 @dataclass
 class FunctionalCell:
     """One worker (F) or spare (R) cell of the fabric."""
@@ -277,24 +294,8 @@ class FunctionalCell:
 
     def configure(self, config) -> None:
         self.config = config
-        self.registers = InputRegisterBank(config.width_mode)
-        # the cell's own evaluator, a plain function (a bound method would
-        # be a reference cycle); a DELAY has none, it shifts its pipeline
-        self.evaluate = (
-            None if config.opcode is OP_DELAY
-            else OPCODE_FUNCTIONS[config.opcode, config.width_mode]
-        )
-        # constant-wired ports hold a nonzero immediate from configuration time
-        # on; kind checked by name to keep cell free of the genetic-code module
-        for port, sel in enumerate(config.selectors if config.immediate else ()):  # PORT_ORDER
-            if sel.kind.name == "CONSTANT":
-                if fit(config.width_mode, config.immediate) != config.immediate:
-                    raise ValueError(
-                        f"immediate {config.immediate} does not fit "
-                        f"{config.width_mode.name.lower()}"
-                    )
-                self.registers.write(port, config.immediate)
-        self.pipeline = (0,) * config.delay_cycles
+        values, self.pipeline, self.evaluate = run_start(config)
+        self.registers = InputRegisterBank(config.width_mode, list(values))
         self.mismatch_streak = 0
 
     def step(self) -> tuple[int, bool, tuple[int, int, int, int]]:

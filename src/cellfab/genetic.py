@@ -46,6 +46,10 @@ class SelectorKind(Enum):
     UNUSED = 3
 
 
+# compared against in the compile path, as cell.py binds its enum members
+SEL_INPUT, SEL_OUTPUT, SEL_CONSTANT, SEL_UNUSED = SelectorKind
+
+
 @dataclass(frozen=True)
 class InputSelector:
     """Where one input port draws its data from.
@@ -61,11 +65,11 @@ class InputSelector:
     def __post_init__(self):
         if not (0 <= self.index <= 63):
             raise InvalidCodeError(f"selector index out of range: {self.index}")
-        if self.index != 0 and self.kind in (SelectorKind.CONSTANT, SelectorKind.UNUSED):
+        if self.index != 0 and self.kind in (SEL_CONSTANT, SEL_UNUSED):
             raise InvalidCodeError(f"{self.kind.name} selector must have index 0")
 
 
-UNUSED = InputSelector(SelectorKind.UNUSED)
+UNUSED = InputSelector(SEL_UNUSED)
 
 
 @dataclass(frozen=True)
@@ -107,17 +111,20 @@ def _parity_bits(word_without_parity: int) -> int:
 def encode_genetic(config: CellConfig) -> int:
     """Pack a cell configuration into its 66-bit genetic code word."""
     config.validate()
-    word = config.opcode.value << 61
+    word = config.opcode._value_ << 61  # not .value, a Python-level descriptor before 3.12
     shift = 53
     for sel in config.selectors:
-        word |= ((sel.kind.value << 6) | sel.index) << shift
+        word |= ((sel.kind._value_ << 6) | sel.index) << shift
         shift -= 8
     word |= (config.immediate & 0xFFFF) << 13
     word |= config.delay_cycles << 5
     word |= (1 if config.output_enable else 0) << 4
-    word |= config.width_mode.value << 2
+    word |= config.width_mode._value_ << 2
     word |= _parity_bits(word)
     return word
+
+
+NOP_CODE = encode_genetic(NOP_CONFIG)  # the empty slots' filler, encoded once
 
 
 def decode_genetic(word: int) -> CellConfig:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .cell import INT16_MAX, INT16_MIN, Opcode, OPCODE_ARITY, INT16_ONLY_OPCODES, WidthMode, excerpt
+from .cell import BIT, INT16, INT16_MAX, INT16_MIN, INT16_ONLY_OPCODES, OP_DELAY, OPCODE_ARITY
+from .cell import Opcode, WidthMode, excerpt
 
 IMM_REF = "imm"
 SLOTS_PER_LAYER = 4
@@ -77,6 +78,7 @@ _OUTPUT_RE = re.compile(r"^output\s+(\w+)\s*=\s*(\w+)$")
 # a layer, ASCII digits, is checked after the match, so that any other text
 # before the colon is refused, not read as a comment
 _PARTITION_RE = re.compile(r"^#\s*partition(\s[^:]*):\s*(.+)$")
+_OPCODES = dict(Opcode.__members__)  # a plain dict: ``Opcode[name]`` is Python code
 
 
 def parse_netlist(text: str, name: str = "netlist") -> Netlist:
@@ -84,7 +86,8 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     nl = Netlist(name=name)
     partition: dict[int, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        pm = _PARTITION_RE.match(raw.strip())
+        line = raw.strip()
+        pm = line.startswith("#") and _PARTITION_RE.match(line)
         if pm:
             layer = pm.group(1).strip()
             if not re.fullmatch("[0-9]+", layer):
@@ -103,22 +106,19 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
             ids = pm.group(2).replace(",", " ").split()
             partition.setdefault(int(layer), []).extend(ids)
             continue
-        line = raw.split("#", 1)[0].strip()
+        line = line.split("#", 1)[0].rstrip()
         if not line:
             continue
         m = _INPUT_RE.match(line)
         if m:
-            nl.inputs.append(
-                (m.group(1), WidthMode.BIT if m.group(2) == "bit" else WidthMode.INT16)
-            )
+            nl.inputs.append((m.group(1), BIT if m.group(2) == "bit" else INT16))
             continue
         m = _NODE_RE.match(line)
         if m:
             node_name, op_name, operand_text, attr_text = m.groups()
-            try:
-                opcode = Opcode[op_name]
-            except KeyError:
-                raise NetlistError(f"unknown opcode {excerpt(repr(op_name))}", lineno) from None
+            opcode = _OPCODES.get(op_name)
+            if opcode is None:
+                raise NetlistError(f"unknown opcode {excerpt(repr(op_name))}", lineno)
             operands = tuple(
                 o.strip() for o in operand_text.split(",") if o.strip()
             )
@@ -180,7 +180,7 @@ def validate_netlist(nl: Netlist) -> None:
                 raise NetlistError(f"dangling reference {excerpt(repr(ref))}", node.line)
         if not (INT16_MIN <= node.immediate <= INT16_MAX):
             raise NetlistError("immediate out of int16 range", node.line)
-        if node.opcode is Opcode.DELAY:
+        if node.opcode is OP_DELAY:
             if not (1 <= node.delay_cycles <= 255):
                 raise NetlistError("DELAY requires delay=1..255", node.line)
         elif node.delay_cycles != 0:
@@ -240,7 +240,7 @@ def _resolve_widths(nl: Netlist) -> None:
             if unknown and not known:
                 still_pending.append(node)
                 continue
-            widths[node.name] = known[0] if known else WidthMode.BIT
+            widths[node.name] = known[0] if known else BIT
             progressed = True
         if not progressed:
             # delay loops fed by no input: an int16-only opcode fixes its
@@ -248,10 +248,10 @@ def _resolve_widths(nl: Netlist) -> None:
             arithmetic = [n for n in still_pending if n.opcode in INT16_ONLY_OPCODES]
             if not arithmetic:
                 for node in still_pending:
-                    widths[node.name] = WidthMode.BIT
+                    widths[node.name] = BIT
                 break
             for node in arithmetic:
-                widths[node.name] = WidthMode.INT16
+                widths[node.name] = INT16
             still_pending = [n for n in still_pending if n.name not in widths]
         pending = still_pending
     for node in nl.nodes:
@@ -259,11 +259,11 @@ def _resolve_widths(nl: Netlist) -> None:
         for ref in node.operands:
             if ref != IMM_REF and widths[ref] is not width:
                 raise NetlistError("operand width modes differ", node.line)
-        if node.opcode in INT16_ONLY_OPCODES and width is WidthMode.BIT:
+        if node.opcode in INT16_ONLY_OPCODES and width is BIT:
             raise NetlistError(
                 f"{node.opcode.name} requires int16 operands", node.line
             )
-        if width is WidthMode.BIT and node.immediate not in (0, 1):
+        if width is BIT and node.immediate not in (0, 1):
             raise NetlistError(
                 f"bit-wide constant imm={node.immediate} must be 0 or 1", node.line
             )
@@ -280,7 +280,7 @@ def _order_by_depth(nl: Netlist) -> None:
     input settles).
     """
     sources = {IMM_REF, *nl.input_names()}
-    sources.update(n.name for n in nl.nodes if n.opcode is Opcode.DELAY)
+    sources.update(n.name for n in nl.nodes if n.opcode is OP_DELAY)
     deps = {n.name: [ref for ref in n.operands if ref not in sources] for n in nl.nodes}
     lines = {n.name: n.line for n in nl.nodes}
     depths: dict[str, int] = {}

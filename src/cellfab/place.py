@@ -10,17 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cell import CellId, FunctionalCell, OP_DELAY
+from .cell import CellId, OP_DELAY, run_start
 from .genetic import (
-    CellConfig,
-    InputSelector,
-    NOP_CONFIG,
-    SelectorKind,
-    UNUSED,
-    encode_genetic,
-    to_hex,
+    CellConfig, InputSelector, NOP_CODE, NOP_CONFIG, SEL_CONSTANT, SEL_INPUT, SEL_OUTPUT,
+    SelectorKind, UNUSED, encode_genetic, to_hex,
 )
-from .netlist import IMM_REF, SLOTS_PER_LAYER, Netlist
+from .netlist import IMM_REF, MAX_LAYERS, SLOTS_PER_LAYER, Netlist
+
+
+def _slot_ids(fn_idx: int) -> tuple[CellId, str, CellId, str]:
+    """A slot's worker id, its ``cells`` key, spare id and its key."""
+    layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
+    worker, spare = CellId(layer, slot, "F"), CellId(layer, slot, "R")
+    return worker, str(worker), spare, str(spare)
+
+
+# they depend only on the function index, so they are made once per process
+_SLOT_IDS = tuple(map(_slot_ids, range(MAX_LAYERS * SLOTS_PER_LAYER)))
 
 
 @dataclass
@@ -56,8 +62,9 @@ class FabricProgram:
     ``initial_state`` is derived from ``configs``: the run-start state
     that ``Fabric`` restores, so no run configures a cell.  Per slot it
     is (worker ``CellId``, its ``cells`` key, ``config``, port ``values``,
-    ``pipeline``, ``evaluate``, spare ``CellId``, its key), all immutable,
-    copied from a worker that ``FunctionalCell.configure`` configured.
+    ``pipeline``, ``evaluate``, spare ``CellId``, its key), all immutable:
+    the ids are made once per process, and the rest is ``cell.run_start``
+    of the slot's configuration, the one definition ``configure`` uses.
     """
 
     netlist: Netlist
@@ -104,10 +111,10 @@ def place(nl: Netlist) -> Placement:
 
 def _selector_for(ref: str, inputs: dict[str, int], placement: Placement) -> InputSelector:
     if ref == IMM_REF:
-        return InputSelector(SelectorKind.CONSTANT)
+        return InputSelector(SEL_CONSTANT)
     if ref in inputs:
-        return InputSelector(SelectorKind.PRIMARY_INPUT, inputs[ref])
-    return InputSelector(SelectorKind.CELL_OUTPUT, placement.function_index(ref))
+        return InputSelector(SEL_INPUT, inputs[ref])
+    return InputSelector(SEL_OUTPUT, placement.function_index(ref))
 
 
 def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
@@ -131,13 +138,14 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
     readers = program.readers
     for source in [*inputs, *(fn_idx for fn_idx, _ in placed)]:
         readers[source] = []
-    spare_codes = program.spare_codes = (
-        [encode_genetic(NOP_CONFIG)] * (placement.layer_count * SLOTS_PER_LAYER)
-    )
+    spare_codes = program.spare_codes = [NOP_CODE] * (placement.layer_count * SLOTS_PER_LAYER)
+    # one frozen selector per operand source
+    chosen = {ref: _selector_for(ref, inputs, placement)
+              for ref in dict.fromkeys(ref for node in nl.nodes for ref in node.operands)}
 
     for fn_idx, name in placed:
         node = nodes[name]
-        selectors = [_selector_for(ref, inputs, placement) for ref in node.operands]
+        selectors = [chosen[ref] for ref in node.operands]
         for port, ref in enumerate(node.operands):  # in PORT_ORDER
             if ref != IMM_REF:  # an input's readers are keyed by name, a function's by index
                 readers[ref if ref in inputs else selectors[port].index].append((fn_idx, port))
@@ -160,13 +168,9 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
             program.wave.append((nl.depth[name], fn_idx, signals))
     program.wave.sort(key=lambda entry: entry[:2])
     initial = []
-    for fn_idx in range(placement.layer_count * SLOTS_PER_LAYER):
-        layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
-        worker, spare = FunctionalCell(CellId(layer, slot, "F")), CellId(layer, slot, "R")
-        worker.configure(program.configs.get(fn_idx, NOP_CONFIG))
-        initial.append((worker.cell_id, str(worker.cell_id), worker.config,
-                        tuple(worker.registers.values), worker.pipeline, worker.evaluate,
-                        spare, str(spare)))
+    for fn_idx, (worker, worker_key, spare, spare_key) in enumerate(_SLOT_IDS[:len(spare_codes)]):
+        config = program.configs.get(fn_idx, NOP_CONFIG)
+        initial.append((worker, worker_key, config, *run_start(config), spare, spare_key))
     program.initial_state = tuple(initial)
     return program
 

@@ -17,6 +17,7 @@ import pytest
 
 HOT_PATH = [
     ("cellfab.cell", "fit"),
+    ("cellfab.cell", "run_start"),
     ("cellfab.cell", "FunctionalCell.configure"),
     ("cellfab.cell", "FunctionalCell.step"),
     ("cellfab.engine", "Engine._handle_clock"),
@@ -28,6 +29,14 @@ HOT_PATH = [
     ("cellfab.engine", "Engine._evaluate_cell"),
     ("cellfab.engine", "Engine._publish"),
     ("cellfab.fabric", "Fabric.route"),
+    ("cellfab.netlist", "parse_netlist"),
+    ("cellfab.netlist", "validate_netlist"),
+    ("cellfab.netlist", "_resolve_widths"),
+    ("cellfab.netlist", "_order_by_depth"),
+    ("cellfab.place", "build_routing"),
+    ("cellfab.place", "_selector_for"),
+    ("cellfab.genetic", "encode_genetic"),
+    ("cellfab.genetic", "InputSelector.__post_init__"),
     ("cellfab.oracle", "NetlistOracle.step"),
     ("cellfab.oracle", "NetlistOracle._eval_node"),
 ]

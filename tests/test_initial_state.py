@@ -1,12 +1,14 @@
 """A run's fabric is restored from its program's initial state.
 
-``build_routing`` configures a worker for every slot once, through
-``FunctionalCell.configure``, and keeps what that leaves as immutable
-data (``FabricProgram.initial_state``).  ``Fabric`` restores every cell
-from it and configures none.  The restored fabric must equal one
-configured cell by cell, in every pinned cell and bank field and in the
-shape of ``binding``, ``sinks``, ``spares`` and ``cells``; and two fabrics
-of one program must share nothing that a run writes.
+``build_routing`` keeps every slot's run-start state as immutable data
+(``FabricProgram.initial_state``): ``cell.run_start`` of the slot's
+configuration, which ``FunctionalCell.configure`` also uses, so this
+test cannot tell the two apart; ``test_compile_pins.py`` pins the state
+itself.  ``Fabric`` restores every cell from it and configures none.
+The restored fabric must equal one configured cell by cell, in every
+pinned cell and bank field and in the shape of ``binding``, ``sinks``,
+``spares`` and ``cells``; and two fabrics of one program must share
+nothing that a run writes.
 """
 
 from hypothesis import given, settings, strategies as st
