@@ -58,11 +58,11 @@ same loop pops it, as ``run`` would, and runs its plant step and test,
 so a fault-free stretch pays no dispatch or handler call per clock.  The
 first clock that fails the test takes the event path, ``_event_clock``.
 The pass walks ``Engine._bind_table``'s table of the fabric's cells and
-banks: a row per DELAY, whose pipeline it shifts itself, the sinks of
-each input and a row per wave slot with the bound cell's ``evaluate``;
-it writes each sink's port directly.  Restore, the last heal step to
-replace a bank, drops the table; the clock that finds the run pristine
-again rebinds it.
+banks, bound once when the run starts: a row per DELAY, whose pipeline
+it shifts itself, the sink list of each source, through which both
+paths route, and a row per wave slot with the bound cell's ``evaluate``.
+Reroute replaces the healed function's entries in the sink lists and
+restore its own row, so the table is valid at every clock.
 """
 
 from __future__ import annotations
@@ -465,7 +465,7 @@ class Engine:
         for fault in self.faults:
             self._push(fault.time, _INJECT, fault)
         self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
-        self._table = self._bind_table()
+        self._bind_table()
 
         handlers = (self._handle_clock, self._handle_inject, self._handle_eval,
                     self._handle_wave, self._handle_heal)  # in kind order
@@ -491,8 +491,6 @@ class Engine:
         if not (self._pristine or self._route_repeats or fabric.fail_safe):  # fail-safe is latched
             self._pristine = all(c.injected_permanent is None and c.health is not SUSPECT_TRANSIENT
                                  for c in fabric.binding if c is not None)
-            if self._pristine and self._table is None:
-                self._table = self._bind_table()
         published, records = fabric.published, self.trace.records
         plant = self.scenario.plant
         end_offset, end_n = self._wave_end
@@ -563,7 +561,7 @@ class Engine:
         records = self.trace.records
         for name, value in assignments:
             records.append(TraceRecord(t, f"in.{name}", value, "data"))
-            fabric.route(name, value)
+            _route(self._sinks[name], value)
 
         # phase 3: one wave, each combinational cell at its level; no local
         # evaluation holds a slot of it, as none is scheduled more than one
@@ -573,33 +571,37 @@ class Engine:
             self._seq += len(self._wave)
             self._push(t + self._wave[0][0], _WAVE, t, seq=base)
 
-    def _bind_table(self) -> tuple[list, dict, list]:
-        """The pristine pass's table (see the module docstring for when it
-        is bound), first when the run starts, after every table it reads is
-        set.  A sink is a reader's ``(bank, bank.values, port)``.  A row
-        per DELAY: (fn index, cell, bank, values, signal names, sinks,
-        recorded always); the sinks of each primary input; a row per wave
-        slot: (offset, fn index, bank, values, signal names, the bound
-        cell's ``evaluate``, sinks, recorded always)."""
-        fabric = self.fabric
-        cells, readers = fabric.binding, fabric.readers
-        signals, always = self._signals, self._recorded_always
-        banks = [cell and cell.registers for cell in fabric.sinks]
+    def _bind_table(self) -> None:
+        """Bind the run's sink lists and the pristine pass's table once,
+        when the run starts, after every table it reads is set.  A sink
+        is a reader's ``(bank, bank.values, port)``.  The table holds a
+        row per DELAY, each source's sink list and a row per wave slot
+        (``_bind_row``); a row shares its function's sink list."""
+        banks = [cell and cell.registers for cell in self.fabric.sinks]
+        self._sinks = {
+            source: [(banks[i], banks[i].values, port) for i, port in readers]
+            for source, readers in self.program.readers.items()
+        }
+        self._table = [None] * len(self._delays), self._sinks, [None] * len(self._wave)
+        for i in (*self._delays, *self._wave_entry):
+            self._bind_row(i)
 
-        def sinks(source: str | int) -> list[tuple]:
-            return [(banks[i], banks[i].values, port) for i, port in readers[source]]
-
-        def own(i: int) -> tuple:  # a function's bank, its values and signals
-            bank = cells[i].registers
-            return bank, bank.values, signals[i]
-
-        delays = [(i, cells[i], *own(i), sinks(i), i in always) for i in self._delays]
-        inputs = {name: sinks(name) for name in self.trace.inputs}
-        wave = [
-            (offset, i, *own(i), cells[i].evaluate, sinks(i), i in always)
-            for offset, i, _n in self._wave
-        ]
-        return delays, inputs, wave
+    def _bind_row(self, i: int) -> None:
+        """Set function ``i``'s row of the pass table from its bound cell:
+        for a DELAY (fn index, cell, bank, values, signal names, sinks,
+        recorded always), for a wave slot (offset, fn index, bank,
+        values, signal names, the cell's ``evaluate``, sinks, recorded
+        always)."""
+        delays, sinks, wave = self._table
+        cell = self.fabric.binding[i]
+        bank = cell.registers
+        names, always = self._signals[i], i in self._recorded_always
+        entry = self._wave_entry.get(i)
+        if entry is None:
+            delays[self._delays.index(i)] = i, cell, bank, bank.values, names, sinks[i], always
+        else:
+            offset, n = entry
+            wave[n] = offset, i, bank, bank.values, names, cell.evaluate, sinks[i], always
 
     def _handle_wave(self, t: int, clock: int) -> None:
         """Run the clock's wave from its evaluation at ``t`` on until an event
@@ -729,9 +731,14 @@ class Engine:
             self._publish(fn_idx, 0, t, cascade=True)
         elif action is HealAction.REROUTE:
             fabric.reroute(syndrome)
+            bank = fabric.sinks[fn_idx].registers
+            for source, readers in self.program.readers.items():
+                for k, (reader, port) in enumerate(readers):
+                    if reader == fn_idx:
+                        self._sinks[source][k] = (bank, bank.values, port)
         elif action is HealAction.RESTORE:
-            fabric.restore(syndrome)
-            self._table = None  # its bank and evaluate are the spare's now
+            fabric.restore(syndrome)  # the spare's bank is its sink already
+            self._bind_row(fn_idx)
             self._schedule_eval(fn_idx, t)
 
     def _fail_safe(self, t: int) -> None:
@@ -763,15 +770,22 @@ class Engine:
                 records.append(TraceRecord(t, name, value, "data"))
         if changed:
             published[fn_idx] = value
-            readers = fabric.route(fn_idx, value)
-            if cascade:
-                # a reader with several ports is scheduled once: _schedule_eval
-                # merges evaluations of one function at one time
-                for reader, _port in readers:
-                    if fabric.binding[reader].health is not FAULTY_DEACTIVATED:
-                        self._schedule_eval(reader, t + self.timing.cell_delay)
-        elif self._route_repeats:
-            fabric.route(fn_idx, value)
+        elif not self._route_repeats:
+            return
+        _route(self._sinks[fn_idx], value)
+        if changed and cascade:
+            # a reader with several ports is scheduled once: _schedule_eval
+            # merges evaluations of one function at one time
+            for reader, _port in self.program.readers[fn_idx]:
+                if fabric.binding[reader].health is not FAULTY_DEACTIVATED:
+                    self._schedule_eval(reader, t + self.timing.cell_delay)
+
+
+def _route(sinks: list[tuple], value: int) -> None:
+    """Route an event-path value to its ``(bank, values, port)`` sinks;
+    a write also drops an overlay port (``InputRegisterBank.write``)."""
+    for bank, _values, port in sinks:
+        bank.write(port, value)
 
 
 def _write_sinks(sinks: list[tuple], value: int) -> None:

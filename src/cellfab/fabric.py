@@ -43,9 +43,8 @@ class Fabric:
     """Run-time state of a configured fabric; owned by one simulation run.
 
     Every static table lives in the shared ``program``, which no run
-    writes; ``readers`` is that program's own table.  Each cell is
-    restored from the program's ``initial_state``, with a bank and
-    ``values`` list of its own, not configured.  ``spares`` lists
+    writes.  Each cell is restored from the program's ``initial_state``,
+    with a bank and ``values`` list of its own, not configured.  ``spares`` lists
     the spare (R) cells in (layer, slot) order; a spare is idle until
     ``allocate_spare`` claims it.  Healing changes only which cell
     serves a function: ``binding[fn_idx]`` is the cell evaluated for
@@ -57,7 +56,6 @@ class Fabric:
 
     def __init__(self, program: FabricProgram):
         self.program = program
-        self.readers = program.readers
         self.binding: list[Optional[FunctionalCell]] = []
         self.cells: dict[str, FunctionalCell] = {}
         self.spares: list[FunctionalCell] = []
@@ -72,19 +70,6 @@ class Fabric:
         self.sinks = list(self.binding)
         self.published: list[Optional[int]] = [None] * len(self.binding)
         self.fail_safe = False  # latched once no spare is left for a syndrome
-
-    # ---- wiring ------------------------------------------------------
-
-    def route(self, source: str | int, value: int) -> list[tuple[int, int]]:
-        """Write a source's value into the sink of every reader.
-
-        Returns the ``(fn_idx, port)`` readers of ``source``.
-        """
-        readers = self.readers[source]
-        sinks = self.sinks
-        for fn_idx, port in readers:
-            sinks[fn_idx].registers.write(port, value)
-        return readers
 
     # ---- spare management --------------------------------------------
 

@@ -23,12 +23,12 @@ HOT_PATH = [
     ("cellfab.engine", "Engine._handle_clock"),
     ("cellfab.engine", "Engine._handle_wave"),
     ("cellfab.engine", "Engine._event_clock"),
+    ("cellfab.engine", "_route"),
     ("cellfab.engine", "_write_sinks"),
     ("cellfab.engine", "Engine._handle_eval"),
     ("cellfab.engine", "Engine._evaluate"),
     ("cellfab.engine", "Engine._evaluate_cell"),
     ("cellfab.engine", "Engine._publish"),
-    ("cellfab.fabric", "Fabric.route"),
     ("cellfab.netlist", "parse_netlist"),
     ("cellfab.netlist", "validate_netlist"),
     ("cellfab.netlist", "_resolve_widths"),

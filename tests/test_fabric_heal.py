@@ -359,7 +359,7 @@ def test_fabric_run_state_is_the_documented_fields():
     # what a checkpoint of a run copies: a new run-state field must also
     # join the snapshot list of ROADMAP.md's checkpoint item
     assert set(vars(Fabric(resolve_application("edg")))) == {
-        "program", "readers", "binding", "cells", "spares", "sinks", "published", "fail_safe",
+        "program", "binding", "cells", "spares", "sinks", "published", "fail_safe",
     }
 
 

@@ -4,7 +4,8 @@ Until a run applies a fault it holds no fault state, and it is pristine
 again from the first clock at which no sink's bank holds a corrupted
 port and no bound cell holds an injected permanent fault or is suspect:
 a state, not a history, so a healed run returns to the pass once its
-restored spare serves, on the pass's table bound anew after the restore.
+restored spare serves, on the pass's table, whose restore patched the
+function's row.
 ``RuleEngine`` states the whole rule on the event path's state, fail-safe
 and every sink being its bound cell included.  A pristine clock whose
 wave ends before the heap's next event runs whole in the pass of

@@ -67,7 +67,7 @@ def assert_readers_hold_published(fabric: Fabric) -> None:
     for fn_idx, value in enumerate(fabric.published):
         if value is None:
             continue
-        for reader, port in fabric.readers[fn_idx]:
+        for reader, port in fabric.program.readers[fn_idx]:
             assert fabric.sinks[reader].registers.values[port] == value, (fn_idx, reader, port)
 
 
@@ -135,21 +135,21 @@ def test_an_unchanged_republish_drops_a_transient(replicas, samples):
 
 def count_routes(monkeypatch, sc: Scenario):
     """The run's result and its number of routed publishes: the event
-    path's ``Fabric.route`` calls and the pristine clock's
-    ``engine._write_sinks`` calls."""
+    path's walks of a sink list, ``engine._route`` calls, and the
+    pristine clock's ``engine._write_sinks`` calls."""
     calls = []
-    route = Fabric.route
+    route = engine_module._route
     write_sinks = engine_module._write_sinks
 
-    def counting_route(self, source, value):
-        calls.append(source)
-        return route(self, source, value)
+    def counting_route(sinks, value):
+        calls.append(sinks)
+        route(sinks, value)
 
     def counting_write_sinks(sinks, value):
         calls.append(sinks)
         write_sinks(sinks, value)
 
-    monkeypatch.setattr(Fabric, "route", counting_route)
+    monkeypatch.setattr(engine_module, "_route", counting_route)
     monkeypatch.setattr(engine_module, "_write_sinks", counting_write_sinks)
     res = Engine(resolve_application(sc.application), sc).run()
     return res, len(calls)
