@@ -90,23 +90,27 @@ OP_ADD, OP_SUB, OP_MUL, OP_CMP = Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP
 OP_DELAY, OP_MUX = Opcode.DELAY, Opcode.MUX
 
 # Operand count per opcode.  Operands are assigned to ports in N, W, E, S
-# order; ports beyond the arity stay unused and read 0.
+# order; ports beyond the arity stay unused and read 0.  Keyed, as
+# INT16_ONLY_OPCODES and EVALUATORS are, by the member's ``_value_``: a
+# member as a dict key or set element is hashed by Enum.__hash__, a
+# Python-level call, on every lookup (and ``.value`` is a Python-level
+# descriptor before 3.12).
 OPCODE_ARITY = {
-    Opcode.NOP: 0,
-    Opcode.AND: 2,
-    Opcode.OR: 2,
-    Opcode.NOT: 1,
-    Opcode.ADD: 2,
-    Opcode.SUB: 2,
-    Opcode.MUL: 2,
-    Opcode.CMP: 2,
-    Opcode.DELAY: 1,
-    Opcode.MUX: 3,
+    OP_NOP._value_: 0,
+    OP_AND._value_: 2,
+    OP_OR._value_: 2,
+    OP_NOT._value_: 1,
+    OP_ADD._value_: 2,
+    OP_SUB._value_: 2,
+    OP_MUL._value_: 2,
+    OP_CMP._value_: 2,
+    OP_DELAY._value_: 1,
+    OP_MUX._value_: 3,
 }
 
 # Arithmetic opcodes only make sense on 16-bit words; the bitwise and
 # routing opcodes work in either width.
-INT16_ONLY_OPCODES = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP}
+INT16_ONLY_OPCODES = {OP_ADD._value_, OP_SUB._value_, OP_MUL._value_, OP_CMP._value_}
 
 
 def wrap16(x: int) -> int:
@@ -128,7 +132,7 @@ def fit(width_mode: WidthMode, raw: int) -> int:
 # One definition per opcode and width: the output of one evaluation,
 # f(n, w, e), on the voted N, W, E port values.  DELAY is absent: it
 # shifts the cell's pipeline instead.  ``run_start`` picks the entry for
-# a cell's (opcode, width) as its ``evaluate``, which
+# a cell's (opcode, width) from EVALUATORS as its ``evaluate``, which
 # ``step`` and the kernel's pristine pass both call.  Each runs in one
 # frame: ADD, SUB and MUL wrap as ``wrap16`` does, MUL's Q8.8 product is
 # truncated toward zero (``(p + 255) >> 8`` rounds a negative one up), and
@@ -153,6 +157,8 @@ for _op, _function in {
 }.items():
     OPCODE_FUNCTIONS[_op, BIT] = OPCODE_FUNCTIONS[_op, INT16] = _function
 del _op, _function
+# the same functions keyed by ``(opcode._value_, width._value_)``
+EVALUATORS = {(op._value_, width._value_): f for (op, width), f in OPCODE_FUNCTIONS.items()}
 
 
 def vote(a: int, b: int, c: int) -> tuple[int, int]:
@@ -269,7 +275,7 @@ def run_start(config) -> tuple[tuple[int, ...], tuple[int, ...], Optional[Callab
     a reference cycle), none for a DELAY.  The selector kind is read by name
     to keep cell free of the genetic-code module."""
     opcode, width, immediate = config.opcode, config.width_mode, config.immediate
-    evaluate = None if opcode is OP_DELAY else OPCODE_FUNCTIONS[opcode, width]
+    evaluate = None if opcode is OP_DELAY else EVALUATORS[opcode._value_, width._value_]
     values = [0, 0, 0, 0]
     for port, sel in enumerate(config.selectors if immediate else ()):  # PORT_ORDER
         if sel.kind._name_ == "CONSTANT":

@@ -169,7 +169,7 @@ def validate_netlist(nl: Netlist) -> None:
         node_names.add(node.name)
 
     for node in nl.nodes:
-        arity = OPCODE_ARITY[node.opcode]
+        arity = OPCODE_ARITY[node.opcode._value_]
         if len(node.operands) != arity:
             raise NetlistError(
                 f"{node.opcode.name} takes {arity} operands, got {len(node.operands)}",
@@ -245,7 +245,7 @@ def _resolve_widths(nl: Netlist) -> None:
         if not progressed:
             # delay loops fed by no input: an int16-only opcode fixes its
             # node's width, and a loop without one defaults to BIT
-            arithmetic = [n for n in still_pending if n.opcode in INT16_ONLY_OPCODES]
+            arithmetic = [n for n in still_pending if n.opcode._value_ in INT16_ONLY_OPCODES]
             if not arithmetic:
                 for node in still_pending:
                     widths[node.name] = BIT
@@ -259,7 +259,7 @@ def _resolve_widths(nl: Netlist) -> None:
         for ref in node.operands:
             if ref != IMM_REF and widths[ref] is not width:
                 raise NetlistError("operand width modes differ", node.line)
-        if node.opcode in INT16_ONLY_OPCODES and width is BIT:
+        if node.opcode._value_ in INT16_ONLY_OPCODES and width is BIT:
             raise NetlistError(
                 f"{node.opcode.name} requires int16 operands", node.line
             )

@@ -9,6 +9,11 @@ scenario's ``plant`` section closes the loop through
 stimulus period.  Emergency generator startup (``data/edg.nl``):
 ``reference_equations``, the documented boolean equations.
 
+Netlist evaluation: ``InterpretedOracle`` evaluates each node of each
+step through its own frames, one per node and one per operand, as the
+reference for ``cellfab.oracle.NetlistOracle``, which runs a plan
+compiled once per netlist.
+
 Cell arithmetic: ``COMPOSED_FUNCTIONS`` and ``composed_plant_step`` write
 each opcode's evaluation and the plant step with ``wrap16`` and
 ``qmul``, as the reference for ``cell.OPCODE_FUNCTIONS`` and
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from cellfab.cell import Opcode, WidthMode, wrap16
+from cellfab.netlist import IMM_REF, Netlist
 
 
 def qmul(a: int, b: int) -> int:
@@ -141,6 +147,68 @@ def reference_equations(inputs: dict[str, int]) -> dict[str, int]:
         "EngineStart": s & inputs["field_flash_ok"],
         "OpenAirStartFuel_Valves": s & inputs["breaker_open"],
     }
+
+
+class InterpretedOracle:
+    """``NetlistOracle``'s interface and semantics, interpreted node by node."""
+
+    def __init__(self, nl: Netlist):
+        self.netlist = nl
+        nodes = {n.name: n for n in nl.nodes}
+        self.combinational = [
+            nodes[name] for name in nl.order if nodes[name].opcode is not Opcode.DELAY
+        ]
+        self.delay_nodes = [n for n in nl.nodes if n.opcode is Opcode.DELAY]
+        self.state: dict[str, tuple[int, ...]] = {
+            n.name: (0,) * n.delay_cycles for n in self.delay_nodes
+        }
+
+    def step(self, inputs: dict[str, int]) -> dict[str, int]:
+        missing = [n for n in self.netlist.input_names() if n not in inputs]
+        if missing:
+            raise ValueError(f"incomplete input assignment: missing {missing}")
+        values: dict[str, int] = dict(inputs)
+        for node in self.delay_nodes:
+            values[node.name] = self.state[node.name][0]
+        for node in self.combinational:
+            values[node.name] = self._eval_node(node, values)
+        for node in self.delay_nodes:
+            captured = self._operand(node, 0, values)
+            self.state[node.name] = self.state[node.name][1:] + (captured,)
+        return values
+
+    def outputs(self, values: dict[str, int]) -> dict[str, int]:
+        return {name: values[node] for name, node in self.netlist.outputs.items()}
+
+    def _operand(self, node, i: int, values: dict[str, int]) -> int:
+        ref = node.operands[i]
+        return node.immediate if ref == IMM_REF else values[ref]
+
+    def _eval_node(self, node, values: dict[str, int]) -> int:
+        bit = self.netlist.widths[node.name] is WidthMode.BIT
+        ops = [self._operand(node, i, values) for i in range(len(node.operands))]
+        op = node.opcode
+        if op is Opcode.NOP:
+            return 0
+        if op is Opcode.AND:
+            r = ops[0] & ops[1]
+        elif op is Opcode.OR:
+            r = ops[0] | ops[1]
+        elif op is Opcode.NOT:
+            r = ~ops[0]
+        elif op is Opcode.ADD:
+            r = ops[0] + ops[1]
+        elif op is Opcode.SUB:
+            r = ops[0] - ops[1]
+        elif op is Opcode.MUL:
+            r = qmul(ops[0], ops[1])
+        elif op is Opcode.CMP:
+            return 1 if ops[0] >= ops[1] else 0
+        elif op is Opcode.MUX:
+            return ops[1] if ops[0] == 0 else ops[2]
+        else:
+            raise ValueError(f"oracle cannot evaluate {op}")
+        return r & 1 if bit else wrap16(r)
 
 
 # keyed as ``cell.OPCODE_FUNCTIONS``: (opcode, width) -> f(n, w, e)

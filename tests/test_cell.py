@@ -506,7 +506,7 @@ LEGAL_OPS = [
     (wm, op)
     for wm in WidthMode
     for op in Opcode
-    if wm is WidthMode.INT16 or op not in INT16_ONLY_OPCODES
+    if wm is WidthMode.INT16 or op._value_ not in INT16_ONLY_OPCODES
 ]
 
 
@@ -583,7 +583,7 @@ def test_gfb_eval_equals_the_oracle_on_a_one_node_netlist(case):
     node reading one primary input per operand, in N, W, E order."""
     wm, op, inputs, state, _, _ = case
     assume(op is not Opcode.DELAY)  # its output is the pipeline's, not the inputs'
-    names = [f"p{i}" for i in range(OPCODE_ARITY[op])]
+    names = [f"p{i}" for i in range(OPCODE_ARITY[op._value_])]
     width = "bit" if wm is WidthMode.BIT else "int16"
     text = "".join(f"input {name} : {width}\n" for name in names)
     text += f"node y = {op.name}({', '.join(names)})\noutput o = y\n"

@@ -37,8 +37,8 @@ HOT_PATH = [
     ("cellfab.place", "_selector_for"),
     ("cellfab.genetic", "encode_genetic"),
     ("cellfab.genetic", "InputSelector.__post_init__"),
+    ("cellfab.oracle", "NetlistOracle.__init__"),
     ("cellfab.oracle", "NetlistOracle.step"),
-    ("cellfab.oracle", "NetlistOracle._eval_node"),
 ]
 
 

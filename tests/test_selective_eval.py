@@ -83,16 +83,16 @@ def test_unchanged_inputs_skip_the_evaluation(monkeypatch):
     # the same input every period: after the first wave no port of the
     # ADD cell changes, so it is never evaluated again, yet it publishes.
     # Both evaluation paths, the pristine pass and FunctionalCell.step, call
-    # the evaluator the cell bound from OPCODE_FUNCTIONS, so it counts them all
+    # the evaluator the cell bound from EVALUATORS, so it counts them all
     evaluated = []
-    key = (Opcode.ADD, WidthMode.INT16)
-    add = cell_module.OPCODE_FUNCTIONS[key]
+    key = (Opcode.ADD._value_, WidthMode.INT16._value_)
+    add = cell_module.EVALUATORS[key]
 
     def counting_add(n, w, e):
         evaluated.append((n, w))
         return add(n, w, e)
 
-    monkeypatch.setitem(cell_module.OPCODE_FUNCTIONS, key, counting_add)
+    monkeypatch.setitem(cell_module.EVALUATORS, key, counting_add)
     nl = parse_netlist("input a : int16\nnode y = ADD(a, imm) imm=1\noutput o = y\n")
     sc = Scenario(name="steady", application="inline", stimulus=[(0, "a", 5)], run_until=1200)
     res = Engine(compile_netlist(nl), sc).run()
