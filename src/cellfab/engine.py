@@ -16,16 +16,18 @@ publish is routed to the readers only when it changes that value, since
 every reader's port already holds the last one, or while a sink's bank
 holds an overlay port, which a write of even an equal value drops.
 Events are totally ordered by (time, sequence number), so two runs of
-the same scenario produce byte-identical traces; ``Engine.run`` pops
-each and calls its kind's handler at its one dispatch point (the
+the same scenario produce byte-identical traces.  ``Engine`` lays the
+clocks, injects and stop event down when built; ``Engine.run`` pops each
+event and calls its kind's handler at its one dispatch point (the
 pristine pass pops the clocks it runs back to back itself).
 
 A wave is one heap event.  Its evaluations run in (level, function
 index) order, each at its slot without cascading, under sequence numbers
 taken at the clock; before each one the wave yields to any event that
 sorts first, so every evaluation keeps the place it would have as an
-event of its own.  A local evaluation of a slot that an open wave still
-holds is dropped: the wave evaluates it there anyway.
+event of its own.  An open wave records how far it has run, ``[base,
+next_n]``; a local evaluation of a slot it has not run, ``n >= next_n``,
+is dropped: the wave evaluates it there anyway.
 
 A wave slot and a local evaluation both run ``Engine._evaluate``, which
 finds one of two kinds of cell:
@@ -223,8 +225,8 @@ class PlantFeedback:
     dt: int = 256
 
 
-# A run builds its clocks, and a burst its transients, before the first
-# event: 10**5 fault-free edg clocks peaked at 38 MB in ``cellfab run``, so
+# A run lays down its clocks, and a burst its transients, when its engine is
+# built: 10**5 fault-free edg clocks peaked at 38 MB in ``cellfab run``, so
 # 10**6 take about 0.3 GB
 MAX_CLOCKS = 10**6
 
@@ -240,7 +242,7 @@ class Scenario:
     seed: int = 0  # recorded in the trace header; nothing random consumes it
     plant: Optional[PlantFeedback] = None
 
-    def validate(self, program: FabricProgram) -> None:
+    def validate(self, program: FabricProgram) -> dict[int, list[tuple[str, int]]]:
         """The one check of a scenario, against the compiled application it
         runs on: timing, ``run_until``, stimulus up to ``run_until``, plant,
         each fault (``FaultSpec.validate``, then that its cell is a cell of
@@ -249,7 +251,8 @@ class Scenario:
         first error raises ValueError.  ``Engine`` calls it before it builds
         anything, and ``metrics`` for a scenario the trace did not run, so
         ``cellfab run`` and ``cellfab report --scenario`` refuse the same
-        scenarios."""
+        scenarios.  It returns the stimulus grouped by time in file order,
+        ``{t: [(name, value), ...]}``, built as each entry is checked."""
         netlist = program.netlist
         self.timing.validate()
         if self.run_until <= 0:
@@ -261,6 +264,7 @@ class Scenario:
             raise ValueError(
                 f"stimulus must cover all primary inputs at t=0: {excerpt(str(missing))}"
             )
+        timeline: dict[int, list[tuple[str, int]]] = {}
         for t, name, value in self.stimulus:
             if t < 0:
                 raise ValueError("stimulus time must be >= 0")
@@ -276,6 +280,7 @@ class Scenario:
                     f"stimulus {excerpt(name)} at t={excerpt(str(t))}"
                     f" is after run_until={excerpt(str(self.run_until))}"
                 )
+            timeline.setdefault(t, []).append((name, value))
         if self.plant is not None and widths.get(self.plant.input_name) is not WidthMode.INT16:
             raise ValueError(
                 f"plant input {excerpt(repr(self.plant.input_name))} is not an int16 input"
@@ -310,6 +315,7 @@ class Scenario:
             if fault.kind == FaultKind.INTERMITTENT_BURST and fault.count > MAX_CLOCKS:
                 raise ValueError(f"a burst on {fault.cell} of {excerpt(str(fault.count))}"
                                  f" transients is over the limit of {MAX_CLOCKS}")
+        return timeline
 
     def without_faults(self) -> "Scenario":
         return replace(self, faults=[], name=self.name + "+golden")
@@ -375,12 +381,15 @@ class Engine:
 
     The scenario is checked against ``program`` (``Scenario.validate``)
     before any table is built, so a bad one raises ValueError from the
-    constructor and ``run`` checks nothing.  ``run`` returns the engine:
-    its ``trace`` (the run's one log), ``fabric`` and ``syndromes``.
+    constructor.  It lays the schedule down from the stimulus the check
+    groups by time: the clocks as one sorted list, a heap already, then
+    the injects and the stop event.  ``run`` only binds and pops, and
+    returns the engine: its ``trace`` (the run's one log), ``fabric``
+    and ``syndromes``.
     """
 
     def __init__(self, program: FabricProgram, scenario: Scenario):
-        scenario.validate(program)
+        timeline = scenario.validate(program)
         self.program = program
         self.fabric = Fabric(program)
         self._signals = program.signals
@@ -403,17 +412,22 @@ class Engine:
             faults=self.faults,
         )
         self.syndromes: list[HealthSyndrome] = []
-        self._heap: list[tuple[int, int, int, object]] = []
-        self._seq = 0
+        # the clocks, the period's grid and every stimulus time, in time order:
+        # a heap already, with seq n the n-th clock
+        times = sorted({*range(0, scenario.run_until + 1, self.timing.stimulus_period), *timeline})
+        self._heap = [(t, seq, _CLOCK, timeline.get(t, [])) for seq, t in enumerate(times)]
+        self._seq = len(times)
+        for fault in self.faults:
+            self._push(fault.time, _INJECT, fault)
+        self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
         self._pending_evals: set[tuple[int, int]] = set()  # local evaluations (fn, t)
-        self._wave_base: dict[int, int] = {}  # clock -> seq of evaluation 0, unfinished waves
-        self._now = (0, 0)  # (time, seq) of the event being handled
+        self._waves: dict[int, list[int]] = {}  # open waves: clock -> [base seq, next_n]
         self._last_clock = 0
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
         self._delays = program.delays
-        # the functions sampled at every publish; any other is sampled only
-        # when its published value changes
-        self._recorded_always = frozenset(program.output_binding.values())
+        # the functions fail-safe zeroes and every publish samples (any other
+        # only on a change); a reference engine widens ``_recorded_always`` alone
+        self._output_fns = self._recorded_always = frozenset(program.output_binding.values())
         # the program's wave at this run's timing, n counting from 0: (slot
         # offset, fn index, n)
         delta = self.timing.cell_delay
@@ -434,20 +448,16 @@ class Engine:
 
     def _schedule_eval(self, fn_idx: int, time: int) -> None:
         """Schedule a local evaluation unless the slot is already pending,
-        as a local evaluation or as an evaluation of a wave."""
+        as a local evaluation or as one an open wave has yet to run."""
         entry = self._wave_entry.get(fn_idx)
         if entry is None:
             return  # a delay register shifts on the clock only
         key = (fn_idx, time)
         if key in self._pending_evals:
             return
-        # a wave holds the slot while its evaluation there sorts after the
-        # event being handled.  While a wave runs, _now is the key it was
-        # popped at; it then schedules only re-checks at later times, for
-        # which that key and its current one compare the same
         offset, n = entry
-        base = self._wave_base.get(time - offset)
-        if base is not None and (time, base + n) > self._now:
+        wave = self._waves.get(time - offset)
+        if wave is not None and n >= wave[1]:
             return
         self._pending_evals.add(key)
         self._push(time, _EVAL, fn_idx)
@@ -455,26 +465,15 @@ class Engine:
     # ---- run loop -------------------------------------------------------
 
     def run(self) -> Engine:
-        scenario = self.scenario
-        timeline: dict[int, list[tuple[str, int]]] = {}
-        for t, name, value in scenario.stimulus:
-            timeline.setdefault(t, []).append((name, value))
-        period = self.timing.stimulus_period
-        for t in sorted({*range(0, scenario.run_until + 1, period), *timeline}):
-            self._push(t, _CLOCK, timeline.get(t, []))
-        for fault in self.faults:
-            self._push(fault.time, _INJECT, fault)
-        self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
         self._bind_table()
 
         handlers = (self._handle_clock, self._handle_inject, self._handle_eval,
                     self._handle_wave, self._handle_heal)  # in kind order
         while self._heap:
             # the stop event sorts before every event after run_until
-            time, seq, kind, payload = heapq.heappop(self._heap)
+            time, _, kind, payload = heapq.heappop(self._heap)
             if kind == _STOP:
                 break
-            self._now = (time, seq)
             handlers[kind](time, payload)
         self.trace.complete = True
         return self
@@ -541,8 +540,7 @@ class Engine:
             self._seq += len(wave)
             if heap[0][2] != _CLOCK:  # the rule's inputs change at other events only
                 return
-            t, seq, _kind, assignments = heapq.heappop(heap)
-            self._now = (t, seq)
+            t, _, _, assignments = heapq.heappop(heap)
 
     def _event_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
         """Phases 1 to 3 of a clock on the event path."""
@@ -567,9 +565,9 @@ class Engine:
         # evaluation holds a slot of it, as none is scheduled more than one
         # cell delay ahead and no other event of time t has run yet
         if self._wave:
-            base = self._wave_base[t] = self._seq
+            self._waves[t] = [self._seq, 0]
+            self._push(t + self._wave[0][0], _WAVE, t, seq=self._seq)
             self._seq += len(self._wave)
-            self._push(t + self._wave[0][0], _WAVE, t, seq=base)
 
     def _bind_table(self) -> None:
         """Bind the run's sink lists and the pristine pass's table once,
@@ -604,22 +602,22 @@ class Engine:
             wave[n] = offset, i, bank, bank.values, names, cell.evaluate, sinks[i], always
 
     def _handle_wave(self, t: int, clock: int) -> None:
-        """Run the clock's wave from its evaluation at ``t`` on until an event
-        on the heap comes first; evaluation n has sequence number base + n
-        and runs ``_evaluate`` without a cascade."""
+        """Run the clock's wave from its ``next_n``, at ``t``, on until an
+        event on the heap comes first; evaluation n has sequence number
+        base + n, moves ``next_n`` past itself and runs ``_evaluate``
+        without a cascade."""
         heap = self._heap
-        base = self._wave_base[clock]
-        # the event's own sequence number is that of the evaluation to resume at
-        for offset, fn_idx, n in self._wave[self._now[1] - base:]:
+        wave = self._waves[clock]
+        base = wave[0]
+        for offset, fn_idx, n in self._wave[wave[1]:]:
             slot = clock + offset
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
                 self._push(slot, _WAVE, clock, seq=base + n)
                 return
+            wave[1] = n + 1
             self._evaluate(fn_idx, slot, cascade=False)
-        # no later event sorts before the wave's last evaluation, so no
-        # hold check can match the wave's keys again
-        del self._wave_base[clock]
+        del self._waves[clock]
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
         """Apply one expanded fault to its cell.  It lands nowhere, and is
@@ -747,7 +745,7 @@ class Engine:
             return
         fabric.fail_safe = True
         self.trace.records.append(TraceRecord(t, "alarm", 2, "alarm"))
-        for fn_idx in sorted(set(self.program.output_binding.values())):
+        for fn_idx in sorted(self._output_fns):
             self._publish(fn_idx, 0, t, cascade=False)
 
     # ---- value propagation ----------------------------------------------
@@ -760,7 +758,7 @@ class Engine:
         ``published[fn_idx]``, so it is routed only while a sink may hold
         a corrupted port, which the write drops (see the module docstring)."""
         fabric = self.fabric
-        if fabric.fail_safe and fn_idx in self.program.output_binding.values():
+        if fabric.fail_safe and fn_idx in self._output_fns:
             value = 0
         published = fabric.published
         changed = published[fn_idx] != value

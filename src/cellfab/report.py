@@ -506,16 +506,15 @@ def _compare_with_golden(
     m.faults_healed = healed
 
 
-def format_metrics(m: HealingMetrics, timing: Optional[TimingParams] = None) -> str:
+def format_metrics(m: HealingMetrics, timing: TimingParams) -> str:
     """Structured key-value text report."""
 
     def fmt(v):
         return "unavailable" if v is None else v
 
-    lines = [f"scenario {m.scenario}"]
-    if timing is not None:
-        lines.append(f"timing {timing.describe()}")
-    lines += [
+    lines = [
+        f"scenario {m.scenario}",
+        f"timing {timing.describe()}",
         f"alarm {m.alarm}",
         f"fault_free_latency_ns {fmt(m.fault_free_latency)}",
         f"faults_injected {fmt(m.faults_injected)}",

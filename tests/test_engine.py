@@ -50,7 +50,7 @@ def test_finished_waves_drop_their_base_entry(name):
     sc = load_scenario(name)
     engine = Engine(resolve_application(sc.application), sc)
     engine.run()
-    assert len(engine._wave_base) <= 1
+    assert len(engine._waves) <= 1
 
 
 def test_determinism_byte_identical():

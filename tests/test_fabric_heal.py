@@ -323,7 +323,7 @@ def reroutes_match_selector_walk(program, sc) -> int:
     def checked_reroute(syndrome):
         nonlocal count
         reroute(syndrome)
-        fn_idx, t = syndrome.function_index, engine._now[0]
+        fn_idx, t = syndrome.function_index, syndrome.detect_time + engine.timing.reroute_delay
         spare = fabric.cells[str(syndrome.chosen_spare)]
         assert spare.registers.values == selector_walk(engine.trace, program, fn_idx, t)
         assert fabric.sinks[fn_idx] is spare
@@ -361,6 +361,28 @@ def test_fabric_run_state_is_the_documented_fields():
     assert set(vars(Fabric(resolve_application("edg")))) == {
         "program", "binding", "cells", "spares", "sinks", "published", "fail_safe",
     }
+
+
+def test_engine_run_state_is_the_documented_fields():
+    # the engine's part of the same snapshot; a new field must join one of
+    # the two sets, and a run-state one also ROADMAP.md's snapshot list
+    sc = load_scenario("edg_permanent_bt")
+    engine = Engine(resolve_application(sc.application), sc).run()
+    # what a checkpoint copies: the schedule (heap, next sequence number,
+    # pending local evaluations, each open wave's [base, next_n]), the
+    # clock and pass state, the plant, the log and the fabric (pinned above)
+    run_state = {
+        "_heap", "_seq", "_pending_evals", "_waves", "_last_clock", "_route_repeats",
+        "_pristine", "plant_speed", "syndromes", "trace", "fabric",
+    }
+    # the per-run tables derived from the program and the scenario; the sink
+    # lists and the pass table hold the banks, so a restored checkpoint
+    # rebinds them (``_bind_table``) instead of copying them
+    derived = {
+        "program", "scenario", "timing", "faults", "_signals", "_delays", "_output_fns",
+        "_recorded_always", "_wave", "_wave_entry", "_wave_end", "_sinks", "_table",
+    }
+    assert set(vars(engine)) == run_state | derived
 
 
 def test_cell_run_state_is_the_documented_fields():

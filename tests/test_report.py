@@ -241,7 +241,7 @@ class TestMetrics:
         m = metrics(faultfree.trace)
         assert m.faults_injected is None
         assert m.erroneous_output_samples is None
-        text = format_metrics(m)
+        text = format_metrics(m, faultfree.trace.timing)
         assert "faults_injected unavailable" in text
 
     def test_incomplete_trace_rejected(self):

@@ -16,7 +16,7 @@ from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId, Opcode, Port, WidthMode
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
-from cellfab.netlist import Netlist, NetlistError, validate_netlist
+from cellfab.netlist import Netlist, NetlistError, parse_netlist, validate_netlist
 from cellfab.place import compile_netlist
 
 from helpers import PassLog, clock_times
@@ -267,3 +267,31 @@ def test_restore_on_a_slot_its_wave_has_passed_is_evaluated():
     data = [(r.time, r.signal, r.value) for r in records if r.annotation == "data"]
     assert (205, "fn.power_ok", 1) in data
     assert (240, "fn.crank_seq", 1) in data and (275, "fn.perm_ok", 1) in data
+
+
+def test_restore_on_a_slot_its_wave_has_not_reached_is_left_to_the_wave():
+    # every cell of a one-layer bit fabric holds a flip from 0.  The three
+    # workers are detected at 1 and restored at 3 onto L0.R0..R2, before
+    # the wave of the clock at 2 runs its first slot, at 3: the wave still
+    # holds every slot there, evaluation 0 (L0.R0) included, so each spare
+    # is evaluated once by the wave and mismatches once
+    nl = parse_netlist("input i0 : bit\n"
+                       + "".join(f"node n{k} = AND(i0, imm) imm=1\n" for k in range(3))
+                       + "output o0 = n0\noutput o1 = n1\n")
+    program = compile_netlist(nl)
+    cells = [CellId(0, slot, "F") for slot in range(3)] + [CellId(0, slot, "R") for slot in range(4)]
+    sc = Scenario(
+        name="hold", application=nl.name, stimulus=[(0, "i0", 1)],
+        faults=[FaultSpec(kind="permanent_gfb", cell=cell, time=0, flip=1) for cell in cells],
+        timing=TimingParams(cell_delay=1, check_threshold=1, reroute_delay=1, restore_delay=1,
+                            stimulus_period=2),
+        run_until=4,
+    )
+    res, records, _ = run(program, sc)
+    assert [(r.time, r.signal) for r in records if r.annotation == "mismatch"] == [
+        (1, "cell.L0.F0"), (1, "cell.L0.F1"), (1, "cell.L0.F2"),
+        (3, "cell.L0.R0"), (3, "cell.L0.R1"), (3, "cell.L0.R2"),
+    ]
+    assert [(str(s.cell_id), s.detect_time) for s in res.syndromes] == [
+        ("L0.F0", 1), ("L0.F1", 1), ("L0.F2", 1), ("L0.R0", 3), ("L0.R1", 3), ("L0.R2", 3),
+    ]
