@@ -39,11 +39,11 @@ finds one of two kinds of cell:
 
 Either value is published by ``Engine._publish``, the one rule that
 records, routes and zeroes an output in fail-safe.  ``Engine._handle_wave``
-walks the compiled program's ``FabricProgram.wave``, whose levels
-``Engine`` scales by the cell delay into slot offsets, and holds only
-the yield and resume logic; a delay register steps at every clock.  A
-cell evaluates with the ``evaluate`` its configuration bound, on either
-path, so a restored spare runs its own decoded code.
+walks the rows of ``FabricProgram.wave``, each level scaled by the cell
+delay into a slot offset, and holds only the yield and resume logic; a
+delay register steps at every clock.  A cell evaluates with the
+``evaluate`` its configuration bound, on either path, so a restored
+spare runs its own decoded code.
 
 A run is pristine until it applies a fault (an inject that lands
 nowhere leaves it so), and again from the first clock at which repeats
@@ -59,12 +59,13 @@ key and record is the same; while the heap's next event is a clock, the
 same loop pops it, as ``run`` would, and runs its plant step and test,
 so a fault-free stretch pays no dispatch or handler call per clock.  The
 first clock that fails the test takes the event path, ``_event_clock``.
-The pass walks ``Engine._bind_table``'s table of the fabric's cells and
-banks, bound once when the run starts: a row per DELAY, whose pipeline
-it shifts itself, the sink list of each source, through which both
-paths route, and a row per wave slot with the bound cell's ``evaluate``.
-Reroute replaces the healed function's entries in the sink lists and
-restore its own row, so the table is valid at every clock.
+Both paths walk the same rows, bound once when the run starts
+(``Engine._bind_table``): ``_delay_rows``, one per DELAY, whose pipeline
+the pass shifts itself, and ``_rows``, one per wave slot at its n, with
+its offset and the bound cell's ``evaluate``; a row holds its function's
+sink list, through which both paths route.  Reroute replaces the healed
+function's entries in the sink lists and restore its own row, so the
+rows are valid at every event.
 """
 
 from __future__ import annotations
@@ -392,10 +393,9 @@ class Engine:
         timeline = scenario.validate(program)
         self.program = program
         self.fabric = Fabric(program)
-        self._signals = program.signals
         self.scenario = scenario
         self.timing = scenario.timing
-        self.faults = expand_faults(scenario.faults)
+        faults = expand_faults(scenario.faults)
         # an unchanged write drops a corrupted port: set when a transient
         # lands, cleared at the first clock at which no sink's bank holds one
         self._route_repeats = False
@@ -409,7 +409,7 @@ class Engine:
             outputs={name: netlist.widths[node] for name, node in netlist.outputs.items()},
             program=program,
             scenario=scenario,
-            faults=self.faults,
+            faults=faults,
         )
         self.syndromes: list[HealthSyndrome] = []
         # the clocks, the period's grid and every stimulus time, in time order:
@@ -417,26 +417,21 @@ class Engine:
         times = sorted({*range(0, scenario.run_until + 1, self.timing.stimulus_period), *timeline})
         self._heap = [(t, seq, _CLOCK, timeline.get(t, [])) for seq, t in enumerate(times)]
         self._seq = len(times)
-        for fault in self.faults:
+        for fault in faults:
             self._push(fault.time, _INJECT, fault)
         self._push(scenario.run_until, _STOP, None, seq=_STOP_SEQ)
         self._pending_evals: set[tuple[int, int]] = set()  # local evaluations (fn, t)
         self._waves: dict[int, list[int]] = {}  # open waves: clock -> [base seq, next_n]
         self._last_clock = 0
         self.plant_speed = scenario.plant.v0 if scenario.plant else 0
-        self._delays = program.delays
         # the functions fail-safe zeroes and every publish samples (any other
         # only on a change); a reference engine widens ``_recorded_always`` alone
         self._output_fns = self._recorded_always = frozenset(program.output_binding.values())
-        # the program's wave at this run's timing, n counting from 0: (slot
-        # offset, fn index, n)
+        # each function's wave slot at this run's timing: (slot offset, n),
+        # n counting the program's wave from 0
         delta = self.timing.cell_delay
-        self._wave = [(level * delta, i, n) for n, (level, i, _) in enumerate(program.wave)]
-        self._wave_entry = {i: (offset, n) for offset, i, n in self._wave}
+        self._wave_entry = {i: (level * delta, n) for n, (level, i, _) in enumerate(program.wave)}
         self._pristine = True
-        # (offset, n) of the wave's last evaluation; with no wave, the clock
-        # waits for no event of its own time
-        self._wave_end = (self._wave[-1][0], len(self._wave) - 1) if self._wave else (0, 0)
 
     # ---- scheduling ----------------------------------------------------
 
@@ -492,7 +487,9 @@ class Engine:
                                  for c in fabric.binding if c is not None)
         published, records = fabric.published, self.trace.records
         plant = self.scenario.plant
-        end_offset, end_n = self._wave_end
+        delays, input_sinks, rows = self._delay_rows, self._sinks, self._rows
+        # the wave's last (offset, n); with no wave, no event of time t waits
+        end_offset, end_n = (rows[-1][0], len(rows) - 1) if rows else (0, 0)
         while True:
             self._last_clock = t
             if plant is not None and t > 0:
@@ -504,7 +501,6 @@ class Engine:
             if not (self._pristine and heap[0] > (t + end_offset, self._seq + end_n)):
                 self._event_clock(t, assignments)
                 return
-            delays, input_sinks, wave = self._table
             shifted = []
             for _fn_idx, cell, bank, values, *_ in delays:
                 pipeline = cell.pipeline = cell.pipeline[1:] + (values[0],)
@@ -521,7 +517,7 @@ class Engine:
             for name, value in assignments:
                 records.append(TraceRecord(t, f"in.{name}", value, "data"))
                 _write_sinks(input_sinks[name], value)
-            for offset, fn_idx, bank, values, names, evaluate, sinks, always in wave:
+            for offset, fn_idx, bank, values, names, evaluate, sinks, always in rows:
                 if bank.changed:
                     value = evaluate(values[0], values[1], values[2])
                     bank.changed = False
@@ -537,18 +533,16 @@ class Engine:
                 slot = t + offset
                 for name in names:
                     records.append(TraceRecord(slot, name, value, "data"))
-            self._seq += len(wave)
+            self._seq += len(rows)
             if heap[0][2] != _CLOCK:  # the rule's inputs change at other events only
                 return
             t, _, _, assignments = heapq.heappop(heap)
 
     def _event_clock(self, t: int, assignments: list[tuple[str, int]]) -> None:
         """Phases 1 to 3 of a clock on the event path."""
-        fabric = self.fabric
         # phase 1: clock every delay register off last period's port values
         shifted: list[tuple[int, int]] = []
-        for fn_idx in self._delays:
-            cell = fabric.binding[fn_idx]
+        for fn_idx, cell, *_ in self._delay_rows:
             if cell.health is FAULTY_DEACTIVATED:
                 continue
             shifted.append((fn_idx, self._evaluate_cell(fn_idx, cell, t)))
@@ -564,59 +558,62 @@ class Engine:
         # phase 3: one wave, each combinational cell at its level; no local
         # evaluation holds a slot of it, as none is scheduled more than one
         # cell delay ahead and no other event of time t has run yet
-        if self._wave:
+        rows = self._rows
+        if rows:
             self._waves[t] = [self._seq, 0]
-            self._push(t + self._wave[0][0], _WAVE, t, seq=self._seq)
-            self._seq += len(self._wave)
+            self._push(t + rows[0][0], _WAVE, t, seq=self._seq)
+            self._seq += len(rows)
 
     def _bind_table(self) -> None:
-        """Bind the run's sink lists and the pristine pass's table once,
-        when the run starts, after every table it reads is set.  A sink
-        is a reader's ``(bank, bank.values, port)``.  The table holds a
-        row per DELAY, each source's sink list and a row per wave slot
+        """Bind the run's sink lists and rows once, when the run starts,
+        after every table they read is set.  A sink is a reader's ``(bank,
+        bank.values, port)``.  ``_delay_rows`` holds a row per DELAY and
+        ``_rows`` one per wave slot, the run's one wave, at its n
         (``_bind_row``); a row shares its function's sink list."""
         banks = [cell and cell.registers for cell in self.fabric.sinks]
         self._sinks = {
             source: [(banks[i], banks[i].values, port) for i, port in readers]
             for source, readers in self.program.readers.items()
         }
-        self._table = [None] * len(self._delays), self._sinks, [None] * len(self._wave)
-        for i in (*self._delays, *self._wave_entry):
+        self._delay_rows = [None] * len(self.program.delays)
+        self._rows = [None] * len(self._wave_entry)
+        for i in (*self.program.delays, *self._wave_entry):
             self._bind_row(i)
 
     def _bind_row(self, i: int) -> None:
-        """Set function ``i``'s row of the pass table from its bound cell:
-        for a DELAY (fn index, cell, bank, values, signal names, sinks,
-        recorded always), for a wave slot (offset, fn index, bank,
-        values, signal names, the cell's ``evaluate``, sinks, recorded
-        always)."""
-        delays, sinks, wave = self._table
+        """Set function ``i``'s row from its bound cell, as restore does
+        for the healed function: for a DELAY (fn index, cell, bank, values,
+        signal names, sinks, recorded always), for a wave slot (offset, fn
+        index, bank, values, signal names, the cell's ``evaluate``, sinks,
+        recorded always)."""
         cell = self.fabric.binding[i]
         bank = cell.registers
-        names, always = self._signals[i], i in self._recorded_always
+        names, sinks, always = self.program.signals[i], self._sinks[i], i in self._recorded_always
         entry = self._wave_entry.get(i)
         if entry is None:
-            delays[self._delays.index(i)] = i, cell, bank, bank.values, names, sinks[i], always
+            self._delay_rows[self.program.delays.index(i)] = (
+                i, cell, bank, bank.values, names, sinks, always)
         else:
             offset, n = entry
-            wave[n] = offset, i, bank, bank.values, names, cell.evaluate, sinks[i], always
+            self._rows[n] = offset, i, bank, bank.values, names, cell.evaluate, sinks, always
 
     def _handle_wave(self, t: int, clock: int) -> None:
         """Run the clock's wave from its ``next_n``, at ``t``, on until an
-        event on the heap comes first; evaluation n has sequence number
-        base + n, moves ``next_n`` past itself and runs ``_evaluate``
-        without a cascade."""
-        heap = self._heap
+        event on the heap comes first; evaluation n runs ``_rows[n]``'s
+        function at its offset under sequence number base + n, moves
+        ``next_n`` past itself and calls ``_evaluate`` without a cascade."""
+        heap, rows = self._heap, self._rows
         wave = self._waves[clock]
         base = wave[0]
-        for offset, fn_idx, n in self._wave[wave[1]:]:
-            slot = clock + offset
+        for n in range(wave[1], len(rows)):
+            row = rows[n]
+            slot = clock + row[0]
             top = heap[0]
             if top[0] <= slot and (top[0] < slot or top[1] < base + n):
                 self._push(slot, _WAVE, clock, seq=base + n)
                 return
             wave[1] = n + 1
-            self._evaluate(fn_idx, slot, cascade=False)
+            self._evaluate(row[1], slot, cascade=False)
         del self._waves[clock]
 
     def _handle_inject(self, t: int, fault: FaultSpec) -> None:
@@ -764,7 +761,7 @@ class Engine:
         changed = published[fn_idx] != value
         if changed or fn_idx in self._recorded_always:
             records = self.trace.records
-            for name in self._signals[fn_idx]:
+            for name in self.program.signals[fn_idx]:
                 records.append(TraceRecord(t, name, value, "data"))
         if changed:
             published[fn_idx] = value

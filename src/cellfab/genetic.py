@@ -174,8 +174,8 @@ def to_hex(word: int) -> str:
 
 
 def from_hex(text: str) -> int:
-    """The word of exactly 17 hex digits (either case, no sign, no ``_``)."""
-    text = text.strip().lower()
+    """The word of exactly 17 hex digits (either case; no sign, ``_`` or whitespace)."""
+    text = text.lower()
     if len(text) != HEX_DIGITS:
         raise InvalidCodeError(f"expected {HEX_DIGITS} hex digits, got {len(text)}")
     bad = [c for c in text if c not in "0123456789abcdef"]

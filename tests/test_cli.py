@@ -387,15 +387,21 @@ def test_disasm_flipped_bit_diagnostic(capsys):
     assert "parity" in capsys.readouterr().err
 
 
-def test_disasm_wrong_length_usage_error(capsys):
-    rc = main(["disasm", "123"])
+@pytest.mark.parametrize(
+    "word", ["123", " 1" + "0" * 16 + "\n"], ids=["short", "padded"],
+)
+def test_disasm_wrong_length_usage_error(capsys, word):
+    rc = main(["disasm", word])
     assert rc == 2
-    assert "17" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "17" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
-    "word", ["zzzzzzzzzzzzzzzzz", "+0000000000000000", "0_000000000000000"],
-    ids=["letters", "sign", "underscore"],
+    "word",
+    ["zzzzzzzzzzzzzzzzz", "+0000000000000000", "0_000000000000000",
+     " 1000000000000000", "1000000000000000\n"],
+    ids=["letters", "sign", "underscore", "leading-space", "trailing-newline"],
 )
 def test_disasm_non_hex_word_usage_error(capsys, word):
     rc = main(["disasm", word])

@@ -376,11 +376,11 @@ def test_engine_run_state_is_the_documented_fields():
         "_pristine", "plant_speed", "syndromes", "trace", "fabric",
     }
     # the per-run tables derived from the program and the scenario; the sink
-    # lists and the pass table hold the banks, so a restored checkpoint
-    # rebinds them (``_bind_table``) instead of copying them
+    # lists and the rows hold the banks, so a restored checkpoint rebinds
+    # them (``_bind_table``) instead of copying them
     derived = {
-        "program", "scenario", "timing", "faults", "_signals", "_delays", "_output_fns",
-        "_recorded_always", "_wave", "_wave_entry", "_wave_end", "_sinks", "_table",
+        "program", "scenario", "timing", "_output_fns", "_recorded_always", "_wave_entry",
+        "_sinks", "_delay_rows", "_rows",
     }
     assert set(vars(engine)) == run_state | derived
 

@@ -1,11 +1,12 @@
-"""A run's sink lists and pass table are bound once and stay valid.
+"""A run's sink lists and rows are bound once and stay valid.
 
 When a run starts, ``Engine._bind_table`` binds, per source in
 ``program.readers``, a list of ``(bank, bank.values, port)`` sinks, and
-the pristine pass's table, whose rows share those lists.  Both paths
-route through them, so no heal step may leave one stale: reroute
-replaces the healed function's entries in its sources' lists, and
-restore replaces the function's own row.  No run binds again.
+the rows, one per DELAY and one per wave slot, which share those lists.
+Both paths route through the lists and walk the rows, so no heal step
+may leave one stale: reroute replaces the healed function's entries in
+its sources' lists, and restore replaces the function's own row.  No
+run binds again.
 """
 
 import contextlib
@@ -59,26 +60,29 @@ def assert_sinks_match_the_fabric(engine: Engine) -> None:
 
 
 def assert_rows_match_the_fabric(engine: Engine) -> None:
-    """Each row of the pass table holds its function's bound cell's bank,
-    ``values`` and ``evaluate``, a DELAY row the cell too, and shares the
-    function's sink list."""
-    delays, sinks, wave = engine._table
-    binding = engine.fabric.binding
-    assert sinks is engine._sinks
-    for i, cell, bank, values, _names, row_sinks, _always in delays:
+    """Each row holds its function's bound cell's bank, ``values`` and
+    ``evaluate``, a DELAY row the cell too, and shares the function's
+    sink list; wave row n is the program's wave slot n."""
+    binding, sinks = engine.fabric.binding, engine._sinks
+    for i, cell, bank, values, _names, row_sinks, _always in engine._delay_rows:
         assert cell is binding[i] and bank is cell.registers and values is bank.values, i
         assert row_sinks is sinks[i], i
-    for _offset, i, bank, values, _names, evaluate, row_sinks, _always in wave:
+    delta = engine.timing.cell_delay
+    assert [row[:2] for row in engine._rows] == [
+        (level * delta, i) for level, i, _ in engine.program.wave
+    ]
+    for _offset, i, bank, values, _names, evaluate, row_sinks, _always in engine._rows:
         cell = binding[i]
         assert bank is cell.registers and values is bank.values, i
         assert evaluate is cell.evaluate and row_sinks is sinks[i], i
 
 
 class CheckedEngine(Engine):
-    """An engine that checks its sink lists after every handled event, and
-    its pass table at every clock the pass test finds pristine: the pass
-    runs clocks back to back with no call per clock, so the check runs
-    where it reads ``_pristine``.  ``pass_clocks`` lists those clocks."""
+    """An engine that checks its sink lists and rows after every handled
+    event, and its rows at every clock the pass test finds pristine too:
+    the pass runs clocks back to back with no call per clock, so that
+    check runs where it reads ``_pristine``.  ``pass_clocks`` lists those
+    clocks."""
 
     def __init__(self, program, scenario):
         super().__init__(program, scenario)
@@ -90,6 +94,7 @@ class CheckedEngine(Engine):
         def checked(t, payload):
             handler(t, payload)
             assert_sinks_match_the_fabric(self)
+            assert_rows_match_the_fabric(self)
         return checked
 
     @property

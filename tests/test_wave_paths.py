@@ -17,7 +17,7 @@ from cellfab.apps.edg import START_PERMITTED
 from cellfab.cell import CellId, Opcode, Port, WidthMode
 from cellfab.engine import Engine, FaultSpec, Scenario, TimingParams
 from cellfab.netlist import Netlist, NetlistError, parse_netlist, validate_netlist
-from cellfab.place import compile_netlist
+from cellfab.place import SLOTS_PER_LAYER, compile_netlist
 
 from helpers import PassLog, clock_times
 from test_acceptance import random_netlist, random_vector
@@ -37,9 +37,15 @@ class CountingEngine(PassLog, Engine):
 
     def run(self):
         super().run()
-        if self._wave:
+        if self._rows:
             self.wave_pops.update(self.pristine)
         return self
+
+
+def bit_worker(program, layer: int, slot: int) -> bool:
+    """Whether the worker placed at ``(layer, slot)`` is a bit cell; an
+    int16 netlist may place bit cells too."""
+    return program.configs[layer * SLOTS_PER_LAYER + slot].width_mode is WidthMode.BIT
 
 
 def wave_levels(program) -> list[int]:
@@ -131,7 +137,6 @@ def scenarios(draw):
         t = draw(st.integers(1, run_until))
         name = rng.choice(nl.input_names())
         stimulus.append((t, name, random_vector(rng, nl)[name]))
-    bit = nl.widths[nl.input_names()[0]] is WidthMode.BIT
     cells = sorted(program.placement.slots.values())
     faults = []
     for _ in range(draw(st.integers(0, 2))):  # transients on placed workers
@@ -142,7 +147,7 @@ def scenarios(draw):
             faults.append(FaultSpec(
                 kind="transient_register", cell=CellId(layer, slot, "F"),
                 time=draw(st.integers(0, run_until)), port=port, replica=replica,
-                flip=1 if bit else draw(st.integers(1, 0xFFFF)),
+                flip=1 if bit_worker(program, layer, slot) else draw(st.integers(1, 0xFFFF)),
             ))
     sc = Scenario(
         name="paths", application=nl.name, stimulus=stimulus, faults=faults,
@@ -165,7 +170,7 @@ def test_flat_waves_match_the_heap_around_a_heal(case, data):
     # one permanent fault takes the R0 spare of its layer, so R3 stays idle
     program, sc = case
     layer, slot = data.draw(st.sampled_from(sorted(program.placement.slots.values())))
-    bit = program.netlist.widths[program.netlist.input_names()[0]] is WidthMode.BIT
+    bit = bit_worker(program, layer, slot)
     value = st.integers(0, 1) if bit else st.integers(-0x8000, 0x7FFF)
     # a stuck fault may stay latent through several clean-looking waves
     flip, stuck = data.draw(st.one_of(
