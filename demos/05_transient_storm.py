@@ -9,6 +9,12 @@ from cellfab.report import metrics
 from cellfab.scenarios import load_scenario
 from cellfab.sim import run_raw
 
+
+def output_records(trace):
+    """The primary-output data samples: the comparable output trace."""
+    return [r for r in trace.records if r.annotation == "data" and r.signal in trace.outputs]
+
+
 scenario = load_scenario("edg_transient3")
 faulted = run_raw(scenario)
 golden = run_raw(load_scenario("edg_faultfree"))
@@ -17,7 +23,7 @@ for r in faulted.trace.records:
     if r.annotation == "masked_transient":
         print(f"t={r.time:4d} ns  {r.signal}: replica dissent mask {r.value:03b} (masked)")
 
-same = faulted.trace.output_records() == golden.trace.output_records()
+same = output_records(faulted.trace) == output_records(golden.trace)
 m = metrics(faulted.trace, scenario)
 print(f"\noutput trace identical to golden: {same}")
 print(f"erroneous output samples: {m.erroneous_output_samples}")

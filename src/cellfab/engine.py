@@ -63,9 +63,10 @@ Both paths walk the same rows, bound once when the run starts
 (``Engine._bind_table``): ``_delay_rows``, one per DELAY, whose pipeline
 the pass shifts itself, and ``_rows``, one per wave slot at its n, with
 its offset and the bound cell's ``evaluate``; a row holds its function's
-sink list, through which both paths route.  Reroute replaces the healed
-function's entries in the sink lists and restore its own row, so the
-rows are valid at every event.
+sink list, which the pass writes in its own loop, port by changed port,
+and the event path routes through with ``_route``.  Reroute replaces the
+healed function's entries in the sink lists and restore its own row, so
+the rows are valid at every event.
 """
 
 from __future__ import annotations
@@ -364,11 +365,6 @@ class Trace:
     scenario: Optional[Scenario] = field(default=None, repr=False, compare=False)
     faults: Optional[list[FaultSpec]] = field(default=None, repr=False, compare=False)
 
-    def output_records(self) -> list[TraceRecord]:
-        """The primary-output data samples only (the comparable output trace)."""
-        outputs = self.outputs
-        return [r for r in self.records if r.annotation == "data" and r.signal in outputs]
-
 
 # event kinds, processed in (time, seq) order; a heap entry is (time, seq,
 # kind, payload), and run() calls handlers[kind](time, payload)
@@ -486,19 +482,23 @@ class Engine:
             self._pristine = all(c.injected_permanent is None and c.health is not SUSPECT_TRANSIENT
                                  for c in fabric.binding if c is not None)
         published, records = fabric.published, self.trace.records
-        plant = self.scenario.plant
         delays, input_sinks, rows = self._delay_rows, self._sinks, self._rows
         # the wave's last (offset, n); with no wave, no event of time t waits
         end_offset, end_n = (rows[-1][0], len(rows) - 1) if rows else (0, 0)
+        plant = self.scenario.plant
+        if plant is not None:  # looked up once per call, not at every clock
+            throttle_fn = self.program.output_binding[plant.output_name]
+            speed_signal, speed_sinks = f"in.{plant.input_name}", input_sinks[plant.input_name]
         while True:
             self._last_clock = t
-            if plant is not None and t > 0:
-                throttle = published[self.program.output_binding[plant.output_name]] or 0
-                self.plant_speed = plant_step_raw(
-                    self.plant_speed, throttle, plant.gain, plant.drag, plant.dt
+            stepped = plant is not None and t > 0
+            if stepped:  # off the throttle before the shift: it may be a DELAY's
+                speed = self.plant_speed = plant_step_raw(
+                    self.plant_speed, published[throttle_fn] or 0, plant.gain, plant.drag, plant.dt
                 )
-                assignments = assignments + [(plant.input_name, self.plant_speed)]
             if not (self._pristine and heap[0] > (t + end_offset, self._seq + end_n)):
+                if stepped:  # only the event path takes a list with the speed in it
+                    assignments = assignments + [(plant.input_name, speed)]
                 self._event_clock(t, assignments)
                 return
             shifted = []
@@ -509,21 +509,37 @@ class Engine:
             for (fn_idx, *_, names, sinks, always), value in zip(delays, shifted):
                 if published[fn_idx] != value:
                     published[fn_idx] = value
-                    _write_sinks(sinks, value)
+                    # no bank holds an overlay port: an equal write is skipped
+                    for sink, sink_values, port in sinks:
+                        if sink_values[port] != value:
+                            sink_values[port] = value
+                            sink.changed = True
                 elif not always:
                     continue
                 for name in names:
                     records.append(TraceRecord(t, name, value, "data"))
             for name, value in assignments:
                 records.append(TraceRecord(t, f"in.{name}", value, "data"))
-                _write_sinks(input_sinks[name], value)
+                for sink, sink_values, port in input_sinks[name]:
+                    if sink_values[port] != value:
+                        sink_values[port] = value
+                        sink.changed = True
+            if stepped:
+                records.append(TraceRecord(t, speed_signal, speed, "data"))
+                for sink, sink_values, port in speed_sinks:
+                    if sink_values[port] != speed:
+                        sink_values[port] = speed
+                        sink.changed = True
             for offset, fn_idx, bank, values, names, evaluate, sinks, always in rows:
                 if bank.changed:
                     value = evaluate(values[0], values[1], values[2])
                     bank.changed = False
                     if published[fn_idx] != value:
                         published[fn_idx] = value
-                        _write_sinks(sinks, value)
+                        for sink, sink_values, port in sinks:
+                            if sink_values[port] != value:
+                                sink_values[port] = value
+                                sink.changed = True
                     elif not always:
                         continue
                 elif always:
@@ -781,16 +797,6 @@ def _route(sinks: list[tuple], value: int) -> None:
     a write also drops an overlay port (``InputRegisterBank.write``)."""
     for bank, _values, port in sinks:
         bank.write(port, value)
-
-
-def _write_sinks(sinks: list[tuple], value: int) -> None:
-    """Route a pristine run's value to its ``(bank, values, port)`` sinks;
-    no bank holds an overlay port then, so a write that changes no value
-    changes nothing."""
-    for bank, values, port in sinks:
-        if values[port] != value:
-            values[port] = value
-            bank.changed = True
 
 
 def plant_step_raw(v: int, u: int, gain: int, drag: int, dt: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .apps import resolve_application
-from .cell import CellId, WidthMode, excerpt, fit, parse_int
+from .cell import BIT, CellId, WidthMode, excerpt, fit, parse_int
 from .engine import (
     ANNOTATIONS,
     Engine,
@@ -154,6 +154,7 @@ def from_csv(text: str) -> Trace:
 
 
 _VCD_ID_CHARS = [chr(c) for c in range(33, 127)]  # the printable ASCII of a VCD identifier
+_BYTES = [f"{b:08b}" for b in range(256)]  # an int16 value line's two bytes, high first
 
 
 def _vcd_id(index: int) -> str:
@@ -181,14 +182,19 @@ def to_vcd(trace: Trace) -> str:
     last: dict[str, int] = {}
     changes: dict[int, dict[str, int]] = {}
     for r in trace.records:
-        signal, value = r.signal, r.value
-        if signal in declared and r.annotation == "data" and last.get(signal) != value:
-            last[signal] = value
-            changes.setdefault(r.time, {})[signal] = value
+        signal = r.signal
+        if signal in declared and r.annotation == "data" and last.get(signal) != r.value:
+            last[signal] = value = r.value
+            at = changes.get(r.time)
+            if at is None:
+                changes[r.time] = {signal: value}
+            else:
+                at[signal] = value
     signals = list(last)
-    widths = {s: 1 if declared[s] is WidthMode.BIT else 16 for s in signals}
-
     ids = {s: _vcd_id(i) for i, s in enumerate(signals)}
+    # a 1-bit signal's two value lines; an int16 line is built from its bytes
+    byte = _BYTES
+    bit_lines = {s: (f"0{ids[s]}", f"1{ids[s]}") for s in signals if declared[s] is BIT}
     lines = [
         f"$version cellfab {trace.version} $end",
         "$timescale 1ns $end",
@@ -196,39 +202,31 @@ def to_vcd(trace: Trace) -> str:
     ]
     for s in signals:
         if s in inputs:
-            lines.append(f"$var wire {widths[s]} {ids[s]} {s[3:]} $end")
-    lines.append("$upscope $end")
-    lines.append("$scope module outputs $end")
+            lines.append(f"$var wire {1 if s in bit_lines else 16} {ids[s]} {s[3:]} $end")
+    lines += ["$upscope $end", "$scope module outputs $end"]
     for s in signals:
         if s not in inputs:
-            lines.append(f"$var wire {widths[s]} {ids[s]} {s} $end")
-    lines.append("$upscope $end")
-    lines.append("$enddefinitions $end")
-
-    lines.append("#0")
-    lines.append("$dumpvars")
+            lines.append(f"$var wire {1 if s in bit_lines else 16} {ids[s]} {s} $end")
+    lines += ["$upscope $end", "$enddefinitions $end", "#0", "$dumpvars"]
     at_zero = changes.pop(0, {})
     for s in signals:
-        if s not in at_zero:
-            lines.append(f"bx {ids[s]}" if widths[s] > 1 else f"x{ids[s]}")
-        elif widths[s] > 1:
-            lines.append(f"b{at_zero[s] & 0xFFFF:016b} {ids[s]}")
+        v, pair = at_zero.get(s), bit_lines.get(s)
+        if v is None:
+            lines.append(f"x{ids[s]}" if pair else f"bx {ids[s]}")
         else:
-            lines.append(f"{at_zero[s] & 1}{ids[s]}")
+            lines.append(pair[v & 1] if pair else f"b{byte[v >> 8 & 255]}{byte[v & 255]} {ids[s]}")
     lines.append("$end")
     held = {s: at_zero.get(s) for s in signals}
     for t in sorted(changes):
-        lines.append(f"#{t}")
-        stamped = len(lines)
+        stamped = False  # a time whose changes all changed back gets no stamp
         for s, v in changes[t].items():
-            if v != held[s]:  # else it changed and changed back at t
+            if v != held[s]:
                 held[s] = v
-                if widths[s] > 1:
-                    lines.append(f"b{v & 0xFFFF:016b} {ids[s]}")
-                else:
-                    lines.append(f"{v & 1}{ids[s]}")
-        if len(lines) == stamped:
-            lines.pop()
+                if not stamped:
+                    lines.append(f"#{t}")
+                    stamped = True
+                pair = bit_lines.get(s)
+                lines.append(pair[v & 1] if pair else f"b{byte[v >> 8 & 255]}{byte[v & 255]} {ids[s]}")
     return "\n".join(lines) + "\n"
 
 
@@ -351,12 +349,7 @@ def _scan(trace: Trace) -> _TraceScan:
                 s = scan.syndromes[cell] = SyndromeMetrics(
                     cell=cell, detect_time=r.time, function_index=r.value
                 )
-            if action == HealAction.DEACTIVATE.value:
-                s.deactivate_time = r.time
-            elif action == HealAction.REROUTE.value:
-                s.reroute_time = r.time
-            else:
-                s.restore_time = r.time
+            setattr(s, f"{action}_time", r.time)  # each action names its field
         elif annotation == "alarm":
             scan.alarm = True
     scan.samples = {signal: samples for signal, samples in kept.items() if samples is not None}

@@ -92,6 +92,12 @@ def run_full(scenario) -> Engine:
     return FullRecordEngine(resolve_application(scenario.application), scenario).run()
 
 
+def output_records(trace: Trace) -> list:
+    """The trace's primary-output data samples only, its comparable output
+    trace."""
+    return [r for r in trace.records if r.annotation == "data" and r.signal in trace.outputs]
+
+
 def held_at(trace: Trace, signal: str, times: list[int]) -> list[Optional[int]]:
     """The value ``signal`` holds at each of ``times``, in ascending order:
     that of its last data sample at or before the time, None before its

@@ -18,6 +18,11 @@ Cell arithmetic: ``COMPOSED_FUNCTIONS`` and ``composed_plant_step`` write
 each opcode's evaluation and the plant step with ``wrap16`` and
 ``qmul``, as the reference for ``cell.OPCODE_FUNCTIONS`` and
 ``engine.plant_step_raw``, which inline them to run in one frame.
+
+Trace export: ``reference_vcd`` folds every kept sample into a per-time
+dict and formats each value with ``:016b``, as the reference for
+``report.to_vcd``, which formats int16 values from a byte table and
+stamps a time only at its first real change.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from cellfab.cell import Opcode, WidthMode, wrap16
+from cellfab.engine import Trace
 from cellfab.netlist import IMM_REF, Netlist
+from cellfab.report import _vcd_id
 
 
 def qmul(a: int, b: int) -> int:
@@ -235,3 +242,63 @@ del _op, _function
 def composed_plant_step(v: int, u: int, gain: int, drag: int, dt: int) -> int:
     """v' = v + (gain*u - drag*v)*dt, all factors Q8.8, truncated toward zero."""
     return wrap16(v + qmul(dt, qmul(gain, u) - qmul(drag, v)))
+
+
+def reference_vcd(trace: Trace) -> str:
+    """``report.to_vcd``'s bytes, written plainly: ``setdefault`` per kept
+    sample, ``:016b`` per int16 value, and a ``#t`` stamp that is popped
+    again when every change at ``t`` changed back."""
+    inputs = {f"in.{name}": mode for name, mode in trace.inputs.items()}
+    declared = inputs | trace.outputs
+    last: dict[str, int] = {}
+    changes: dict[int, dict[str, int]] = {}
+    for r in trace.records:
+        signal, value = r.signal, r.value
+        if signal in declared and r.annotation == "data" and last.get(signal) != value:
+            last[signal] = value
+            changes.setdefault(r.time, {})[signal] = value
+    signals = list(last)
+    widths = {s: 1 if declared[s] is WidthMode.BIT else 16 for s in signals}
+
+    ids = {s: _vcd_id(i) for i, s in enumerate(signals)}
+    lines = [
+        f"$version cellfab {trace.version} $end",
+        "$timescale 1ns $end",
+        "$scope module inputs $end",
+    ]
+    for s in signals:
+        if s in inputs:
+            lines.append(f"$var wire {widths[s]} {ids[s]} {s[3:]} $end")
+    lines.append("$upscope $end")
+    lines.append("$scope module outputs $end")
+    for s in signals:
+        if s not in inputs:
+            lines.append(f"$var wire {widths[s]} {ids[s]} {s} $end")
+    lines.append("$upscope $end")
+    lines.append("$enddefinitions $end")
+
+    lines.append("#0")
+    lines.append("$dumpvars")
+    at_zero = changes.pop(0, {})
+    for s in signals:
+        if s not in at_zero:
+            lines.append(f"bx {ids[s]}" if widths[s] > 1 else f"x{ids[s]}")
+        elif widths[s] > 1:
+            lines.append(f"b{at_zero[s] & 0xFFFF:016b} {ids[s]}")
+        else:
+            lines.append(f"{at_zero[s] & 1}{ids[s]}")
+    lines.append("$end")
+    held = {s: at_zero.get(s) for s in signals}
+    for t in sorted(changes):
+        lines.append(f"#{t}")
+        stamped = len(lines)
+        for s, v in changes[t].items():
+            if v != held[s]:  # else it changed and changed back at t
+                held[s] = v
+                if widths[s] > 1:
+                    lines.append(f"b{v & 0xFFFF:016b} {ids[s]}")
+                else:
+                    lines.append(f"{v & 1}{ids[s]}")
+        if len(lines) == stamped:
+            lines.pop()
+    return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ from cellfab.report import metrics, to_csv, to_vcd
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, held_at, plant_speeds
+from helpers import compare_steady_state, held_at, output_records, plant_speeds
 from test_genetic import random_config
 
 
@@ -37,7 +37,7 @@ def report(n: int, text: str) -> None:
 def output_rows(trace) -> str:
     return "\n".join(
         f"{r.time},{r.signal},{r.value},{r.annotation}"
-        for r in trace.output_records()
+        for r in output_records(trace)
     )
 
 

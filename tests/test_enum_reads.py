@@ -1,4 +1,4 @@
-"""The per-evaluation path reads no ``<Enum subclass>.<MEMBER>`` attribute.
+"""The per-evaluation and per-record paths read no ``<Enum subclass>.<MEMBER>`` attribute.
 
 On CPython before 3.12 such a class attribute read goes through
 ``EnumType.__getattr__``, so these functions compare against the
@@ -24,7 +24,6 @@ HOT_PATH = [
     ("cellfab.engine", "Engine._handle_wave"),
     ("cellfab.engine", "Engine._event_clock"),
     ("cellfab.engine", "_route"),
-    ("cellfab.engine", "_write_sinks"),
     ("cellfab.engine", "Engine._handle_eval"),
     ("cellfab.engine", "Engine._evaluate"),
     ("cellfab.engine", "Engine._evaluate_cell"),
@@ -39,6 +38,9 @@ HOT_PATH = [
     ("cellfab.genetic", "InputSelector.__post_init__"),
     ("cellfab.oracle", "NetlistOracle.__init__"),
     ("cellfab.oracle", "NetlistOracle.step"),
+    ("cellfab.report", "to_csv"),
+    ("cellfab.report", "to_vcd"),
+    ("cellfab.report", "_scan"),
 ]
 
 

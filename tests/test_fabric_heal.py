@@ -18,7 +18,7 @@ from cellfab.report import metrics
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, reference_eval, selector_walk
+from helpers import compare_steady_state, output_records, reference_eval, selector_walk
 from test_selective_eval import faulted_scenarios
 
 
@@ -117,7 +117,7 @@ def test_healing_soundness_random_stimuli():
 
     def window_outputs(t_lo, t_hi):
         out = {}
-        for r in trace.output_records():
+        for r in output_records(trace):
             if t_lo <= r.time < t_hi:
                 out[r.signal] = r.value
         return out

@@ -11,6 +11,8 @@ from cellfab.netlist import Netlist, NetlistError, NetNode, parse_netlist, valid
 from cellfab.oracle import NetlistOracle
 from cellfab.place import compile_netlist
 
+from helpers import output_records
+
 
 def test_minimal_netlist():
     nl = parse_netlist("input a : bit\nnode g1 = NOT(a)\noutput y = g1\n")
@@ -109,7 +111,7 @@ def test_counter_loop_fed_by_constants_is_int16():
     assert nl.widths == {name: WidthMode.INT16 for name in ("a", "s", "r", "y")}
     sc = Scenario(name="counter", application="counter", stimulus=[(0, "a", 10)], run_until=1500)
     trace = Engine(compile_netlist(nl), sc).run().trace
-    samples = [(r.time, r.signal, r.value) for r in trace.output_records()]
+    samples = [(r.time, r.signal, r.value) for r in output_records(trace)]
     oracle = NetlistOracle(nl)
     expected = []
     for k in range(5):  # every output settles one cell delay after its clock

@@ -12,7 +12,6 @@ equal traces and equal cell state.
 import pytest
 from hypothesis import given, settings
 
-from cellfab import engine as engine_module
 from cellfab.apps import resolve_application
 from cellfab.cell import CellId, Port
 from cellfab.engine import Engine, FaultSpec, Scenario
@@ -134,25 +133,28 @@ def test_an_unchanged_republish_drops_a_transient(replicas, samples):
 
 
 def count_routes(monkeypatch, sc: Scenario):
-    """The run's result and its number of routed publishes: the event
-    path's walks of a sink list, ``engine._route`` calls, and the
-    pristine clock's ``engine._write_sinks`` calls."""
-    calls = []
-    route = engine_module._route
-    write_sinks = engine_module._write_sinks
+    """The run's result and its number of routed publishes: the walks of
+    the run's sink lists, by the pristine pass's own writes and by the
+    event path's ``engine._route``.  Each list is wrapped once the run has
+    bound it, and the rows are bound again to share the wrapped lists."""
+    walks = []
 
-    def counting_route(sinks, value):
-        calls.append(sinks)
-        route(sinks, value)
+    class CountingSinks(list):
+        def __iter__(self):
+            walks.append(self)
+            return super().__iter__()
 
-    def counting_write_sinks(sinks, value):
-        calls.append(sinks)
-        write_sinks(sinks, value)
+    bind_table = Engine._bind_table
 
-    monkeypatch.setattr(engine_module, "_route", counting_route)
-    monkeypatch.setattr(engine_module, "_write_sinks", counting_write_sinks)
+    def counting_bind_table(engine):
+        bind_table(engine)
+        engine._sinks = {source: CountingSinks(sinks) for source, sinks in engine._sinks.items()}
+        for i in (*engine.program.delays, *engine._wave_entry):
+            engine._bind_row(i)
+
+    monkeypatch.setattr(Engine, "_bind_table", counting_bind_table)
     res = Engine(resolve_application(sc.application), sc).run()
-    return res, len(calls)
+    return res, len(walks)
 
 
 def publish_counts(res) -> tuple[int, int, int]:

@@ -23,6 +23,8 @@ from cellfab.report import (
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
+from helpers import output_records
+
 
 def parse_vcd(text: str):
     """Minimal independent VCD reader: returns (vars, changes).
@@ -254,7 +256,7 @@ class TestMetrics:
         res = run_raw(sc3)
         golden = run_raw(sc3.without_faults())
         m = metrics(res.trace, sc3, golden=golden.trace)
-        same = res.trace.output_records() == golden.trace.output_records()
+        same = output_records(res.trace) == output_records(golden.trace)
         assert (m.erroneous_output_samples == 0) == same
         assert same
 
