@@ -49,9 +49,9 @@ A run is pristine until it applies a fault (an inject that lands
 nowhere leaves it so), and again from the first clock at which repeats
 are not routed and no bound cell holds an injected permanent fault or
 is ``SUSPECT_TRANSIENT``, so a healed run returns to the pass.  Then
-every sink is its bound cell and nothing is in fail-safe: the faulted
-cell is bound until restore, a deactivated one holds its fault, and a
-run in fail-safe, which is latched and leaves one bound, skips the test.
+every bound cell holds its function's bank and nothing is in fail-safe:
+the faulted cell is bound until restore, a deactivated one holds its
+fault, and a run in fail-safe, latched with one bound, skips the test.
 A pristine clock whose wave's last slot and sequence number sort before
 the heap's first event runs whole in one pass of ``Engine._handle_clock``,
 in the event path's order and with its sequence numbers, so every later
@@ -63,10 +63,10 @@ Both paths walk the same rows, bound once when the run starts
 (``Engine._bind_table``): ``_delay_rows``, one per DELAY, whose pipeline
 the pass shifts itself, and ``_rows``, one per wave slot at its n, with
 its offset and the bound cell's ``evaluate``; a row holds its function's
-sink list, which the pass writes in its own loop, port by changed port,
-and the event path routes through with ``_route``.  Reroute replaces the
-healed function's entries in the sink lists and restore its own row, so
-the rows are valid at every event.
+bank (``Fabric.banks``) and sink list, which the pass writes in its own
+loop, port by changed port, and the event path routes through with
+``_route``.  Reroute hands a bank on and restore rebinds its row, so the
+rows are valid at every event.
 """
 
 from __future__ import annotations
@@ -477,7 +477,7 @@ class Engine:
         pass test takes the event path, ``_event_clock``."""
         fabric, heap = self.fabric, self._heap
         if self._route_repeats:
-            self._route_repeats = any(s is not None and s.registers.overlay for s in fabric.sinks)
+            self._route_repeats = any(b is not None and b.overlay for b in fabric.banks)
         if not (self._pristine or self._route_repeats or fabric.fail_safe):  # fail-safe is latched
             self._pristine = all(c.injected_permanent is None and c.health is not SUSPECT_TRANSIENT
                                  for c in fabric.binding if c is not None)
@@ -583,10 +583,11 @@ class Engine:
     def _bind_table(self) -> None:
         """Bind the run's sink lists and rows once, when the run starts,
         after every table they read is set.  A sink is a reader's ``(bank,
-        bank.values, port)``.  ``_delay_rows`` holds a row per DELAY and
+        bank.values, port)``, the bank its function's one bank, so no heal
+        step changes a list.  ``_delay_rows`` holds a row per DELAY and
         ``_rows`` one per wave slot, the run's one wave, at its n
         (``_bind_row``); a row shares its function's sink list."""
-        banks = [cell and cell.registers for cell in self.fabric.sinks]
+        banks = self.fabric.banks
         self._sinks = {
             source: [(banks[i], banks[i].values, port) for i, port in readers]
             for source, readers in self.program.readers.items()
@@ -597,13 +598,12 @@ class Engine:
             self._bind_row(i)
 
     def _bind_row(self, i: int) -> None:
-        """Set function ``i``'s row from its bound cell, as restore does
-        for the healed function: for a DELAY (fn index, cell, bank, values,
-        signal names, sinks, recorded always), for a wave slot (offset, fn
-        index, bank, values, signal names, the cell's ``evaluate``, sinks,
-        recorded always)."""
-        cell = self.fabric.binding[i]
-        bank = cell.registers
+        """Set function ``i``'s row from its bank and bound cell, as restore
+        does for the healed function: for a DELAY (fn index, cell, bank,
+        values, signal names, sinks, recorded always), for a wave slot
+        (offset, fn index, bank, values, signal names, the cell's
+        ``evaluate``, sinks, recorded always)."""
+        cell, bank = self.fabric.binding[i], self.fabric.banks[i]
         names, sinks, always = self.program.signals[i], self._sinks[i], i in self._recorded_always
         entry = self._wave_entry.get(i)
         if entry is None:
@@ -638,7 +638,7 @@ class Engine:
         on a spare before its reroute: that holds no data, and reroute
         loads every port.  Only an applied fault ends a pristine run."""
         fabric = self.fabric
-        cell = fabric.cells[str(fault.cell)]
+        cell = fabric.cell(fault.cell)
         permanent = fault.kind == FaultKind.PERMANENT_GFB
         applied = cell.health is not FAULTY_DEACTIVATED and (
             permanent or cell.registers is not None
@@ -649,7 +649,7 @@ class Engine:
         self._pristine = False
         if permanent:
             cell.injected_permanent = StuckBehavior(flip=fault.flip, stuck=fault.stuck)
-            if cell.registers is not None:  # an idle spare gets a new bank at reroute
+            if cell.registers is not None:  # an idle spare takes its bank at reroute
                 cell.registers.changed = True
         else:
             port = PORT_ORDER.index(fault.port)
@@ -742,13 +742,8 @@ class Engine:
             self._publish(fn_idx, 0, t, cascade=True)
         elif action is HealAction.REROUTE:
             fabric.reroute(syndrome)
-            bank = fabric.sinks[fn_idx].registers
-            for source, readers in self.program.readers.items():
-                for k, (reader, port) in enumerate(readers):
-                    if reader == fn_idx:
-                        self._sinks[source][k] = (bank, bank.values, port)
         elif action is HealAction.RESTORE:
-            fabric.restore(syndrome)  # the spare's bank is its sink already
+            fabric.restore(syndrome)  # the spare holds the function's bank already
             self._bind_row(fn_idx)
             self._schedule_eval(fn_idx, t)
 

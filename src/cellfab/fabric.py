@@ -20,7 +20,7 @@ from typing import Optional
 
 from .cell import CellHealth, CellId, FunctionalCell, InputRegisterBank
 from .genetic import decode_genetic
-from .place import FabricProgram
+from .place import FabricProgram, SLOTS_PER_LAYER
 
 
 class HealAction(Enum):
@@ -44,32 +44,36 @@ class Fabric:
 
     Every static table lives in the shared ``program``, which no run
     writes.  Each cell is restored from the program's ``initial_state``,
-    with a bank and ``values`` list of its own, not configured.  ``spares`` lists
-    the spare (R) cells in (layer, slot) order; a spare is idle until
-    ``allocate_spare`` claims it.  Healing changes only which cell
-    serves a function: ``binding[fn_idx]`` is the cell evaluated for
-    it, ``sinks[fn_idx]`` the cell whose registers take its inputs.
-    The two differ only between a syndrome's reroute and its restore.
-    The per-function lists (``binding``, ``sinks``, ``published``) are
+    with a bank and ``values`` list of its own, not configured.
+    ``workers`` and ``spares`` hold the F and R cells by slot, ``layer *
+    4 + slot``; a spare is idle until ``allocate_spare`` claims it.
+    ``binding[fn_idx]`` is the cell evaluated for a function and
+    ``banks[fn_idx]`` its one input bank for the whole run: healing
+    changes only which cell holds it and which is evaluated.  The
+    per-function lists (``binding``, ``banks``, ``published``) are
     indexed by function, None on a slot no function is placed in.
     """
 
     def __init__(self, program: FabricProgram):
         self.program = program
-        self.binding: list[Optional[FunctionalCell]] = []
-        self.cells: dict[str, FunctionalCell] = {}
+        self.workers: list[FunctionalCell] = []
         self.spares: list[FunctionalCell] = []
-        for fn_idx, (worker_id, worker_key, config, values, pipeline, evaluate,
-                     spare_id, spare_key) in enumerate(program.initial_state):
+        for worker, config, values, pipeline, evaluate, spare in program.initial_state:
             bank = InputRegisterBank(config.width_mode, list(values))
-            worker = self.cells[worker_key] = FunctionalCell(
-                worker_id, config, bank, pipeline, evaluate=evaluate)
-            self.binding.append(worker if fn_idx in program.configs else None)
-            spare = self.cells[spare_key] = FunctionalCell(spare_id, health=CellHealth.SPARE_IDLE)
-            self.spares.append(spare)
-        self.sinks = list(self.binding)
+            self.workers.append(FunctionalCell(worker, config, bank, pipeline, evaluate=evaluate))
+            self.spares.append(FunctionalCell(spare, health=CellHealth.SPARE_IDLE))
+        self.binding: list[Optional[FunctionalCell]] = [
+            c if i in program.configs else None for i, c in enumerate(self.workers)]
+        self.banks: list[Optional[InputRegisterBank]] = [c and c.registers for c in self.binding]
         self.published: list[Optional[int]] = [None] * len(self.binding)
         self.fail_safe = False  # latched once no spare is left for a syndrome
+
+    def cell(self, cell_id: CellId) -> FunctionalCell:
+        """The worker or spare ``cell_id``; KeyError if ``program.has_cell`` refuses it."""
+        if not self.program.has_cell(cell_id):
+            raise KeyError(str(cell_id))
+        cells = self.workers if cell_id.kind == "F" else self.spares
+        return cells[cell_id.layer * SLOTS_PER_LAYER + cell_id.slot]
 
     # ---- spare management --------------------------------------------
 
@@ -77,18 +81,20 @@ class Fabric:
         """Claim the nearest-layer idle spare; None when none is left.
 
         The faulty cell's own layer comes first, the lower layer wins a
-        tie of distance, and the lowest slot wins within a layer.  The
-        spare returned is active from here on, so no later syndrome
-        gets it too.
+        tie of distance, and the lowest slot wins within a layer: ``min``
+        keeps the first of equal keys in the (layer, slot) order of
+        ``spares``.  The spare returned is active from here on, so no
+        later syndrome gets it too.
         """
         chosen = min(
-            self.free_spares(),
-            key=lambda c: (abs(c.layer - from_layer), c.layer, c.slot),
+            (c for c in self.spares if c.health is CellHealth.SPARE_IDLE),
+            key=lambda c: abs(c.cell_id.layer - from_layer),
             default=None,
         )
-        if chosen is not None:
-            self.cells[str(chosen)].health = CellHealth.SPARE_ACTIVE
-        return chosen
+        if chosen is None:
+            return None
+        chosen.health = CellHealth.SPARE_ACTIVE
+        return chosen.cell_id
 
     def free_spares(self) -> list[CellId]:
         return [c.cell_id for c in self.spares if c.health is CellHealth.SPARE_IDLE]
@@ -97,26 +103,25 @@ class Fabric:
 
     def deactivate(self, syndrome: HealthSyndrome) -> None:
         """Take the faulty cell out of service.  It is never evaluated
-        again, and it stays its function's sink until reroute."""
-        self.cells[str(syndrome.cell_id)].health = CellHealth.FAULTY_DEACTIVATED
+        again, and it holds its function's bank until reroute."""
+        self.cell(syndrome.cell_id).health = CellHealth.FAULTY_DEACTIVATED
 
     def reroute(self, syndrome: HealthSyndrome) -> None:
-        """Hand the function's inputs to the spare: it takes a copy of the
-        sink's port values and becomes the sink.  A transient lives in the
-        sink's overlay only, so the copy holds the values routed in."""
-        fn_idx = syndrome.function_index
-        sink = self.sinks[fn_idx]
-        spare = self.cells[str(syndrome.chosen_spare)]
-        spare.registers = InputRegisterBank(sink.registers.width_mode, list(sink.registers.values))
-        self.sinks[fn_idx] = spare
+        """Hand the function's bank to the spare; the deactivated cell
+        keeps none.  A transient lives in the bank's overlay only, so the
+        spare, with the overlay dropped, holds the values routed in.
+        ``changed`` stays set: the faulty cell holds a permanent fault."""
+        bank = self.banks[syndrome.function_index]
+        bank.overlay.clear()
+        self.cell(syndrome.cell_id).registers = None
+        self.cell(syndrome.chosen_spare).registers = bank
 
     def restore(self, syndrome: HealthSyndrome) -> None:
         """Configure the spare from its function's genetic code, decoded
         and parity-checked here, and make it the function's evaluated
-        cell; the data routed in since reroute stays in its ports."""
+        cell; the data routed in since reroute stays in its bank."""
         fn_idx = syndrome.function_index
-        spare = self.cells[str(syndrome.chosen_spare)]
-        registers = spare.registers
+        spare = self.cell(syndrome.chosen_spare)
         spare.configure(decode_genetic(self.program.spare_codes[fn_idx]))
-        spare.registers = registers
+        spare.registers = self.banks[fn_idx]
         self.binding[fn_idx] = spare

@@ -18,15 +18,10 @@ from .genetic import (
 from .netlist import IMM_REF, MAX_LAYERS, SLOTS_PER_LAYER, Netlist
 
 
-def _slot_ids(fn_idx: int) -> tuple[CellId, str, CellId, str]:
-    """A slot's worker id, its ``cells`` key, spare id and its key."""
-    layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
-    worker, spare = CellId(layer, slot, "F"), CellId(layer, slot, "R")
-    return worker, str(worker), spare, str(spare)
-
-
-# they depend only on the function index, so they are made once per process
-_SLOT_IDS = tuple(map(_slot_ids, range(MAX_LAYERS * SLOTS_PER_LAYER)))
+# each slot's worker and spare id, by function index: they depend only on
+# the index, so they are made once per process
+_SLOT_IDS = tuple((CellId(layer, slot, "F"), CellId(layer, slot, "R"))
+                  for layer in range(MAX_LAYERS) for slot in range(SLOTS_PER_LAYER))
 
 
 @dataclass
@@ -61,10 +56,10 @@ class FabricProgram:
 
     ``initial_state`` is derived from ``configs``: the run-start state
     that ``Fabric`` restores, so no run configures a cell.  Per slot it
-    is (worker ``CellId``, its ``cells`` key, ``config``, port ``values``,
-    ``pipeline``, ``evaluate``, spare ``CellId``, its key), all immutable:
-    the ids are made once per process, and the rest is ``cell.run_start``
-    of the slot's configuration, the one definition ``configure`` uses.
+    is (worker ``CellId``, ``config``, port ``values``, ``pipeline``,
+    ``evaluate``, spare ``CellId``), all immutable: the ids are made once
+    per process, and the rest is ``cell.run_start`` of the slot's
+    configuration, the one definition ``configure`` uses.
     """
 
     netlist: Netlist
@@ -168,9 +163,9 @@ def build_routing(nl: Netlist, placement: Placement) -> FabricProgram:
             program.wave.append((nl.depth[name], fn_idx, signals))
     program.wave.sort(key=lambda entry: entry[:2])
     initial = []
-    for fn_idx, (worker, worker_key, spare, spare_key) in enumerate(_SLOT_IDS[:len(spare_codes)]):
+    for fn_idx, (worker, spare) in enumerate(_SLOT_IDS[:len(spare_codes)]):
         config = program.configs.get(fn_idx, NOP_CONFIG)
-        initial.append((worker, worker_key, config, *run_start(config), spare, spare_key))
+        initial.append((worker, config, *run_start(config), spare))
     program.initial_state = tuple(initial)
     return program
 

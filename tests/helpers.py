@@ -5,13 +5,19 @@ from __future__ import annotations
 from typing import Optional
 
 from cellfab.apps import resolve_application
-from cellfab.cell import FAULTY_DEACTIVATED
+from cellfab.cell import CellId, FAULTY_DEACTIVATED, FunctionalCell
 from cellfab.engine import Engine, PlantFeedback, Trace
+from cellfab.fabric import Fabric
 from cellfab.genetic import SelectorKind
 from cellfab.netlist import Netlist
 from cellfab.oracle import NetlistOracle
 from cellfab.place import FabricProgram
 from cellfab.report import _held_values
+
+
+def cell_named(fabric: Fabric, name: str) -> FunctionalCell:
+    """The fabric's cell named ``name``, as ``L<layer>.<F|R><slot>``."""
+    return fabric.cell(CellId.parse(name))
 
 
 class EventPathEngine(Engine):

@@ -27,9 +27,9 @@ WORKLOADS_PY = Path(__file__).resolve().parents[1] / "cellbench" / "workloads.py
 NETLIST_OPS = 32  # as the bench export pins
 
 DIGESTS = {
-    "edg": "5f8a27d1f2bbfdd4f3db347814e5eb6cae10cb79a91538be977ee81177f6cefc",
-    "ccs": "2b9f2513f59a373a8af366a306bed2811d06aed62ab96c6a9f0f58c3ba601ca3",
-    "oracle_netlists": "d86f49a79ec6a588fc6aabba89e3e83fa547273e2024f1072389ce0882d5a0aa",
+    "edg": "6f4f10e4461d1dadb41fdf3d201c9d266a9247d7f4fbd62d47068c466f9988a5",
+    "ccs": "7ece02f1a5eeb34179ca76094dbd63db95f9d8b5f528914073450cdacb58ab64",
+    "oracle_netlists": "75eb5fe60eafde00355edf1acfc5403ce3cfd0ce2deebbe9db74ad61be8ae804",
 }
 
 
@@ -44,7 +44,7 @@ def evaluator_name(evaluate) -> str:
 
 def program_text(program) -> str:
     initial = [
-        (*state[:5], evaluator_name(state[5]), *state[6:]) for state in program.initial_state
+        (*state[:4], evaluator_name(state[4]), *state[5:]) for state in program.initial_state
     ]
     return "\n".join([
         dump_program(program),

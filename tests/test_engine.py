@@ -19,7 +19,7 @@ from cellfab.report import to_csv
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, reference_eval, run_full
+from helpers import cell_named, compare_steady_state, reference_eval, run_full
 
 
 def edg_scenario(name="t", faults=(), run_until=600, stimulus_extra=()):
@@ -224,7 +224,7 @@ def test_three_way_disagreement_escalates_undetermined():
     masks = [r for r in res.trace.records if r.annotation == "masked_transient"]
     assert any(r.value == 0b111 for r in masks)
     assert res.syndromes == []
-    assert res.fabric.cells["L0.F0"].health is CellHealth.SUSPECT_TRANSIENT
+    assert cell_named(res.fabric, "L0.F0").health is CellHealth.SUSPECT_TRANSIENT
     assert samples(res.trace, "q")[-1][1] == 7  # replica-0 fallback was correct
 
 
@@ -250,7 +250,7 @@ def test_three_way_disagreement_is_not_rechecked_until_rewritten():
         assert len(masks) == rows
         assert [r.time for r in masks[:3]] == [100, 120, 335]
         assert res.syndromes == []
-        assert res.fabric.cells["L0.F0"].health is CellHealth.SUSPECT_TRANSIENT
+        assert cell_named(res.fabric, "L0.F0").health is CellHealth.SUSPECT_TRANSIENT
         assert samples(res.trace, "q")[-1] == (run_until - 265, 8)
 
 

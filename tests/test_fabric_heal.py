@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellfab.apps import resolve_application
 from cellfab.apps.edg import START_PERMITTED
-from cellfab.cell import CellHealth, CellId, Opcode
+from cellfab.cell import CellHealth, CellId, Opcode, Port
 from cellfab.engine import Engine, FaultSpec, Scenario
 from cellfab.fabric import Fabric
 from cellfab.genetic import CorruptedCodeError, encode_genetic
@@ -18,7 +18,9 @@ from cellfab.report import metrics
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 from cellfab.sim import run_raw
 
-from helpers import compare_steady_state, output_records, reference_eval, selector_walk
+from helpers import (
+    cell_named, compare_steady_state, output_records, reference_eval, selector_walk,
+)
 from test_selective_eval import faulted_scenarios
 
 
@@ -49,7 +51,7 @@ def test_local_heal_uses_lowest_spare_and_reloads_code():
     assert str(s.chosen_spare) == "L0.R0"
     times = heal_times(metrics(res.trace).syndromes[0])
     assert None not in times and times == sorted(times)
-    spare = res.fabric.cells["L0.R0"]
+    spare = cell_named(res.fabric, "L0.R0")
     assert spare.health is CellHealth.SPARE_ACTIVE
     assert spare.config == res.trace.program.configs[s.function_index]
 
@@ -76,7 +78,7 @@ def test_restore_configures_the_spare_from_its_genetic_code():
     assert [(r.time, r.value) for r in res.trace.records if r.signal == "o" and r.time >= 205] == [
         (205, 4), (370, 4), (670, 4), (970, 9), (1270, 9), (1570, 19),
     ]
-    assert res.fabric.cells["L0.R0"].config.opcode is Opcode.SUB
+    assert cell_named(res.fabric, "L0.R0").config.opcode is Opcode.SUB
 
 
 def test_restore_checks_the_parity_of_the_spare_code():
@@ -168,10 +170,10 @@ def test_layer_exhaustion_migrates_to_nearest_layer():
 def test_allocate_spare_deterministic():
     fabric = Fabric(resolve_application("edg"))
     assert str(fabric.allocate_spare(0)) == "L0.R0"
-    fabric.cells["L0.R0"].health = CellHealth.SPARE_ACTIVE
+    cell_named(fabric, "L0.R0").health = CellHealth.SPARE_ACTIVE
     assert str(fabric.allocate_spare(0)) == "L0.R1"
     for slot in range(4):
-        fabric.cells[f"L0.R{slot}"].health = CellHealth.SPARE_ACTIVE
+        cell_named(fabric, f"L0.R{slot}").health = CellHealth.SPARE_ACTIVE
     assert str(fabric.allocate_spare(0)) == "L1.R0"
 
 
@@ -179,10 +181,10 @@ def test_single_remaining_spare_chosen_regardless_of_distance():
     fabric = Fabric(resolve_application("edg"))
     for layer in range(4):
         for slot in range(4):
-            fabric.cells[f"L{layer}.R{slot}"].health = CellHealth.SPARE_ACTIVE
-    fabric.cells["L3.R2"].health = CellHealth.SPARE_IDLE
+            cell_named(fabric, f"L{layer}.R{slot}").health = CellHealth.SPARE_ACTIVE
+    cell_named(fabric, "L3.R2").health = CellHealth.SPARE_IDLE
     assert str(fabric.allocate_spare(0)) == "L3.R2"
-    fabric.cells["L3.R2"].health = CellHealth.SPARE_ACTIVE
+    cell_named(fabric, "L3.R2").health = CellHealth.SPARE_ACTIVE
     assert fabric.allocate_spare(0) is None
 
 
@@ -279,8 +281,61 @@ def test_health_map_snapshot():
     fabric = Fabric(resolve_application("edg"))
     assert not fabric.fail_safe
     assert len(fabric.free_spares()) == 16
-    assert fabric.cells["L0.F0"].health is CellHealth.HEALTHY
-    assert fabric.cells["L0.R0"].health is CellHealth.SPARE_IDLE
+    assert cell_named(fabric, "L0.F0").health is CellHealth.HEALTHY
+    assert cell_named(fabric, "L0.R0").health is CellHealth.SPARE_IDLE
+
+
+def test_cell_refuses_an_id_that_is_no_cell_of_the_fabric():
+    # a slot or layer out of range must not alias another cell's index
+    fabric = Fabric(resolve_application("edg"))
+    layers = fabric.program.placement.layer_count
+    assert fabric.cell(CellId(0, 3, "F")) is fabric.workers[3]
+    assert fabric.cell(CellId(layers - 1, 3, "R")) is fabric.spares[-1]
+    for bad in (CellId(0, 4, "F"), CellId(1, -1, "R"), CellId(layers, 0, "F"),
+                CellId(-1, 3, "R"), CellId(0, 0, "X")):
+        assert not fabric.program.has_cell(bad)
+        with pytest.raises(KeyError):
+            fabric.cell(bad)
+
+
+def test_reroute_hands_the_spare_the_bank_without_its_overlay():
+    # y (L0.F1) takes a transient on N at 100 that no write drops, as a is
+    # stimulated at 0 only, then a permanent fault that heals onto L0.R0
+    # (reroute 180, restore 215): the spare takes the values routed in, not
+    # the corrupted replica, and evaluates at its restore, as it publishes
+    # y's value, not the 0 the deactivate published
+    nl = parse_netlist(
+        "input a : int16\nnode x = ADD(a, imm) imm=1\nnode y = ADD(x, imm) imm=2\noutput o = y\n"
+    )
+    program = compile_netlist(nl)
+    faults = [
+        FaultSpec(kind="transient_register", cell=CellId(0, 1, "F"), time=100,
+                  port=Port.NORTH, replica=0, flip=255),
+        FaultSpec(kind="permanent_gfb", cell=CellId(0, 1, "F"), time=110, stuck=0),
+    ]
+    sc = Scenario(name="t", application="inline", faults=faults, run_until=900,
+                  stimulus=[(0, "a", 5)])
+    engine = Engine(program, sc)
+    fabric = engine.fabric
+    faulty, spare = fabric.cell(CellId(0, 1, "F")), fabric.cell(CellId(0, 0, "R"))
+    bank = fabric.banks[1]
+    reroute = fabric.reroute
+
+    def checked_reroute(syndrome):
+        assert faulty.registers is bank and bank.overlay  # the case under test
+        reroute(syndrome)
+        assert spare.registers is bank and faulty.registers is None
+        assert bank.overlay == {} and bank.values == [6, 2, 0, 0]
+
+    fabric.reroute = checked_reroute
+    records = engine.run().trace.records
+    assert [(r.time, r.signal) for r in records if r.annotation == "syndrome_action"] == [
+        (145, "heal.L0.F1.deactivate"), (180, "heal.L0.F1.reroute"), (215, "heal.L0.F1.restore"),
+    ]
+    assert max(r.time for r in records if r.annotation == "masked_transient") == 145
+    assert [(r.time, r.value) for r in records if r.signal == "o" and r.time > 145] == [
+        (215, 8), (370, 8), (670, 8),
+    ]
 
 
 def test_input_change_in_reroute_window_reaches_spare():
@@ -324,9 +379,9 @@ def reroutes_match_selector_walk(program, sc) -> int:
         nonlocal count
         reroute(syndrome)
         fn_idx, t = syndrome.function_index, syndrome.detect_time + engine.timing.reroute_delay
-        spare = fabric.cells[str(syndrome.chosen_spare)]
+        spare = fabric.cell(syndrome.chosen_spare)
         assert spare.registers.values == selector_walk(engine.trace, program, fn_idx, t)
-        assert fabric.sinks[fn_idx] is spare
+        assert fabric.banks[fn_idx] is spare.registers
         count += 1
 
     fabric.reroute = checked_reroute
@@ -359,7 +414,7 @@ def test_fabric_run_state_is_the_documented_fields():
     # what a checkpoint of a run copies: a new run-state field must also
     # join the snapshot list of ROADMAP.md's checkpoint item
     assert set(vars(Fabric(resolve_application("edg")))) == {
-        "program", "binding", "cells", "spares", "sinks", "published", "fail_safe",
+        "program", "binding", "banks", "workers", "spares", "published", "fail_safe",
     }
 
 

@@ -6,8 +6,8 @@ configuration, which ``FunctionalCell.configure`` also uses, so this
 test cannot tell the two apart; ``test_compile_pins.py`` pins the state
 itself.  ``Fabric`` restores every cell from it and configures none.
 The restored fabric must equal one configured cell by cell, in every
-pinned cell and bank field and in the shape of ``binding``, ``sinks``,
-``spares`` and ``cells``; and two fabrics of one program must share
+pinned cell and bank field and in the shape of ``binding``, ``banks``,
+``workers`` and ``spares``; and two fabrics of one program must share
 nothing that a run writes.
 """
 
@@ -28,18 +28,17 @@ class ConfiguredFabric:
 
     def __init__(self, program):
         slots = program.placement.layer_count * SLOTS_PER_LAYER
-        self.binding, self.cells, self.spares = [None] * slots, {}, []
+        self.binding, self.workers, self.spares = [None] * slots, [], []
         for fn_idx in range(slots):
             layer, slot = divmod(fn_idx, SLOTS_PER_LAYER)
             worker = FunctionalCell(CellId(layer, slot, "F"))
             worker.configure(program.configs.get(fn_idx, NOP_CONFIG))
             if fn_idx in program.configs:
                 self.binding[fn_idx] = worker
-            self.cells[str(worker.cell_id)] = worker
+            self.workers.append(worker)
             spare = FunctionalCell(CellId(layer, slot, "R"), health=CellHealth.SPARE_IDLE)
             self.spares.append(spare)
-            self.cells[str(spare.cell_id)] = spare
-        self.sinks = list(self.binding)
+        self.banks = [None if c is None else c.registers for c in self.binding]
 
 
 def cell_fields(cell: FunctionalCell) -> dict:
@@ -51,11 +50,16 @@ def cell_fields(cell: FunctionalCell) -> dict:
 
 
 def shape(fabric) -> tuple:
-    """Which cell, by name, each structure holds, in its order."""
+    """Which cell, by name, each structure holds, in its order; for
+    ``banks``, the cell that holds each bank."""
+    cells = fabric.workers + fabric.spares
+
     def names(cells):
         return [None if c is None else str(c.cell_id) for c in cells]
 
-    return names(fabric.binding), names(fabric.sinks), names(fabric.spares), list(fabric.cells)
+    holders = [None if b is None else next(c for c in cells if c.registers is b)
+               for b in fabric.banks]
+    return names(fabric.binding), names(holders), names(fabric.workers), names(fabric.spares)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -67,15 +71,15 @@ def test_a_restored_fabric_is_a_configured_one_and_shares_nothing(case, data):
     fabric, other = Fabric(program), Fabric(program)
     reference = ConfiguredFabric(program)
     assert shape(fabric) == shape(reference)
-    for name, cell in fabric.cells.items():
-        assert cell_fields(cell) == cell_fields(reference.cells[name]), name
-    assert all(c is fabric.cells[str(c.cell_id)] for c in fabric.binding + fabric.spares if c)
-    assert all(s is c for s, c in zip(fabric.sinks, fabric.binding))
+    cells, reference_cells = fabric.workers + fabric.spares, reference.workers + reference.spares
+    for cell, twin in zip(cells, reference_cells):
+        assert cell_fields(cell) == cell_fields(twin), cell.cell_id
+    assert all(c is fabric.cell(c.cell_id) for c in cells)
+    assert all(b is (c and c.registers) for b, c in zip(fabric.banks, fabric.binding))
     assert fabric.published == [None] * len(fabric.binding) and not fabric.fail_safe
 
     # no mutable object of a run is another run's
-    for name, cell in fabric.cells.items():
-        twin = other.cells[name]
+    for cell, twin in zip(cells, other.workers + other.spares):
         assert cell is not twin
         if cell.registers is not None:
             assert cell.registers is not twin.registers
@@ -90,8 +94,7 @@ def test_a_restored_fabric_is_a_configured_one_and_shares_nothing(case, data):
     bank.corrupt(port, 0, 1, None)
     fabric.binding[fn_idx].pipeline += (1,)
     assert program.initial_state is before
-    for name, cell in other.cells.items():
-        assert cell_fields(cell) == cell_fields(reference.cells[name]), name
-    for name, cell in Fabric(program).cells.items():
-        assert cell_fields(cell) == cell_fields(reference.cells[name]), name
+    for fresh in (other, Fabric(program)):
+        for cell, twin in zip(fresh.workers + fresh.spares, reference_cells):
+            assert cell_fields(cell) == cell_fields(twin), cell.cell_id
 

@@ -16,6 +16,7 @@ from cellfab.place import (
     place,
 )
 
+from helpers import cell_named
 from test_wave_paths import scenarios
 
 
@@ -99,7 +100,7 @@ def test_spare_mirrors_worker_slot(edg):
     for layer in range(program.placement.layer_count):
         for slot in range(4):
             mirrored = decode_genetic(program.spare_codes[layer * 4 + slot])
-            assert mirrored == fabric.cells[f"L{layer}.F{slot}"].config
+            assert mirrored == cell_named(fabric, f"L{layer}.F{slot}").config
 
 
 def test_unfilled_slots_are_safe_nops(edg):
@@ -110,7 +111,7 @@ def test_unfilled_slots_are_safe_nops(edg):
     fabric = Fabric(program)
     for slot in (2, 3):
         assert last * 4 + slot not in program.configs
-        cfg = fabric.cells[f"L{last}.F{slot}"].config
+        cfg = cell_named(fabric, f"L{last}.F{slot}").config
         assert cfg.opcode is Opcode.NOP and not cfg.output_enable
 
 
@@ -160,4 +161,4 @@ def test_program_does_not_depend_on_the_order_of_the_slots(case, data):
     assert len(other.spare_codes) == placement.layer_count * 4
     for fn_idx, code in enumerate(other.spare_codes):
         layer, slot = divmod(fn_idx, 4)
-        assert decode_genetic(code) == fabric.cells[f"L{layer}.F{slot}"].config
+        assert decode_genetic(code) == cell_named(fabric, f"L{layer}.F{slot}").config

@@ -52,8 +52,8 @@ def last_offset(program, sc: Scenario) -> int:
 class RuleEngine(FullRecord, EventPathEngine):
     """The event-path reference, recording every publish and listing the
     clocks at which the pristine rule holds on its own state: the fabric
-    is not in fail-safe, no sink's bank holds an overlay port, every
-    bound cell is its function's sink, ``HEALTHY`` or ``SPARE_ACTIVE``
+    is not in fail-safe, no function's bank holds an overlay port, every
+    bound cell holds its function's bank, ``HEALTHY`` or ``SPARE_ACTIVE``
     with no injected permanent fault, and no event but the stop comes at
     or before the wave's last slot, which is at or before the stop.
     Every event on the heap then took its sequence number before the
@@ -67,11 +67,11 @@ class RuleEngine(FullRecord, EventPathEngine):
 
     def _handle_clock(self, t, assignments):
         fabric, end = self.fabric, t + self.last
-        bound = [(c, s) for c, s in zip(fabric.binding, fabric.sinks) if c is not None]
+        bound = [(c, b) for c, b in zip(fabric.binding, fabric.banks) if c is not None]
         if (
             not fabric.fail_safe
-            and not any(s.registers.overlay for _, s in bound)
-            and all(c is s for c, s in bound)
+            and not any(b.overlay for _, b in bound)
+            and all(c.registers is b for c, b in bound)
             and all(c.health in (HEALTHY, CellHealth.SPARE_ACTIVE)
                     and c.injected_permanent is None
                     for c, _ in bound)

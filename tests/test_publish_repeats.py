@@ -20,7 +20,9 @@ from cellfab.netlist import parse_netlist
 from cellfab.place import compile_netlist
 from cellfab.scenarios import load_scenario
 
-from helpers import AlwaysRouteEngine, FullRecord, FullRecordEngine, clock_times, plant_speeds
+from helpers import (
+    AlwaysRouteEngine, FullRecord, FullRecordEngine, cell_named, clock_times, plant_speeds,
+)
 from test_selective_eval import cell_state, faulted_scenarios
 from test_wave_paths import scenarios
 
@@ -67,7 +69,7 @@ def assert_readers_hold_published(fabric: Fabric) -> None:
         if value is None:
             continue
         for reader, port in fabric.program.readers[fn_idx]:
-            assert fabric.sinks[reader].registers.values[port] == value, (fn_idx, reader, port)
+            assert fabric.banks[reader].values[port] == value, (fn_idx, reader, port)
 
 
 class CheckingEngine(Engine):
@@ -129,7 +131,7 @@ def test_an_unchanged_republish_drops_a_transient(replicas, samples):
         (100, "cell.L0.F1.N"),
     ]
     assert [(r.time, r.value) for r in records if r.signal == "o"] == samples
-    assert res.fabric.cells["L0.F1"].registers.overlay == {}
+    assert cell_named(res.fabric, "L0.F1").registers.overlay == {}
 
 
 def count_routes(monkeypatch, sc: Scenario):

@@ -29,10 +29,10 @@ from test_wave_paths import scenarios
 def cell_state(fabric) -> dict[str, tuple]:
     """Each cell's health, streak, pipeline and register bank."""
     state = {}
-    for name, cell in fabric.cells.items():
+    for cell in fabric.workers + fabric.spares:
         bank = cell.registers
         registers = None if bank is None else (bank.values, bank.overlay, bank.changed)
-        state[name] = (cell.health, cell.mismatch_streak, cell.pipeline, registers)
+        state[str(cell.cell_id)] = (cell.health, cell.mismatch_streak, cell.pipeline, registers)
     return state
 
 
@@ -52,10 +52,10 @@ def assert_same_as_always_evaluating(program, sc: Scenario):
 
 def assert_fault_state_keeps_the_flag(fabric):
     """Every bank whose cell holds fault state must evaluate at its next step."""
-    for name, cell in fabric.cells.items():
+    for cell in fabric.workers + fabric.spares:
         bank = cell.registers
         if bank is not None and (bank.overlay or cell.injected_permanent is not None):
-            assert bank.changed, name
+            assert bank.changed, cell.cell_id
 
 
 def test_rewriting_a_corrupted_majority_port_evaluates_again():

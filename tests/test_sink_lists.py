@@ -4,9 +4,10 @@ When a run starts, ``Engine._bind_table`` binds, per source in
 ``program.readers``, a list of ``(bank, bank.values, port)`` sinks, and
 the rows, one per DELAY and one per wave slot, which share those lists.
 Both paths route through the lists and walk the rows, so no heal step
-may leave one stale: reroute replaces the healed function's entries in
-its sources' lists, and restore replaces the function's own row.  No
-run binds again.
+may leave one stale: a sink's bank is its reader's one bank
+(``Fabric.banks``), which reroute hands to the spare, so no list
+changes, and restore replaces the function's own row.  No run binds
+again.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import contextlib
 from hypothesis import given, settings
 
 from cellfab.apps import resolve_application
+from cellfab.cell import FAULTY_DEACTIVATED
 from cellfab.engine import Engine
 from cellfab.scenarios import BUNDLED_SCENARIOS, load_scenario
 
@@ -49,31 +51,42 @@ def test_every_run_binds_once(monkeypatch):
 
 def assert_sinks_match_the_fabric(engine: Engine) -> None:
     """Each source's sink list holds, for each of its ``(reader, port)``
-    readers, the reader's sink bank, that bank's ``values`` and the port."""
+    readers, the reader's bank, that bank's ``values`` and the port; and
+    each function's bank is held by exactly one cell."""
     fabric = engine.fabric
     for source, readers in engine.program.readers.items():
         sinks = engine._sinks[source]
         assert len(sinks) == len(readers), source
         for (bank, values, port), (reader, reader_port) in zip(sinks, readers):
-            assert bank is fabric.sinks[reader].registers, (source, reader)
+            assert bank is fabric.banks[reader], (source, reader)
             assert values is bank.values and port == reader_port, (source, reader)
+    held = [id(c.registers) for c in fabric.workers + fabric.spares]
+    for i, bank in enumerate(fabric.banks):
+        assert bank is None or held.count(id(bank)) == 1, i
 
 
 def assert_rows_match_the_fabric(engine: Engine) -> None:
-    """Each row holds its function's bound cell's bank, ``values`` and
+    """Each row holds its function's bank, ``values`` and bound cell's
     ``evaluate``, a DELAY row the cell too, and shares the function's
-    sink list; wave row n is the program's wave slot n."""
-    binding, sinks = engine.fabric.binding, engine._sinks
+    sink list; wave row n is the program's wave slot n.  The bound cell
+    holds the bank, but after reroute a deactivated one holds None."""
+    binding, banks, sinks = engine.fabric.binding, engine.fabric.banks, engine._sinks
+
+    def holds(cell, bank):
+        if cell.registers is None:
+            return cell.health is FAULTY_DEACTIVATED
+        return cell.registers is bank
+
     for i, cell, bank, values, _names, row_sinks, _always in engine._delay_rows:
-        assert cell is binding[i] and bank is cell.registers and values is bank.values, i
-        assert row_sinks is sinks[i], i
+        assert cell is binding[i] and bank is banks[i] and values is bank.values, i
+        assert holds(cell, bank) and row_sinks is sinks[i], i
     delta = engine.timing.cell_delay
     assert [row[:2] for row in engine._rows] == [
         (level * delta, i) for level, i, _ in engine.program.wave
     ]
     for _offset, i, bank, values, _names, evaluate, row_sinks, _always in engine._rows:
         cell = binding[i]
-        assert bank is cell.registers and values is bank.values, i
+        assert bank is banks[i] and values is bank.values and holds(cell, bank), i
         assert evaluate is cell.evaluate and row_sinks is sinks[i], i
 
 
